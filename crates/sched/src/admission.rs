@@ -1,15 +1,17 @@
 //! Admission control, backpressure, deadlines, and retry budgets for
 //! open-loop serving (ROADMAP item 1).
 //!
-//! With an [`AdmissionSpec`] installed (`Scheduler::with_admission`), the
-//! scheduler switches from the closed-loop "drain everything" discipline to
-//! an open-loop serving mode: requests are admitted in arrival order
-//! against bounded per-tenant and global pending queues, deadline-infeasible
-//! requests are turned away at the door, docking-station saturation
-//! backpressures admission, and retries draw on per-tenant token buckets
-//! with deterministic exponential backoff + jitter instead of unbounded
-//! re-enqueue. Without a spec nothing changes: the closed-loop path is the
-//! exact pre-existing code and its output is bit-identical.
+//! The scheduler has one serve loop. Without an [`AdmissionSpec`] it
+//! refuses nothing: every request is admitted before the first service
+//! decision. With one installed (`Scheduler::with_admission`), requests
+//! are admitted in arrival order as the track frees up, against bounded
+//! per-tenant and global pending queues; deadline-infeasible requests are
+//! turned away at the door, docking-station saturation backpressures
+//! admission, and retries draw on per-tenant token buckets with
+//! deterministic exponential backoff + jitter instead of unbounded
+//! re-enqueue. None of this accounting runs without a spec, so schedules
+//! and metric snapshots there are those of the original closed-loop
+//! scheduler (pinned by `tests/serve_golden.rs`).
 //!
 //! Determinism notes:
 //!

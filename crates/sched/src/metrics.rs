@@ -1,9 +1,8 @@
-//! Pre-interned metric handles for the scheduler's serving paths.
+//! Pre-interned metric handles for the scheduler's serve loop.
 //!
-//! Both the closed-loop planner and the open-loop server record per-request
-//! metrics inside their serve loops; [`SchedMetrics`] interns every name
-//! once so those loops record through dense `Copy` ids instead of paying a
-//! name lookup per request. Re-register the bundle whenever the registry is
+//! The serve loop records per-request metrics; [`SchedMetrics`] interns
+//! every name once so it records through dense `Copy` ids instead of paying
+//! a name lookup per request. Re-register the bundle whenever the registry is
 //! replaced (`set_metrics_enabled`) — registration is idempotent.
 
 use dhl_obs::{CounterId, GaugeId, HistogramId, MetricsRegistry};
@@ -11,14 +10,14 @@ use dhl_obs::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 /// Handles for every metric the scheduler records.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct SchedMetrics {
-    // Per-request counters (both loops).
+    // Per-request counters (every run).
     pub requests: CounterId,
     pub deliveries: CounterId,
     pub redeliveries: CounterId,
     pub reshipments: CounterId,
     pub abandoned: CounterId,
     pub dock_crashes: CounterId,
-    // Admission-control counters (open loop).
+    // Admission-control counters (only with an `AdmissionSpec`).
     pub offered: CounterId,
     pub rejected_deadline: CounterId,
     pub shed: CounterId,

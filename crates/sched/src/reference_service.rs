@@ -1,8 +1,8 @@
 //! The retired O(n) service-selection code, pinned verbatim.
 //!
 //! Before the indexed [`ServiceQueue`](crate::service_queue::ServiceQueue)
-//! existed, `try_run_open_loop` kept its admitted-but-unserved requests in a
-//! plain `Vec` and selected work with a linear scan (`pick_next`) followed
+//! existed, the open-loop serving path kept its admitted-but-unserved
+//! requests in a plain `Vec` and selected work with a linear scan (`pick_next`) followed
 //! by a shifting `Vec::remove` — O(n) per service decision and O(n) per
 //! shed, O(n²) across a drain. This module preserves that implementation
 //! **bit for bit** (the scan bodies below are the exact functions the

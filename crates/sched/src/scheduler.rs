@@ -7,6 +7,7 @@
 //! analytical model's accounting) with docking-station limits at the
 //! destination, and every cart returns to the library after its dwell.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use dhl_obs::{Histogram, MetricsRegistry, MetricsSnapshot, SloSummary, Stopwatch};
@@ -305,6 +306,8 @@ pub enum SchedulerError {
     /// validation and scheduling — a corrupt data map, surfaced as a typed
     /// error instead of a panic.
     CorruptPlacement(DatasetId),
+    /// A request's arrival time was NaN or infinite.
+    NonFiniteArrival(Seconds),
 }
 
 impl core::fmt::Display for SchedulerError {
@@ -321,6 +324,7 @@ impl core::fmt::Display for SchedulerError {
                     "placement lost dataset {id:?} mid-schedule (corrupt data map)"
                 )
             }
+            Self::NonFiniteArrival(at) => write!(f, "request arrival {at} is not finite"),
         }
     }
 }
@@ -334,8 +338,8 @@ impl From<ConfigError> for SchedulerError {
 }
 
 /// A submitted request with its placement-derived stats precomputed at
-/// submit time, so neither sort comparators nor per-arrival admission pay a
-/// placement `HashMap` lookup.
+/// submit time, so neither service ordering nor per-arrival admission pays
+/// a placement `HashMap` lookup.
 #[derive(Copy, Clone, Debug)]
 struct Queued {
     id: RequestId,
@@ -345,16 +349,6 @@ struct Queued {
     carts: usize,
     /// Dataset size in bytes (0.0 when unknown).
     bytes: f64,
-}
-
-/// The deterministic per-run fault-sampling streams and verify cost, built
-/// once per run by [`Scheduler::fault_streams`] so the closed- and
-/// open-loop paths cannot drift in how they seed them.
-struct FaultStreams {
-    loss_rng: Option<DeterministicRng>,
-    reship_rng: Option<DeterministicRng>,
-    dock_rng: Option<DeterministicRng>,
-    verify_s: f64,
 }
 
 /// Per-tenant open-loop accumulator row: SLO counters, the delivery-latency
@@ -514,8 +508,9 @@ impl Scheduler {
     /// deadline-aware admission, dock-saturation backpressure, and
     /// token-bucket retry budgets with deterministic backoff. The spec is
     /// sanitised on installation ([`AdmissionSpec::sanitised`]). Without
-    /// this call the scheduler's closed-loop behaviour is bit-identical to
-    /// what it was before the admission layer existed.
+    /// this call the same serve loop refuses nothing: every request is
+    /// admitted up front and retries follow the awareness budgets (see
+    /// [`Scheduler::run`]).
     #[must_use]
     pub fn with_admission(mut self, admission: AdmissionSpec) -> Self {
         self.admission = Some(admission.sanitised());
@@ -549,7 +544,7 @@ impl Scheduler {
     /// Enqueues a request and returns its handle.
     ///
     /// Placement-derived stats (cart count, dataset bytes) are resolved
-    /// here, once, so the serving paths never do a placement lookup per
+    /// here, once, so the serve loop never does a placement lookup per
     /// comparison or per admission decision.
     pub fn submit(&mut self, request: TransferRequest) -> RequestId {
         let id = RequestId(self.next_id);
@@ -571,39 +566,11 @@ impl Scheduler {
         id
     }
 
-    /// Registers known track downtime windows and builds the deterministic
-    /// fault/integrity/dock-crash sampling streams — the setup both serving
-    /// paths share (deduplicated so they cannot drift).
-    fn fault_streams(&mut self) -> FaultStreams {
-        // Register known downtime windows so departures (and clients asking
-        // the tracker) can route around them.
-        if let Some(faults) = &self.faults {
-            for &(from, to) in &faults.downtime {
-                self.availability.record_track_downtime(from, to);
-            }
-        }
-        FaultStreams {
-            loss_rng: self
-                .faults
-                .as_ref()
-                .map(|f| DeterministicRng::seed_from_u64(f.seed)),
-            reship_rng: self
-                .integrity
-                .as_ref()
-                .map(|i| DeterministicRng::seed_from_u64(i.seed)),
-            dock_rng: self
-                .dock_recovery
-                .as_ref()
-                .map(|d| DeterministicRng::seed_from_u64(d.seed)),
-            verify_s: self
-                .integrity
-                .as_ref()
-                .map_or(0.0, |i| i.verify_time.seconds()),
-        }
-    }
-
     /// Validates a request against the placement and topology.
     fn check(&self, request: &TransferRequest) -> Result<(), SchedulerError> {
+        if !request.arrival.is_finite() {
+            return Err(SchedulerError::NonFiniteArrival(request.arrival));
+        }
         if self.placement.carts_of(request.dataset).is_none() {
             return Err(SchedulerError::UnknownDataset(request.dataset));
         }
@@ -615,14 +582,25 @@ impl Scheduler {
 
     /// Runs all queued requests to completion and returns the schedule.
     ///
-    /// Scheduling policy: higher [`Priority`] first, FIFO within a class;
-    /// cart movements serialise on the single track; each destination
+    /// One serve loop: requests are admitted in arrival order (submission
+    /// order breaking ties), and whenever the track frees up the best
+    /// admitted request is served — higher [`Priority`] first, then FIFO by
+    /// arrival or fewest carts per the [`Policy`], then submission order.
+    /// Cart movements serialise on the single track; each destination
     /// admits at most `docks` simultaneously dwelling carts.
+    ///
+    /// Without an [`AdmissionSpec`] nothing is refused: every request is
+    /// admitted before the first service decision, and a lost or rejected
+    /// cart retries at once, up to the `max_attempts` of the awareness that
+    /// failed it. With one ([`Scheduler::with_admission`]) arrivals face
+    /// admission control as the track frees up, and retries draw on the
+    /// spec's budget instead.
     ///
     /// # Errors
     ///
-    /// The first invalid request ([`SchedulerError::UnknownDataset`] or
-    /// [`SchedulerError::InvalidDestination`]); no movements are scheduled
+    /// The first invalid request ([`SchedulerError::UnknownDataset`],
+    /// [`SchedulerError::InvalidDestination`] or
+    /// [`SchedulerError::NonFiniteArrival`]); no movements are scheduled
     /// in that case.
     pub fn run(&mut self) -> ScheduleOutcome {
         self.try_run().expect("submitted requests were validated")
@@ -634,33 +612,52 @@ impl Scheduler {
     ///
     /// See [`Scheduler::run`].
     pub fn try_run(&mut self) -> Result<ScheduleOutcome, SchedulerError> {
-        if let Some(spec) = self.admission.clone() {
-            return self.try_run_open_loop(&spec);
+        match self.admission.clone() {
+            Some(spec) => self.serve::<true>(&spec),
+            None => self.serve::<false>(&AdmissionSpec::default()),
         }
+    }
+
+    /// The serve loop, instantiated once per mode so that the admission
+    /// gates cost the other mode nothing. `OPEN` runs admission control and
+    /// budgeted retries under `spec`. Otherwise `spec` is never read: the
+    /// admission frontier is `+∞`, retries follow the awareness budgets,
+    /// and no open-loop metric or report is touched.
+    ///
+    /// Requests that are rejected or shed never run and produce no
+    /// [`RequestOutcome`]; they are accounted on the [`AdmissionReport`].
+    fn serve<const OPEN: bool>(
+        &mut self,
+        spec: &AdmissionSpec,
+    ) -> Result<ScheduleOutcome, SchedulerError> {
         for q in &self.queue {
             self.check(&q.req)?;
         }
-        // Priority first; within a class, FIFO by arrival or shortest job
-        // (fewest carts, precomputed at submit) depending on the policy;
-        // submission order breaks remaining ties (stable sort).
-        let policy = self.policy;
+        // Arrivals are admitted strictly in arrival order (submission order
+        // breaks ties); priority then decides who is served next among the
+        // admitted. This is also what makes the indexed ServiceQueue exact:
+        // pushes into it are monotone in (arrival, id). `check` rejected
+        // non-finite arrivals, so `partial_cmp` always answers.
         let mut order: Vec<usize> = (0..self.queue.len()).collect();
         order.sort_by(|&a, &b| {
-            let (qa, qb) = (&self.queue[a], &self.queue[b]);
-            let class = qb.req.priority.cmp(&qa.req.priority);
-            let within = match policy {
-                Policy::PriorityFifo => {
-                    qa.req.arrival.partial_cmp(&qb.req.arrival).expect("finite")
-                }
-                Policy::ShortestJobFirst => qa.carts.cmp(&qb.carts),
-            };
-            class.then(within)
+            let (ra, rb) = (&self.queue[a].req, &self.queue[b].req);
+            ra.arrival
+                .partial_cmp(&rb.arrival)
+                .unwrap_or(Ordering::Equal)
+                .then(a.cmp(&b))
         });
 
-        let mut streams = self.fault_streams();
+        // Register known downtime windows so departures (and clients asking
+        // the tracker) can route around them.
+        if let Some(faults) = &self.faults {
+            for &(from, to) in &faults.downtime {
+                self.availability.record_track_downtime(from, to);
+            }
+        }
+        let policy = self.policy;
         let Self {
             cfg,
-            placement: _,
+            placement,
             queue,
             availability,
             faults,
@@ -671,6 +668,29 @@ impl Scheduler {
             ..
         } = &mut *self;
         let handles = *handles;
+        // One seeded stream per hazard, independent of the others.
+        let mut loss = faults.as_ref().map(|f| {
+            (
+                DeterministicRng::seed_from_u64(f.seed),
+                f.loss_probability.clamp(0.0, 1.0),
+            )
+        });
+        let mut reship = integrity.as_ref().map(|i| {
+            (
+                DeterministicRng::seed_from_u64(i.seed),
+                i.reshipment_probability.clamp(0.0, 1.0),
+            )
+        });
+        let mut crash = dock_recovery.as_ref().map(|d| {
+            (
+                DeterministicRng::seed_from_u64(d.seed),
+                d.crash_probability_per_docking.clamp(0.0, 1.0),
+                d.recovery_time.seconds().max(0.0),
+            )
+        });
+        let verify_s = integrity.as_ref().map_or(0.0, |i| i.verify_time.seconds());
+        let loss_attempts = faults.as_ref().map_or(1, |f| f.max_attempts.max(1));
+        let reship_attempts = integrity.as_ref().map_or(1, |i| i.max_attempts.max(1));
 
         let watch = Stopwatch::start();
         let mut track_free = 0.0f64;
@@ -681,14 +701,174 @@ impl Scheduler {
         let mut outcomes = Vec::new();
         let mut total_energy = Joules::ZERO;
 
-        for idx in order {
-            let Queued { id, req, carts, .. } = queue[idx];
-            // Requests were validated above, so an unknown cart count here
-            // means the data map itself is corrupt — surface it, don't
-            // panic.
-            if carts == usize::MAX {
-                return Err(SchedulerError::CorruptPlacement(req.dataset));
+        let mut pending = ServiceQueue::new(policy);
+        let mut report = AdmissionReport::default();
+        // Tenant → (SLO accumulator, latency histogram, retry tokens left),
+        // dense-indexed by tenant id when the id space allows.
+        let mut tenants = if OPEN {
+            TenantTable::for_run(queue)
+        } else {
+            TenantTable::Dense(Vec::new())
+        };
+        let max_attempts = spec.retry.max_attempts_per_request.max(1);
+        let mut cursor = 0usize;
+
+        while cursor < order.len() || !pending.is_empty() {
+            // The admission frontier: when work is pending, the track's
+            // next free instant; when idle, the next arrival. With nothing
+            // to refuse it is +∞, so every request is admitted before the
+            // first service decision.
+            let mut now = if OPEN { track_free } else { f64::INFINITY };
+            if pending.is_empty() {
+                now = now.max(queue[order[cursor]].req.arrival.seconds());
             }
+
+            // Admission: every arrival at or before the frontier faces the
+            // controller, in arrival order, against the queue state its
+            // predecessors left behind.
+            while cursor < order.len() {
+                let idx = order[cursor];
+                if queue[idx].req.arrival.seconds() > now {
+                    break;
+                }
+                cursor += 1;
+                let Queued {
+                    id,
+                    mut req,
+                    carts: carts_len,
+                    bytes,
+                } = queue[idx];
+                // Requests were validated above, so an unknown cart count
+                // here means the data map itself is corrupt.
+                if carts_len == usize::MAX {
+                    return Err(SchedulerError::CorruptPlacement(req.dataset));
+                }
+                if OPEN {
+                    let arrival_s = req.arrival.seconds();
+                    let slot = tenants.get_or_insert(req.tenant.0, || {
+                        (
+                            TenantSlo::new(req.tenant),
+                            Histogram::new(),
+                            spec.retry.tokens_per_tenant,
+                        )
+                    });
+                    slot.0.offered += 1;
+                    report.offered += 1;
+                    metrics.add(handles.offered, 1);
+                    report.offered_bytes += bytes;
+
+                    let mut degrade = false;
+                    // Deadline feasibility at the door: earliest estimated
+                    // delivery = wait for the track + serve the whole
+                    // backlog + this request's own carts up to the last one
+                    // docking.
+                    if spec.deadline_aware {
+                        if let Some(deadline) = req.deadline {
+                            let trip = trips.cost(cfg, req.destination).total_time.seconds();
+                            let backlog: f64 = pending.backlog_service_s();
+                            let per_cart = 2.0 * trip + verify_s + req.dwell.seconds();
+                            let deliver_est = arrival_s.max(track_free)
+                                + backlog
+                                + carts_len.saturating_sub(1) as f64 * per_cart
+                                + trip
+                                + verify_s;
+                            if deliver_est > deadline.seconds() {
+                                match spec.policy {
+                                    OverloadPolicy::DegradeToBestEffort => degrade = true,
+                                    _ => {
+                                        report.rejected_deadline += 1;
+                                        report.rejected_ids.push(id);
+                                        slot.0.rejected += 1;
+                                        metrics.add(handles.rejected_deadline, 1);
+                                        continue;
+                                    }
+                                }
+                            }
+                        }
+                    }
+
+                    // Hard queue bounds, then dock-saturation backpressure.
+                    let tenant_pending = pending.tenant_pending(req.tenant);
+                    let queue_full = pending.len() >= spec.max_pending_global
+                        || tenant_pending >= spec.max_pending_per_tenant;
+                    let dock_saturated = !queue_full
+                        && spec.dock_busy_watermark < 1.0
+                        && match dock_free.busy_at(req.destination, arrival_s) {
+                            Some((busy, total)) => {
+                                busy as f64 / total as f64 >= spec.dock_busy_watermark
+                            }
+                            None => false,
+                        };
+                    if queue_full || dock_saturated {
+                        let admitted_via_shed = if spec.policy == OverloadPolicy::ShedLowestPriority
+                        {
+                            if let Some(victim) = pending.shed_victim(req.priority) {
+                                report.shed += 1;
+                                report.shed_ids.push(victim.id);
+                                metrics.add(handles.shed, 1);
+                                if let Some((slo, _, _)) = tenants.get_mut(victim.req.tenant.0) {
+                                    slo.shed += 1;
+                                }
+                                true
+                            } else {
+                                false
+                            }
+                        } else {
+                            false
+                        };
+                        let degrade_through =
+                            !queue_full && spec.policy == OverloadPolicy::DegradeToBestEffort;
+                        if !admitted_via_shed && !degrade_through {
+                            let slot = tenants.get_mut(req.tenant.0).expect("inserted above");
+                            slot.0.rejected += 1;
+                            report.rejected_ids.push(id);
+                            if queue_full {
+                                report.rejected_queue_full += 1;
+                                metrics.add(handles.rejected_queue_full, 1);
+                            } else {
+                                report.rejected_backpressure += 1;
+                                metrics.add(handles.rejected_backpressure, 1);
+                            }
+                            continue;
+                        }
+                        if degrade_through {
+                            degrade = true;
+                        }
+                    }
+
+                    if degrade {
+                        req.priority = Priority::Background;
+                        req.deadline = None;
+                        report.degraded += 1;
+                        metrics.add(handles.degraded, 1);
+                    }
+                    let slot = tenants.get_mut(req.tenant.0).expect("inserted above");
+                    slot.0.admitted += 1;
+                    if degrade {
+                        slot.0.degraded += 1;
+                    }
+                    report.admitted += 1;
+                    metrics.add(handles.admitted, 1);
+                }
+                let trip = trips.cost(cfg, req.destination).total_time.seconds();
+                let service_s = carts_len as f64 * (2.0 * trip + verify_s + req.dwell.seconds());
+                pending.push(ServiceEntry {
+                    id,
+                    req,
+                    carts: carts_len,
+                    service_s,
+                });
+            }
+
+            // Service: run the best admitted request's carts, retrying
+            // failed ones.
+            let Some(entry) = pending.pop_next() else {
+                continue;
+            };
+            let (id, req) = (entry.id, entry.req);
+            let carts = placement
+                .carts_of(req.dataset)
+                .ok_or(SchedulerError::CorruptPlacement(req.dataset))?;
             let cost = trips.cost(cfg, req.destination);
 
             let mut started = f64::INFINITY;
@@ -700,35 +880,39 @@ impl Scheduler {
             let mut reshipments = 0u64;
             let mut abandoned = 0u64;
             let mut dock_crashes = 0u64;
+            let mut delivered_bytes = 0.0f64;
 
-            for _ in 0..carts {
-                // Lost carts re-enter at the head of *this* request (same
-                // priority slot), retrying until the attempt budget runs dry.
+            for &cart in carts {
                 let mut attempt = 1u32;
+                // A retried cart may not depart again before its backoff
+                // expires.
+                let mut not_before = 0.0f64;
                 loop {
                     // Outbound: wait for arrival, track, a destination dock,
-                    // and any track downtime window to clear.
+                    // any backoff, and any track downtime window to clear.
                     let dock = dock_free.earliest_mut(req.destination);
-                    let mut depart = req.arrival.seconds().max(track_free).max(*dock);
+                    let mut depart = req
+                        .arrival
+                        .seconds()
+                        .max(track_free)
+                        .max(*dock)
+                        .max(not_before);
                     depart = availability.next_track_up(Seconds::new(depart)).seconds();
                     let arrive = depart + cost.total_time.seconds();
                     started = started.min(depart);
                     track_free = arrive;
                     track_busy += cost.total_time.seconds();
 
-                    let lost = match (&*faults, streams.loss_rng.as_mut()) {
-                        (Some(f), Some(rng)) => rng.random_bool(f.loss_probability.clamp(0.0, 1.0)),
-                        _ => false,
-                    };
+                    let lost = loss.as_mut().is_some_and(|(rng, p)| rng.random_bool(*p));
                     // A dock-controller crash strikes only when a loaded
                     // cart actually docks: the docking stalls for the
                     // recovery latency and the dock is down for the window.
                     let mut recovery_s = 0.0;
                     if !lost {
-                        if let (Some(d), Some(rng)) = (&*dock_recovery, streams.dock_rng.as_mut()) {
-                            if rng.random_bool(d.crash_probability_per_docking.clamp(0.0, 1.0)) {
+                        if let Some((rng, p, recovery)) = crash.as_mut() {
+                            if rng.random_bool(*p) {
                                 dock_crashes += 1;
-                                recovery_s = d.recovery_time.seconds().max(0.0);
+                                recovery_s = *recovery;
                                 availability.record_dock_downtime(
                                     req.destination,
                                     Seconds::new(arrive),
@@ -740,25 +924,17 @@ impl Scheduler {
                     // Verify-on-dock happens only for payloads that arrived
                     // (after any controller recovery): the scrub may reject
                     // the delivery, sending the cart home for a reshipment.
-                    let reshipped = if lost {
-                        false
-                    } else {
-                        match (&*integrity, streams.reship_rng.as_mut()) {
-                            (Some(i), Some(rng)) => {
-                                rng.random_bool(i.reshipment_probability.clamp(0.0, 1.0))
-                            }
-                            _ => false,
-                        }
-                    };
+                    let reshipped =
+                        !lost && reship.as_mut().is_some_and(|(rng, p)| rng.random_bool(*p));
 
                     // Dwell (skipped for a dead payload; a rejected payload
                     // still pays for its recovery and scrub), then return.
                     let ready_back = if lost {
                         arrive
                     } else if reshipped {
-                        arrive + recovery_s + streams.verify_s
+                        arrive + recovery_s + verify_s
                     } else {
-                        arrive + recovery_s + streams.verify_s + req.dwell.seconds()
+                        arrive + recovery_s + verify_s + req.dwell.seconds()
                     };
                     let mut back_depart = ready_back.max(track_free);
                     back_depart = availability
@@ -786,23 +962,59 @@ impl Scheduler {
                         deliveries += 1;
                         // A delivery counts once its recovery (if any) and
                         // scrub have passed.
-                        delivered = delivered.max(arrive + recovery_s + streams.verify_s);
+                        delivered = delivered.max(arrive + recovery_s + verify_s);
+                        if OPEN {
+                            delivered_bytes += placement
+                                .contents_of(cart)
+                                .ok_or(SchedulerError::CorruptPlacement(req.dataset))?
+                                .bytes
+                                .as_f64();
+                        }
                         break;
                     }
-                    let budget = if lost {
-                        faults.as_ref().map_or(1, |f| f.max_attempts.max(1))
+                    // Failed attempt: retry inside the attempt budget — and,
+                    // under admission control, only while the tenant still
+                    // holds retry tokens: graceful degradation, not a retry
+                    // storm.
+                    let budget = if OPEN {
+                        max_attempts
+                    } else if lost {
+                        loss_attempts
                     } else {
-                        integrity.as_ref().map_or(1, |i| i.max_attempts.max(1))
+                        reship_attempts
                     };
                     if attempt >= budget {
                         abandoned += 1;
                         break;
+                    }
+                    if OPEN {
+                        let tokens = &mut tenants
+                            .get_mut(req.tenant.0)
+                            .expect("tenant registered at admission")
+                            .2;
+                        if *tokens == 0 {
+                            abandoned += 1;
+                            report.retry_tokens_exhausted += 1;
+                            metrics.add(handles.retry_tokens_exhausted, 1);
+                            break;
+                        }
+                        *tokens -= 1;
                     }
                     attempt += 1;
                     if lost {
                         redeliveries += 1;
                     } else {
                         reshipments += 1;
+                    }
+                    if OPEN {
+                        report.retries += 1;
+                        metrics.add(handles.retries, 1);
+                        let backoff = retry_backoff(&spec.retry, spec.seed, id, attempt);
+                        metrics.record(handles.retry_backoff_s, backoff.seconds());
+                        not_before = home + backoff.seconds();
+                        if let Some((slo, _, _)) = tenants.get_mut(req.tenant.0) {
+                            slo.retries += 1;
+                        }
                     }
                 }
             }
@@ -823,6 +1035,34 @@ impl Scheduler {
                     delivered - req.arrival.seconds(),
                 );
             }
+
+            if OPEN {
+                report.served += 1;
+                report.abandoned_shards += abandoned;
+                report.delivered_bytes += delivered_bytes;
+                let fully_delivered = deliveries as usize == carts.len();
+                let slot = tenants
+                    .get_mut(req.tenant.0)
+                    .expect("tenant registered at admission");
+                slot.0.served += 1;
+                slot.0.abandoned_shards += abandoned;
+                slot.0.delivered_bytes += delivered_bytes;
+                if deliveries > 0 {
+                    slot.1.record(delivered - req.arrival.seconds());
+                }
+                if let Some(deadline) = req.deadline {
+                    if fully_delivered && delivered <= deadline.seconds() {
+                        slot.0.deadline_hits += 1;
+                        report.deadline_hits += 1;
+                        metrics.add(handles.deadline_hits, 1);
+                    } else {
+                        slot.0.deadline_misses += 1;
+                        report.deadline_misses += 1;
+                        metrics.add(handles.deadline_misses, 1);
+                    }
+                }
+            }
+
             outcomes.push(RequestOutcome {
                 id,
                 started: Seconds::new(started),
@@ -853,458 +1093,22 @@ impl Scheduler {
         };
         metrics.set(handles.makespan_s, makespan.seconds());
         metrics.set(handles.track_utilisation, track_utilisation);
-        metrics.set(
-            handles.track_downtime_s,
-            availability.total_track_downtime().seconds(),
-        );
-        let dock_downtime_s: f64 = (0..cfg.endpoints.len())
-            .map(|ep| availability.total_dock_downtime(ep).seconds())
-            .sum();
-        metrics.set(handles.dock_downtime_s, dock_downtime_s);
-        metrics.set(handles.wall_time_s, watch.elapsed_secs());
-        Ok(ScheduleOutcome {
-            track_utilisation,
-            completed: outcomes,
-            makespan,
-            total_energy,
-            admission: None,
-            metrics: metrics.snapshot(),
-        })
-    }
-
-    /// Open-loop serving under an [`AdmissionSpec`]: arrivals are admitted
-    /// in arrival order against bounded queues (with deadline-feasibility
-    /// checks and dock-saturation backpressure at the door), the track
-    /// serves the best admitted request whenever it frees up, and retries
-    /// draw on per-tenant token buckets with deterministic exponential
-    /// backoff + jitter. Requests that are rejected or shed never run and
-    /// produce no [`RequestOutcome`]; they are accounted on the
-    /// [`AdmissionReport`].
-    ///
-    /// In this mode the retry budget comes from the spec's
-    /// [`RetryBudgetSpec`](crate::admission::RetryBudgetSpec) — the
-    /// `max_attempts` fields of any installed fault/integrity awareness
-    /// only drive the loss/reshipment *sampling*, not the attempt cap.
-    fn try_run_open_loop(
-        &mut self,
-        spec: &AdmissionSpec,
-    ) -> Result<ScheduleOutcome, SchedulerError> {
-        for q in &self.queue {
-            self.check(&q.req)?;
-        }
-        // Open loop: arrivals are considered strictly in arrival order
-        // (submission order breaks ties), not priority order — priority
-        // instead decides who is served next among the admitted. This is
-        // also what makes the indexed ServiceQueue exact: pushes into it
-        // are monotone in (arrival, id).
-        let mut order: Vec<usize> = (0..self.queue.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ra, rb) = (&self.queue[a].req, &self.queue[b].req);
-            ra.arrival
-                .partial_cmp(&rb.arrival)
-                .expect("finite")
-                .then(a.cmp(&b))
-        });
-
-        let policy = self.policy;
-        let mut streams = self.fault_streams();
-        let Self {
-            cfg,
-            placement,
-            queue,
-            availability,
-            faults,
-            integrity,
-            dock_recovery,
-            metrics,
-            handles,
-            ..
-        } = &mut *self;
-        let handles = *handles;
-
-        let watch = Stopwatch::start();
-        let mut track_free = 0.0f64;
-        let mut track_busy = 0.0f64;
-        let mut dock_free = DockBank::new(cfg);
-        let mut trips = TripCache::new(cfg);
-        let mut outcomes = Vec::new();
-        let mut total_energy = Joules::ZERO;
-
-        let mut pending = ServiceQueue::new(policy);
-        let mut report = AdmissionReport::default();
-        // Tenant → (SLO accumulator, latency histogram, retry tokens left),
-        // dense-indexed by tenant id when the id space allows.
-        let mut tenants = TenantTable::for_run(queue);
-        let max_attempts = spec.retry.max_attempts_per_request.max(1);
-        let mut cursor = 0usize;
-
-        while cursor < order.len() || !pending.is_empty() {
-            // The serving frontier: when work is pending, the track's next
-            // free instant; when idle, jump to the next arrival.
-            let mut now = track_free;
-            if pending.is_empty() {
-                now = now.max(queue[order[cursor]].req.arrival.seconds());
-            }
-
-            // Admission: every arrival at or before the frontier faces the
-            // controller, in arrival order, against the queue state its
-            // predecessors left behind.
-            while cursor < order.len() {
-                let idx = order[cursor];
-                if queue[idx].req.arrival.seconds() > now {
-                    break;
-                }
-                cursor += 1;
-                let Queued {
-                    id,
-                    mut req,
-                    carts: carts_len,
-                    bytes,
-                } = queue[idx];
-                let arrival_s = req.arrival.seconds();
-                let slot = tenants.get_or_insert(req.tenant.0, || {
-                    (
-                        TenantSlo::new(req.tenant),
-                        Histogram::new(),
-                        spec.retry.tokens_per_tenant,
-                    )
-                });
-                slot.0.offered += 1;
-                report.offered += 1;
-                metrics.add(handles.offered, 1);
-                report.offered_bytes += bytes;
-                if carts_len == usize::MAX {
-                    return Err(SchedulerError::CorruptPlacement(req.dataset));
-                }
-
-                let mut degrade = false;
-                // Deadline feasibility at the door: earliest estimated
-                // delivery = wait for the track + serve the whole backlog +
-                // this request's own carts up to the last one docking.
-                if spec.deadline_aware {
-                    if let Some(deadline) = req.deadline {
-                        let trip = trips.cost(cfg, req.destination).total_time.seconds();
-                        let backlog: f64 = pending.backlog_service_s();
-                        let per_cart = 2.0 * trip + streams.verify_s + req.dwell.seconds();
-                        let deliver_est = arrival_s.max(track_free)
-                            + backlog
-                            + carts_len.saturating_sub(1) as f64 * per_cart
-                            + trip
-                            + streams.verify_s;
-                        if deliver_est > deadline.seconds() {
-                            match spec.policy {
-                                OverloadPolicy::DegradeToBestEffort => degrade = true,
-                                _ => {
-                                    report.rejected_deadline += 1;
-                                    report.rejected_ids.push(id);
-                                    slot.0.rejected += 1;
-                                    metrics.add(handles.rejected_deadline, 1);
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // Hard queue bounds, then dock-saturation backpressure.
-                let tenant_pending = pending.tenant_pending(req.tenant);
-                let queue_full = pending.len() >= spec.max_pending_global
-                    || tenant_pending >= spec.max_pending_per_tenant;
-                let dock_saturated = !queue_full
-                    && spec.dock_busy_watermark < 1.0
-                    && match dock_free.busy_at(req.destination, arrival_s) {
-                        Some((busy, total)) => {
-                            busy as f64 / total as f64 >= spec.dock_busy_watermark
-                        }
-                        None => false,
-                    };
-                if queue_full || dock_saturated {
-                    let admitted_via_shed = if spec.policy == OverloadPolicy::ShedLowestPriority {
-                        if let Some(victim) = pending.shed_victim(req.priority) {
-                            report.shed += 1;
-                            report.shed_ids.push(victim.id);
-                            metrics.add(handles.shed, 1);
-                            if let Some((slo, _, _)) = tenants.get_mut(victim.req.tenant.0) {
-                                slo.shed += 1;
-                            }
-                            true
-                        } else {
-                            false
-                        }
-                    } else {
-                        false
-                    };
-                    let degrade_through =
-                        !queue_full && spec.policy == OverloadPolicy::DegradeToBestEffort;
-                    if !admitted_via_shed && !degrade_through {
-                        let slot = tenants.get_mut(req.tenant.0).expect("inserted above");
-                        slot.0.rejected += 1;
-                        report.rejected_ids.push(id);
-                        if queue_full {
-                            report.rejected_queue_full += 1;
-                            metrics.add(handles.rejected_queue_full, 1);
-                        } else {
-                            report.rejected_backpressure += 1;
-                            metrics.add(handles.rejected_backpressure, 1);
-                        }
-                        continue;
-                    }
-                    if degrade_through {
-                        degrade = true;
-                    }
-                }
-
-                if degrade {
-                    req.priority = Priority::Background;
-                    req.deadline = None;
-                    report.degraded += 1;
-                    metrics.add(handles.degraded, 1);
-                }
-                let slot = tenants.get_mut(req.tenant.0).expect("inserted above");
-                slot.0.admitted += 1;
-                if degrade {
-                    slot.0.degraded += 1;
-                }
-                report.admitted += 1;
-                metrics.add(handles.admitted, 1);
-                let trip = trips.cost(cfg, req.destination).total_time.seconds();
-                let service_s =
-                    carts_len as f64 * (2.0 * trip + streams.verify_s + req.dwell.seconds());
-                pending.push(ServiceEntry {
-                    id,
-                    req,
-                    carts: carts_len,
-                    service_s,
-                });
-            }
-
-            // Service: run the best admitted request's carts, with
-            // budgeted, backed-off retries.
-            let Some(entry) = pending.pop_next() else {
-                continue;
+        if OPEN {
+            report.goodput_bytes_per_s = if makespan.seconds() > 0.0 {
+                report.delivered_bytes / makespan.seconds()
+            } else {
+                0.0
             };
-            let (id, req) = (entry.id, entry.req);
-            let carts = placement
-                .carts_of(req.dataset)
-                .ok_or(SchedulerError::CorruptPlacement(req.dataset))?;
-            let cost = trips.cost(cfg, req.destination);
-
-            let mut started = f64::INFINITY;
-            let mut delivered = 0.0f64;
-            let mut completed = 0.0f64;
-            let mut energy = Joules::ZERO;
-            let mut deliveries = 0u64;
-            let mut redeliveries = 0u64;
-            let mut reshipments = 0u64;
-            let mut abandoned = 0u64;
-            let mut dock_crashes = 0u64;
-            let mut delivered_bytes = 0.0f64;
-
-            for &cart in carts {
-                let mut attempt = 1u32;
-                // A retried cart may not depart again before its backoff
-                // expires.
-                let mut not_before = 0.0f64;
-                loop {
-                    let dock = dock_free.earliest_mut(req.destination);
-                    let mut depart = req
-                        .arrival
-                        .seconds()
-                        .max(track_free)
-                        .max(*dock)
-                        .max(not_before);
-                    depart = availability.next_track_up(Seconds::new(depart)).seconds();
-                    let arrive = depart + cost.total_time.seconds();
-                    started = started.min(depart);
-                    track_free = arrive;
-                    track_busy += cost.total_time.seconds();
-
-                    let lost = match (&*faults, streams.loss_rng.as_mut()) {
-                        (Some(f), Some(rng)) => rng.random_bool(f.loss_probability.clamp(0.0, 1.0)),
-                        _ => false,
-                    };
-                    let mut recovery_s = 0.0;
-                    if !lost {
-                        if let (Some(d), Some(rng)) = (&*dock_recovery, streams.dock_rng.as_mut()) {
-                            if rng.random_bool(d.crash_probability_per_docking.clamp(0.0, 1.0)) {
-                                dock_crashes += 1;
-                                recovery_s = d.recovery_time.seconds().max(0.0);
-                                availability.record_dock_downtime(
-                                    req.destination,
-                                    Seconds::new(arrive),
-                                    Seconds::new(arrive + recovery_s),
-                                );
-                            }
-                        }
-                    }
-                    let reshipped = if lost {
-                        false
-                    } else {
-                        match (&*integrity, streams.reship_rng.as_mut()) {
-                            (Some(i), Some(rng)) => {
-                                rng.random_bool(i.reshipment_probability.clamp(0.0, 1.0))
-                            }
-                            _ => false,
-                        }
-                    };
-
-                    let ready_back = if lost {
-                        arrive
-                    } else if reshipped {
-                        arrive + recovery_s + streams.verify_s
-                    } else {
-                        arrive + recovery_s + streams.verify_s + req.dwell.seconds()
-                    };
-                    let mut back_depart = ready_back.max(track_free);
-                    back_depart = availability
-                        .next_track_up(Seconds::new(back_depart))
-                        .seconds();
-                    let home = back_depart + cost.total_time.seconds();
-                    track_free = home;
-                    track_busy += cost.total_time.seconds();
-                    *dock = back_depart + cfg.undock_time.seconds();
-                    completed = completed.max(home);
-
-                    energy += cost.energy + cost.energy;
-                    availability.record_transit(
-                        req.dataset,
-                        Seconds::new(depart),
-                        Seconds::new(arrive),
-                    );
-                    availability.record_transit(
-                        req.dataset,
-                        Seconds::new(back_depart),
-                        Seconds::new(home),
-                    );
-
-                    if !lost && !reshipped {
-                        deliveries += 1;
-                        delivered = delivered.max(arrive + recovery_s + streams.verify_s);
-                        delivered_bytes += placement
-                            .contents_of(cart)
-                            .ok_or(SchedulerError::CorruptPlacement(req.dataset))?
-                            .bytes
-                            .as_f64();
-                        break;
-                    }
-                    // Failed attempt: retry only inside the attempt budget
-                    // AND while the tenant still holds retry tokens —
-                    // graceful degradation, not a retry storm.
-                    if attempt >= max_attempts {
-                        abandoned += 1;
-                        break;
-                    }
-                    let tokens = &mut tenants
-                        .get_mut(req.tenant.0)
-                        .expect("tenant registered at admission")
-                        .2;
-                    if *tokens == 0 {
-                        abandoned += 1;
-                        report.retry_tokens_exhausted += 1;
-                        metrics.add(handles.retry_tokens_exhausted, 1);
-                        break;
-                    }
-                    *tokens -= 1;
-                    attempt += 1;
-                    if lost {
-                        redeliveries += 1;
-                    } else {
-                        reshipments += 1;
-                    }
-                    report.retries += 1;
-                    metrics.add(handles.retries, 1);
-                    let backoff = retry_backoff(&spec.retry, spec.seed, id, attempt);
-                    metrics.record(handles.retry_backoff_s, backoff.seconds());
-                    not_before = home + backoff.seconds();
-                    if let Some((slo, _, _)) = tenants.get_mut(req.tenant.0) {
-                        slo.retries += 1;
-                    }
-                }
-            }
-
-            total_energy += energy;
-            metrics.add(handles.requests, 1);
-            metrics.add(handles.deliveries, deliveries);
-            metrics.add(handles.redeliveries, redeliveries);
-            metrics.add(handles.reshipments, reshipments);
-            metrics.add(handles.abandoned, abandoned);
-            metrics.add(handles.dock_crashes, dock_crashes);
-            metrics.record(handles.placement_latency_s, started - req.arrival.seconds());
-            if deliveries > 0 {
-                metrics.record(
-                    handles.delivery_latency_s,
-                    delivered - req.arrival.seconds(),
-                );
-            }
-
-            report.served += 1;
-            report.abandoned_shards += abandoned;
-            report.delivered_bytes += delivered_bytes;
-            let fully_delivered = deliveries as usize == carts.len();
-            let slot = tenants
-                .get_mut(req.tenant.0)
-                .expect("tenant registered at admission");
-            slot.0.served += 1;
-            slot.0.abandoned_shards += abandoned;
-            slot.0.delivered_bytes += delivered_bytes;
-            if deliveries > 0 {
-                slot.1.record(delivered - req.arrival.seconds());
-            }
-            if let Some(deadline) = req.deadline {
-                if fully_delivered && delivered <= deadline.seconds() {
-                    slot.0.deadline_hits += 1;
-                    report.deadline_hits += 1;
-                    metrics.add(handles.deadline_hits, 1);
-                } else {
-                    slot.0.deadline_misses += 1;
-                    report.deadline_misses += 1;
-                    metrics.add(handles.deadline_misses, 1);
-                }
-            }
-
-            outcomes.push(RequestOutcome {
-                id,
-                started: Seconds::new(started),
-                delivered: Seconds::new(delivered),
-                completed: Seconds::new(completed),
-                deliveries,
-                energy,
-                redeliveries,
-                reshipments,
-                abandoned,
-                dock_crashes,
-            });
+            report.tenants = tenants
+                .into_rows()
+                .into_iter()
+                .map(|(mut slo, latency, _)| {
+                    slo.latency = SloSummary::of(&latency);
+                    slo
+                })
+                .collect();
+            metrics.set(handles.goodput_bytes_per_s, report.goodput_bytes_per_s);
         }
-
-        queue.clear();
-        // `total_cmp` for the same reason as the closed-loop sort: finite
-        // by construction, NaN-proof by choice.
-        outcomes.sort_by(|a, b| a.completed.seconds().total_cmp(&b.completed.seconds()));
-        let makespan = outcomes
-            .last()
-            .map(|o| o.completed)
-            .unwrap_or(Seconds::ZERO);
-        let track_utilisation = if makespan.seconds() > 0.0 {
-            track_busy / makespan.seconds()
-        } else {
-            0.0
-        };
-        report.goodput_bytes_per_s = if makespan.seconds() > 0.0 {
-            report.delivered_bytes / makespan.seconds()
-        } else {
-            0.0
-        };
-        report.tenants = tenants
-            .into_rows()
-            .into_iter()
-            .map(|(mut slo, latency, _)| {
-                slo.latency = SloSummary::of(&latency);
-                slo
-            })
-            .collect();
-        metrics.set(handles.makespan_s, makespan.seconds());
-        metrics.set(handles.track_utilisation, track_utilisation);
-        metrics.set(handles.goodput_bytes_per_s, report.goodput_bytes_per_s);
         metrics.set(
             handles.track_downtime_s,
             availability.total_track_downtime().seconds(),
@@ -1319,7 +1123,7 @@ impl Scheduler {
             completed: outcomes,
             makespan,
             total_energy,
-            admission: Some(report),
+            admission: OPEN.then_some(report),
             metrics: metrics.snapshot(),
         })
     }
@@ -1468,6 +1272,27 @@ mod tests {
         assert!(matches!(
             sched2.try_run(),
             Err(SchedulerError::InvalidDestination(0))
+        ));
+    }
+
+    #[test]
+    fn non_finite_arrivals_are_rejected_before_any_scheduling() {
+        let (mut sched, small, _) = setup();
+        sched.submit(TransferRequest::new(
+            small,
+            1,
+            Priority::Normal,
+            Seconds::ZERO,
+        ));
+        sched.submit(TransferRequest::new(
+            small,
+            1,
+            Priority::Normal,
+            Seconds::new(f64::NAN),
+        ));
+        assert!(matches!(
+            sched.try_run(),
+            Err(SchedulerError::NonFiniteArrival(at)) if at.seconds().is_nan()
         ));
     }
 

@@ -182,9 +182,9 @@ fn arrival_streams_resume_bit_identically() {
     });
 }
 
-/// (c) With no admission spec installed, the scheduler takes the original
-/// closed-loop path: the outcome carries no admission report, ignores the
-/// new per-request tenant/deadline fields, and is bit-identical run to run.
+/// (c) With no admission spec installed, the serve loop refuses nothing:
+/// the outcome carries no admission report, ignores the per-request
+/// tenant/deadline fields, and is bit-identical run to run.
 #[test]
 fn disabled_admission_is_bit_identical_to_closed_loop() {
     forall(

@@ -180,9 +180,8 @@ pub struct EventQueue<E> {
     now: f64,
     seq: u64,
     processed: u64,
-    /// NaN/negative/past schedules coerced to `now` (release builds only;
-    /// debug builds panic first). Surfaced as the `sim.events_clamped`
-    /// metric so silent coercion is observable.
+    /// NaN/negative/past schedules coerced to `now`. Surfaced as the
+    /// `sim.events_clamped` metric so silent coercion is observable.
     clamped: u64,
 }
 
@@ -247,8 +246,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules whose NaN/negative/past timestamps were clamped to `now`
-    /// instead of firing when asked (release builds only; debug builds
-    /// panic). Part of the checkpoint state: see
+    /// instead of firing when asked. Part of the checkpoint state: see
     /// [`EventQueue::set_clamped`].
     #[must_use]
     pub fn clamped(&self) -> u64 {
@@ -264,20 +262,12 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` to fire `delay` after the current time.
     ///
-    /// A NaN or negative delay is a caller bug (bad config arithmetic or a
-    /// corrupted checkpoint): debug builds panic; release builds clamp the
-    /// delay to zero — counting the coercion in [`EventQueue::clamped`] —
+    /// A NaN, infinite or negative delay is a caller bug (bad config
+    /// arithmetic or a corrupted checkpoint): debug and release builds alike
+    /// clamp it to zero — counting the coercion in [`EventQueue::clamped`] —
     /// so the queue cannot be wedged with an unpoppable or time-travelling
     /// entry.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if `delay` is negative or non-finite.
     pub fn schedule(&mut self, delay: Seconds, event: E) {
-        debug_assert!(
-            delay.seconds() >= 0.0 && delay.is_finite(),
-            "event delay must be non-negative and finite, got {delay:?}"
-        );
         let delay_s = if delay.is_finite() && delay.seconds() > 0.0 {
             delay.seconds()
         } else {
@@ -291,18 +281,9 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at an absolute simulation time.
     ///
-    /// A NaN or past `at` is a caller bug: debug builds panic; release
-    /// builds clamp to the current time (see [`EventQueue::schedule`]).
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if `at` lies in the past or is non-finite.
+    /// A non-finite or past `at` is a caller bug: it is clamped to the
+    /// current time and counted (see [`EventQueue::schedule`]).
     pub fn schedule_at(&mut self, at: Seconds, event: E) {
-        debug_assert!(
-            at.seconds() >= self.now && at.is_finite(),
-            "cannot schedule into the past: now={}, at={at:?}",
-            self.now
-        );
         let time = if at.is_finite() && at.seconds() > self.now {
             at.seconds()
         } else {
@@ -865,19 +846,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "delay must be non-negative")]
-    fn negative_delay_panics() {
+    fn negative_delay_clamps_to_now() {
         let mut q = EventQueue::new();
-        q.schedule(Seconds::new(-1.0), ());
+        q.schedule(Seconds::new(10.0), "first");
+        q.pop();
+        q.schedule(Seconds::new(-1.0), "negative");
+        assert_eq!(q.clamped(), 1);
+        let (t, ev) = q.pop().unwrap();
+        assert_eq!((t.seconds(), ev), (10.0, "negative"));
     }
 
     #[test]
-    #[should_panic(expected = "cannot schedule into the past")]
-    fn scheduling_into_the_past_panics() {
+    fn scheduling_into_the_past_clamps_to_now() {
         let mut q = EventQueue::new();
-        q.schedule(Seconds::new(10.0), ());
+        q.schedule(Seconds::new(10.0), "first");
         q.pop();
-        q.schedule_at(Seconds::new(5.0), ());
+        q.schedule_at(Seconds::new(5.0), "past");
+        assert_eq!(q.clamped(), 1);
+        let (t, ev) = q.pop().unwrap();
+        assert_eq!((t.seconds(), ev), (10.0, "past"));
     }
 
     #[test]
@@ -898,12 +885,8 @@ mod tests {
         assert!(s.contains("pending"));
     }
 
-    // The NaN/negative clamp path only runs in release builds (debug builds
-    // assert), so it is exercised here explicitly — including the clamp
-    // counter the `sim.events_clamped` metric surfaces.
     #[test]
-    #[cfg(not(debug_assertions))]
-    fn release_builds_clamp_bad_delays_to_now() {
+    fn bad_delays_clamp_to_now_and_are_counted() {
         let mut q = EventQueue::new();
         q.schedule(Seconds::new(10.0), "later");
         assert_eq!(q.clamped(), 0);

@@ -1687,9 +1687,7 @@ mod metrics_tests {
     fn clamped_events_surface_in_the_metrics_snapshot() {
         let mut sys = DhlSystem::new(SimConfig::paper_default()).unwrap();
         let _ = sys.run_bulk_transfer(Bytes::from_petabytes(1.0)).unwrap();
-        // Inject a nonzero clamp count the way release builds accumulate it
-        // (debug builds panic on bad delays instead of clamping, so the
-        // counter is driven directly here).
+        // A clean mission never clamps, so drive the counter directly.
         sys.queue.set_clamped(7);
         let report = sys.finish();
         assert_eq!(report.metrics.counter("sim.events_clamped"), Some(7));

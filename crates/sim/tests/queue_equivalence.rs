@@ -7,7 +7,8 @@
 //! checkpoint round-trips that rebuild the bucket layout from scratch.
 //!
 //! The randomized driver is seeded (`DeterministicRng`), so a failure here
-//! reproduces exactly; CI runs this suite as its own queue-equivalence job.
+//! reproduces exactly; CI runs it in debug (`build-test`) and release
+//! (`release-tests`).
 
 use dhl_rng::{DeterministicRng, Rng};
 use dhl_sim::engine::{EventQueue, ReferenceQueue};

@@ -185,6 +185,27 @@ impl MetricsRegistry {
         HistogramId(i)
     }
 
+    /// The handle of an already-registered counter, without registering
+    /// anything: how a restore maps a serialised name back onto a slot.
+    #[must_use]
+    pub fn counter_id(&self, name: &str) -> Option<CounterId> {
+        self.counter_index.get(name).copied().map(CounterId)
+    }
+
+    /// The handle of an already-registered gauge (see
+    /// [`MetricsRegistry::counter_id`]).
+    #[must_use]
+    pub fn gauge_id(&self, name: &str) -> Option<GaugeId> {
+        self.gauge_index.get(name).copied().map(GaugeId)
+    }
+
+    /// The handle of an already-registered histogram (see
+    /// [`MetricsRegistry::counter_id`]).
+    #[must_use]
+    pub fn histogram_id(&self, name: &str) -> Option<HistogramId> {
+        self.histogram_index.get(name).copied().map(HistogramId)
+    }
+
     /// Increments the counter behind `id` by `by` — one branch and one
     /// bounds-checked slot write.
     ///

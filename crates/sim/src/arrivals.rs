@@ -32,10 +32,13 @@
 //! zero tenant count clamps to one — a malformed spec degrades to a quiet
 //! generator instead of panicking or spinning.
 
-use dhl_obs::json::{self, JsonValue};
+use dhl_obs::json;
 use dhl_rng::{DeterministicRng, Rng};
 use dhl_units::Seconds;
 use serde::{Deserialize, Serialize};
+
+use crate::checkpoint::CheckpointError;
+use crate::codec::{codec_struct, Codec, NullIsInf};
 
 /// The stochastic process driving inter-arrival times.
 #[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -210,23 +213,7 @@ impl ArrivalState {
     /// formatting, and the non-finite Poisson phase end maps to `null`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut obj = std::collections::BTreeMap::new();
-        obj.insert(
-            "rng".to_string(),
-            JsonValue::Array(self.rng.iter().map(|&w| JsonValue::UInt(w)).collect()),
-        );
-        obj.insert("clock".to_string(), JsonValue::Number(self.clock));
-        obj.insert("in_on_phase".to_string(), JsonValue::Bool(self.in_on_phase));
-        obj.insert(
-            "phase_ends_at".to_string(),
-            if self.phase_ends_at.is_finite() {
-                JsonValue::Number(self.phase_ends_at)
-            } else {
-                JsonValue::Null
-            },
-        );
-        obj.insert("emitted".to_string(), JsonValue::UInt(self.emitted));
-        JsonValue::Object(obj).to_json_string()
+        self.encode().to_json_string()
     }
 
     /// Parses a state serialised by [`ArrivalState::to_json`].
@@ -235,49 +222,20 @@ impl ArrivalState {
     ///
     /// A human-readable description of the first malformed field.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let root = json::parse(text).map_err(|e| format!("arrival state: {e:?}"))?;
-        let rng_vals = root
-            .get("rng")
-            .and_then(JsonValue::as_array)
-            .ok_or("arrival state: missing rng array")?;
-        if rng_vals.len() != 4 {
-            return Err(format!(
-                "arrival state: rng has {} words, expected 4",
-                rng_vals.len()
-            ));
-        }
-        let mut rng = [0u64; 4];
-        for (slot, v) in rng.iter_mut().zip(rng_vals) {
-            *slot = v.as_u64().ok_or("arrival state: rng word not a u64")?;
-        }
-        let clock = root
-            .get("clock")
-            .and_then(JsonValue::as_f64)
-            .ok_or("arrival state: missing clock")?;
-        let in_on_phase = match root.get("in_on_phase") {
-            Some(JsonValue::Bool(b)) => *b,
-            _ => return Err("arrival state: missing in_on_phase".to_string()),
-        };
-        let phase_ends_at = match root.get("phase_ends_at") {
-            Some(JsonValue::Null) => f64::INFINITY,
-            Some(v) => v
-                .as_f64()
-                .ok_or("arrival state: phase_ends_at not a number")?,
-            None => return Err("arrival state: missing phase_ends_at".to_string()),
-        };
-        let emitted = root
-            .get("emitted")
-            .and_then(JsonValue::as_u64)
-            .ok_or("arrival state: missing emitted")?;
-        Ok(Self {
-            rng,
-            clock,
-            in_on_phase,
-            phase_ends_at,
-            emitted,
-        })
+        json::parse(text)
+            .map_err(CheckpointError::from)
+            .and_then(|root| Self::decode(&root))
+            .map_err(|e| format!("arrival state: {e}"))
     }
 }
+
+codec_struct!(ArrivalState {
+    rng,
+    clock,
+    in_on_phase,
+    phase_ends_at via NullIsInf,
+    emitted,
+});
 
 /// Deterministic open-loop arrival generator over one [`ArrivalSpec`].
 ///

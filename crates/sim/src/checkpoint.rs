@@ -11,10 +11,14 @@
 //! on.
 //!
 //! Checkpoints serialize to JSON through [`dhl_obs::json`], the workspace's
-//! zero-dependency codec. Exactness matters: `u64` counters ride the
-//! codec's lossless `UInt` path, and `f64` times rely on Rust's
-//! shortest-round-trip `Display` plus exact `str::parse::<f64>`, so a
-//! decode(encode(x)) trip reproduces every bit.
+//! zero-dependency codec. Each checkpointed type is declared once, as a
+//! field list for the `codec_struct!`/`codec_enum!` macros at the bottom
+//! of this module; the field names are the JSON keys. (The codec lives in
+//! `dhl-sim` rather than `dhl-obs` because of the orphan rule: its trait is
+//! implemented for the `dhl-units` types.) Exactness matters: `u64`
+//! counters ride the codec's lossless `UInt` path, and `f64` times rely on
+//! Rust's shortest-round-trip `Display` plus exact `str::parse::<f64>`, so
+//! a decode(encode(x)) trip reproduces every bit.
 //!
 //! The configuration itself is *not* serialized — checkpoints are state,
 //! not provenance. [`DhlSystem::resume`] takes the configuration separately
@@ -28,60 +32,21 @@ use dhl_obs::json::{self, JsonError, JsonValue};
 use dhl_obs::{Histogram, MetricsRegistry, Stopwatch};
 use dhl_rng::DeterministicRng;
 use dhl_storage::{CartWear, DockingConnector};
-use dhl_units::{Bytes, Joules, MetresPerSecond, Seconds};
+use dhl_units::{Bytes, Joules, Seconds};
 
+use crate::codec::{self, codec_enum, codec_struct, Codec, NullIsInf, NullIsNegInf, Plain};
 use crate::config::SimConfig;
 use crate::engine::EventQueue;
+use crate::metrics::SimMetrics;
 use crate::movement::MovementCost;
 use crate::system::{
-    ActiveMovement, CartLocation, DhlSystem, Direction, EndpointId, Ev, Mission, Movement,
-    PendingVerify, RackDemand, SimError, TrackState,
+    Abandoned, ActiveMovement, CartLocation, Counters, DhlSystem, Direction, Ev, Mission, Movement,
+    PendingVerify, RackDemand, Redelivery, SimError, TrackState,
 };
 use crate::trace::{Trace, TraceEvent, TraceEventKind, TraceSink};
 
 /// Serialization format version; bumped when the JSON layout changes.
 const FORMAT_VERSION: u64 = 2;
-
-/// Every metric name the simulator records, so restoring a serialized
-/// checkpoint can hand the registry the `&'static str` keys it requires
-/// without leaking in the common case.
-const METRIC_NAMES: &[&str] = &[
-    "sim.events",
-    "sim.completion_s",
-    "sim.wall_time_s",
-    "sim.sim_seconds_per_wall_second",
-    "sim.events_per_wall_second",
-    "sim.carts_launched",
-    "sim.transit_s",
-    "sim.queue_depth",
-    "sim.deliveries",
-    "sim.ssd_failures",
-    "sim.data_loss_events",
-    "sim.delivery_failures",
-    "sim.redeliveries",
-    "sim.cart_stalls",
-    "sim.connector_replacements",
-    "sim.repressurisations",
-    "sim.dock_controller_crashes",
-    "sim.dock_recovery_s",
-    "sim.shards_scanned",
-    "sim.verify_s",
-    "sim.deliveries_verified",
-    "sim.shards_corrupted",
-    "sim.shards_reconstructed",
-    "sim.reconstruction_s",
-    "sim.deliveries_reshipped",
-    "sim.events_clamped",
-    "engine.events_processed",
-];
-
-fn intern_metric(name: &str) -> &'static str {
-    METRIC_NAMES
-        .iter()
-        .copied()
-        .find(|n| *n == name)
-        .unwrap_or_else(|| Box::leak(name.to_owned().into_boxed_str()))
-}
 
 /// FNV-1a over the configuration's debug representation: stable across
 /// processes (unlike `DefaultHasher`) and sensitive to every field the
@@ -133,32 +98,9 @@ struct HistogramState {
 
 #[derive(Clone, PartialEq, Debug)]
 struct MetricsState {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
-    histograms: Vec<(String, HistogramState)>,
-}
-
-/// Fault-injection and integrity accounting captured mid-run.
-#[derive(Clone, PartialEq, Debug, Default)]
-struct Counters {
-    ssd_failures: u64,
-    data_loss_events: u64,
-    redeliveries: u64,
-    retry_time_s: f64,
-    cart_stalls: u64,
-    connector_replacements: u64,
-    repressurisations: u64,
-    dock_crashes: u64,
-    dock_recovery_time_s: f64,
-    dock_downtime: Vec<f64>,
-    shards_scanned: u64,
-    shards_corrupted: u64,
-    shards_reconstructed: u64,
-    deliveries_verified: u64,
-    deliveries_reshipped: u64,
-    verification_time_s: f64,
-    reconstruction_time_s: f64,
-    verification_energy_j: f64,
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+    histograms: BTreeMap<String, HistogramState>,
 }
 
 /// A point-in-time capture of a running [`DhlSystem`].
@@ -179,7 +121,7 @@ pub struct Checkpoint {
     dock_used: Vec<u32>,
     tracks: Vec<TrackState>,
     pending: Vec<Movement>,
-    redelivery_queue: Vec<(EndpointId, Bytes, u32)>,
+    redelivery_queue: Vec<Redelivery>,
     mission: Mission,
     wakeup_scheduled: bool,
     total_energy_j: f64,
@@ -191,7 +133,7 @@ pub struct Checkpoint {
     fault_rng: Option<[u64; 4]>,
     integrity_rng: Option<[u64; 4]>,
     counters: Counters,
-    abandoned: Option<(EndpointId, u32)>,
+    abandoned: Option<Abandoned>,
     watch_running: bool,
     metrics: Option<MetricsState>,
 }
@@ -271,26 +213,7 @@ impl DhlSystem {
             reliability_rng: self.reliability_rng.as_ref().map(DeterministicRng::state),
             fault_rng: self.fault_rng.as_ref().map(DeterministicRng::state),
             integrity_rng: self.integrity_rng.as_ref().map(DeterministicRng::state),
-            counters: Counters {
-                ssd_failures: self.ssd_failures,
-                data_loss_events: self.data_loss_events,
-                redeliveries: self.redeliveries,
-                retry_time_s: self.retry_time_s,
-                cart_stalls: self.cart_stalls,
-                connector_replacements: self.connector_replacements,
-                repressurisations: self.repressurisations,
-                dock_crashes: self.dock_crashes,
-                dock_recovery_time_s: self.dock_recovery_time_s,
-                dock_downtime: self.dock_downtime.clone(),
-                shards_scanned: self.shards_scanned,
-                shards_corrupted: self.shards_corrupted,
-                shards_reconstructed: self.shards_reconstructed,
-                deliveries_verified: self.deliveries_verified,
-                deliveries_reshipped: self.deliveries_reshipped,
-                verification_time_s: self.verification_time_s,
-                reconstruction_time_s: self.reconstruction_time_s,
-                verification_energy_j: self.verification_energy.value(),
-            },
+            counters: self.counters.clone(),
             abandoned: self.abandoned,
             watch_running: self.run_watch.is_some(),
             metrics: if self.metrics.is_enabled() {
@@ -335,6 +258,10 @@ impl DhlSystem {
     /// - [`SimError::Config`] if `cfg` fails validation.
     /// - [`SimError::CheckpointMismatch`] if `cfg` is not the configuration
     ///   the checkpoint was captured under.
+    /// - [`SimError::ConnectorCyclesExceedRating`] if a cart's connector
+    ///   wear is beyond its rating, which no run can reach.
+    /// - [`SimError::UnknownMetric`] if the checkpoint carries a metric the
+    ///   simulator does not record.
     pub fn resume(cfg: SimConfig, cp: &Checkpoint) -> Result<Self, SimError> {
         let mut sys = Self::new(cfg)?;
         let actual = config_fingerprint(&sys.cfg);
@@ -360,14 +287,16 @@ impl DhlSystem {
         let endurance = sys.cfg.integrity.as_ref().map(|i| i.endurance.clone());
         let cart_capacity = sys.cfg.cart_capacity;
         let generation = sys.carts.begin_rebuild();
-        for c in &cp.carts {
+        for (cart, c) in cp.carts.iter().enumerate() {
             let connector = match (connector_kind, c.connector_cycles) {
                 (Some(kind), Some(cycles)) => {
-                    let mut conn = DockingConnector::new(kind);
-                    for _ in 0..cycles {
-                        let _ = conn.mate();
-                    }
-                    Some(conn)
+                    Some(DockingConnector::with_cycles_used(kind, cycles).ok_or(
+                        SimError::ConnectorCyclesExceedRating {
+                            cart,
+                            cycles,
+                            rated: kind.rated_cycles(),
+                        },
+                    )?)
                 }
                 _ => None,
             };
@@ -402,49 +331,37 @@ impl DhlSystem {
         sys.reliability_rng = cp.reliability_rng.map(DeterministicRng::from_state);
         sys.fault_rng = cp.fault_rng.map(DeterministicRng::from_state);
         sys.integrity_rng = cp.integrity_rng.map(DeterministicRng::from_state);
-        sys.ssd_failures = cp.counters.ssd_failures;
-        sys.data_loss_events = cp.counters.data_loss_events;
-        sys.redeliveries = cp.counters.redeliveries;
-        sys.retry_time_s = cp.counters.retry_time_s;
-        sys.cart_stalls = cp.counters.cart_stalls;
-        sys.connector_replacements = cp.counters.connector_replacements;
-        sys.repressurisations = cp.counters.repressurisations;
-        sys.dock_crashes = cp.counters.dock_crashes;
-        sys.dock_recovery_time_s = cp.counters.dock_recovery_time_s;
-        sys.dock_downtime = cp.counters.dock_downtime.clone();
-        sys.shards_scanned = cp.counters.shards_scanned;
-        sys.shards_corrupted = cp.counters.shards_corrupted;
-        sys.shards_reconstructed = cp.counters.shards_reconstructed;
-        sys.deliveries_verified = cp.counters.deliveries_verified;
-        sys.deliveries_reshipped = cp.counters.deliveries_reshipped;
-        sys.verification_time_s = cp.counters.verification_time_s;
-        sys.reconstruction_time_s = cp.counters.reconstruction_time_s;
-        sys.verification_energy = Joules::new(cp.counters.verification_energy_j);
+        sys.counters = cp.counters.clone();
         sys.abandoned = cp.abandoned;
         sys.events_at_mission_start = cp.events_at_mission_start;
         sys.run_watch = cp.watch_running.then(Stopwatch::start);
-        sys.metrics = match &cp.metrics {
+        // Register the handle bundle first: its registration list is the
+        // one place metric names are written, so every name the checkpoint
+        // carries must resolve to a slot it created.
+        sys.metrics = match cp.metrics {
             None => MetricsRegistry::disabled(),
-            Some(m) => {
-                let mut reg = MetricsRegistry::enabled();
-                for (name, value) in &m.counters {
-                    reg.set_counter(intern_metric(name), *value);
-                }
-                for (name, value) in &m.gauges {
-                    reg.set_gauge(intern_metric(name), *value);
-                }
-                for (name, h) in &m.histograms {
-                    reg.restore_histogram(
-                        intern_metric(name),
-                        Histogram::from_parts(h.count, h.sum, h.min, h.max, &h.buckets),
-                    );
-                }
-                reg
-            }
+            Some(_) => MetricsRegistry::enabled(),
         };
-        // The restored registry issued no ids: re-intern the handle bundle
-        // so hot-path recording resumes against valid slots.
-        sys.handles = crate::metrics::SimMetrics::register(&mut sys.metrics);
+        sys.handles = SimMetrics::register(&mut sys.metrics);
+        if let Some(m) = &cp.metrics {
+            let reg = &mut sys.metrics;
+            let unknown = |name: &String| SimError::UnknownMetric { name: name.clone() };
+            for (name, &value) in &m.counters {
+                let id = reg.counter_id(name).ok_or_else(|| unknown(name))?;
+                reg.store(id, value);
+            }
+            for (name, &value) in &m.gauges {
+                let id = reg.gauge_id(name).ok_or_else(|| unknown(name))?;
+                reg.set(id, value);
+            }
+            for (name, h) in &m.histograms {
+                let id = reg.histogram_id(name).ok_or_else(|| unknown(name))?;
+                reg.restore(
+                    id,
+                    Histogram::from_parts(h.count, h.sum, h.min, h.max, &h.buckets),
+                );
+            }
+        }
         Ok(sys)
     }
 }
@@ -475,268 +392,6 @@ impl From<JsonError> for CheckpointError {
     }
 }
 
-fn bad(msg: impl Into<String>) -> CheckpointError {
-    CheckpointError::Shape(msg.into())
-}
-
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
-
-fn obj(entries: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn uint(v: u64) -> JsonValue {
-    JsonValue::UInt(v)
-}
-
-fn num(v: f64) -> JsonValue {
-    JsonValue::Number(v)
-}
-
-/// Non-finite sentinels (empty-histogram min/max) encode as `null`; the
-/// field-specific decoders reinstate the correct infinity.
-fn num_or_null(v: f64) -> JsonValue {
-    if v.is_finite() {
-        num(v)
-    } else {
-        JsonValue::Null
-    }
-}
-
-fn string(v: &str) -> JsonValue {
-    JsonValue::String(v.to_string())
-}
-
-fn opt<T>(v: Option<T>, f: impl FnOnce(T) -> JsonValue) -> JsonValue {
-    v.map_or(JsonValue::Null, f)
-}
-
-fn ev_to_json(ev: Ev) -> JsonValue {
-    let (tag, cart) = match ev {
-        Ev::TryLaunch => ("try_launch", None),
-        Ev::UndockDone { cart } => ("undock_done", Some(cart)),
-        Ev::Arrived { cart } => ("arrived", Some(cart)),
-        Ev::DockDone { cart } => ("dock_done", Some(cart)),
-        Ev::VerifyDone { cart } => ("verify_done", Some(cart)),
-        Ev::ProcessingDone { cart } => ("processing_done", Some(cart)),
-    };
-    match cart {
-        None => obj(vec![("t", string(tag))]),
-        Some(cart) => obj(vec![("t", string(tag)), ("cart", uint(cart as u64))]),
-    }
-}
-
-fn location_to_json(loc: CartLocation) -> JsonValue {
-    match loc {
-        CartLocation::Docked(ep) => {
-            obj(vec![("t", string("docked")), ("endpoint", uint(ep as u64))])
-        }
-        CartLocation::Moving { from, to } => obj(vec![
-            ("t", string("moving")),
-            ("from", uint(from as u64)),
-            ("to", uint(to as u64)),
-        ]),
-    }
-}
-
-fn cost_to_json(cost: MovementCost) -> JsonValue {
-    obj(vec![
-        ("speed", num(cost.speed.value())),
-        ("total_time", num(cost.total_time.seconds())),
-        ("motion_time", num(cost.motion_time.seconds())),
-        ("energy", num(cost.energy.value())),
-    ])
-}
-
-fn active_movement_to_json(m: ActiveMovement) -> JsonValue {
-    obj(vec![
-        ("from", uint(m.from as u64)),
-        ("to", uint(m.to as u64)),
-        ("payload", uint(m.payload.as_u64())),
-        ("attempt", uint(u64::from(m.attempt))),
-        ("cost", cost_to_json(m.cost)),
-        ("stalled", JsonValue::Bool(m.stalled)),
-    ])
-}
-
-fn movement_to_json(m: Movement) -> JsonValue {
-    obj(vec![
-        ("cart", uint(m.cart as u64)),
-        ("from", uint(m.from as u64)),
-        ("to", uint(m.to as u64)),
-        ("payload", uint(m.payload.as_u64())),
-        ("attempt", uint(u64::from(m.attempt))),
-    ])
-}
-
-fn verify_to_json(v: PendingVerify) -> JsonValue {
-    obj(vec![
-        ("to", uint(v.to as u64)),
-        ("payload", uint(v.payload.as_u64())),
-        ("attempt", uint(u64::from(v.attempt))),
-        ("trip_time", num(v.trip_time.seconds())),
-        ("shards", uint(v.shards)),
-    ])
-}
-
-fn track_to_json(t: &TrackState) -> JsonValue {
-    obj(vec![
-        (
-            "direction",
-            opt(t.direction, |d| {
-                string(match d {
-                    Direction::Outbound => "out",
-                    Direction::Inbound => "in",
-                })
-            }),
-        ),
-        ("in_flight", uint(u64::from(t.in_flight))),
-        ("last_launch", num(t.last_launch)),
-        ("busy_accum", num(t.busy_accum)),
-        ("last_update", num(t.last_update)),
-        ("blocked_by", opt(t.blocked_by, |c| uint(c as u64))),
-        ("blocked_since", num(t.blocked_since)),
-        ("downtime_accum", num(t.downtime_accum)),
-        ("degraded_until", num(t.degraded_until)),
-    ])
-}
-
-fn mission_to_json(m: &Mission) -> JsonValue {
-    obj(vec![
-        ("total_deliveries", uint(m.total_deliveries)),
-        ("scheduled", uint(m.scheduled)),
-        ("done", uint(m.done)),
-        (
-            "demands",
-            JsonValue::Array(
-                m.demands
-                    .iter()
-                    .map(|d| {
-                        obj(vec![
-                            ("endpoint", uint(d.endpoint as u64)),
-                            ("bytes_remaining", uint(d.bytes_remaining.as_u64())),
-                            ("deliveries_done", uint(d.deliveries_done)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("delivered", uint(m.delivered.as_u64())),
-        ("gross_delivered", uint(m.gross_delivered.as_u64())),
-        ("completion_time", opt(m.completion_time, num)),
-    ])
-}
-
-fn trace_kind_to_json(kind: TraceEventKind) -> JsonValue {
-    match kind {
-        TraceEventKind::Launch { cart, from, to } => obj(vec![
-            ("t", string("launch")),
-            ("cart", uint(cart as u64)),
-            ("from", uint(from as u64)),
-            ("to", uint(to as u64)),
-        ]),
-        TraceEventKind::EnterTube { cart } => obj(vec![
-            ("t", string("enter_tube")),
-            ("cart", uint(cart as u64)),
-        ]),
-        TraceEventKind::BeginDock { cart } => obj(vec![
-            ("t", string("begin_dock")),
-            ("cart", uint(cart as u64)),
-        ]),
-        TraceEventKind::Docked { cart, endpoint } => obj(vec![
-            ("t", string("docked")),
-            ("cart", uint(cart as u64)),
-            ("endpoint", uint(endpoint as u64)),
-        ]),
-        TraceEventKind::ProcessingDone { cart } => obj(vec![
-            ("t", string("processing_done")),
-            ("cart", uint(cart as u64)),
-        ]),
-        TraceEventKind::DeliveryFailed {
-            cart,
-            endpoint,
-            attempt,
-        } => obj(vec![
-            ("t", string("delivery_failed")),
-            ("cart", uint(cart as u64)),
-            ("endpoint", uint(endpoint as u64)),
-            ("attempt", uint(u64::from(attempt))),
-        ]),
-        TraceEventKind::VerifyStarted {
-            cart,
-            endpoint,
-            shards,
-        } => obj(vec![
-            ("t", string("verify_started")),
-            ("cart", uint(cart as u64)),
-            ("endpoint", uint(endpoint as u64)),
-            ("shards", uint(shards)),
-        ]),
-        TraceEventKind::PayloadVerified {
-            cart,
-            endpoint,
-            shards,
-        } => obj(vec![
-            ("t", string("payload_verified")),
-            ("cart", uint(cart as u64)),
-            ("endpoint", uint(endpoint as u64)),
-            ("shards", uint(shards)),
-        ]),
-        TraceEventKind::PayloadCorrupted {
-            cart,
-            endpoint,
-            corrupted,
-            attempt,
-        } => obj(vec![
-            ("t", string("payload_corrupted")),
-            ("cart", uint(cart as u64)),
-            ("endpoint", uint(endpoint as u64)),
-            ("corrupted", uint(corrupted)),
-            ("attempt", uint(u64::from(attempt))),
-        ]),
-        TraceEventKind::ShardsReconstructed { cart, shards } => obj(vec![
-            ("t", string("shards_reconstructed")),
-            ("cart", uint(cart as u64)),
-            ("shards", uint(shards)),
-        ]),
-        TraceEventKind::CartStalled { cart, track } => obj(vec![
-            ("t", string("cart_stalled")),
-            ("cart", uint(cart as u64)),
-            ("track", uint(track as u64)),
-        ]),
-        TraceEventKind::DockControllerCrashed { cart, endpoint } => obj(vec![
-            ("t", string("dock_controller_crashed")),
-            ("cart", uint(cart as u64)),
-            ("endpoint", uint(endpoint as u64)),
-        ]),
-        TraceEventKind::DockControllerRecovered {
-            cart,
-            endpoint,
-            downtime,
-        } => obj(vec![
-            ("t", string("dock_controller_recovered")),
-            ("cart", uint(cart as u64)),
-            ("endpoint", uint(endpoint as u64)),
-            ("downtime", num(downtime.seconds())),
-        ]),
-        TraceEventKind::TrackRestored { track } => obj(vec![
-            ("t", string("track_restored")),
-            ("track", uint(track as u64)),
-        ]),
-    }
-}
-
-fn rng_to_json(state: [u64; 4]) -> JsonValue {
-    JsonValue::Array(state.iter().map(|w| uint(*w)).collect())
-}
-
 impl Checkpoint {
     /// Serializes the checkpoint to a deterministic JSON string.
     ///
@@ -744,224 +399,11 @@ impl Checkpoint {
     /// lossless path, so equal checkpoints produce byte-equal JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let metrics = self.metrics.as_ref().map(|m| {
-            obj(vec![
-                (
-                    "counters",
-                    JsonValue::Object(
-                        m.counters
-                            .iter()
-                            .map(|(n, v)| (n.clone(), uint(*v)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "gauges",
-                    JsonValue::Object(m.gauges.iter().map(|(n, v)| (n.clone(), num(*v))).collect()),
-                ),
-                (
-                    "histograms",
-                    JsonValue::Object(
-                        m.histograms
-                            .iter()
-                            .map(|(n, h)| {
-                                (
-                                    n.clone(),
-                                    obj(vec![
-                                        ("count", uint(h.count)),
-                                        ("sum", num(h.sum)),
-                                        ("min", num_or_null(h.min)),
-                                        ("max", num_or_null(h.max)),
-                                        (
-                                            "buckets",
-                                            JsonValue::Array(
-                                                h.buckets
-                                                    .iter()
-                                                    .map(|(b, c)| {
-                                                        JsonValue::Array(vec![
-                                                            uint(u64::from(*b)),
-                                                            uint(*c),
-                                                        ])
-                                                    })
-                                                    .collect(),
-                                            ),
-                                        ),
-                                    ]),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        });
-        let counters = obj(vec![
-            ("ssd_failures", uint(self.counters.ssd_failures)),
-            ("data_loss_events", uint(self.counters.data_loss_events)),
-            ("redeliveries", uint(self.counters.redeliveries)),
-            ("retry_time_s", num(self.counters.retry_time_s)),
-            ("cart_stalls", uint(self.counters.cart_stalls)),
-            (
-                "connector_replacements",
-                uint(self.counters.connector_replacements),
-            ),
-            ("repressurisations", uint(self.counters.repressurisations)),
-            ("dock_crashes", uint(self.counters.dock_crashes)),
-            (
-                "dock_recovery_time_s",
-                num(self.counters.dock_recovery_time_s),
-            ),
-            (
-                "dock_downtime",
-                JsonValue::Array(
-                    self.counters
-                        .dock_downtime
-                        .iter()
-                        .map(|s| num(*s))
-                        .collect(),
-                ),
-            ),
-            ("shards_scanned", uint(self.counters.shards_scanned)),
-            ("shards_corrupted", uint(self.counters.shards_corrupted)),
-            (
-                "shards_reconstructed",
-                uint(self.counters.shards_reconstructed),
-            ),
-            (
-                "deliveries_verified",
-                uint(self.counters.deliveries_verified),
-            ),
-            (
-                "deliveries_reshipped",
-                uint(self.counters.deliveries_reshipped),
-            ),
-            (
-                "verification_time_s",
-                num(self.counters.verification_time_s),
-            ),
-            (
-                "reconstruction_time_s",
-                num(self.counters.reconstruction_time_s),
-            ),
-            (
-                "verification_energy_j",
-                num(self.counters.verification_energy_j),
-            ),
-        ]);
-        obj(vec![
-            ("version", uint(FORMAT_VERSION)),
-            ("fingerprint", uint(self.fingerprint)),
-            ("now", num(self.now)),
-            ("next_seq", uint(self.next_seq)),
-            ("events_processed", uint(self.events_processed)),
-            ("events_clamped", uint(self.events_clamped)),
-            (
-                "events_at_mission_start",
-                uint(self.events_at_mission_start),
-            ),
-            (
-                "queue",
-                JsonValue::Array(
-                    self.queue
-                        .iter()
-                        .map(|&(t, s, e)| JsonValue::Array(vec![num(t), uint(s), ev_to_json(e)]))
-                        .collect(),
-                ),
-            ),
-            (
-                "carts",
-                JsonValue::Array(
-                    self.carts
-                        .iter()
-                        .map(|c| {
-                            obj(vec![
-                                ("location", location_to_json(c.location)),
-                                ("movement", opt(c.movement, active_movement_to_json)),
-                                ("trips", uint(c.trips)),
-                                (
-                                    "connector_cycles",
-                                    opt(c.connector_cycles, |n| uint(u64::from(n))),
-                                ),
-                                ("wear_written", opt(c.wear_written, uint)),
-                                ("matings", uint(u64::from(c.matings))),
-                                ("verify", opt(c.verify, verify_to_json)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "dock_used",
-                JsonValue::Array(self.dock_used.iter().map(|n| uint(u64::from(*n))).collect()),
-            ),
-            (
-                "tracks",
-                JsonValue::Array(self.tracks.iter().map(track_to_json).collect()),
-            ),
-            (
-                "pending",
-                JsonValue::Array(self.pending.iter().map(|m| movement_to_json(*m)).collect()),
-            ),
-            (
-                "redelivery_queue",
-                JsonValue::Array(
-                    self.redelivery_queue
-                        .iter()
-                        .map(|&(ep, bytes, attempt)| {
-                            obj(vec![
-                                ("endpoint", uint(ep as u64)),
-                                ("payload", uint(bytes.as_u64())),
-                                ("attempt", uint(u64::from(attempt))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("mission", mission_to_json(&self.mission)),
-            ("wakeup_scheduled", JsonValue::Bool(self.wakeup_scheduled)),
-            ("total_energy_j", num(self.total_energy_j)),
-            ("movements", uint(self.movements)),
-            ("max_in_flight", uint(u64::from(self.max_in_flight))),
-            ("event_budget", uint(self.event_budget)),
-            (
-                "trace",
-                opt(self.trace.as_ref(), |t| {
-                    obj(vec![
-                        (
-                            "events",
-                            JsonValue::Array(
-                                t.events
-                                    .iter()
-                                    .map(|e| {
-                                        obj(vec![
-                                            ("time", num(e.time.seconds())),
-                                            ("kind", trace_kind_to_json(e.kind)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                        ("capacity", uint(t.capacity as u64)),
-                        ("dropped", uint(t.dropped)),
-                    ])
-                }),
-            ),
-            ("reliability_rng", opt(self.reliability_rng, rng_to_json)),
-            ("fault_rng", opt(self.fault_rng, rng_to_json)),
-            ("integrity_rng", opt(self.integrity_rng, rng_to_json)),
-            ("counters", counters),
-            (
-                "abandoned",
-                opt(self.abandoned, |(ep, attempts)| {
-                    obj(vec![
-                        ("endpoint", uint(ep as u64)),
-                        ("attempts", uint(u64::from(attempts))),
-                    ])
-                }),
-            ),
-            ("watch_running", JsonValue::Bool(self.watch_running)),
-            ("metrics", metrics.unwrap_or(JsonValue::Null)),
-        ])
-        .to_json_string()
+        let mut root = self.encode();
+        if let JsonValue::Object(map) = &mut root {
+            map.insert("version".to_string(), FORMAT_VERSION.encode());
+        }
+        root.to_json_string()
     }
 
     /// Parses a checkpoint previously produced by [`Checkpoint::to_json`].
@@ -973,478 +415,217 @@ impl Checkpoint {
     /// version-compatible checkpoint.
     pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
         let root = json::parse(text)?;
-        let version = req_u64(&root, "version")?;
+        let version = codec::field::<u64, Plain>(&root, "version")?;
         if version != FORMAT_VERSION {
-            return Err(bad(format!(
+            return Err(codec::shape(format!(
                 "unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
             )));
         }
-        Ok(Self {
-            fingerprint: req_u64(&root, "fingerprint")?,
-            now: req_f64(&root, "now")?,
-            next_seq: req_u64(&root, "next_seq")?,
-            events_processed: req_u64(&root, "events_processed")?,
-            events_clamped: req_u64(&root, "events_clamped")?,
-            events_at_mission_start: req_u64(&root, "events_at_mission_start")?,
-            queue: req_array(&root, "queue")?
-                .iter()
-                .map(queue_entry_from_json)
-                .collect::<Result<_, _>>()?,
-            carts: req_array(&root, "carts")?
-                .iter()
-                .map(cart_from_json)
-                .collect::<Result<_, _>>()?,
-            dock_used: req_array(&root, "dock_used")?
-                .iter()
-                .map(|v| value_u32(v, "dock_used entry"))
-                .collect::<Result<_, _>>()?,
-            tracks: req_array(&root, "tracks")?
-                .iter()
-                .map(track_from_json)
-                .collect::<Result<_, _>>()?,
-            pending: req_array(&root, "pending")?
-                .iter()
-                .map(movement_from_json)
-                .collect::<Result<_, _>>()?,
-            redelivery_queue: req_array(&root, "redelivery_queue")?
-                .iter()
-                .map(|v| {
-                    Ok((
-                        req_usize(v, "endpoint")?,
-                        Bytes::new(req_u64(v, "payload")?),
-                        req_u32(v, "attempt")?,
-                    ))
-                })
-                .collect::<Result<_, CheckpointError>>()?,
-            mission: mission_from_json(req(&root, "mission")?)?,
-            wakeup_scheduled: req_bool(&root, "wakeup_scheduled")?,
-            total_energy_j: req_f64(&root, "total_energy_j")?,
-            movements: req_u64(&root, "movements")?,
-            max_in_flight: req_u32(&root, "max_in_flight")?,
-            event_budget: req_u64(&root, "event_budget")?,
-            trace: match req(&root, "trace")? {
-                JsonValue::Null => None,
-                t => Some(TraceState {
-                    events: req_array(t, "events")?
-                        .iter()
-                        .map(trace_event_from_json)
-                        .collect::<Result<_, _>>()?,
-                    capacity: req_usize(t, "capacity")?,
-                    dropped: req_u64(t, "dropped")?,
-                }),
-            },
-            reliability_rng: rng_from_json(req(&root, "reliability_rng")?)?,
-            fault_rng: rng_from_json(req(&root, "fault_rng")?)?,
-            integrity_rng: rng_from_json(req(&root, "integrity_rng")?)?,
-            counters: counters_from_json(req(&root, "counters")?)?,
-            abandoned: match req(&root, "abandoned")? {
-                JsonValue::Null => None,
-                a => Some((req_usize(a, "endpoint")?, req_u32(a, "attempts")?)),
-            },
-            watch_running: req_bool(&root, "watch_running")?,
-            metrics: match req(&root, "metrics")? {
-                JsonValue::Null => None,
-                m => Some(metrics_from_json(m)?),
-            },
-        })
+        Self::decode(&root)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Decoding
+// The serialized form: one declaration per checkpointed type
 // ---------------------------------------------------------------------------
 
-fn req<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, CheckpointError> {
-    v.get(key)
-        .ok_or_else(|| bad(format!("missing field `{key}`")))
-}
+codec_struct!(Checkpoint {
+    fingerprint,
+    now,
+    next_seq,
+    events_processed,
+    events_clamped,
+    events_at_mission_start,
+    queue,
+    carts,
+    dock_used,
+    tracks,
+    pending,
+    redelivery_queue,
+    mission,
+    wakeup_scheduled,
+    total_energy_j,
+    movements,
+    max_in_flight,
+    event_budget,
+    trace,
+    reliability_rng,
+    fault_rng,
+    integrity_rng,
+    counters,
+    abandoned,
+    watch_running,
+    metrics,
+});
 
-fn value_u64(v: &JsonValue, what: &str) -> Result<u64, CheckpointError> {
-    v.as_u64()
-        .ok_or_else(|| bad(format!("{what} is not a u64")))
-}
+codec_struct!(CartState {
+    location,
+    movement,
+    trips,
+    connector_cycles,
+    wear_written,
+    matings,
+    verify,
+});
 
-fn value_f64(v: &JsonValue, what: &str) -> Result<f64, CheckpointError> {
-    v.as_f64()
-        .ok_or_else(|| bad(format!("{what} is not a number")))
-}
+codec_struct!(ActiveMovement {
+    from,
+    to,
+    payload,
+    attempt,
+    cost,
+    stalled,
+});
 
-fn value_u32(v: &JsonValue, what: &str) -> Result<u32, CheckpointError> {
-    u32::try_from(value_u64(v, what)?).map_err(|_| bad(format!("{what} overflows u32")))
-}
+codec_struct!(MovementCost {
+    speed,
+    total_time,
+    motion_time,
+    energy,
+});
 
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, CheckpointError> {
-    value_u64(req(v, key)?, key)
-}
+codec_struct!(Movement {
+    cart,
+    from,
+    to,
+    payload,
+    attempt,
+});
 
-fn req_f64(v: &JsonValue, key: &str) -> Result<f64, CheckpointError> {
-    value_f64(req(v, key)?, key)
-}
+codec_struct!(PendingVerify {
+    to,
+    payload,
+    attempt,
+    trip_time,
+    shards,
+});
 
-fn req_u32(v: &JsonValue, key: &str) -> Result<u32, CheckpointError> {
-    value_u32(req(v, key)?, key)
-}
+codec_struct!(TrackState {
+    direction,
+    in_flight,
+    last_launch,
+    busy_accum,
+    last_update,
+    blocked_by,
+    blocked_since,
+    downtime_accum,
+    degraded_until,
+});
 
-fn req_usize(v: &JsonValue, key: &str) -> Result<usize, CheckpointError> {
-    usize::try_from(req_u64(v, key)?).map_err(|_| bad(format!("`{key}` overflows usize")))
-}
+codec_struct!(Redelivery {
+    endpoint,
+    payload,
+    attempt,
+});
 
-fn req_bool(v: &JsonValue, key: &str) -> Result<bool, CheckpointError> {
-    match req(v, key)? {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(bad(format!("`{key}` is not a boolean"))),
+codec_struct!(Abandoned { endpoint, attempts });
+
+codec_struct!(Mission {
+    total_deliveries,
+    scheduled,
+    done,
+    demands,
+    delivered,
+    gross_delivered,
+    completion_time,
+});
+
+codec_struct!(RackDemand {
+    endpoint,
+    bytes_remaining,
+    deliveries_done,
+});
+
+codec_struct!(TraceState {
+    events,
+    capacity,
+    dropped,
+});
+
+codec_struct!(TraceEvent { time, kind });
+
+codec_struct!(Counters {
+    ssd_failures,
+    data_loss_events,
+    redeliveries,
+    retry_time_s,
+    cart_stalls,
+    connector_replacements,
+    repressurisations,
+    dock_crashes,
+    dock_recovery_time_s,
+    dock_downtime,
+    shards_scanned,
+    shards_corrupted,
+    shards_reconstructed,
+    deliveries_verified,
+    deliveries_reshipped,
+    verification_time_s,
+    reconstruction_time_s,
+    verification_energy_j,
+});
+
+codec_struct!(MetricsState {
+    counters,
+    gauges,
+    histograms,
+});
+
+codec_struct!(HistogramState {
+    count,
+    sum,
+    min via NullIsInf,
+    max via NullIsNegInf,
+    buckets,
+});
+
+codec_enum!(Ev {
+    TryLaunch = "try_launch",
+    UndockDone { cart } = "undock_done",
+    Arrived { cart } = "arrived",
+    DockDone { cart } = "dock_done",
+    VerifyDone { cart } = "verify_done",
+    ProcessingDone { cart } = "processing_done",
+});
+
+codec_enum!(CartLocation {
+    Docked(endpoint) = "docked",
+    Moving { from, to } = "moving",
+});
+
+codec_enum!(TraceEventKind {
+    Launch { cart, from, to } = "launch",
+    EnterTube { cart } = "enter_tube",
+    BeginDock { cart } = "begin_dock",
+    Docked { cart, endpoint } = "docked",
+    ProcessingDone { cart } = "processing_done",
+    DeliveryFailed { cart, endpoint, attempt } = "delivery_failed",
+    VerifyStarted { cart, endpoint, shards } = "verify_started",
+    PayloadVerified { cart, endpoint, shards } = "payload_verified",
+    PayloadCorrupted { cart, endpoint, corrupted, attempt } = "payload_corrupted",
+    ShardsReconstructed { cart, shards } = "shards_reconstructed",
+    CartStalled { cart, track } = "cart_stalled",
+    DockControllerCrashed { cart, endpoint } = "dock_controller_crashed",
+    DockControllerRecovered { cart, endpoint, downtime } = "dock_controller_recovered",
+    TrackRestored { track } = "track_restored",
+});
+
+/// A track's direction travels as a bare `"out"` / `"in"` string.
+impl Codec for Direction {
+    fn encode(&self) -> JsonValue {
+        let name = match self {
+            Self::Outbound => "out",
+            Self::Inbound => "in",
+        };
+        JsonValue::String(name.to_string())
     }
-}
-
-fn req_array<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], CheckpointError> {
-    req(v, key)?
-        .as_array()
-        .ok_or_else(|| bad(format!("`{key}` is not an array")))
-}
-
-fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, CheckpointError> {
-    req(v, key)?
-        .as_str()
-        .ok_or_else(|| bad(format!("`{key}` is not a string")))
-}
-
-fn opt_f64(v: &JsonValue, key: &str) -> Result<Option<f64>, CheckpointError> {
-    match req(v, key)? {
-        JsonValue::Null => Ok(None),
-        n => Ok(Some(value_f64(n, key)?)),
-    }
-}
-
-fn opt_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, CheckpointError> {
-    match req(v, key)? {
-        JsonValue::Null => Ok(None),
-        n => Ok(Some(value_u64(n, key)?)),
-    }
-}
-
-fn ev_from_json(v: &JsonValue) -> Result<Ev, CheckpointError> {
-    let tag = req_str(v, "t")?;
-    if tag == "try_launch" {
-        return Ok(Ev::TryLaunch);
-    }
-    let cart = req_usize(v, "cart")?;
-    match tag {
-        "undock_done" => Ok(Ev::UndockDone { cart }),
-        "arrived" => Ok(Ev::Arrived { cart }),
-        "dock_done" => Ok(Ev::DockDone { cart }),
-        "verify_done" => Ok(Ev::VerifyDone { cart }),
-        "processing_done" => Ok(Ev::ProcessingDone { cart }),
-        other => Err(bad(format!("unknown event tag `{other}`"))),
-    }
-}
-
-fn queue_entry_from_json(v: &JsonValue) -> Result<(f64, u64, Ev), CheckpointError> {
-    let entry = v
-        .as_array()
-        .ok_or_else(|| bad("queue entry is not an array"))?;
-    if entry.len() != 3 {
-        return Err(bad("queue entry is not a [time, seq, event] triple"));
-    }
-    Ok((
-        value_f64(&entry[0], "queue entry time")?,
-        value_u64(&entry[1], "queue entry seq")?,
-        ev_from_json(&entry[2])?,
-    ))
-}
-
-fn location_from_json(v: &JsonValue) -> Result<CartLocation, CheckpointError> {
-    match req_str(v, "t")? {
-        "docked" => Ok(CartLocation::Docked(req_usize(v, "endpoint")?)),
-        "moving" => Ok(CartLocation::Moving {
-            from: req_usize(v, "from")?,
-            to: req_usize(v, "to")?,
-        }),
-        other => Err(bad(format!("unknown cart location tag `{other}`"))),
-    }
-}
-
-fn cost_from_json(v: &JsonValue) -> Result<MovementCost, CheckpointError> {
-    Ok(MovementCost {
-        speed: MetresPerSecond::new(req_f64(v, "speed")?),
-        total_time: Seconds::new(req_f64(v, "total_time")?),
-        motion_time: Seconds::new(req_f64(v, "motion_time")?),
-        energy: Joules::new(req_f64(v, "energy")?),
-    })
-}
-
-fn active_movement_from_json(v: &JsonValue) -> Result<ActiveMovement, CheckpointError> {
-    Ok(ActiveMovement {
-        from: req_usize(v, "from")?,
-        to: req_usize(v, "to")?,
-        payload: Bytes::new(req_u64(v, "payload")?),
-        attempt: req_u32(v, "attempt")?,
-        cost: cost_from_json(req(v, "cost")?)?,
-        stalled: req_bool(v, "stalled")?,
-    })
-}
-
-fn movement_from_json(v: &JsonValue) -> Result<Movement, CheckpointError> {
-    Ok(Movement {
-        cart: req_usize(v, "cart")?,
-        from: req_usize(v, "from")?,
-        to: req_usize(v, "to")?,
-        payload: Bytes::new(req_u64(v, "payload")?),
-        attempt: req_u32(v, "attempt")?,
-    })
-}
-
-fn verify_from_json(v: &JsonValue) -> Result<PendingVerify, CheckpointError> {
-    Ok(PendingVerify {
-        to: req_usize(v, "to")?,
-        payload: Bytes::new(req_u64(v, "payload")?),
-        attempt: req_u32(v, "attempt")?,
-        trip_time: Seconds::new(req_f64(v, "trip_time")?),
-        shards: req_u64(v, "shards")?,
-    })
-}
-
-fn cart_from_json(v: &JsonValue) -> Result<CartState, CheckpointError> {
-    Ok(CartState {
-        location: location_from_json(req(v, "location")?)?,
-        movement: match req(v, "movement")? {
-            JsonValue::Null => None,
-            m => Some(active_movement_from_json(m)?),
-        },
-        trips: req_u64(v, "trips")?,
-        connector_cycles: match req(v, "connector_cycles")? {
-            JsonValue::Null => None,
-            n => Some(value_u32(n, "connector_cycles")?),
-        },
-        wear_written: opt_u64(v, "wear_written")?,
-        matings: req_u32(v, "matings")?,
-        verify: match req(v, "verify")? {
-            JsonValue::Null => None,
-            p => Some(verify_from_json(p)?),
-        },
-    })
-}
-
-fn track_from_json(v: &JsonValue) -> Result<TrackState, CheckpointError> {
-    Ok(TrackState {
-        direction: match req(v, "direction")? {
-            JsonValue::Null => None,
-            d => Some(match d.as_str() {
-                Some("out") => Direction::Outbound,
-                Some("in") => Direction::Inbound,
-                _ => return Err(bad("unknown track direction")),
-            }),
-        },
-        in_flight: req_u32(v, "in_flight")?,
-        last_launch: req_f64(v, "last_launch")?,
-        busy_accum: req_f64(v, "busy_accum")?,
-        last_update: req_f64(v, "last_update")?,
-        blocked_by: match req(v, "blocked_by")? {
-            JsonValue::Null => None,
-            c => Some(
-                usize::try_from(value_u64(c, "blocked_by")?)
-                    .map_err(|_| bad("`blocked_by` overflows usize"))?,
-            ),
-        },
-        blocked_since: req_f64(v, "blocked_since")?,
-        downtime_accum: req_f64(v, "downtime_accum")?,
-        degraded_until: req_f64(v, "degraded_until")?,
-    })
-}
-
-fn mission_from_json(v: &JsonValue) -> Result<Mission, CheckpointError> {
-    Ok(Mission {
-        total_deliveries: req_u64(v, "total_deliveries")?,
-        scheduled: req_u64(v, "scheduled")?,
-        done: req_u64(v, "done")?,
-        demands: req_array(v, "demands")?
-            .iter()
-            .map(|d| {
-                Ok(RackDemand {
-                    endpoint: req_usize(d, "endpoint")?,
-                    bytes_remaining: Bytes::new(req_u64(d, "bytes_remaining")?),
-                    deliveries_done: req_u64(d, "deliveries_done")?,
-                })
-            })
-            .collect::<Result<_, CheckpointError>>()?,
-        delivered: Bytes::new(req_u64(v, "delivered")?),
-        gross_delivered: Bytes::new(req_u64(v, "gross_delivered")?),
-        completion_time: opt_f64(v, "completion_time")?,
-    })
-}
-
-fn trace_kind_from_json(v: &JsonValue) -> Result<TraceEventKind, CheckpointError> {
-    match req_str(v, "t")? {
-        "launch" => Ok(TraceEventKind::Launch {
-            cart: req_usize(v, "cart")?,
-            from: req_usize(v, "from")?,
-            to: req_usize(v, "to")?,
-        }),
-        "enter_tube" => Ok(TraceEventKind::EnterTube {
-            cart: req_usize(v, "cart")?,
-        }),
-        "begin_dock" => Ok(TraceEventKind::BeginDock {
-            cart: req_usize(v, "cart")?,
-        }),
-        "docked" => Ok(TraceEventKind::Docked {
-            cart: req_usize(v, "cart")?,
-            endpoint: req_usize(v, "endpoint")?,
-        }),
-        "processing_done" => Ok(TraceEventKind::ProcessingDone {
-            cart: req_usize(v, "cart")?,
-        }),
-        "delivery_failed" => Ok(TraceEventKind::DeliveryFailed {
-            cart: req_usize(v, "cart")?,
-            endpoint: req_usize(v, "endpoint")?,
-            attempt: req_u32(v, "attempt")?,
-        }),
-        "verify_started" => Ok(TraceEventKind::VerifyStarted {
-            cart: req_usize(v, "cart")?,
-            endpoint: req_usize(v, "endpoint")?,
-            shards: req_u64(v, "shards")?,
-        }),
-        "payload_verified" => Ok(TraceEventKind::PayloadVerified {
-            cart: req_usize(v, "cart")?,
-            endpoint: req_usize(v, "endpoint")?,
-            shards: req_u64(v, "shards")?,
-        }),
-        "payload_corrupted" => Ok(TraceEventKind::PayloadCorrupted {
-            cart: req_usize(v, "cart")?,
-            endpoint: req_usize(v, "endpoint")?,
-            corrupted: req_u64(v, "corrupted")?,
-            attempt: req_u32(v, "attempt")?,
-        }),
-        "shards_reconstructed" => Ok(TraceEventKind::ShardsReconstructed {
-            cart: req_usize(v, "cart")?,
-            shards: req_u64(v, "shards")?,
-        }),
-        "cart_stalled" => Ok(TraceEventKind::CartStalled {
-            cart: req_usize(v, "cart")?,
-            track: req_usize(v, "track")?,
-        }),
-        "dock_controller_crashed" => Ok(TraceEventKind::DockControllerCrashed {
-            cart: req_usize(v, "cart")?,
-            endpoint: req_usize(v, "endpoint")?,
-        }),
-        "dock_controller_recovered" => Ok(TraceEventKind::DockControllerRecovered {
-            cart: req_usize(v, "cart")?,
-            endpoint: req_usize(v, "endpoint")?,
-            downtime: Seconds::new(req_f64(v, "downtime")?),
-        }),
-        "track_restored" => Ok(TraceEventKind::TrackRestored {
-            track: req_usize(v, "track")?,
-        }),
-        other => Err(bad(format!("unknown trace event tag `{other}`"))),
-    }
-}
-
-fn trace_event_from_json(v: &JsonValue) -> Result<TraceEvent, CheckpointError> {
-    Ok(TraceEvent {
-        time: Seconds::new(req_f64(v, "time")?),
-        kind: trace_kind_from_json(req(v, "kind")?)?,
-    })
-}
-
-fn rng_from_json(v: &JsonValue) -> Result<Option<[u64; 4]>, CheckpointError> {
-    match v {
-        JsonValue::Null => Ok(None),
-        _ => {
-            let words = v
-                .as_array()
-                .ok_or_else(|| bad("RNG state is not an array"))?;
-            if words.len() != 4 {
-                return Err(bad("RNG state is not 4 words"));
-            }
-            let mut state = [0u64; 4];
-            for (slot, word) in state.iter_mut().zip(words) {
-                *slot = value_u64(word, "RNG state word")?;
-            }
-            Ok(Some(state))
+    fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
+        match v.as_str() {
+            Some("out") => Ok(Self::Outbound),
+            Some("in") => Ok(Self::Inbound),
+            _ => Err(codec::shape("unknown track direction")),
         }
     }
-}
-
-fn counters_from_json(v: &JsonValue) -> Result<Counters, CheckpointError> {
-    Ok(Counters {
-        ssd_failures: req_u64(v, "ssd_failures")?,
-        data_loss_events: req_u64(v, "data_loss_events")?,
-        redeliveries: req_u64(v, "redeliveries")?,
-        retry_time_s: req_f64(v, "retry_time_s")?,
-        cart_stalls: req_u64(v, "cart_stalls")?,
-        connector_replacements: req_u64(v, "connector_replacements")?,
-        repressurisations: req_u64(v, "repressurisations")?,
-        dock_crashes: req_u64(v, "dock_crashes")?,
-        dock_recovery_time_s: req_f64(v, "dock_recovery_time_s")?,
-        dock_downtime: req_array(v, "dock_downtime")?
-            .iter()
-            .map(|s| value_f64(s, "dock_downtime entry"))
-            .collect::<Result<_, _>>()?,
-        shards_scanned: req_u64(v, "shards_scanned")?,
-        shards_corrupted: req_u64(v, "shards_corrupted")?,
-        shards_reconstructed: req_u64(v, "shards_reconstructed")?,
-        deliveries_verified: req_u64(v, "deliveries_verified")?,
-        deliveries_reshipped: req_u64(v, "deliveries_reshipped")?,
-        verification_time_s: req_f64(v, "verification_time_s")?,
-        reconstruction_time_s: req_f64(v, "reconstruction_time_s")?,
-        verification_energy_j: req_f64(v, "verification_energy_j")?,
-    })
-}
-
-fn sorted_metric_entries(
-    v: &JsonValue,
-    key: &str,
-) -> Result<Vec<(String, JsonValue)>, CheckpointError> {
-    let map: &BTreeMap<String, JsonValue> = req(v, key)?
-        .as_object()
-        .ok_or_else(|| bad(format!("`{key}` is not an object")))?;
-    Ok(map
-        .iter()
-        .map(|(k, val)| (k.clone(), val.clone()))
-        .collect())
-}
-
-fn metrics_from_json(v: &JsonValue) -> Result<MetricsState, CheckpointError> {
-    Ok(MetricsState {
-        counters: sorted_metric_entries(v, "counters")?
-            .into_iter()
-            .map(|(name, val)| Ok((name.clone(), value_u64(&val, &name)?)))
-            .collect::<Result<_, CheckpointError>>()?,
-        gauges: sorted_metric_entries(v, "gauges")?
-            .into_iter()
-            .map(|(name, val)| Ok((name.clone(), value_f64(&val, &name)?)))
-            .collect::<Result<_, CheckpointError>>()?,
-        histograms: sorted_metric_entries(v, "histograms")?
-            .into_iter()
-            .map(|(name, val)| {
-                let buckets = req_array(&val, "buckets")?
-                    .iter()
-                    .map(|pair| {
-                        let pair = pair
-                            .as_array()
-                            .ok_or_else(|| bad("histogram bucket is not a pair"))?;
-                        if pair.len() != 2 {
-                            return Err(bad("histogram bucket is not a [bucket, count] pair"));
-                        }
-                        Ok((
-                            value_u32(&pair[0], "histogram bucket index")?,
-                            value_u64(&pair[1], "histogram bucket count")?,
-                        ))
-                    })
-                    .collect::<Result<_, CheckpointError>>()?;
-                Ok((
-                    name,
-                    HistogramState {
-                        count: req_u64(&val, "count")?,
-                        sum: req_f64(&val, "sum")?,
-                        // An empty histogram's raw bounds are the infinities
-                        // the codec cannot carry; reinstate them from null.
-                        min: opt_f64(&val, "min")?.unwrap_or(f64::INFINITY),
-                        max: opt_f64(&val, "max")?.unwrap_or(f64::NEG_INFINITY),
-                        buckets,
-                    },
-                ))
-            })
-            .collect::<Result<_, CheckpointError>>()?,
-    })
 }
 
 #[cfg(test)]
@@ -1454,6 +635,7 @@ mod tests {
         DockControllerFaultSpec, DockRecoveryPolicy, FaultSpec, IntegritySpec, ReliabilitySpec,
     };
     use crate::report::BulkTransferReport;
+    use dhl_storage::ConnectorKind;
 
     const PB2: f64 = 2.0;
 
@@ -1781,6 +963,74 @@ mod tests {
             .expect("begin");
         let _ = sys.run_until(Seconds::new(400.0)).expect("run");
         let cp = sys.checkpoint();
+        let resumed = DhlSystem::resume(cfg, &cp).expect("resume");
+        assert_eq!(resumed.checkpoint(), cp);
+    }
+
+    #[test]
+    fn resume_rejects_an_unknown_metric_name() {
+        let cfg = faulty_config();
+        let mut sys = DhlSystem::new(cfg.clone()).expect("valid config");
+        sys.begin_bulk_transfer(Bytes::from_petabytes(PB2))
+            .expect("begin");
+        let _ = sys.run_until(Seconds::new(100.0)).expect("run");
+        let text = sys.checkpoint().to_json();
+        assert!(text.contains("\"sim.carts_launched\":"));
+        let renamed = text.replace("\"sim.carts_launched\":", "\"sim.carts_flung\":");
+        let cp = Checkpoint::from_json(&renamed).expect("still well-formed");
+        match DhlSystem::resume(cfg, &cp) {
+            Err(SimError::UnknownMetric { name }) => assert_eq!(name, "sim.carts_flung"),
+            other => panic!("expected UnknownMetric, got {other:?}"),
+        }
+    }
+
+    fn m2_connector_config() -> SimConfig {
+        let mut cfg = faulty_config();
+        if let Some(conn) = cfg
+            .faults
+            .as_mut()
+            .and_then(|f| f.docking_connector.as_mut())
+        {
+            conn.kind = ConnectorKind::M2;
+        }
+        cfg
+    }
+
+    #[test]
+    fn resume_rejects_connector_wear_beyond_the_rating_promptly() {
+        let cfg = m2_connector_config();
+        let mut sys = DhlSystem::new(cfg.clone()).expect("valid config");
+        sys.begin_bulk_transfer(Bytes::from_petabytes(PB2))
+            .expect("begin");
+        let _ = sys.run_until(Seconds::new(100.0)).expect("run");
+        let mut cp = sys.checkpoint();
+        cp.carts[3].connector_cycles = Some(u32::MAX);
+        let cp = Checkpoint::from_json(&cp.to_json()).expect("well-formed");
+        let start = std::time::Instant::now();
+        match DhlSystem::resume(cfg, &cp) {
+            Err(SimError::ConnectorCyclesExceedRating {
+                cart,
+                cycles,
+                rated,
+            }) => {
+                assert_eq!((cart, cycles, rated), (3, u32::MAX, 250));
+            }
+            other => panic!("expected ConnectorCyclesExceedRating, got {other:?}"),
+        }
+        // Rebuilding the connector by replaying 4·10⁹ matings would take
+        // seconds even in a release build.
+        assert!(start.elapsed().as_secs_f64() < 1.0);
+    }
+
+    #[test]
+    fn connector_worn_to_exactly_its_rating_resumes() {
+        let cfg = m2_connector_config();
+        let mut sys = DhlSystem::new(cfg.clone()).expect("valid config");
+        sys.begin_bulk_transfer(Bytes::from_petabytes(PB2))
+            .expect("begin");
+        let _ = sys.run_until(Seconds::new(100.0)).expect("run");
+        let mut cp = sys.checkpoint();
+        cp.carts[3].connector_cycles = Some(ConnectorKind::M2.rated_cycles());
         let resumed = DhlSystem::resume(cfg, &cp).expect("resume");
         assert_eq!(resumed.checkpoint(), cp);
     }

@@ -39,6 +39,7 @@ pub mod api;
 pub mod arena;
 pub mod arrivals;
 pub mod checkpoint;
+mod codec;
 pub mod config;
 pub mod engine;
 pub(crate) mod metrics;

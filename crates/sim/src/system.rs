@@ -152,6 +152,47 @@ pub(crate) struct Mission {
     pub(crate) completion_time: Option<f64>,
 }
 
+/// A shard waiting to be redelivered after a loss.
+#[derive(Copy, Clone, PartialEq, Debug)]
+pub(crate) struct Redelivery {
+    pub(crate) endpoint: EndpointId,
+    pub(crate) payload: Bytes,
+    /// The attempt the redelivery will be (2 for the first retry).
+    pub(crate) attempt: u32,
+}
+
+/// A shard that ran out of delivery attempts.
+#[derive(Copy, Clone, PartialEq, Debug)]
+pub(crate) struct Abandoned {
+    pub(crate) endpoint: EndpointId,
+    pub(crate) attempts: u32,
+}
+
+/// Fault-injection and integrity accounting, kept apart from the state
+/// machines so a checkpoint captures and restores it as one value.
+#[derive(Clone, PartialEq, Debug, Default)]
+pub(crate) struct Counters {
+    pub(crate) ssd_failures: u64,
+    pub(crate) data_loss_events: u64,
+    pub(crate) redeliveries: u64,
+    pub(crate) retry_time_s: f64,
+    pub(crate) cart_stalls: u64,
+    pub(crate) connector_replacements: u64,
+    pub(crate) repressurisations: u64,
+    pub(crate) dock_crashes: u64,
+    pub(crate) dock_recovery_time_s: f64,
+    /// Controller recovery downtime accumulated per endpoint.
+    pub(crate) dock_downtime: Vec<f64>,
+    pub(crate) shards_scanned: u64,
+    pub(crate) shards_corrupted: u64,
+    pub(crate) shards_reconstructed: u64,
+    pub(crate) deliveries_verified: u64,
+    pub(crate) deliveries_reshipped: u64,
+    pub(crate) verification_time_s: f64,
+    pub(crate) reconstruction_time_s: f64,
+    pub(crate) verification_energy_j: f64,
+}
+
 /// Errors from running a simulation.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -178,6 +219,22 @@ pub enum SimError {
         expected: u64,
         /// Fingerprint of the configuration passed to `resume`.
         actual: u64,
+    },
+    /// A checkpoint carries a metric the simulator does not record.
+    UnknownMetric {
+        /// The unrecognised metric name.
+        name: String,
+    },
+    /// A checkpoint records more matings on a cart's docking connector
+    /// than its rating allows — a count no run reaches, because mating
+    /// stops at the rating.
+    ConnectorCyclesExceedRating {
+        /// The cart carrying the connector.
+        cart: CartId,
+        /// Mating cycles the checkpoint records.
+        cycles: u32,
+        /// The connector's rated cycle count.
+        rated: u32,
     },
     /// A replica crashed more times than its recovery budget allows.
     RestartBudgetExhausted {
@@ -209,6 +266,20 @@ impl core::fmt::Display for SimError {
                     f,
                     "checkpoint was captured under a different configuration \
                      (fingerprint {expected:#018x}, got {actual:#018x})"
+                )
+            }
+            Self::UnknownMetric { name } => {
+                write!(f, "checkpoint carries unknown metric `{name}`")
+            }
+            Self::ConnectorCyclesExceedRating {
+                cart,
+                cycles,
+                rated,
+            } => {
+                write!(
+                    f,
+                    "checkpoint gives cart {cart}'s connector {cycles} mating cycles, \
+                     beyond its rating of {rated}"
                 )
             }
             Self::RestartBudgetExhausted { replica, restarts } => {
@@ -275,7 +346,7 @@ pub struct DhlSystem {
     pub(crate) pending: VecDeque<Movement>,
     /// Shards awaiting redelivery after a RAID-uncovered loss; served before
     /// fresh demand so retries keep their place in the mission.
-    pub(crate) redelivery_queue: VecDeque<(EndpointId, Bytes, u32)>,
+    pub(crate) redelivery_queue: VecDeque<Redelivery>,
     pub(crate) mission: Mission,
     pub(crate) wakeup_scheduled: bool,
     pub(crate) total_energy: Joules,
@@ -290,26 +361,9 @@ pub struct DhlSystem {
     /// Independent stream for silent-corruption sampling, so enabling the
     /// integrity pipeline perturbs neither the reliability nor fault streams.
     pub(crate) integrity_rng: Option<DeterministicRng>,
-    pub(crate) ssd_failures: u64,
-    pub(crate) data_loss_events: u64,
-    pub(crate) redeliveries: u64,
-    pub(crate) retry_time_s: f64,
-    pub(crate) cart_stalls: u64,
-    pub(crate) connector_replacements: u64,
-    pub(crate) repressurisations: u64,
-    pub(crate) dock_crashes: u64,
-    pub(crate) dock_recovery_time_s: f64,
-    /// Controller recovery downtime accumulated per endpoint.
-    pub(crate) dock_downtime: Vec<f64>,
-    pub(crate) abandoned: Option<(EndpointId, u32)>,
-    pub(crate) shards_scanned: u64,
-    pub(crate) shards_corrupted: u64,
-    pub(crate) shards_reconstructed: u64,
-    pub(crate) deliveries_verified: u64,
-    pub(crate) deliveries_reshipped: u64,
-    pub(crate) verification_time_s: f64,
-    pub(crate) reconstruction_time_s: f64,
-    pub(crate) verification_energy: Joules,
+    pub(crate) counters: Counters,
+    /// The shard that exhausted its delivery attempts, ending the run.
+    pub(crate) abandoned: Option<Abandoned>,
     /// Events processed before the current mission started, so per-run
     /// event accounting survives checkpoint/resume.
     pub(crate) events_at_mission_start: u64,
@@ -392,25 +446,11 @@ impl DhlSystem {
             fault_rng,
             integrity_rng,
             trace: TraceSink::Disabled,
-            ssd_failures: 0,
-            data_loss_events: 0,
-            redeliveries: 0,
-            retry_time_s: 0.0,
-            cart_stalls: 0,
-            connector_replacements: 0,
-            repressurisations: 0,
-            dock_crashes: 0,
-            dock_recovery_time_s: 0.0,
-            dock_downtime,
+            counters: Counters {
+                dock_downtime,
+                ..Counters::default()
+            },
             abandoned: None,
-            shards_scanned: 0,
-            shards_corrupted: 0,
-            shards_reconstructed: 0,
-            deliveries_verified: 0,
-            deliveries_reshipped: 0,
-            verification_time_s: 0.0,
-            reconstruction_time_s: 0.0,
-            verification_energy: Joules::ZERO,
             events_at_mission_start: 0,
             run_watch: None,
             metrics,
@@ -543,7 +583,7 @@ impl DhlSystem {
         let rng = self.fault_rng.as_mut().expect("fault rng exists with spec");
         if let Some(rep) = repressurisation {
             if rng.random_bool(rep.probability_per_movement) {
-                self.repressurisations += 1;
+                self.counters.repressurisations += 1;
                 self.metrics.add(self.handles.repressurisations, 1);
                 let until = now + rep.duration.seconds();
                 let track = &mut self.tracks[idx];
@@ -582,7 +622,7 @@ impl DhlSystem {
         if stalled {
             // The stalled cart blocks everything behind it on this track
             // from the moment it departs; carts already ahead are unaffected.
-            self.cart_stalls += 1;
+            self.counters.cart_stalls += 1;
             self.metrics.add(self.handles.cart_stalls, 1);
             track.blocked_by = Some(m.cart);
             track.blocked_since = now;
@@ -684,14 +724,14 @@ impl DhlSystem {
 
     fn schedule_delivery_for(&mut self, cart: CartId) {
         // Redeliveries first: a lost shard keeps its place in the mission.
-        if let Some((rack, shard, attempt)) = self.redelivery_queue.pop_front() {
+        if let Some(r) = self.redelivery_queue.pop_front() {
             self.mission.scheduled += 1;
             self.pending.push_back(Movement {
                 cart,
                 from: 0,
-                to: rack,
-                payload: shard,
-                attempt,
+                to: r.endpoint,
+                payload: r.payload,
+                attempt: r.attempt,
             });
             return;
         }
@@ -764,7 +804,7 @@ impl DhlSystem {
                     if conn.mate().is_err() {
                         conn.replace();
                         let _ = conn.mate();
-                        self.connector_replacements += 1;
+                        self.counters.connector_replacements += 1;
                         self.metrics.add(self.handles.connector_replacements, 1);
                         dock += replacement;
                     }
@@ -873,9 +913,9 @@ impl DhlSystem {
                 Seconds::new(m.payload.as_f64() / spec.rebuild_scan_bandwidth_bytes_per_second)
             }
         };
-        self.dock_crashes += 1;
-        self.dock_recovery_time_s += downtime.seconds();
-        self.dock_downtime[m.to] += downtime.seconds();
+        self.counters.dock_crashes += 1;
+        self.counters.dock_recovery_time_s += downtime.seconds();
+        self.counters.dock_downtime[m.to] += downtime.seconds();
         self.total_energy += spec.recovery_power * downtime;
         self.metrics.add(self.handles.dock_controller_crashes, 1);
         self.metrics
@@ -901,11 +941,11 @@ impl DhlSystem {
         }
         let rng = self.reliability_rng.as_mut().expect("rng exists with spec");
         let failed = failure.sample_failures(rng, ssds_per_cart, exposure);
-        self.ssd_failures += u64::from(failed);
+        self.counters.ssd_failures += u64::from(failed);
         self.metrics
             .add(self.handles.ssd_failures, u64::from(failed));
         if !raid.tolerates(failed) {
-            self.data_loss_events += 1;
+            self.counters.data_loss_events += 1;
             self.metrics.add(self.handles.data_loss_events, 1);
             return true;
         }
@@ -956,16 +996,23 @@ impl DhlSystem {
             attempt,
         });
         // The whole round trip was wasted work.
-        self.retry_time_s += 2.0 * trip_time.seconds();
+        self.counters.retry_time_s += 2.0 * trip_time.seconds();
         self.metrics.add(self.handles.delivery_failures, 1);
         let requeued = attempt < max_attempts;
         if requeued {
-            self.redeliveries += 1;
+            self.counters.redeliveries += 1;
             self.metrics.add(self.handles.redeliveries, 1);
             self.mission.total_deliveries += 1;
-            self.redelivery_queue.push_back((to, payload, attempt + 1));
+            self.redelivery_queue.push_back(Redelivery {
+                endpoint: to,
+                payload,
+                attempt: attempt + 1,
+            });
         } else {
-            self.abandoned = Some((to, attempt));
+            self.abandoned = Some(Abandoned {
+                endpoint: to,
+                attempts: attempt,
+            });
         }
         // No processing dwell for a dead payload: head home immediately.
         self.pending.push_back(Movement {
@@ -1022,9 +1069,9 @@ impl DhlSystem {
         let verify_time = Seconds::new(m.payload.as_f64() / verify_bandwidth);
         let energy = verify_power * verify_time;
         self.total_energy += energy;
-        self.verification_energy += energy;
-        self.verification_time_s += verify_time.seconds();
-        self.shards_scanned += shards;
+        self.counters.verification_energy_j += energy.value();
+        self.counters.verification_time_s += verify_time.seconds();
+        self.counters.shards_scanned += shards;
         self.metrics.add(self.handles.shards_scanned, shards);
         self.metrics
             .record(self.handles.verify_s, verify_time.seconds());
@@ -1069,7 +1116,7 @@ impl DhlSystem {
             corruption.sample_corrupted_shards(rng, pv.shards, pv.trip_time, wear, conn_wear);
 
         if corrupted == 0 {
-            self.deliveries_verified += 1;
+            self.counters.deliveries_verified += 1;
             self.metrics.add(self.handles.deliveries_verified, 1);
             self.record(TraceEventKind::PayloadVerified {
                 cart,
@@ -1080,7 +1127,7 @@ impl DhlSystem {
             return;
         }
 
-        self.shards_corrupted += corrupted;
+        self.counters.shards_corrupted += corrupted;
         self.metrics.add(self.handles.shards_corrupted, corrupted);
         self.record(TraceEventKind::PayloadCorrupted {
             cart,
@@ -1099,9 +1146,9 @@ impl DhlSystem {
                 corrupted as f64 * self.shard_size(shards_per_cart).as_f64()
                     / reconstruct_bandwidth,
             );
-            self.shards_reconstructed += corrupted;
-            self.reconstruction_time_s += rebuild_time.seconds();
-            self.deliveries_verified += 1;
+            self.counters.shards_reconstructed += corrupted;
+            self.counters.reconstruction_time_s += rebuild_time.seconds();
+            self.counters.deliveries_verified += 1;
             self.metrics
                 .add(self.handles.shards_reconstructed, corrupted);
             self.metrics.add(self.handles.deliveries_verified, 1);
@@ -1115,10 +1162,10 @@ impl DhlSystem {
         } else {
             // Beyond parity: the payload is unrecoverable at the dock and
             // re-enters the PR-1 bounded-retry machinery.
-            self.data_loss_events += 1;
+            self.counters.data_loss_events += 1;
             self.metrics.add(self.handles.data_loss_events, 1);
             if self.fail_delivery(cart, pv.to, pv.payload, pv.attempt, pv.trip_time) {
-                self.deliveries_reshipped += 1;
+                self.counters.deliveries_reshipped += 1;
                 self.metrics.add(self.handles.deliveries_reshipped, 1);
             }
         }
@@ -1129,14 +1176,14 @@ impl DhlSystem {
             return IntegrityReport::default();
         }
         IntegrityReport {
-            shards_scanned: self.shards_scanned,
-            shards_corrupted: self.shards_corrupted,
-            shards_reconstructed: self.shards_reconstructed,
-            deliveries_verified: self.deliveries_verified,
-            deliveries_reshipped: self.deliveries_reshipped,
-            verification_time: Seconds::new(self.verification_time_s),
-            reconstruction_time: Seconds::new(self.reconstruction_time_s),
-            verification_energy: self.verification_energy,
+            shards_scanned: self.counters.shards_scanned,
+            shards_corrupted: self.counters.shards_corrupted,
+            shards_reconstructed: self.counters.shards_reconstructed,
+            deliveries_verified: self.counters.deliveries_verified,
+            deliveries_reshipped: self.counters.deliveries_reshipped,
+            verification_time: Seconds::new(self.counters.verification_time_s),
+            reconstruction_time: Seconds::new(self.counters.reconstruction_time_s),
+            verification_energy: Joules::new(self.counters.verification_energy_j),
         }
     }
 
@@ -1297,7 +1344,7 @@ impl DhlSystem {
                 return Ok(self.queue.is_empty());
             };
             self.handle(ev);
-            if let Some((endpoint, attempts)) = self.abandoned {
+            if let Some(Abandoned { endpoint, attempts }) = self.abandoned {
                 return Err(SimError::DeliveryAbandoned { endpoint, attempts });
             }
             if self.queue.events_processed() > self.event_budget {
@@ -1367,8 +1414,8 @@ impl DhlSystem {
                 .collect(),
             max_carts_in_flight: self.max_in_flight,
             events_processed: self.queue.events_processed(),
-            ssd_failures: self.ssd_failures,
-            data_loss_events: self.data_loss_events,
+            ssd_failures: self.counters.ssd_failures,
+            data_loss_events: self.counters.data_loss_events,
             reliability: self.reliability_report(completion),
             integrity: self.integrity_report(),
             metrics: self.metrics.snapshot(),
@@ -1387,8 +1434,8 @@ impl DhlSystem {
             }
         };
         ReliabilityReport {
-            redeliveries: self.redeliveries,
-            retry_time: Seconds::new(self.retry_time_s),
+            redeliveries: self.counters.redeliveries,
+            retry_time: Seconds::new(self.counters.retry_time_s),
             goodput: rate(self.mission.delivered),
             throughput: rate(self.mission.gross_delivered),
             track_downtime: self
@@ -1396,12 +1443,13 @@ impl DhlSystem {
                 .iter()
                 .map(|t| Seconds::new(t.downtime_accum))
                 .collect(),
-            cart_stalls: self.cart_stalls,
-            connector_replacements: self.connector_replacements,
-            repressurisations: self.repressurisations,
-            dock_controller_crashes: self.dock_crashes,
-            dock_recovery_time: Seconds::new(self.dock_recovery_time_s),
+            cart_stalls: self.counters.cart_stalls,
+            connector_replacements: self.counters.connector_replacements,
+            repressurisations: self.counters.repressurisations,
+            dock_controller_crashes: self.counters.dock_crashes,
+            dock_recovery_time: Seconds::new(self.counters.dock_recovery_time_s),
             dock_downtime: self
+                .counters
                 .dock_downtime
                 .iter()
                 .map(|s| Seconds::new(*s))

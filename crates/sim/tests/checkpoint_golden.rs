@@ -1,0 +1,264 @@
+//! Golden bytes for the checkpoint JSON format.
+//!
+//! Seven simulator configurations are each captured at five instants
+//! (before the first event, three points inside the mission and one after
+//! the queue has drained), and
+//! the exact `Checkpoint::to_json` text of every capture is hashed with
+//! FNV-1a. Two open-loop arrival processes are captured the same way
+//! through `ArrivalState::to_json`. The tables below pin the serialised
+//! form byte for byte — key names, integer-vs-float number syntax, `null`
+//! for absent values and empty-histogram bounds, array-vs-object shapes —
+//! so a change to how checkpoints are encoded cannot pass unnoticed: a
+//! checkpoint written by one build must stay readable by the next.
+//!
+//! On a mismatch the test prints the freshly computed table; replace the
+//! golden table with it only when a format change is intended (and bump
+//! the checkpoint `FORMAT_VERSION` with it).
+
+use dhl_sim::{
+    ArrivalGenerator, ArrivalProcess, ArrivalSpec, Checkpoint, DhlSystem, DockControllerFaultSpec,
+    DockRecoveryPolicy, EndpointKind, EndpointSpec, FaultSpec, IntegritySpec, ReliabilitySpec,
+    SimConfig,
+};
+use dhl_storage::fnv1a_64;
+use dhl_units::{Bytes, Metres, Seconds};
+
+/// Capture instants, as fractions of each mission's uninterrupted
+/// completion time: before the first event, three points inside the
+/// mission, and one after the queue has drained.
+const CAPTURE_AT: [f64; 5] = [0.0, 0.15, 0.5, 0.85, 1.5];
+
+const CONFIGS: [&str; 7] = [
+    "paper-default",
+    "stress",
+    "integrity",
+    "dock-crash",
+    "metrics-disabled",
+    "trace",
+    "multi-rack",
+];
+
+/// One row per entry of `CONFIGS`, one column per entry of `CAPTURE_AT`.
+#[rustfmt::skip]
+const GOLDEN: [[u64; 5]; 7] = [
+    [0x7f607647b82da7f7, 0xae16a660d6559f63, 0x63a35b484706aa3c, 0xe1f6517bc3413e27, 0x82fa949f45a25099],
+    [0x5ebbf11f77d6f1b3, 0x337035a1bf288a5c, 0xfc0d3913203c277a, 0x6a187fede7528544, 0xba7956294c9e6ae8],
+    [0x7e65ae55cd84535d, 0xd317198506f0bfa9, 0x0e5f8349a6d71fe9, 0x61fc83955e830a29, 0xf6b6be556111ad03],
+    [0xda8586f39ce7c2e0, 0x7fabb677382e4686, 0xc3eb9993314133e6, 0x6a4280aa4f47fe43, 0xe01841fe0c0ad168],
+    [0x7ce9f7ff24cf0db2, 0x9294a6411a18932b, 0x47d3f45598f22919, 0xc6eb6015beac5791, 0xe1a26fb9abe70135],
+    [0x64cb94d8571fea9d, 0x3b1abff82c70cf65, 0x9a46f613838e2a7d, 0xba9602c5366e6775, 0x31cb0954fa8ad91f],
+    [0x42c1a988b649300e, 0xe406bf0efc82080b, 0x4e7f5afa6b903989, 0x24ce13b87797a3a6, 0x71db50e0c0c25115],
+];
+
+/// Arrivals drawn before each `ArrivalState` capture.
+const ARRIVALS_BEFORE: [usize; 3] = [0, 17, 400];
+
+const PROCESSES: [&str; 2] = ["poisson", "on-off-burst"];
+
+/// One row per entry of `PROCESSES`, one column per entry of
+/// `ARRIVALS_BEFORE`.
+#[rustfmt::skip]
+const ARRIVAL_GOLDEN: [[u64; 3]; 2] = [
+    [0x1bc63921082a7f8e, 0x71f3817e8f8e7e98, 0x6da4ca8022a2ea00],
+    [0x05898009a364c7e1, 0xe2629ec26550b712, 0xf8a39e14f0d16922],
+];
+
+fn reliability(seed: u64) -> Option<ReliabilitySpec> {
+    Some(ReliabilitySpec {
+        seed,
+        ..ReliabilitySpec::typical()
+    })
+}
+
+/// A library and four racks at uneven spacing, with rack-specific dock
+/// counts, so the campus mission keeps several demands and tracks busy.
+fn multi_rack_config() -> SimConfig {
+    let mut cfg = SimConfig::paper_default();
+    cfg.num_carts = 24;
+    cfg.endpoints = vec![EndpointSpec {
+        position: Metres::ZERO,
+        docks: 24,
+        kind: EndpointKind::Library,
+    }];
+    for (position, docks) in [(280.0, 4), (590.0, 2), (910.0, 4), (1_190.0, 3)] {
+        cfg.endpoints.push(EndpointSpec {
+            position: Metres::new(position),
+            docks,
+            kind: EndpointKind::Rack,
+        });
+    }
+    cfg.reliability = reliability(29);
+    cfg
+}
+
+/// A system for `name`, with its mission begun and nothing yet run.
+fn begun(name: &str) -> DhlSystem {
+    let dataset = Bytes::from_petabytes(12.0);
+    let mut cfg = SimConfig::paper_default();
+    match name {
+        "paper-default" | "metrics-disabled" | "trace" | "multi-rack" => {}
+        "stress" => {
+            cfg.reliability = reliability(7);
+            cfg.faults = Some(FaultSpec::stress());
+        }
+        "integrity" => {
+            cfg.reliability = reliability(11);
+            cfg.integrity = Some(IntegritySpec::typical());
+        }
+        "dock-crash" => {
+            cfg.reliability = reliability(13);
+            cfg.faults = Some(FaultSpec {
+                dock_controller: Some(DockControllerFaultSpec {
+                    crash_probability_per_docking: 0.5,
+                    recovery: DockRecoveryPolicy::RebuildFromScan,
+                    ..DockControllerFaultSpec::journal_replay()
+                }),
+                ..FaultSpec::recovery_only()
+            });
+        }
+        other => panic!("unknown configuration {other}"),
+    }
+    if name == "multi-rack" {
+        cfg = multi_rack_config();
+    }
+    let mut sys = DhlSystem::new(cfg).expect("valid configuration");
+    match name {
+        "metrics-disabled" => sys.set_metrics_enabled(false),
+        // A small buffer, so the capture also carries dropped events.
+        "trace" => sys.enable_trace(48),
+        _ => {}
+    }
+    if name == "multi-rack" {
+        let demands = [
+            (1, Bytes::from_petabytes(3.6)),
+            (2, Bytes::from_petabytes(1.6)),
+            (3, Bytes::from_petabytes(5.2)),
+            (4, Bytes::from_petabytes(2.8)),
+        ];
+        sys.begin_multi_rack(&demands).expect("begin");
+    } else {
+        sys.begin_bulk_transfer(dataset).expect("begin");
+    }
+    sys
+}
+
+fn checkpoint_hashes() -> Vec<[u64; 5]> {
+    CONFIGS
+        .iter()
+        .map(|name| {
+            let mut uninterrupted = begun(name);
+            let _ = uninterrupted
+                .run_until(Seconds::new(f64::INFINITY))
+                .expect("run");
+            let completion = uninterrupted.now().seconds();
+            let mut sys = begun(name);
+            let mut row = [0; 5];
+            for (slot, &fraction) in row.iter_mut().zip(&CAPTURE_AT) {
+                let t = fraction * completion;
+                let _ = sys.run_until(Seconds::new(t)).expect("run");
+                let text = sys.checkpoint().to_json();
+                let decoded = Checkpoint::from_json(&text).expect("decode");
+                assert_eq!(decoded.to_json(), text, "{name} at {t} s");
+                *slot = fnv1a_64(text.as_bytes());
+            }
+            row
+        })
+        .collect()
+}
+
+fn arrival_spec(process: &str) -> ArrivalSpec {
+    let spec = ArrivalSpec::poisson(0.8, Seconds::new(10_000.0), 41)
+        .with_tenants(12)
+        .with_deadlines(Seconds::new(90.0), 0.3);
+    match process {
+        "poisson" => spec,
+        "on-off-burst" => ArrivalSpec {
+            process: ArrivalProcess::OnOffBurst {
+                on_rate_per_second: 3.5,
+                off_rate_per_second: 0.25,
+                mean_on_duration: Seconds::new(15.0),
+                mean_off_duration: Seconds::new(45.0),
+            },
+            ..spec
+        },
+        other => panic!("unknown process {other}"),
+    }
+}
+
+fn arrival_hashes() -> Vec<[u64; 3]> {
+    PROCESSES
+        .iter()
+        .map(|process| {
+            let mut gen = ArrivalGenerator::new(&arrival_spec(process));
+            let mut drawn = 0;
+            let mut row = [0; 3];
+            for (slot, &before) in row.iter_mut().zip(&ARRIVALS_BEFORE) {
+                while drawn < before {
+                    gen.next_arrival().expect("arrival inside the horizon");
+                    drawn += 1;
+                }
+                *slot = fnv1a_64(gen.state().to_json().as_bytes());
+            }
+            row
+        })
+        .collect()
+}
+
+fn table<const N: usize>(rows: &[[u64; N]]) -> String {
+    rows.iter()
+        .map(|row| {
+            let cells: Vec<String> = row.iter().map(|h| format!("0x{h:016x}")).collect();
+            format!("    [{}],\n", cells.join(", "))
+        })
+        .collect()
+}
+
+#[test]
+fn checkpoint_json_matches_its_golden_hash() {
+    let fresh = checkpoint_hashes();
+    let printed = table(&fresh);
+    for (i, row) in fresh.iter().enumerate() {
+        for (j, &hash) in row.iter().enumerate() {
+            assert!(
+                hash == GOLDEN[i][j],
+                "{} at {} of completion: hash 0x{hash:016x} != golden 0x{:016x}\nfresh table:\n[\n{printed}]",
+                CONFIGS[i],
+                CAPTURE_AT[j],
+                GOLDEN[i][j],
+            );
+        }
+    }
+}
+
+#[test]
+fn arrival_state_json_matches_its_golden_hash() {
+    let fresh = arrival_hashes();
+    let printed = table(&fresh);
+    for (i, row) in fresh.iter().enumerate() {
+        for (j, &hash) in row.iter().enumerate() {
+            assert!(
+                hash == ARRIVAL_GOLDEN[i][j],
+                "{} after {} arrivals: hash 0x{hash:016x} != golden 0x{:016x}\n\
+                 fresh table:\n[\n{printed}]",
+                PROCESSES[i],
+                ARRIVALS_BEFORE[j],
+                ARRIVAL_GOLDEN[i][j],
+            );
+        }
+    }
+}
+
+/// The hash must see enough of each capture to tell them apart: a table
+/// of collisions would pin nothing.
+#[test]
+fn golden_hashes_are_distinct() {
+    let mut all: Vec<u64> = GOLDEN
+        .iter()
+        .flatten()
+        .chain(ARRIVAL_GOLDEN.iter().flatten())
+        .copied()
+        .collect();
+    all.sort_unstable();
+    all.dedup();
+    assert_eq!(all.len(), 7 * 5 + 2 * 3);
+}

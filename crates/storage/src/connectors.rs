@@ -78,6 +78,15 @@ impl DockingConnector {
         }
     }
 
+    /// A connector of the given family that has already sustained
+    /// `cycles_used` matings: the state `cycles_used` successful
+    /// [`DockingConnector::mate`] calls leave on a fresh one. `None` when
+    /// the count exceeds the rating, which no sequence of matings reaches.
+    #[must_use]
+    pub fn with_cycles_used(kind: ConnectorKind, cycles_used: u32) -> Option<Self> {
+        (cycles_used <= kind.rated_cycles()).then_some(Self { kind, cycles_used })
+    }
+
     /// The connector family.
     #[must_use]
     pub fn kind(&self) -> ConnectorKind {
@@ -161,6 +170,26 @@ mod tests {
         conn.replace();
         assert_eq!(conn.cycles_used(), 0);
         assert!(!conn.is_worn_out());
+    }
+
+    #[test]
+    fn with_cycles_used_matches_repeated_mating_up_to_the_rating() {
+        let mut mated = DockingConnector::new(ConnectorKind::M2);
+        for n in 0..=250 {
+            assert_eq!(
+                DockingConnector::with_cycles_used(ConnectorKind::M2, n),
+                Some(mated)
+            );
+            let _ = mated.mate();
+        }
+        assert_eq!(
+            DockingConnector::with_cycles_used(ConnectorKind::M2, 251),
+            None
+        );
+        assert_eq!(
+            DockingConnector::with_cycles_used(ConnectorKind::UsbC, u32::MAX),
+            None
+        );
     }
 
     #[test]

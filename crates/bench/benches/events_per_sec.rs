@@ -1,5 +1,6 @@
 //! Engine event-throughput benches: queue churn against the reference
-//! heap, full-system steady state, and the checkpoint-heavy variant. The
+//! heap, full-system steady state, the checkpoint-heavy variant, and the
+//! launch-backlog scaling check on a 16-rack campus. The
 //! same cases run inside `report --json`, where the CI gate checks them
 //! under the `sim/events_per_sec` prefix.
 

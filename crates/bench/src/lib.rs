@@ -594,7 +594,13 @@ pub fn all_reports() -> Vec<(&'static str, ReportFn)> {
 ///   historical baseline;
 /// - **steady state** — a full 2 PB bulk-transfer mission;
 /// - **checkpoint heavy** — the same mission interrupted every 60
-///   simulated seconds by a checkpoint → JSON → parse → resume round trip.
+///   simulated seconds by a checkpoint → JSON → parse → resume round trip;
+/// - **campus backlog** — a 16-rack campus mission with 128 carts, whose
+///   64 rack docks leave most of the fleet waiting to launch. The same
+///   campus also runs with 32 carts, interleaved with the 128-cart runs,
+///   and the suite asserts that the larger fleet's per-event cost stays
+///   below twice the smaller one's: the cost of choosing the next launch
+///   must not grow with the backlog.
 ///
 /// The derived events/sec rates are printed to stderr alongside the
 /// recorded ns/iter cases.
@@ -710,7 +716,87 @@ pub fn events_per_sec_cases() -> Vec<report_file::BenchCase> {
         result: heavy,
         metrics: None,
     });
+    cases.push(campus_backlog_case());
     cases
+}
+
+/// Bound on the 128-cart campus's per-event cost as a multiple of the
+/// 32-cart campus's (see [`events_per_sec_cases`]). Scanning the whole
+/// backlog at every event put the ratio above 3; indexing it by launch
+/// group brought it near 1.15.
+const CAMPUS_BACKLOG_MAX_RATIO: f64 = 2.0;
+
+/// A library and 16 racks of 4 docks at 300 m spacing, with `carts` carts
+/// and 16 PB owed to each rack.
+fn backlog_campus(carts: u32) -> (SimConfig, Vec<(usize, Bytes)>) {
+    use dhl_sim::{EndpointKind, EndpointSpec};
+    let mut cfg = SimConfig::paper_default();
+    cfg.num_carts = carts;
+    cfg.endpoints = vec![EndpointSpec {
+        position: Metres::ZERO,
+        docks: carts,
+        kind: EndpointKind::Library,
+    }];
+    for rack in 1..=16 {
+        cfg.endpoints.push(EndpointSpec {
+            position: Metres::new(300.0 * f64::from(rack)),
+            docks: 4,
+            kind: EndpointKind::Rack,
+        });
+    }
+    let demands = (1..=16)
+        .map(|rack| (rack, Bytes::from_petabytes(16.0)))
+        .collect();
+    (cfg, demands)
+}
+
+/// The `sim/events_per_sec/campus_backlog` case and its scaling gate.
+///
+/// # Panics
+///
+/// If the 128-cart campus costs [`CAMPUS_BACKLOG_MAX_RATIO`] times the
+/// 32-cart campus per event or more.
+fn campus_backlog_case() -> report_file::BenchCase {
+    use std::time::Instant;
+
+    let campuses = [backlog_campus(32), backlog_campus(128)];
+    let mission = |(cfg, demands): &(SimConfig, Vec<(usize, Bytes)>)| {
+        DhlSystem::new(cfg.clone())
+            .expect("valid campus")
+            .run_multi_rack(demands)
+            .expect("converges")
+            .events_processed
+    };
+    // Interleaved pairs, min of each side: both fleets see the same
+    // machine state, and the minimum sheds scheduler noise.
+    let rounds = if harness::fast_mode() { 7 } else { 21 };
+    let mut best = [f64::INFINITY; 2];
+    let mut events = [0u64; 2];
+    for _ in 0..rounds {
+        for (i, campus) in campuses.iter().enumerate() {
+            let start = Instant::now();
+            events[i] = std::hint::black_box(mission(campus));
+            let ns = start.elapsed().as_secs_f64() * 1e9 / events[i] as f64;
+            best[i] = best[i].min(ns);
+        }
+    }
+    let ratio = best[1] / best[0];
+    eprintln!(
+        "sim/events_per_sec: campus backlog {:.1} ns/event at 128 carts ({} events) vs {:.1} ns/event at 32 carts ({} events) — {ratio:.2}x",
+        best[1], events[1], best[0], events[0],
+    );
+    assert!(
+        ratio < CAMPUS_BACKLOG_MAX_RATIO,
+        "per-event cost must not grow with the launch backlog: 128 carts cost \
+         {ratio:.2}x the 32-cart campus per event (bound {CAMPUS_BACKLOG_MAX_RATIO}x)"
+    );
+    let result = harness::bench_function("sim/events_per_sec/campus_backlog", || {
+        mission(&campuses[1])
+    });
+    report_file::BenchCase {
+        result,
+        metrics: None,
+    }
 }
 
 /// Runs the scheduler serving-throughput family: the `sched/requests_per_sec`

@@ -11,8 +11,11 @@
 //! checkpoint/resume boundaries only if the fleet they point into does.
 //!
 //! Columns are plain `Vec`s with `pub(crate)` visibility: the simulator
-//! and the checkpoint codec index them directly, and the arena's only job
-//! is to keep them the same length.
+//! and the checkpoint codec index them directly, and the arena's job is to
+//! keep them the same length. Locations are the one column written
+//! through a method (`CartArena::set_location`), so the arena can keep
+//! count of the carts docked at the library — derived state that makes the
+//! mission's all-carts-home check O(1) and is never serialised.
 
 use dhl_storage::connectors::DockingConnector;
 use dhl_storage::wear::CartWear;
@@ -45,7 +48,11 @@ pub(crate) struct CartArena {
     /// Per-slot generation, bumped when the slot's state is replaced
     /// wholesale (fleet rebuild on resume) rather than evolved by events.
     pub(crate) generations: Vec<u32>,
+    /// Written only through [`CartArena::set_location`] and
+    /// [`CartArena::push_cart`], which keep `at_library` in step.
     pub(crate) locations: Vec<CartLocation>,
+    /// Carts whose location is `Docked(0)`.
+    at_library: usize,
     /// In-flight movement (valid while moving).
     pub(crate) movements: Vec<Option<ActiveMovement>>,
     pub(crate) trips: Vec<u64>,
@@ -72,6 +79,7 @@ impl CartArena {
         Self {
             generations: vec![0; count],
             locations: vec![CartLocation::Docked(0); count],
+            at_library: count,
             movements: vec![None; count],
             trips: vec![0; count],
             connectors: vec![connector; count],
@@ -85,6 +93,19 @@ impl CartArena {
     #[must_use]
     pub(crate) fn len(&self) -> usize {
         self.locations.len()
+    }
+
+    /// Moves cart `cart` to `location`.
+    pub(crate) fn set_location(&mut self, cart: usize, location: CartLocation) {
+        let slot = &mut self.locations[cart];
+        self.at_library -= usize::from(*slot == CartLocation::Docked(0));
+        self.at_library += usize::from(location == CartLocation::Docked(0));
+        *slot = location;
+    }
+
+    /// Whether every cart is docked at the library.
+    pub(crate) fn all_at_library(&self) -> bool {
+        self.at_library == self.locations.len()
     }
 
     /// Empties the arena and bumps every outstanding generation, so
@@ -115,6 +136,7 @@ impl CartArena {
         verify: Option<PendingVerify>,
     ) {
         self.generations.push(generation);
+        self.at_library += usize::from(location == CartLocation::Docked(0));
         self.locations.push(location);
         self.movements.push(movement);
         self.trips.push(trips);
@@ -162,6 +184,28 @@ mod tests {
             .all(|l| *l == CartLocation::Docked(0)));
         assert!(arena.movements.iter().all(Option::is_none));
         assert_eq!(arena.trips, vec![0, 0, 0]);
+        assert!(arena.all_at_library());
+    }
+
+    #[test]
+    fn library_count_follows_every_location_change() {
+        let mut arena = CartArena::with_fleet(2, None, None);
+        arena.set_location(1, CartLocation::Moving { from: 0, to: 1 });
+        assert!(!arena.all_at_library());
+        arena.set_location(1, CartLocation::Docked(1));
+        arena.set_location(1, CartLocation::Docked(1));
+        assert!(!arena.all_at_library());
+        arena.set_location(1, CartLocation::Docked(0));
+        assert!(arena.all_at_library());
+
+        // A rebuild recounts from the restored locations.
+        let generation = arena.begin_rebuild();
+        for location in [CartLocation::Docked(0), CartLocation::Docked(2)] {
+            arena.push_cart(generation, location, None, 0, None, None, 0, None);
+        }
+        assert!(!arena.all_at_library());
+        arena.set_location(1, CartLocation::Docked(0));
+        assert!(arena.all_at_library());
     }
 
     #[test]

@@ -34,6 +34,7 @@ use dhl_rng::DeterministicRng;
 use dhl_storage::{CartWear, DockingConnector};
 use dhl_units::{Bytes, Joules, Seconds};
 
+use crate::backlog::Backlog;
 use crate::codec::{self, codec_enum, codec_struct, Codec, NullIsInf, NullIsNegInf, Plain};
 use crate::config::SimConfig;
 use crate::engine::EventQueue;
@@ -194,7 +195,7 @@ impl DhlSystem {
                 .collect(),
             dock_used: self.dock_used.clone(),
             tracks: self.tracks.clone(),
-            pending: self.pending.iter().copied().collect(),
+            pending: self.backlog.to_fifo(),
             redelivery_queue: self.redelivery_queue.iter().copied().collect(),
             mission: self.mission.clone(),
             wakeup_scheduled: self.wakeup_scheduled,
@@ -260,6 +261,8 @@ impl DhlSystem {
     ///   the checkpoint was captured under.
     /// - [`SimError::ConnectorCyclesExceedRating`] if a cart's connector
     ///   wear is beyond its rating, which no run can reach.
+    /// - [`SimError::InvalidCheckpointState`] if the dock table, the track
+    ///   list or a pending launch does not fit the configuration.
     /// - [`SimError::UnknownMetric`] if the checkpoint carries a metric the
     ///   simulator does not record.
     pub fn resume(cfg: SimConfig, cp: &Checkpoint) -> Result<Self, SimError> {
@@ -312,9 +315,10 @@ impl DhlSystem {
                 generation, c.location, c.movement, c.trips, connector, wear, c.matings, c.verify,
             );
         }
+        validate_launch_state(&sys, cp)?;
         sys.dock_used = cp.dock_used.clone();
         sys.tracks = cp.tracks.clone();
-        sys.pending = cp.pending.iter().copied().collect();
+        sys.backlog = Backlog::from_fifo(sys.cfg.endpoints.len(), cp.pending.iter().copied());
         sys.redelivery_queue = cp.redelivery_queue.iter().copied().collect();
         sys.mission = cp.mission.clone();
         sys.wakeup_scheduled = cp.wakeup_scheduled;
@@ -364,6 +368,53 @@ impl DhlSystem {
         }
         Ok(sys)
     }
+}
+
+/// Checks the state the launch rule indexes by endpoint, cart and track
+/// against the configuration (and the fleet already rebuilt into `sys`),
+/// so a corrupt checkpoint is refused here instead of panicking on an
+/// out-of-range index mid-run.
+fn validate_launch_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
+    let invalid =
+        |field: String, reason: String| Err(SimError::InvalidCheckpointState { field, reason });
+    let endpoints = sys.cfg.endpoints.len();
+    if cp.dock_used.len() != endpoints {
+        return invalid(
+            "dock_used".into(),
+            format!("{} entries for {endpoints} endpoints", cp.dock_used.len()),
+        );
+    }
+    let tracks = if sys.cfg.dual_track { 2 } else { 1 };
+    if cp.tracks.len() != tracks {
+        return invalid(
+            "tracks".into(),
+            format!("{} tracks where the layout has {tracks}", cp.tracks.len()),
+        );
+    }
+    let fleet = sys.carts.len();
+    for (i, m) in cp.pending.iter().enumerate() {
+        if m.cart >= fleet {
+            return invalid(
+                format!("pending[{i}].cart"),
+                format!("cart {} outside a fleet of {fleet}", m.cart),
+            );
+        }
+        for (name, ep) in [("from", m.from), ("to", m.to)] {
+            if ep >= endpoints {
+                return invalid(
+                    format!("pending[{i}].{name}"),
+                    format!("endpoint {ep} outside {endpoints} endpoints"),
+                );
+            }
+        }
+        if m.from == m.to {
+            return invalid(
+                format!("pending[{i}].to"),
+                format!("movement from endpoint {} to itself", m.from),
+            );
+        }
+    }
+    Ok(())
 }
 
 /// Why a serialized checkpoint failed to decode.
@@ -982,6 +1033,53 @@ mod tests {
             Err(SimError::UnknownMetric { name }) => assert_eq!(name, "sim.carts_flung"),
             other => panic!("expected UnknownMetric, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn resume_rejects_out_of_range_launch_state() {
+        let cfg = faulty_config();
+        let mut sys = DhlSystem::new(cfg.clone()).expect("valid config");
+        sys.begin_bulk_transfer(Bytes::from_petabytes(PB2))
+            .expect("begin");
+        let _ = sys.run_until(Seconds::new(5.0)).expect("run");
+        let captured = sys.checkpoint();
+        assert!(!captured.pending.is_empty(), "capture holds a backlog");
+        type Mutation = fn(&mut Checkpoint);
+        let mutations: [(&str, Mutation); 7] = [
+            ("pending[0].cart", |cp| cp.pending[0].cart = 8),
+            ("pending[0].from", |cp| cp.pending[0].from = 2),
+            ("pending[0].to", |cp| cp.pending[0].to = 9),
+            ("pending[0].to", |cp| cp.pending[0].to = cp.pending[0].from),
+            ("dock_used", |cp| cp.dock_used.push(0)),
+            ("dock_used", |cp| {
+                cp.dock_used.pop();
+            }),
+            ("tracks", |cp| cp.tracks.push(TrackState::default())),
+        ];
+        for (field, mutate) in mutations {
+            let mut cp = captured.clone();
+            mutate(&mut cp);
+            // Through JSON, as a corrupt file on disk would arrive.
+            let cp = Checkpoint::from_json(&cp.to_json()).expect("well-formed");
+            match DhlSystem::resume(cfg.clone(), &cp) {
+                Err(SimError::InvalidCheckpointState { field: named, .. }) => {
+                    assert_eq!(named, field);
+                }
+                other => panic!("{field}: expected InvalidCheckpointState, got {other:?}"),
+            }
+        }
+        // A dual-track configuration refuses a single track.
+        let dual = SimConfig {
+            dual_track: true,
+            ..cfg
+        };
+        let mut sys = DhlSystem::new(dual.clone()).expect("valid config");
+        sys.begin_bulk_transfer(Bytes::from_petabytes(PB2))
+            .expect("begin");
+        let mut cp = sys.checkpoint();
+        cp.tracks.pop();
+        let err = DhlSystem::resume(dual, &cp).expect_err("one track for two");
+        assert!(err.to_string().contains("`tracks`"), "{err}");
     }
 
     fn m2_connector_config() -> SimConfig {

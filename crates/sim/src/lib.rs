@@ -38,6 +38,7 @@
 pub mod api;
 pub mod arena;
 pub mod arrivals;
+mod backlog;
 pub mod checkpoint;
 mod codec;
 pub mod config;

@@ -10,6 +10,16 @@
 //! - a single bidirectional track must drain completely before reversing;
 //! - an endpoint can hold only as many carts as it has docking stations;
 //! - dock and undock each take their configured (pessimistic 3 s) time.
+//!
+//! Movements that cannot launch yet wait in a backlog, in FIFO order.
+//! After every event the launch rule lets go the oldest waiting movement
+//! whose destination has a free dock and whose track is free, and repeats
+//! until none can go; a movement held only by the same-direction headway
+//! books a wakeup for when the headway ends. The backlog is indexed by
+//! launch group — (direction, destination) — because every movement of a
+//! group passes or fails that test together, so choosing a launch costs
+//! one look per non-empty group rather than one per waiting movement (see
+//! the `backlog` module and `DhlSystem::try_launch` for the exact rule).
 
 use std::collections::VecDeque;
 
@@ -20,6 +30,7 @@ use dhl_storage::wear::CartWear;
 use dhl_units::{Bytes, Joules, Seconds, Watts};
 
 use crate::arena::{CartArena, CartHandle};
+use crate::backlog::Backlog;
 use crate::config::{ConfigError, DockRecoveryPolicy, EndpointKind, ProcessingModel, SimConfig};
 use crate::engine::EventQueue;
 use crate::metrics::SimMetrics;
@@ -125,6 +136,7 @@ impl TrackState {
     }
 }
 
+#[derive(Copy, Clone)]
 enum LaunchCheck {
     Free,
     Headway(f64),
@@ -236,6 +248,14 @@ pub enum SimError {
         /// The connector's rated cycle count.
         rated: u32,
     },
+    /// A checkpoint's state does not fit the configuration it resumes
+    /// under: an index out of range, or a table of the wrong length.
+    InvalidCheckpointState {
+        /// The offending field, e.g. `pending[3].to`.
+        field: String,
+        /// What is wrong with it.
+        reason: String,
+    },
     /// A replica crashed more times than its recovery budget allows.
     RestartBudgetExhausted {
         /// Index of the replica that kept crashing.
@@ -281,6 +301,9 @@ impl core::fmt::Display for SimError {
                     "checkpoint gives cart {cart}'s connector {cycles} mating cycles, \
                      beyond its rating of {rated}"
                 )
+            }
+            Self::InvalidCheckpointState { field, reason } => {
+                write!(f, "checkpoint field `{field}` is invalid: {reason}")
             }
             Self::RestartBudgetExhausted { replica, restarts } => {
                 write!(
@@ -343,7 +366,8 @@ pub struct DhlSystem {
     pub(crate) costs: MovementTable,
     pub(crate) dock_used: Vec<u32>,
     pub(crate) tracks: Vec<TrackState>,
-    pub(crate) pending: VecDeque<Movement>,
+    /// Movements waiting to launch, indexed by launch group.
+    pub(crate) backlog: Backlog,
     /// Shards awaiting redelivery after a RAID-uncovered loss; served before
     /// fresh demand so retries keep their place in the mission.
     pub(crate) redelivery_queue: VecDeque<Redelivery>,
@@ -425,6 +449,7 @@ impl DhlSystem {
             .map(|i| DeterministicRng::seed_from_u64(i.seed));
         let dock_downtime = vec![0.0; cfg.endpoints.len()];
         let costs = MovementTable::build(&cfg, degraded_cap);
+        let backlog = Backlog::new(cfg.endpoints.len());
         let mut metrics = MetricsRegistry::enabled();
         let handles = SimMetrics::register(&mut metrics);
         Ok(Self {
@@ -434,7 +459,7 @@ impl DhlSystem {
             costs,
             dock_used,
             tracks,
-            pending: VecDeque::new(),
+            backlog,
             redelivery_queue: VecDeque::new(),
             mission: Mission::default(),
             wakeup_scheduled: false,
@@ -532,7 +557,7 @@ impl DhlSystem {
         }
     }
 
-    fn direction_of(from: EndpointId, to: EndpointId) -> Direction {
+    pub(crate) fn direction_of(from: EndpointId, to: EndpointId) -> Direction {
         if to > from {
             Direction::Outbound
         } else {
@@ -642,10 +667,13 @@ impl DhlSystem {
                 wear.record_write(m.payload);
             }
         }
-        self.carts.locations[m.cart] = CartLocation::Moving {
-            from: m.from,
-            to: m.to,
-        };
+        self.carts.set_location(
+            m.cart,
+            CartLocation::Moving {
+                from: m.from,
+                to: m.to,
+            },
+        );
         self.carts.movements[m.cart] = Some(ActiveMovement {
             from: m.from,
             to: m.to,
@@ -669,40 +697,64 @@ impl DhlSystem {
         self.tracks.iter().map(|t| t.in_flight).sum()
     }
 
+    /// Launches every movement the launch rule lets go now, oldest first,
+    /// and books a wakeup for the earliest headway expiry that could let
+    /// another go later.
+    ///
+    /// The rule is that of one FIFO scanned front to back: launch the
+    /// first movement whose dock is free and whose track is `Free`, then
+    /// scan again; a movement passed over on a `Headway` track asks for a
+    /// wakeup. Movements of one launch group share both tests, so the scan
+    /// reduces to the group heads (see [`crate::backlog`]): the launch is
+    /// the oldest passing head, and a `Headway` head asks for its wakeup
+    /// only if it is older than that launch (the scan would have stopped
+    /// before reaching it otherwise), or when nothing launches.
     fn try_launch(&mut self) {
         let now = self.queue.now().seconds();
         self.metrics
-            .record(self.handles.queue_depth, self.pending.len() as f64);
+            .record(self.handles.queue_depth, self.backlog.len() as f64);
         let mut wakeup: Option<f64> = None;
         loop {
-            let mut launched = None;
-            for (i, m) in self.pending.iter().enumerate() {
-                if self.dock_used[m.to] >= self.cfg.endpoints[m.to].docks {
+            // Track status per direction (indexed `Direction as usize`),
+            // computed at most once per pass and only if a dock-free head
+            // needs it.
+            let mut checks: [Option<LaunchCheck>; 2] = [None; 2];
+            let mut launch: Option<(u64, usize)> = None;
+            // Per direction: the oldest dock-free head held by headway,
+            // and when that headway ends.
+            let mut held: [Option<(u64, f64)>; 2] = [None; 2];
+            for head in self.backlog.heads() {
+                if self.dock_used[head.to] >= self.cfg.endpoints[head.to].docks {
                     continue; // destination full
                 }
-                match self.check_track(Self::direction_of(m.from, m.to), now) {
+                let d = head.direction as usize;
+                match *checks[d].get_or_insert_with(|| self.check_track(head.direction, now)) {
                     LaunchCheck::Free => {
-                        launched = Some(i);
-                        break;
+                        if launch.is_none_or(|(seq, _)| head.seq < seq) {
+                            launch = Some((head.seq, head.slot));
+                        }
                     }
                     LaunchCheck::Headway(at) => {
-                        wakeup = Some(wakeup.map_or(at, |w: f64| w.min(at)));
+                        if held[d].is_none_or(|(seq, _)| head.seq < seq) {
+                            held[d] = Some((head.seq, at));
+                        }
                     }
                     // Both resolve on a later DockDone, which re-runs
                     // try_launch; no timed wakeup needed.
                     LaunchCheck::BusyOpposite | LaunchCheck::Blocked => {}
                 }
             }
-            match launched {
-                Some(i) => {
-                    let m = self.pending.remove(i).expect("index valid");
-                    self.launch(m);
-                    // A launch we just made imposes headway on the rest;
-                    // re-scan (some may still be launchable on the other
-                    // track when dual).
+            for (seq, at) in held.into_iter().flatten() {
+                if launch.is_none_or(|(launched, _)| seq < launched) {
+                    wakeup = Some(wakeup.map_or(at, |w: f64| w.min(at)));
                 }
-                None => break,
             }
+            let Some((_, slot)) = launch else { break };
+            let m = self.backlog.pop(slot);
+            self.launch(m);
+            // A launch we just made imposes headway on the rest; look
+            // again (some may still be launchable on the other track when
+            // dual).
         }
         if let Some(at) = wakeup {
             if !self.wakeup_scheduled {
@@ -726,7 +778,7 @@ impl DhlSystem {
         // Redeliveries first: a lost shard keeps its place in the mission.
         if let Some(r) = self.redelivery_queue.pop_front() {
             self.mission.scheduled += 1;
-            self.pending.push_back(Movement {
+            self.backlog.push(Movement {
                 cart,
                 from: 0,
                 to: r.endpoint,
@@ -750,7 +802,7 @@ impl DhlSystem {
         demand.bytes_remaining -= shard;
         let rack = demand.endpoint;
         self.mission.scheduled += 1;
-        self.pending.push_back(Movement {
+        self.backlog.push(Movement {
             cart,
             from: 0,
             to: rack,
@@ -839,7 +891,7 @@ impl DhlSystem {
                     track.downtime_accum += now - track.blocked_since;
                     self.record(TraceEventKind::TrackRestored { track: idx });
                 }
-                self.carts.locations[cart] = CartLocation::Docked(m.to);
+                self.carts.set_location(cart, CartLocation::Docked(m.to));
                 self.record(TraceEventKind::Docked {
                     cart,
                     endpoint: m.to,
@@ -881,7 +933,7 @@ impl DhlSystem {
                 let CartLocation::Docked(ep) = self.carts.locations[cart] else {
                     unreachable!("processing cart is docked");
                 };
-                self.pending.push_back(Movement {
+                self.backlog.push(Movement {
                     cart,
                     from: ep,
                     to: 0,
@@ -1015,7 +1067,7 @@ impl DhlSystem {
             });
         }
         // No processing dwell for a dead payload: head home immediately.
-        self.pending.push_back(Movement {
+        self.backlog.push(Movement {
             cart,
             from: to,
             to: 0,
@@ -1191,12 +1243,9 @@ impl DhlSystem {
         if self.mission.completion_time.is_some() {
             return;
         }
-        let all_home = self
-            .carts
-            .locations
-            .iter()
-            .all(|l| matches!(l, CartLocation::Docked(0)));
-        if self.mission.done >= self.mission.total_deliveries && all_home && self.pending.is_empty()
+        if self.mission.done >= self.mission.total_deliveries
+            && self.carts.all_at_library()
+            && self.backlog.is_empty()
         {
             self.mission.completion_time = Some(self.queue.now().seconds());
         }
@@ -1463,7 +1512,7 @@ impl core::fmt::Debug for DhlSystem {
         f.debug_struct("DhlSystem")
             .field("now", &self.queue.now())
             .field("carts", &self.carts.len())
-            .field("pending", &self.pending.len())
+            .field("pending", &self.backlog.len())
             .field("movements", &self.movements)
             .finish()
     }

@@ -12,11 +12,7 @@
 //! `--json` runs the benchmark suite and writes a `dhl-bench-report/v1`
 //! document; `--check` additionally compares against a baseline report and
 //! exits non-zero on any regression (mean beyond the tolerance) or dropped
-//! case. `--filter PREFIX` restricts the run to case families whose names
-//! match the prefix — both the measured cases and the baseline are
-//! filtered, so a focused gate (e.g. `--filter sim/events_per_sec`) never
-//! reports unrelated baseline cases as missing. Set `DHL_BENCH_FAST=1`
-//! for the ~10× shorter CI smoke windows.
+//! case. Set `DHL_BENCH_FAST=1` for the ~10× shorter CI smoke windows.
 
 use dhl_bench::report_file;
 
@@ -24,7 +20,6 @@ struct Cli {
     json_path: Option<String>,
     check_path: Option<String>,
     tolerance: f64,
-    filter: Option<String>,
     reports: Vec<String>,
 }
 
@@ -33,7 +28,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         json_path: None,
         check_path: None,
         tolerance: 0.25,
-        filter: None,
         reports: Vec::new(),
     };
     let mut it = args.into_iter();
@@ -42,7 +36,6 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
         match arg.as_str() {
             "--json" => cli.json_path = Some(value_of("--json")?),
             "--check" => cli.check_path = Some(value_of("--check")?),
-            "--filter" => cli.filter = Some(value_of("--filter")?),
             "--tolerance" => {
                 cli.tolerance = value_of("--tolerance")?
                     .parse::<f64>()
@@ -59,7 +52,7 @@ fn parse_args(args: Vec<String>) -> Result<Cli, String> {
 }
 
 fn run_suite(cli: &Cli) -> i32 {
-    let cases = dhl_bench::run_bench_suite_filtered(cli.filter.as_deref());
+    let cases = dhl_bench::run_bench_suite();
     let text = report_file::render_report(&cases);
     if let Some(path) = &cli.json_path {
         if let Err(e) = std::fs::write(path, &text) {
@@ -71,7 +64,7 @@ fn run_suite(cli: &Cli) -> i32 {
     let Some(baseline_path) = &cli.check_path else {
         return 0;
     };
-    let mut baseline = match std::fs::read_to_string(baseline_path)
+    let baseline = match std::fs::read_to_string(baseline_path)
         .map_err(|e| e.to_string())
         .and_then(|t| report_file::parse_report(&t))
     {
@@ -81,11 +74,6 @@ fn run_suite(cli: &Cli) -> i32 {
             return 2;
         }
     };
-    if let Some(prefix) = &cli.filter {
-        // Compare inside the filtered family only: unmeasured baseline
-        // cases outside it are out of scope, not missing.
-        baseline.retain(|c| c.case.starts_with(prefix.as_str()));
-    }
     let current = report_file::parse_report(&text).expect("own report is valid");
     let outcome = report_file::compare(&current, &baseline, cli.tolerance);
     println!(
@@ -116,7 +104,7 @@ fn main() {
         }
     };
 
-    if cli.json_path.is_some() || cli.check_path.is_some() || cli.filter.is_some() {
+    if cli.json_path.is_some() || cli.check_path.is_some() {
         std::process::exit(run_suite(&cli));
     }
 

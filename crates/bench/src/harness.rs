@@ -96,7 +96,7 @@ fn percentile(samples: &mut [f64], q: f64) -> f64 {
 /// Calibration runs the closure repeatedly for a short warm-up window (not
 /// a single cold first call, which over-estimated the per-call cost of
 /// anything with lazily initialised state and so under-iterated), then the
-/// measurement window is split into up to [`MAX_SAMPLES`] timed batches so
+/// measurement window is split into up to `MAX_SAMPLES` timed batches so
 /// p50/p95 can be reported alongside the mean.
 ///
 /// The closure's return value is passed through [`std::hint::black_box`] so

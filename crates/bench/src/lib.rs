@@ -503,18 +503,18 @@ fn sensitivity_campaigns() -> String {
 }
 
 /// Renders the sensitivity sweeps (§V-A observations, §II-A scaling) and
-/// the §II-D.3 training-campaign amortisation. The four independent
-/// sections run on the parallel driver and concatenate in order, so the
-/// output is identical to the serial composition.
+/// the §II-D.3 training-campaign amortisation. The four sections run
+/// serially: together they take tens of microseconds, less than spawning
+/// one worker thread costs.
 #[must_use]
 pub fn render_sensitivity() -> String {
-    let sections: Vec<fn() -> String> = vec![
-        sensitivity_docking,
-        sensitivity_acceleration,
-        sensitivity_density,
-        sensitivity_campaigns,
-    ];
-    parallel_map(sections, default_threads(), |f| f()).concat()
+    [
+        sensitivity_docking(),
+        sensitivity_acceleration(),
+        sensitivity_density(),
+        sensitivity_campaigns(),
+    ]
+    .concat()
 }
 
 /// Renders the fleet-sizing / total-cost-of-ownership analysis (beyond the
@@ -580,8 +580,7 @@ pub fn all_reports() -> Vec<(&'static str, ReportFn)> {
     ]
 }
 
-/// Runs the engine event-throughput family: the `sim/events_per_sec`
-/// prefix the CI throughput gate filters on.
+/// Runs the engine event-throughput family (`sim/events_per_sec/…`).
 ///
 /// Three workload shapes:
 ///
@@ -799,8 +798,8 @@ fn campus_backlog_case() -> report_file::BenchCase {
     }
 }
 
-/// Runs the scheduler serving-throughput family: the `sched/requests_per_sec`
-/// prefix the CI scheduler gate filters on.
+/// Runs the scheduler serving-throughput family
+/// (`sched/requests_per_sec/…`).
 ///
 /// Two kinds of case:
 ///
@@ -1143,8 +1142,8 @@ pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
     cases
 }
 
-/// Runs the observability recording-throughput family: the
-/// `obs/record_throughput` prefix the CI observability gate filters on.
+/// Runs the observability recording-throughput family
+/// (`obs/record_throughput/…`).
 ///
 /// Three kinds of case:
 ///
@@ -1513,33 +1512,15 @@ pub fn record_throughput_cases() -> Vec<report_file::BenchCase> {
 /// Honours `DHL_BENCH_FAST` (see [`harness::fast_mode`]) for CI smoke runs.
 #[must_use]
 pub fn run_bench_suite() -> Vec<report_file::BenchCase> {
-    run_bench_suite_filtered(None)
-}
-
-/// [`run_bench_suite`] restricted to case families matching a name prefix
-/// (e.g. `sim/events_per_sec`): non-matching families are skipped
-/// entirely, not run-and-discarded, so a focused CI gate pays only for
-/// the cases it checks. `None` runs everything.
-#[must_use]
-pub fn run_bench_suite_filtered(prefix: Option<&str>) -> Vec<report_file::BenchCase> {
     use dhl_sched::placement::Placement;
     use dhl_sched::scheduler::{Priority, Scheduler, TransferRequest};
     use dhl_storage::datasets;
     use dhl_units::Seconds;
     use report_file::BenchCase;
 
-    // A family runs when the filter and the family name agree on their
-    // common prefix: `--filter sim` selects every `sim/…` family, and
-    // `--filter sim/events_per_sec/queue_churn` still runs the (whole)
-    // events-per-sec family that contains that case.
-    let want = |family: &str| prefix.is_none_or(|p| family.starts_with(p) || p.starts_with(family));
-
     let mut cases = Vec::new();
     for (name, render) in all_reports() {
         let case_name = format!("render/{name}");
-        if !want(&case_name) {
-            continue;
-        }
         cases.push(BenchCase {
             result: harness::bench_function(&case_name, render),
             metrics: None,
@@ -1548,217 +1529,195 @@ pub fn run_bench_suite_filtered(prefix: Option<&str>) -> Vec<report_file::BenchC
 
     // DES-backed case: a 2 PB bulk transfer, with the simulator's own
     // observability snapshot attached.
-    if want("sim/bulk_transfer_2pb") {
-        let sim_run = || {
-            DhlSystem::new(SimConfig::paper_default())
-                .expect("valid paper config")
-                .run_bulk_transfer(Bytes::from_petabytes(2.0))
-                .expect("converges")
-        };
-        let result = harness::bench_function("sim/bulk_transfer_2pb", || sim_run().movements);
-        cases.push(BenchCase {
-            result,
-            metrics: Some(sim_run().metrics),
-        });
-    }
+    let sim_run = || {
+        DhlSystem::new(SimConfig::paper_default())
+            .expect("valid paper config")
+            .run_bulk_transfer(Bytes::from_petabytes(2.0))
+            .expect("converges")
+    };
+    let result = harness::bench_function("sim/bulk_transfer_2pb", || sim_run().movements);
+    cases.push(BenchCase {
+        result,
+        metrics: Some(sim_run().metrics),
+    });
 
     // The same transfer with verify-on-dock enabled (clean corruption
     // model): measures the delivery state machine's scrub overhead.
-    if want("sim/verify_on_dock_2pb") {
-        let verify_run = || {
-            let mut cfg = SimConfig::paper_default();
-            cfg.integrity = Some(IntegritySpec::verification_only());
-            DhlSystem::new(cfg)
-                .expect("valid paper config")
-                .run_bulk_transfer(Bytes::from_petabytes(2.0))
-                .expect("converges")
-        };
-        let result = harness::bench_function("sim/verify_on_dock_2pb", || {
-            verify_run().integrity.shards_scanned
-        });
-        cases.push(BenchCase {
-            result,
-            metrics: Some(verify_run().metrics),
-        });
-    }
+    let verify_run = || {
+        let mut cfg = SimConfig::paper_default();
+        cfg.integrity = Some(IntegritySpec::verification_only());
+        DhlSystem::new(cfg)
+            .expect("valid paper config")
+            .run_bulk_transfer(Bytes::from_petabytes(2.0))
+            .expect("converges")
+    };
+    let result = harness::bench_function("sim/verify_on_dock_2pb", || {
+        verify_run().integrity.shards_scanned
+    });
+    cases.push(BenchCase {
+        result,
+        metrics: Some(verify_run().metrics),
+    });
 
-    if want("sim/checkpoint_roundtrip") {
-        // Checkpoint/restore case: capture a mid-run checkpoint, serialise it
-        // to JSON, parse it back, and resume a fresh simulator from it — the
-        // full crash-recovery round trip, measured end to end. The attached
-        // metrics come from draining the resumed run, so they equal the
-        // uninterrupted run's metrics by the bit-identity guarantee.
-        let roundtrip_cfg = {
-            let mut cfg = SimConfig::paper_default();
-            cfg.reliability = Some(ReliabilitySpec::typical());
-            cfg
-        };
-        let mut mid_run = DhlSystem::new(roundtrip_cfg.clone()).expect("valid paper config");
-        mid_run
-            .begin_bulk_transfer(Bytes::from_petabytes(2.0))
-            .expect("mission accepted");
-        mid_run
-            .run_until(dhl_units::Seconds::new(30.0))
-            .expect("runs to the capture point");
-        let result = harness::bench_function("sim/checkpoint_roundtrip", || {
-            let json = mid_run.checkpoint().to_json();
-            let restored = Checkpoint::from_json(&json).expect("own output parses");
-            let resumed = DhlSystem::resume(roundtrip_cfg.clone(), &restored)
-                .expect("same configuration fingerprint");
-            resumed.now().seconds() as u64
-        });
-        let resumed_metrics = {
-            let checkpoint = mid_run.checkpoint();
-            let mut sys = DhlSystem::resume(roundtrip_cfg.clone(), &checkpoint)
-                .expect("same configuration fingerprint");
-            sys.run_until(dhl_units::Seconds::new(f64::INFINITY))
-                .expect("drains");
-            sys.finish().metrics
-        };
-        cases.push(BenchCase {
-            result,
-            metrics: Some(resumed_metrics),
-        });
-    }
+    // Checkpoint/restore case: capture a mid-run checkpoint, serialise it
+    // to JSON, parse it back, and resume a fresh simulator from it — the
+    // full crash-recovery round trip, measured end to end. The attached
+    // metrics come from draining the resumed run, so they equal the
+    // uninterrupted run's metrics by the bit-identity guarantee.
+    let roundtrip_cfg = {
+        let mut cfg = SimConfig::paper_default();
+        cfg.reliability = Some(ReliabilitySpec::typical());
+        cfg
+    };
+    let mut mid_run = DhlSystem::new(roundtrip_cfg.clone()).expect("valid paper config");
+    mid_run
+        .begin_bulk_transfer(Bytes::from_petabytes(2.0))
+        .expect("mission accepted");
+    mid_run
+        .run_until(dhl_units::Seconds::new(30.0))
+        .expect("runs to the capture point");
+    let result = harness::bench_function("sim/checkpoint_roundtrip", || {
+        let json = mid_run.checkpoint().to_json();
+        let restored = Checkpoint::from_json(&json).expect("own output parses");
+        let resumed = DhlSystem::resume(roundtrip_cfg.clone(), &restored)
+            .expect("same configuration fingerprint");
+        resumed.now().seconds() as u64
+    });
+    let resumed_metrics = {
+        let checkpoint = mid_run.checkpoint();
+        let mut sys = DhlSystem::resume(roundtrip_cfg.clone(), &checkpoint)
+            .expect("same configuration fingerprint");
+        sys.run_until(dhl_units::Seconds::new(f64::INFINITY))
+            .expect("drains");
+        sys.finish().metrics
+    };
+    cases.push(BenchCase {
+        result,
+        metrics: Some(resumed_metrics),
+    });
 
-    if want("sim/replicas_serial") || want("sim/replicas_parallel") {
-        // Replica-driver cases: the same seeded Monte-Carlo set run serially
-        // and on the parallel driver. The merged report is bit-identical
-        // between the two by construction (pinned by tests/parallel_replicas.rs);
-        // only wall time may differ, and the delta is printed below.
-        let replica_cfg = {
-            let mut cfg = SimConfig::paper_default();
-            cfg.reliability = Some(ReliabilitySpec::typical());
-            cfg
-        };
-        let (replicas, replica_dataset) = (8, Bytes::from_terabytes(512.0));
-        let serial_result = harness::bench_function("sim/replicas_serial", || {
-            run_replicas(&replica_cfg, replica_dataset, replicas, 1)
-                .expect("replicas converge")
-                .replica_count()
-        });
-        let threads = default_threads();
-        let parallel_result = harness::bench_function("sim/replicas_parallel", || {
-            run_replicas(&replica_cfg, replica_dataset, replicas, threads)
-                .expect("replicas converge")
-                .replica_count()
-        });
-        eprintln!(
-            "sim/replicas: serial {:.0} ns vs parallel {:.0} ns on {} thread(s) — {:.2}x",
-            serial_result.mean_ns,
-            parallel_result.mean_ns,
-            threads,
-            serial_result.mean_ns / parallel_result.mean_ns
-        );
-        let merged = run_replicas(&replica_cfg, replica_dataset, replicas, threads)
-            .expect("replicas converge");
-        cases.push(BenchCase {
-            result: serial_result,
-            metrics: Some(merged.metrics.clone()),
-        });
-        cases.push(BenchCase {
-            result: parallel_result,
-            metrics: Some(merged.metrics),
-        });
-    }
+    // Replica-driver cases: the same seeded Monte-Carlo set run serially
+    // and on the parallel driver. The merged report is bit-identical
+    // between the two by construction (pinned by tests/parallel_replicas.rs);
+    // only wall time may differ, and the delta is printed below.
+    let replica_cfg = {
+        let mut cfg = SimConfig::paper_default();
+        cfg.reliability = Some(ReliabilitySpec::typical());
+        cfg
+    };
+    let (replicas, replica_dataset) = (8, Bytes::from_terabytes(512.0));
+    let serial_result = harness::bench_function("sim/replicas_serial", || {
+        run_replicas(&replica_cfg, replica_dataset, replicas, 1, None)
+            .expect("replicas converge")
+            .replica_count()
+    });
+    let threads = default_threads();
+    let parallel_result = harness::bench_function("sim/replicas_parallel", || {
+        run_replicas(&replica_cfg, replica_dataset, replicas, threads, None)
+            .expect("replicas converge")
+            .replica_count()
+    });
+    eprintln!(
+        "sim/replicas: serial {:.0} ns vs parallel {:.0} ns on {} thread(s) — {:.2}x",
+        serial_result.mean_ns,
+        parallel_result.mean_ns,
+        threads,
+        serial_result.mean_ns / parallel_result.mean_ns
+    );
+    let merged = run_replicas(&replica_cfg, replica_dataset, replicas, threads, None)
+        .expect("replicas converge");
+    cases.push(BenchCase {
+        result: serial_result,
+        metrics: Some(merged.metrics.clone()),
+    });
+    cases.push(BenchCase {
+        result: parallel_result,
+        metrics: Some(merged.metrics),
+    });
 
-    if want("sched/multi_tenant_mix") {
-        // Scheduler-backed case: a small multi-tenant mix.
-        let sched_run = || {
-            let mut p = Placement::new(Bytes::from_terabytes(256.0));
-            let a = p.store(datasets::laion_5b());
-            let b = p.store(datasets::common_crawl());
-            let mut sched = Scheduler::new(SimConfig::paper_default(), p).expect("valid");
-            sched.submit(TransferRequest::new(b, 1, Priority::Normal, Seconds::ZERO));
-            sched.submit(TransferRequest::new(
-                a,
-                1,
-                Priority::Urgent,
-                Seconds::new(5.0),
-            ));
-            sched.run()
-        };
-        let result =
-            harness::bench_function("sched/multi_tenant_mix", || sched_run().makespan.seconds());
-        cases.push(BenchCase {
-            result,
-            metrics: Some(sched_run().metrics),
-        });
-    }
+    // Scheduler-backed case: a small multi-tenant mix.
+    let sched_run = || {
+        let mut p = Placement::new(Bytes::from_terabytes(256.0));
+        let a = p.store(datasets::laion_5b());
+        let b = p.store(datasets::common_crawl());
+        let mut sched = Scheduler::new(SimConfig::paper_default(), p).expect("valid");
+        sched.submit(TransferRequest::new(b, 1, Priority::Normal, Seconds::ZERO));
+        sched.submit(TransferRequest::new(
+            a,
+            1,
+            Priority::Urgent,
+            Seconds::new(5.0),
+        ));
+        sched.run()
+    };
+    let result =
+        harness::bench_function("sched/multi_tenant_mix", || sched_run().makespan.seconds());
+    cases.push(BenchCase {
+        result,
+        metrics: Some(sched_run().metrics),
+    });
 
-    if want("sched/overload_sweep") {
-        // Open-loop overload case: 96 Poisson arrivals at 4x the track's
-        // saturation rate pushed through admission control (bounded queues,
-        // shed-lowest-priority, budgeted retries with backoff).
-        use dhl_sched::admission::{AdmissionSpec, OverloadPolicy, TenantId};
-        use dhl_sim::{ArrivalGenerator, ArrivalSpec};
-        let overload_run = || {
-            let mut p = Placement::new(Bytes::from_terabytes(256.0));
-            let a = p.store(datasets::laion_5b());
-            let b = p.store(datasets::genomics_17pb());
-            let ids = [a, b];
-            let arrival_spec =
-                ArrivalSpec::poisson(4.0 / 17.2, Seconds::new(1e12), 7).with_tenants(2);
-            let mut sched = Scheduler::new(SimConfig::paper_default(), p)
-                .expect("valid")
-                .with_admission(AdmissionSpec {
-                    max_pending_global: 16,
-                    max_pending_per_tenant: 12,
-                    policy: OverloadPolicy::ShedLowestPriority,
-                    ..AdmissionSpec::default()
-                })
-                .with_faults(dhl_sched::scheduler::FaultAwareness {
-                    loss_probability: 0.05,
-                    max_attempts: 8,
-                    seed: 42,
-                    downtime: Vec::new(),
-                });
-            for arrival in ArrivalGenerator::new(&arrival_spec).take(96) {
-                sched.submit(
-                    TransferRequest::new(
-                        ids[arrival.tenant as usize % 2],
-                        1,
-                        if arrival.tenant == 0 {
-                            Priority::Urgent
-                        } else {
-                            Priority::Normal
-                        },
-                        Seconds::new(arrival.at.seconds()),
-                    )
-                    .with_tenant(TenantId(arrival.tenant)),
-                );
-            }
-            sched.run()
-        };
-        let result = harness::bench_function("sched/overload_sweep", || {
-            overload_run()
-                .admission
-                .expect("open loop")
-                .goodput_bytes_per_s
-        });
-        cases.push(BenchCase {
-            result,
-            metrics: Some(overload_run().metrics),
-        });
-    }
+    // Open-loop overload case: 96 Poisson arrivals at 4x the track's
+    // saturation rate pushed through admission control (bounded queues,
+    // shed-lowest-priority, budgeted retries with backoff).
+    use dhl_sched::admission::{AdmissionSpec, OverloadPolicy, TenantId};
+    use dhl_sim::{ArrivalGenerator, ArrivalSpec};
+    let overload_run = || {
+        let mut p = Placement::new(Bytes::from_terabytes(256.0));
+        let a = p.store(datasets::laion_5b());
+        let b = p.store(datasets::genomics_17pb());
+        let ids = [a, b];
+        let arrival_spec = ArrivalSpec::poisson(4.0 / 17.2, Seconds::new(1e12), 7).with_tenants(2);
+        let mut sched = Scheduler::new(SimConfig::paper_default(), p)
+            .expect("valid")
+            .with_admission(AdmissionSpec {
+                max_pending_global: 16,
+                max_pending_per_tenant: 12,
+                policy: OverloadPolicy::ShedLowestPriority,
+                ..AdmissionSpec::default()
+            })
+            .with_faults(dhl_sched::scheduler::FaultAwareness {
+                loss_probability: 0.05,
+                max_attempts: 8,
+                seed: 42,
+                downtime: Vec::new(),
+            });
+        for arrival in ArrivalGenerator::new(&arrival_spec).take(96) {
+            sched.submit(
+                TransferRequest::new(
+                    ids[arrival.tenant as usize % 2],
+                    1,
+                    if arrival.tenant == 0 {
+                        Priority::Urgent
+                    } else {
+                        Priority::Normal
+                    },
+                    Seconds::new(arrival.at.seconds()),
+                )
+                .with_tenant(TenantId(arrival.tenant)),
+            );
+        }
+        sched.run()
+    };
+    let result = harness::bench_function("sched/overload_sweep", || {
+        overload_run()
+            .admission
+            .expect("open loop")
+            .goodput_bytes_per_s
+    });
+    cases.push(BenchCase {
+        result,
+        metrics: Some(overload_run().metrics),
+    });
 
-    // Engine event-throughput family — the `sim/events_per_sec` prefix the
-    // CI throughput gate filters on.
-    if want("sim/events_per_sec") {
-        cases.extend(events_per_sec_cases());
-    }
+    // Engine event-throughput family.
+    cases.extend(events_per_sec_cases());
 
-    // Scheduler serving-throughput family — the `sched/requests_per_sec`
-    // prefix the CI scheduler gate filters on.
-    if want("sched/requests_per_sec") {
-        cases.extend(requests_per_sec_cases());
-    }
+    // Scheduler serving-throughput family.
+    cases.extend(requests_per_sec_cases());
 
-    // Observability recording-throughput family — the
-    // `obs/record_throughput` prefix the CI observability gate filters on.
-    if want("obs/record_throughput") {
-        cases.extend(record_throughput_cases());
-    }
+    // Observability recording-throughput family.
+    cases.extend(record_throughput_cases());
     cases
 }
 

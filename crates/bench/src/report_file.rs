@@ -212,7 +212,8 @@ mod tests {
     #[test]
     fn report_round_trips_through_the_parser() {
         let mut metrics = dhl_obs::MetricsRegistry::enabled();
-        metrics.inc("sim.events", 42);
+        let events = metrics.register_counter("sim.events");
+        metrics.add(events, 42);
         let cases = vec![
             BenchCase {
                 result: result("render/fig2", 1_500.0),

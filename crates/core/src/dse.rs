@@ -89,96 +89,6 @@ pub fn sweep(
     out
 }
 
-/// Splits `items` into `threads` contiguous chunks and maps each chunk on
-/// its own scoped thread. Output order matches input order; with
-/// `threads <= 1` the map runs inline on the caller's thread.
-///
-/// (Same chunked-scope shape as `dhl_sim::parallel_map`; duplicated here
-/// because `dhl-core` and `dhl-sim` deliberately do not depend on each
-/// other.)
-fn chunked_map<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, items.len());
-    if threads == 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut out: Vec<Option<U>> = std::iter::repeat_with(|| None).take(slots.len()).collect();
-
-    std::thread::scope(|scope| {
-        for (out_chunk, in_chunk) in out.chunks_mut(chunk).zip(slots.chunks_mut(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                for (slot, item) in out_chunk.iter_mut().zip(in_chunk) {
-                    *slot = Some(f(item.take().expect("item present")));
-                }
-            });
-        }
-    });
-
-    out.into_iter()
-        .map(|p| p.expect("all slots filled"))
-        .collect()
-}
-
-/// The thread count [`sweep_auto`] uses: the `DHL_SIM_THREADS` environment
-/// variable if set to a positive integer, otherwise the machine's available
-/// parallelism.
-#[must_use]
-pub fn auto_threads() -> usize {
-    if let Ok(v) = std::env::var("DHL_SIM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Parallel variant of [`sweep`] for large grids: splits the cartesian
-/// product across threads with `std::thread::scope`. Result order matches
-/// [`sweep`] exactly for any thread count.
-#[must_use]
-pub fn sweep_parallel(
-    speeds: &[MetresPerSecond],
-    lengths: &[Metres],
-    ssd_counts: &[u32],
-    dataset: Bytes,
-    threads: usize,
-) -> Vec<DsePoint> {
-    let points: Vec<(MetresPerSecond, Metres, u32)> = speeds
-        .iter()
-        .flat_map(|&v| {
-            lengths
-                .iter()
-                .flat_map(move |&l| ssd_counts.iter().map(move |&n| (v, l, n)))
-        })
-        .collect();
-    chunked_map(points, threads, |(v, l, n)| {
-        DsePoint::evaluate(DhlConfig::with_ssd_count(v, l, n), dataset)
-    })
-}
-
-/// [`sweep_parallel`] with the ambient thread count ([`auto_threads`]).
-#[must_use]
-pub fn sweep_auto(
-    speeds: &[MetresPerSecond],
-    lengths: &[Metres],
-    ssd_counts: &[u32],
-    dataset: Bytes,
-) -> Vec<DsePoint> {
-    sweep_parallel(speeds, lengths, ssd_counts, dataset, auto_threads())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,36 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_serial() {
-        let speeds: Vec<MetresPerSecond> = (10..30)
-            .map(|v| MetresPerSecond::new(v as f64 * 10.0))
-            .collect();
-        let lengths = [Metres::new(500.0), Metres::new(1000.0)];
-        let counts = [16, 32];
-        let serial = sweep(&speeds, &lengths, &counts, paper_dataset());
-        for threads in [1, 2, 4, 16, 1000] {
-            let parallel = sweep_parallel(&speeds, &lengths, &counts, paper_dataset(), threads);
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn empty_sweep_is_empty() {
         assert!(sweep(&[], &[], &[], paper_dataset()).is_empty());
-        assert!(sweep_parallel(&[], &[], &[], paper_dataset(), 4).is_empty());
-        assert!(sweep_auto(&[], &[], &[], paper_dataset()).is_empty());
-    }
-
-    #[test]
-    fn auto_sweep_matches_serial() {
-        let speeds = [MetresPerSecond::new(100.0), MetresPerSecond::new(200.0)];
-        let lengths = [Metres::new(500.0), Metres::new(1000.0)];
-        let counts = [16, 32];
-        assert_eq!(
-            sweep_auto(&speeds, &lengths, &counts, paper_dataset()),
-            sweep(&speeds, &lengths, &counts, paper_dataset()),
-        );
-        assert!(auto_threads() >= 1);
     }
 
     #[test]

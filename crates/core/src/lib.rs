@@ -43,9 +43,7 @@ pub use carbon::{annualise, AnnualFootprint, GridModel};
 pub use config::DhlConfig;
 pub use cost::CostModel;
 pub use crossover::{crossover, paper_minimal_dhl, CrossoverPoint};
-pub use dse::{
-    auto_threads, paper_table_vi, sweep, sweep_auto, sweep_parallel, DsePoint, TABLE_VI_ROWS,
-};
+pub use dse::{paper_table_vi, sweep, DsePoint, TABLE_VI_ROWS};
 pub use fleet::{per_track_rate, plan_for_bandwidth, CartCostModel, FleetPlan, PipelineModel};
 pub use launch::LaunchMetrics;
 pub use sensitivity::{

@@ -7,13 +7,11 @@
 //!   [`Histogram`]s behind a single enable flag. Registration returns
 //!   `Copy` handles ([`CounterId`] / [`GaugeId`] / [`HistogramId`]) that
 //!   index dense slots, so hot-path recording is a bounds-checked array
-//!   write — no map walk, no string compare. The `&'static str` API
-//!   ([`MetricsRegistry::inc`] and friends) is retained as a thin compat
-//!   layer that interns on first use. When disabled every operation is a
-//!   branch and an immediate return: no allocation, no lookup, no clock
-//!   read.
-//! - [`SpanTimer`] / [`Stopwatch`] — RAII and detached wall-clock timers
-//!   that feed histograms.
+//!   write — no map walk, no string compare. Handles are the only way to
+//!   record. When disabled every operation is a branch and an immediate
+//!   return: no allocation, no lookup, no clock read.
+//! - [`Stopwatch`] — a detached wall-clock timer whose elapsed seconds a
+//!   caller records into a histogram or gauge.
 //! - [`MetricsSnapshot`] — a deterministic, ordered, plain-data view of a
 //!   registry, exportable as JSON or NDJSON and comparable across runs.
 //!   Slots are recorded in registration order but exported sorted by name,
@@ -25,7 +23,7 @@
 //! # Example
 //!
 //! ```rust
-//! use dhl_obs::MetricsRegistry;
+//! use dhl_obs::{MetricsRegistry, Stopwatch};
 //!
 //! let mut reg = MetricsRegistry::enabled();
 //! // Hot path: register once, record through dense Copy handles.
@@ -33,11 +31,11 @@
 //! let transit = reg.register_histogram("transit_s");
 //! reg.add(events, 3);
 //! reg.record(transit, 8.6);
-//! // Compat path: literal names, interned on first use.
-//! reg.set_gauge("queue_depth", 7.0);
-//! {
-//!     let _span = reg.span("setup_s"); // records wall time on drop
-//! }
+//! let depth = reg.register_gauge("queue_depth");
+//! reg.set(depth, 7.0);
+//! let setup = reg.register_histogram("setup_s");
+//! let watch = Stopwatch::start();
+//! reg.record(setup, watch.elapsed_secs());
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counter("events"), Some(3));
 //! assert!(snap.to_json().contains("transit_s"));
@@ -98,7 +96,7 @@ struct HistogramCell {
 /// with a literal, recording needs no allocation, and snapshots are
 /// deterministic (exports sort by name). Metrics live in dense `Vec` slots
 /// indexed by `Copy` handles; the name-keyed maps are consulted only at
-/// registration (or by the compat layer), never on the record path. A
+/// registration and handle lookup, never on the record path. A
 /// disabled registry rejects every recording operation after a single
 /// branch — registration still works, so handle-holding structs can be
 /// built unconditionally.
@@ -271,88 +269,18 @@ impl MetricsRegistry {
         cell.touched = true;
     }
 
-    /// Increments counter `name` by `by` (compat layer: interns, then
-    /// [`MetricsRegistry::add`]).
-    pub fn inc(&mut self, name: &'static str, by: u64) {
-        if !self.enabled {
-            return;
-        }
-        let id = self.register_counter(name);
-        self.add(id, by);
-    }
-
-    /// Sets gauge `name` to `value` (compat layer). NaN is rejected — see
-    /// [`MetricsRegistry::set`].
-    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
-        if !self.enabled || value.is_nan() {
-            return;
-        }
-        let id = self.register_gauge(name);
-        self.set(id, value);
-    }
-
-    /// Records `value` into histogram `name` (compat layer).
-    pub fn observe(&mut self, name: &'static str, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        let id = self.register_histogram(name);
-        self.record(id, value);
-    }
-
-    /// Starts an RAII span: wall-clock seconds from now until the guard
-    /// drops are recorded into histogram `name`. On a disabled registry the
-    /// clock is never read.
-    pub fn span(&mut self, name: &'static str) -> SpanTimer<'_> {
-        let start = self.enabled.then(Instant::now);
-        SpanTimer {
-            registry: self,
-            name,
-            start,
-        }
-    }
-
-    /// Records a detached [`Stopwatch`]'s elapsed time into histogram
-    /// `name` and returns the elapsed seconds.
-    pub fn observe_elapsed(&mut self, name: &'static str, watch: &Stopwatch) -> f64 {
-        let secs = watch.elapsed_secs();
-        self.observe(name, secs);
-        secs
-    }
-
     /// A deterministic snapshot of everything recorded so far, sorted by
     /// metric name. Registered-but-never-recorded slots are invisible, so
     /// the export is byte-identical to the retired map-walk registry's.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<(String, u64)> = self
-            .counters
-            .iter()
-            .zip(&self.counter_names)
-            .filter(|(c, _)| c.touched)
-            .map(|(c, name)| ((*name).to_string(), c.value))
-            .collect();
-        counters.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        let mut gauges: Vec<(String, f64)> = self
-            .gauges
-            .iter()
-            .zip(&self.gauge_names)
-            .filter(|(g, _)| g.touched)
-            .map(|(g, name)| ((*name).to_string(), g.value))
-            .collect();
-        gauges.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        let mut histograms: Vec<HistogramSummary> = self
-            .histograms
-            .iter()
-            .zip(&self.histogram_names)
-            .filter(|(h, _)| h.touched)
-            .map(|(h, name)| HistogramSummary::of(name, &h.histogram))
-            .collect();
-        histograms.sort_unstable_by(|a, b| a.name.cmp(&b.name));
         MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: self.counters().map(|(n, v)| (n.to_string(), v)).collect(),
+            gauges: self.gauges().map(|(n, v)| (n.to_string(), v)).collect(),
+            histograms: self
+                .histograms()
+                .map(|(n, h)| HistogramSummary::of(n, h))
+                .collect(),
         }
     }
 
@@ -376,83 +304,43 @@ impl MetricsRegistry {
     /// Iterates the live (recorded) counters in name order (exact `u64`
     /// values).
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        let mut live: Vec<(&'static str, u64)> = self
-            .counters
-            .iter()
-            .zip(&self.counter_names)
-            .filter(|(c, _)| c.touched)
-            .map(|(c, name)| (*name, c.value))
-            .collect();
-        live.sort_unstable_by_key(|&(name, _)| name);
-        live.into_iter()
+        live(&self.counter_names, &self.counters, |c| {
+            c.touched.then_some(c.value)
+        })
     }
 
     /// Iterates the live (recorded) gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        let mut live: Vec<(&'static str, f64)> = self
-            .gauges
-            .iter()
-            .zip(&self.gauge_names)
-            .filter(|(g, _)| g.touched)
-            .map(|(g, name)| (*name, g.value))
-            .collect();
-        live.sort_unstable_by_key(|&(name, _)| name);
-        live.into_iter()
+        live(&self.gauge_names, &self.gauges, |g| {
+            g.touched.then_some(g.value)
+        })
     }
 
     /// Iterates the live (recorded) histograms in name order, exposing
     /// their exact internal state (use with [`Histogram::raw_min`],
     /// [`Histogram::sparse_buckets`], …) for checkpointing.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        let mut live: Vec<(&'static str, &Histogram)> = self
-            .histograms
-            .iter()
-            .zip(&self.histogram_names)
-            .filter(|(h, _)| h.touched)
-            .map(|(h, name)| (*name, &h.histogram))
-            .collect();
-        live.sort_unstable_by_key(|&(name, _)| name);
-        live.into_iter()
-    }
-
-    /// Overwrites counter `name` with an exact value (compat layer for the
-    /// checkpoint-restore path; see [`MetricsRegistry::store`]).
-    pub fn set_counter(&mut self, name: &'static str, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        let id = self.register_counter(name);
-        self.store(id, value);
-    }
-
-    /// Installs a fully-reconstructed histogram under `name` (compat layer
-    /// for the checkpoint-restore path; see [`MetricsRegistry::restore`]).
-    pub fn restore_histogram(&mut self, name: &'static str, histogram: Histogram) {
-        if !self.enabled {
-            return;
-        }
-        let id = self.register_histogram(name);
-        self.restore(id, histogram);
+        live(&self.histogram_names, &self.histograms, |h| {
+            h.touched.then_some(&h.histogram)
+        })
     }
 }
 
-/// RAII wall-clock span over a [`MetricsRegistry`] histogram.
-///
-/// Created by [`MetricsRegistry::span`]; records elapsed seconds on drop.
-#[derive(Debug)]
-pub struct SpanTimer<'a> {
-    registry: &'a mut MetricsRegistry,
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-impl Drop for SpanTimer<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let secs = start.elapsed().as_secs_f64();
-            self.registry.observe(self.name, secs);
-        }
-    }
+/// The recorded slots of one metric kind in name order: the walk every
+/// export shares. Names are unique per kind, so the unstable sort is
+/// deterministic.
+fn live<'a, C, T>(
+    names: &[&'static str],
+    cells: &'a [C],
+    read: impl Fn(&'a C) -> Option<T>,
+) -> std::vec::IntoIter<(&'static str, T)> {
+    let mut live: Vec<(&'static str, T)> = names
+        .iter()
+        .zip(cells)
+        .filter_map(|(&name, cell)| read(cell).map(|v| (name, v)))
+        .collect();
+    live.sort_unstable_by_key(|&(name, _)| name);
+    live.into_iter()
 }
 
 /// A detached wall-clock timer for spans that cannot hold a registry
@@ -820,21 +708,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let mut reg = MetricsRegistry::disabled();
-        reg.inc("a", 5);
-        reg.set_gauge("b", 1.0);
-        reg.observe("c", 2.0);
-        {
-            let _span = reg.span("d");
-        }
-        let watch = Stopwatch::start();
-        reg.observe_elapsed("e", &watch);
-        assert!(!reg.is_enabled());
-        assert!(reg.snapshot().is_empty());
-    }
-
-    #[test]
     fn disabled_registry_handle_ops_are_no_ops() {
         let mut reg = MetricsRegistry::disabled();
         let c = reg.register_counter("a");
@@ -852,21 +725,19 @@ mod tests {
     }
 
     #[test]
-    fn disabled_span_never_reads_the_clock() {
-        let mut reg = MetricsRegistry::disabled();
-        let span = reg.span("x");
-        assert!(span.start.is_none(), "disabled span must not start a clock");
-    }
-
-    #[test]
     fn counters_gauges_histograms_round_trip() {
         let mut reg = MetricsRegistry::enabled();
-        reg.inc("events", 2);
-        reg.inc("events", 3);
-        reg.set_gauge("depth", 4.0);
-        reg.set_gauge("depth", 7.5); // gauges overwrite
-        reg.observe("lat", 0.5);
-        reg.observe("lat", 1.5);
+        let (events, depth, lat) = (
+            reg.register_counter("events"),
+            reg.register_gauge("depth"),
+            reg.register_histogram("lat"),
+        );
+        reg.add(events, 2);
+        reg.add(events, 3);
+        reg.set(depth, 4.0);
+        reg.set(depth, 7.5); // gauges overwrite
+        reg.record(lat, 0.5);
+        reg.record(lat, 1.5);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("events"), Some(5));
         assert_eq!(snap.gauge("depth"), Some(7.5));
@@ -878,24 +749,6 @@ mod tests {
         assert_eq!(snap.counter("missing"), None);
         assert_eq!(snap.gauge("missing"), None);
         assert!(snap.histogram("missing").is_none());
-    }
-
-    #[test]
-    fn handle_and_compat_paths_share_slots() {
-        let mut reg = MetricsRegistry::enabled();
-        let events = reg.register_counter("events");
-        reg.inc("events", 2); // compat resolves to the same slot
-        reg.add(events, 3);
-        let depth = reg.register_gauge("depth");
-        reg.set_gauge("depth", 1.0);
-        reg.set(depth, 7.5);
-        let lat = reg.register_histogram("lat");
-        reg.observe("lat", 0.5);
-        reg.record(lat, 1.5);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("events"), Some(5));
-        assert_eq!(snap.gauge("depth"), Some(7.5));
-        assert_eq!(snap.histogram("lat").unwrap().count, 2);
     }
 
     #[test]
@@ -918,12 +771,12 @@ mod tests {
     #[test]
     fn registration_alone_is_invisible_in_snapshots() {
         let mut reg = MetricsRegistry::enabled();
-        reg.register_counter("c");
+        let c = reg.register_counter("c");
         reg.register_gauge("g");
         reg.register_histogram("h");
         assert!(reg.snapshot().is_empty(), "untouched slots must not export");
         // Recording zero still creates the entry, as the map registry did.
-        reg.inc("c", 0);
+        reg.add(c, 0);
         assert_eq!(reg.snapshot().counter("c"), Some(0));
     }
 
@@ -940,8 +793,6 @@ mod tests {
             Some(2.0),
             "NaN must not overwrite a healthy reading"
         );
-        reg.set_gauge("depth", f64::NAN); // compat path sanitises too
-        assert_eq!(reg.snapshot().gauge("depth"), Some(2.0));
         let snap = reg.snapshot();
         assert_eq!(snap, snap.clone(), "snapshot equality survives");
     }
@@ -951,10 +802,14 @@ mod tests {
         let build = || {
             let mut reg = MetricsRegistry::enabled();
             // Insertion order deliberately unsorted.
-            reg.inc("zeta", 1);
-            reg.inc("alpha", 2);
-            reg.observe("mid", 3.0);
-            reg.set_gauge("gamma", 4.0);
+            let zeta = reg.register_counter("zeta");
+            let alpha = reg.register_counter("alpha");
+            let mid = reg.register_histogram("mid");
+            let gamma = reg.register_gauge("gamma");
+            reg.add(zeta, 1);
+            reg.add(alpha, 2);
+            reg.record(mid, 3.0);
+            reg.set(gamma, 4.0);
             reg.snapshot()
         };
         let a = build();
@@ -963,18 +818,6 @@ mod tests {
         assert_eq!(a.counters[0].0, "alpha");
         assert_eq!(a.counters[1].0, "zeta");
         assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn span_timer_records_on_drop() {
-        let mut reg = MetricsRegistry::enabled();
-        {
-            let _span = reg.span("scope_s");
-        }
-        let snap = reg.snapshot();
-        let h = snap.histogram("scope_s").unwrap();
-        assert_eq!(h.count, 1);
-        assert!(h.max >= 0.0);
     }
 
     #[test]
@@ -988,9 +831,12 @@ mod tests {
     #[test]
     fn json_export_parses_back() {
         let mut reg = MetricsRegistry::enabled();
-        reg.inc("n \"quoted\"", 7);
-        reg.set_gauge("g", 2.5);
-        reg.observe("h", 1.0);
+        let n = reg.register_counter("n \"quoted\"");
+        let g = reg.register_gauge("g");
+        let h = reg.register_histogram("h");
+        reg.add(n, 7);
+        reg.set(g, 2.5);
+        reg.record(h, 1.0);
         let snap = reg.snapshot();
         let v = json::parse(&snap.to_json()).unwrap();
         assert_eq!(
@@ -1012,9 +858,14 @@ mod tests {
     #[test]
     fn ndjson_is_one_valid_object_per_line() {
         let mut reg = MetricsRegistry::enabled();
-        reg.inc("a", 1);
-        reg.set_gauge("b", 2.0);
-        reg.observe("c", 3.0);
+        let (a, b, c) = (
+            reg.register_counter("a"),
+            reg.register_gauge("b"),
+            reg.register_histogram("c"),
+        );
+        reg.add(a, 1);
+        reg.set(b, 2.0);
+        reg.record(c, 3.0);
         let nd = reg.snapshot().to_ndjson();
         let lines: Vec<_> = nd.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -1029,30 +880,36 @@ mod tests {
     fn events_per_sec_derives_from_counter_and_wall_gauge() {
         let mut reg = MetricsRegistry::enabled();
         assert_eq!(reg.snapshot().events_per_sec(), None);
-        reg.set_counter("engine.events_processed", 1_000);
+        let events = reg.register_counter("engine.events_processed");
+        let wall = reg.register_gauge("sim.wall_time_s");
+        reg.store(events, 1_000);
         assert_eq!(
             reg.snapshot().events_per_sec(),
             None,
             "no wall gauge yet — no rate"
         );
-        reg.set_gauge("sim.wall_time_s", 0.0);
+        reg.set(wall, 0.0);
         assert_eq!(
             reg.snapshot().events_per_sec(),
             None,
             "zero wall time must not divide"
         );
-        reg.set_gauge("sim.wall_time_s", 0.25);
+        reg.set(wall, 0.25);
         assert_eq!(reg.snapshot().events_per_sec(), Some(4_000.0));
     }
 
     #[test]
     fn merge_sums_counters() {
-        let mut a = MetricsRegistry::enabled();
-        a.inc("events", 3);
-        a.inc("launches", 1);
-        let mut b = MetricsRegistry::enabled();
-        b.inc("events", 4);
-        b.inc("retries", 2);
+        let count = |pairs: &[(&'static str, u64)]| {
+            let mut reg = MetricsRegistry::enabled();
+            for &(name, by) in pairs {
+                let id = reg.register_counter(name);
+                reg.add(id, by);
+            }
+            reg
+        };
+        let a = count(&[("events", 3), ("launches", 1)]);
+        let b = count(&[("events", 4), ("retries", 2)]);
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged.counter("events"), Some(7));
@@ -1068,11 +925,16 @@ mod tests {
 
     #[test]
     fn merge_gauges_are_last_write_wins_in_merge_order() {
-        let mut a = MetricsRegistry::enabled();
-        a.set_gauge("depth", 1.0);
-        a.set_gauge("only_a", 10.0);
-        let mut b = MetricsRegistry::enabled();
-        b.set_gauge("depth", 2.0);
+        let gauge = |pairs: &[(&'static str, f64)]| {
+            let mut reg = MetricsRegistry::enabled();
+            for &(name, v) in pairs {
+                let id = reg.register_gauge(name);
+                reg.set(id, v);
+            }
+            reg
+        };
+        let a = gauge(&[("depth", 1.0), ("only_a", 10.0)]);
+        let b = gauge(&[("depth", 2.0)]);
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         // Replica mergers apply merge() in replica-index order, so the
@@ -1092,16 +954,18 @@ mod tests {
         let mut a = MetricsRegistry::enabled();
         let mut b = MetricsRegistry::enabled();
         let mut combined = MetricsRegistry::enabled();
+        let lat = [&mut a, &mut b, &mut combined].map(|r| r.register_histogram("lat"));
         for v in left {
-            a.observe("lat", v);
-            combined.observe("lat", v);
+            a.record(lat[0], v);
+            combined.record(lat[2], v);
         }
         for v in right {
-            b.observe("lat", v);
-            combined.observe("lat", v);
+            b.record(lat[1], v);
+            combined.record(lat[2], v);
         }
-        b.observe("extra", 1.0);
-        combined.observe("extra", 1.0);
+        let extra = [&mut b, &mut combined].map(|r| r.register_histogram("extra"));
+        b.record(extra[0], 1.0);
+        combined.record(extra[1], 1.0);
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged.histograms, combined.snapshot().histograms);
@@ -1115,8 +979,9 @@ mod tests {
     fn merge_is_order_independent_for_counters_and_histograms() {
         let snap = |seed: u64| {
             let mut reg = MetricsRegistry::enabled();
-            reg.inc("n", seed);
-            reg.observe("h", seed as f64 + 0.5);
+            let (n, h) = (reg.register_counter("n"), reg.register_histogram("h"));
+            reg.add(n, seed);
+            reg.record(h, seed as f64 + 0.5);
             reg.snapshot()
         };
         let (a, b, c) = (snap(1), snap(2), snap(3));
@@ -1133,9 +998,14 @@ mod tests {
     #[test]
     fn merge_with_empty_snapshot_is_identity() {
         let mut reg = MetricsRegistry::enabled();
-        reg.inc("a", 1);
-        reg.set_gauge("g", 2.0);
-        reg.observe("h", 3.0);
+        let (a, g, h) = (
+            reg.register_counter("a"),
+            reg.register_gauge("g"),
+            reg.register_histogram("h"),
+        );
+        reg.add(a, 1);
+        reg.set(g, 2.0);
+        reg.record(h, 3.0);
         let orig = reg.snapshot();
         let mut merged = orig.clone();
         merged.merge(&MetricsSnapshot::default());
@@ -1148,23 +1018,31 @@ mod tests {
     #[test]
     fn registry_state_export_and_restore_is_exact() {
         let mut reg = MetricsRegistry::enabled();
-        reg.inc("events", u64::MAX - 3);
-        reg.inc("events", 3); // lands exactly on u64::MAX
-        reg.set_gauge("depth", 0.1 + 0.2); // not exactly 0.3
-        reg.observe("lat", 0.1);
-        reg.observe("lat", 0.2);
+        let (events, depth, lat) = (
+            reg.register_counter("events"),
+            reg.register_gauge("depth"),
+            reg.register_histogram("lat"),
+        );
+        reg.add(events, u64::MAX - 3);
+        reg.add(events, 3); // lands exactly on u64::MAX
+        reg.set(depth, 0.1 + 0.2); // not exactly 0.3
+        reg.record(lat, 0.1);
+        reg.record(lat, 0.2);
 
         // Export the exact state, rebuild a fresh registry from it.
         let mut restored = MetricsRegistry::enabled();
         for (name, v) in reg.counters() {
-            restored.set_counter(name, v);
+            let id = restored.register_counter(name);
+            restored.store(id, v);
         }
         for (name, v) in reg.gauges() {
-            restored.set_gauge(name, v);
+            let id = restored.register_gauge(name);
+            restored.set(id, v);
         }
         for (name, h) in reg.histograms() {
-            restored.restore_histogram(
-                name,
+            let id = restored.register_histogram(name);
+            restored.restore(
+                id,
                 Histogram::from_parts(
                     h.count(),
                     h.sum(),
@@ -1179,60 +1057,26 @@ mod tests {
 
         // Recording continues identically after restore: same f64
         // accumulation order, so snapshots stay bit-identical.
-        reg.observe("lat", 0.4);
-        reg.inc("events", 0);
-        restored.observe("lat", 0.4);
-        restored.inc("events", 0);
+        reg.record(lat, 0.4);
+        reg.add(events, 0);
+        let (events, lat) = (
+            restored.counter_id("events").unwrap(),
+            restored.histogram_id("lat").unwrap(),
+        );
+        restored.record(lat, 0.4);
+        restored.add(events, 0);
         assert_eq!(restored.snapshot(), reg.snapshot());
-    }
-
-    #[test]
-    fn restore_through_handles_matches_compat_restore() {
-        let mut reg = MetricsRegistry::enabled();
-        reg.inc("events", 17);
-        reg.observe("lat", 0.125);
-        reg.observe("lat", 8.5);
-
-        let mut by_name = MetricsRegistry::enabled();
-        let mut by_handle = MetricsRegistry::enabled();
-        for (name, v) in reg.counters() {
-            by_name.set_counter(name, v);
-            let id = by_handle.register_counter(name);
-            by_handle.store(id, v);
-        }
-        for (name, h) in reg.histograms() {
-            let parts = Histogram::from_parts(
-                h.count(),
-                h.sum(),
-                h.raw_min(),
-                h.raw_max(),
-                &h.sparse_buckets(),
-            );
-            by_name.restore_histogram(name, parts.clone());
-            let id = by_handle.register_histogram(name);
-            by_handle.restore(id, parts);
-        }
-        assert_eq!(by_name.snapshot(), reg.snapshot());
-        assert_eq!(by_handle.snapshot(), reg.snapshot());
-        assert_eq!(by_name.snapshot().to_json(), by_handle.snapshot().to_json());
-    }
-
-    #[test]
-    fn disabled_registry_ignores_restore() {
-        let mut reg = MetricsRegistry::disabled();
-        reg.set_counter("a", 5);
-        reg.restore_histogram("h", Histogram::new());
-        assert!(reg.snapshot().is_empty());
     }
 
     #[test]
     fn reset_clears_but_keeps_enablement() {
         let mut reg = MetricsRegistry::enabled();
-        reg.inc("a", 1);
+        let a = reg.register_counter("a");
+        reg.add(a, 1);
         reg.reset();
         assert!(reg.snapshot().is_empty());
         assert!(reg.is_enabled());
-        reg.inc("a", 1);
+        reg.add(a, 1);
         assert_eq!(reg.snapshot().counter("a"), Some(1));
     }
 

@@ -1,5 +1,6 @@
-//! Differential suite: the dense-slot handle registry vs the pinned
-//! map-walk [`reference_registry`], following the `queue_equivalence` /
+//! Differential suite: the dense-slot handle registry, driven only through
+//! `register_*` and handle operations, vs the pinned name-keyed map-walk
+//! [`reference_registry`], following the `queue_equivalence` /
 //! `service_equivalence` convention — drive both implementations through
 //! randomized operation interleavings and assert byte-identical
 //! [`MetricsSnapshot`] JSON at every checkpoint.
@@ -74,8 +75,10 @@ fn assert_identical(live: &MetricsRegistry, reference: &ReferenceRegistry, conte
     );
 }
 
-/// The core differential: random interleavings of every compat-API
+/// The core differential: random interleavings of every recording
 /// operation, checked for byte-identical exports at interior checkpoints.
+/// The live registry registers each name on first use, as a restore does;
+/// the reference sees names.
 #[test]
 fn randomized_interleavings_export_byte_identically() {
     for seed in 0..32u64 {
@@ -87,25 +90,29 @@ fn randomized_interleavings_export_byte_identically() {
                 0..=34 => {
                     let name = rng.pick(COUNTERS);
                     let by = rng.next_u64() % 1_000;
-                    live.inc(name, by);
+                    let id = live.register_counter(name);
+                    live.add(id, by);
                     reference.inc(name, by);
                 }
                 35..=54 => {
                     let name = rng.pick(GAUGES);
                     let v = rng.value();
-                    live.set_gauge(name, v);
+                    let id = live.register_gauge(name);
+                    live.set(id, v);
                     reference.set_gauge(name, v);
                 }
                 55..=89 => {
                     let name = rng.pick(HISTOGRAMS);
                     let v = rng.value();
-                    live.observe(name, v);
+                    let id = live.register_histogram(name);
+                    live.record(id, v);
                     reference.observe(name, v);
                 }
                 90..=93 => {
                     let name = rng.pick(COUNTERS);
                     let v = rng.next_u64();
-                    live.set_counter(name, v);
+                    let id = live.register_counter(name);
+                    live.store(id, v);
                     reference.set_counter(name, v);
                 }
                 94..=96 => {
@@ -120,7 +127,8 @@ fn randomized_interleavings_export_byte_identically() {
                         h.record(v);
                         r.record(v);
                     }
-                    live.restore_histogram(name, h);
+                    let id = live.register_histogram(name);
+                    live.restore(id, h);
                     reference.restore_histogram(name, r);
                 }
                 97 => {
@@ -130,7 +138,8 @@ fn randomized_interleavings_export_byte_identically() {
                 _ => {
                     // Zero-increment still creates the entry in both.
                     let name = rng.pick(COUNTERS);
-                    live.inc(name, 0);
+                    let id = live.register_counter(name);
+                    live.add(id, 0);
                     reference.inc(name, 0);
                 }
             }
@@ -142,9 +151,9 @@ fn randomized_interleavings_export_byte_identically() {
     }
 }
 
-/// The handle fast path and the compat path must be indistinguishable from
-/// the reference: drive the live registry exclusively through pre-interned
-/// ids while the reference sees names.
+/// Handles registered up front, before anything is recorded, must be
+/// indistinguishable from the reference too: drive the live registry
+/// through pre-interned ids while the reference sees names.
 #[test]
 fn handle_path_matches_reference_byte_for_byte() {
     for seed in 0..16u64 {
@@ -199,39 +208,42 @@ fn audit_shaped_workload_with_restore_cycle_is_byte_identical() {
     let mut rng = Rng(0x000C_4A54);
     let mut live = MetricsRegistry::enabled();
     let mut reference = ReferenceRegistry::enabled();
+    let events = live.register_counter("sim.events");
+    let deliveries = live.register_counter("sim.deliveries");
+    let ssd_failures = live.register_counter("sim.ssd_failures");
+    let transit = live.register_histogram("sim.transit_s");
     for _ in 0..5_000u32 {
-        live.inc("sim.events", 1);
+        live.add(events, 1);
         reference.inc("sim.events", 1);
         if rng.next_u64().is_multiple_of(3) {
-            live.inc("sim.deliveries", 1);
+            live.add(deliveries, 1);
             reference.inc("sim.deliveries", 1);
             let v = rng.value();
-            live.observe("sim.transit_s", v);
+            live.record(transit, v);
             reference.observe("sim.transit_s", v);
         }
         if rng.next_u64().is_multiple_of(50) {
-            live.inc(
-                "sim.ssd_failures",
-                u64::from(rng.next_u64().is_multiple_of(2)),
-            );
+            live.add(ssd_failures, u64::from(rng.next_u64().is_multiple_of(2)));
             reference.inc("sim.ssd_failures", u64::from(rng.next_u64() % 2 == 1));
         }
     }
     // ssd_failures counts drifted apart above (independent RNG draws) —
     // square them up through the absolute-set path before comparing.
     let absolute = 17;
-    live.set_counter("sim.ssd_failures", absolute);
+    live.store(ssd_failures, absolute);
     reference.set_counter("sim.ssd_failures", absolute);
 
     // Checkpoint: export the live registry's exact state, rebuild both.
     let mut live2 = MetricsRegistry::enabled();
     let mut reference2 = ReferenceRegistry::enabled();
     for (name, v) in live.counters() {
-        live2.set_counter(name, v);
+        let id = live2.register_counter(name);
+        live2.store(id, v);
         reference2.set_counter(name, v);
     }
     for (name, v) in live.gauges() {
-        live2.set_gauge(name, v);
+        let id = live2.register_gauge(name);
+        live2.set(id, v);
         reference2.set_gauge(name, v);
     }
     for (name, h) in live.histograms() {
@@ -242,7 +254,8 @@ fn audit_shaped_workload_with_restore_cycle_is_byte_identical() {
             h.raw_max(),
             h.sparse_buckets(),
         );
-        live2.restore_histogram(name, Histogram::from_parts(count, sum, min, max, &buckets));
+        let id = live2.register_histogram(name);
+        live2.restore(id, Histogram::from_parts(count, sum, min, max, &buckets));
         reference2.restore_histogram(
             name,
             ReferenceHistogram::from_parts(count, sum, min, max, &buckets),
@@ -256,16 +269,20 @@ fn audit_shaped_workload_with_restore_cycle_is_byte_identical() {
     );
 
     // Finish the run on the restored registries.
+    let events = live2.register_counter("sim.events");
+    let transit = live2.register_histogram("sim.transit_s");
     for _ in 0..1_000u32 {
-        live2.inc("sim.events", 1);
+        live2.add(events, 1);
         reference2.inc("sim.events", 1);
         let v = rng.value();
-        live2.observe("sim.transit_s", v);
+        live2.record(transit, v);
         reference2.observe("sim.transit_s", v);
     }
-    live2.set_gauge("sim.wall_time_s", 1.25);
+    let wall = live2.register_gauge("sim.wall_time_s");
+    let completion = live2.register_gauge("sim.completion_s");
+    live2.set(wall, 1.25);
     reference2.set_gauge("sim.wall_time_s", 1.25);
-    live2.set_gauge("sim.completion_s", 86.5);
+    live2.set(completion, 86.5);
     reference2.set_gauge("sim.completion_s", 86.5);
     assert_identical(&live2, &reference2, "final");
 }

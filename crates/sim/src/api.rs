@@ -12,12 +12,10 @@ use dhl_rng::DeterministicRng;
 use dhl_units::{Bytes, BytesPerSecond, Joules, Seconds};
 
 use dhl_storage::connectors::{ConnectorKind, DockingConnector};
-use dhl_storage::failure::{FailureModel, RaidConfig};
 
 use crate::config::{EndpointKind, SimConfig};
 use crate::movement::MovementCost;
-use crate::parallel::{ReplicaReport, ReplicaSet};
-use crate::system::{CartId, EndpointId, SimError};
+use crate::system::{CartId, EndpointId};
 
 /// Errors surfaced by the DHL API.
 #[derive(Clone, PartialEq, Debug)]
@@ -92,55 +90,6 @@ impl core::fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
-/// Builds a [`ReplicaSet`] over a configuration — the public entry point
-/// for seeded Monte-Carlo evaluation. Each replica is an independent
-/// [`crate::DhlSystem`] bulk transfer; results merge deterministically
-/// regardless of thread count (see [`crate::parallel`]).
-///
-/// # Examples
-///
-/// ```rust
-/// use dhl_sim::{api, SimConfig};
-/// use dhl_units::Bytes;
-///
-/// let merged = api::replicas(SimConfig::paper_default(), Bytes::from_terabytes(512.0))
-///     .replicas(2)
-///     .run()
-///     .unwrap();
-/// assert_eq!(merged.replica_count(), 2);
-/// ```
-#[must_use]
-pub fn replicas(cfg: SimConfig, dataset: Bytes) -> ReplicaSet {
-    ReplicaSet::new(cfg, dataset)
-}
-
-/// One-call convenience over [`replicas`]: runs `count` seeded replicas on
-/// [`crate::parallel::default_threads`] workers and merges the outcome.
-///
-/// # Errors
-///
-/// The first (by replica index) [`SimError`] any replica produced.
-pub fn run_replica_set(
-    cfg: SimConfig,
-    dataset: Bytes,
-    count: usize,
-) -> Result<ReplicaReport, SimError> {
-    replicas(cfg, dataset).replicas(count).run()
-}
-
-/// Reliability options for the API facade.
-#[derive(Clone, Debug)]
-pub struct ReliabilityConfig {
-    /// Per-SSD failure model.
-    pub failure: FailureModel,
-    /// RAID layout across the cart's SSDs.
-    pub raid: RaidConfig,
-    /// Number of SSDs per cart.
-    pub ssds_per_cart: u32,
-    /// RNG seed for reproducible injection.
-    pub seed: u64,
-}
-
 #[derive(Clone, Debug)]
 struct ApiCart {
     endpoint: EndpointId,
@@ -148,6 +97,9 @@ struct ApiCart {
 }
 
 /// The synchronous DHL API facade.
+///
+/// When `cfg.reliability` is set, every cart movement samples in-flight SSD
+/// failures from its failure model, seeded by its `seed`.
 ///
 /// # Examples
 ///
@@ -177,7 +129,7 @@ pub struct DhlApi {
     energy: Joules,
     carts: Vec<ApiCart>,
     dock_used: Vec<u32>,
-    reliability: Option<(ReliabilityConfig, DeterministicRng)>,
+    reliability_rng: Option<DeterministicRng>,
 }
 
 impl DhlApi {
@@ -203,6 +155,10 @@ impl DhlApi {
             .collect();
         let mut dock_used = vec![0u32; cfg.endpoints.len()];
         dock_used[0] = cfg.num_carts;
+        let reliability_rng = cfg
+            .reliability
+            .as_ref()
+            .map(|r| DeterministicRng::seed_from_u64(r.seed));
         Ok(Self {
             cfg,
             read_bandwidth,
@@ -211,15 +167,8 @@ impl DhlApi {
             energy: Joules::ZERO,
             carts,
             dock_used,
-            reliability: None,
+            reliability_rng,
         })
-    }
-
-    /// Enables stochastic in-flight SSD failure injection.
-    pub fn with_reliability(mut self, reliability: ReliabilityConfig) -> Self {
-        let rng = DeterministicRng::seed_from_u64(reliability.seed);
-        self.reliability = Some((reliability, rng));
-        self
     }
 
     /// Current simulated time.
@@ -356,7 +305,7 @@ impl DhlApi {
     }
 
     fn inject_failures(&mut self, cart: CartId, duration: Seconds) -> Result<(), ApiError> {
-        if let Some((rel, rng)) = self.reliability.as_mut() {
+        if let (Some(rel), Some(rng)) = (&self.cfg.reliability, self.reliability_rng.as_mut()) {
             let failed = rel
                 .failure
                 .sample_failures(rng, rel.ssds_per_cart, duration);
@@ -374,6 +323,8 @@ impl DhlApi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ReliabilitySpec;
+    use dhl_storage::failure::{FailureModel, RaidConfig};
 
     fn api() -> DhlApi {
         DhlApi::new(
@@ -457,29 +408,34 @@ mod tests {
         // certain.
         let mut cfg = SimConfig::paper_default();
         cfg.dock_time = Seconds::new(1e6); // absurdly long exposure
-        let mut api = DhlApi::new(
-            cfg,
-            BytesPerSecond::from_gigabytes_per_second(1.0),
-            BytesPerSecond::from_gigabytes_per_second(1.0),
-        )
-        .unwrap()
-        .with_reliability(ReliabilityConfig {
+        cfg.reliability = Some(ReliabilitySpec {
             failure: FailureModel::new(0.999999),
             raid: RaidConfig::none(32),
             ssds_per_cart: 32,
             seed: 7,
         });
+        let mut api = DhlApi::new(
+            cfg,
+            BytesPerSecond::from_gigabytes_per_second(1.0),
+            BytesPerSecond::from_gigabytes_per_second(1.0),
+        )
+        .unwrap();
         assert!(matches!(api.open(1), Err(ApiError::DataLoss { .. })));
     }
 
     #[test]
     fn reliability_with_strong_raid_survives() {
-        let mut api = api().with_reliability(ReliabilityConfig {
-            failure: FailureModel::typical_enterprise_ssd(),
-            raid: RaidConfig::new(28, 4).unwrap(),
-            ssds_per_cart: 32,
+        let mut cfg = SimConfig::paper_default();
+        cfg.reliability = Some(ReliabilitySpec {
             seed: 7,
+            ..ReliabilitySpec::typical()
         });
+        let mut api = DhlApi::new(
+            cfg,
+            BytesPerSecond::from_gigabytes_per_second(227.2),
+            BytesPerSecond::from_gigabytes_per_second(192.0),
+        )
+        .unwrap();
         // Hundreds of normal trips: never a loss with 4-parity RAID at 1% AFR.
         for _ in 0..50 {
             let cart = api.open(1).unwrap();

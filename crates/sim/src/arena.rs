@@ -3,7 +3,7 @@
 //! The simulator's hot loop touches one or two fields of one cart per
 //! event (`location` on a dock, `movement` on an arrival, …). Storing the
 //! fleet as an array-of-structs dragged every cold field — connector,
-//! wear, verify state — through the cache on each access; [`CartArena`]
+//! wear, verify state — through the cache on each access; `CartArena`
 //! transposes the fleet into one contiguous column per field so an event
 //! handler reads exactly the columns it needs. Cart identity is a plain
 //! dense index on the hot path (no boxing, no hashing); the generational
@@ -34,7 +34,7 @@ pub struct CartHandle {
 
 impl CartHandle {
     /// The dense fleet index this handle refers to (unvalidated; use
-    /// [`CartArena::resolve`] via `DhlSystem` for the checked path).
+    /// `CartArena::resolve` via `DhlSystem` for the checked path).
     #[must_use]
     pub fn index(self) -> usize {
         self.index as usize

@@ -262,7 +262,8 @@ impl DhlSystem {
     /// - [`SimError::ConnectorCyclesExceedRating`] if a cart's connector
     ///   wear is beyond its rating, which no run can reach.
     /// - [`SimError::InvalidCheckpointState`] if the dock table, the track
-    ///   list or a pending launch does not fit the configuration.
+    ///   list, a pending launch, the per-endpoint dock downtime or the
+    ///   presence of an RNG stream does not fit the configuration.
     /// - [`SimError::UnknownMetric`] if the checkpoint carries a metric the
     ///   simulator does not record.
     pub fn resume(cfg: SimConfig, cp: &Checkpoint) -> Result<Self, SimError> {
@@ -315,7 +316,7 @@ impl DhlSystem {
                 generation, c.location, c.movement, c.trips, connector, wear, c.matings, c.verify,
             );
         }
-        validate_launch_state(&sys, cp)?;
+        validate_state(&sys, cp)?;
         sys.dock_used = cp.dock_used.clone();
         sys.tracks = cp.tracks.clone();
         sys.backlog = Backlog::from_fifo(sys.cfg.endpoints.len(), cp.pending.iter().copied());
@@ -370,11 +371,12 @@ impl DhlSystem {
     }
 }
 
-/// Checks the state the launch rule indexes by endpoint, cart and track
-/// against the configuration (and the fleet already rebuilt into `sys`),
-/// so a corrupt checkpoint is refused here instead of panicking on an
-/// out-of-range index mid-run.
-fn validate_launch_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
+/// Checks the state the run indexes by endpoint, cart and track, and the
+/// RNG streams it draws from, against the configuration (and the fleet
+/// already rebuilt into `sys`), so a corrupt checkpoint is refused here
+/// instead of panicking mid-run on an out-of-range index or a missing
+/// stream.
+fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
     let invalid =
         |field: String, reason: String| Err(SimError::InvalidCheckpointState { field, reason });
     let endpoints = sys.cfg.endpoints.len();
@@ -383,6 +385,42 @@ fn validate_launch_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimErro
             "dock_used".into(),
             format!("{} entries for {endpoints} endpoints", cp.dock_used.len()),
         );
+    }
+    let downtime = cp.counters.dock_downtime.len();
+    if downtime != endpoints {
+        return invalid(
+            "counters.dock_downtime".into(),
+            format!("{downtime} entries for {endpoints} endpoints"),
+        );
+    }
+    for (name, has_stream, has_spec) in [
+        (
+            "reliability_rng",
+            cp.reliability_rng.is_some(),
+            sys.cfg.reliability.is_some(),
+        ),
+        (
+            "fault_rng",
+            cp.fault_rng.is_some(),
+            sys.cfg.faults.is_some(),
+        ),
+        (
+            "integrity_rng",
+            cp.integrity_rng.is_some(),
+            sys.cfg.integrity.is_some(),
+        ),
+    ] {
+        if has_stream != has_spec {
+            let (stream, spec) = if has_spec {
+                ("absent", "set")
+            } else {
+                ("present", "unset")
+            };
+            return invalid(
+                name.into(),
+                format!("stream {stream} while its configuration spec is {spec}"),
+            );
+        }
     }
     let tracks = if sys.cfg.dual_track { 2 } else { 1 };
     if cp.tracks.len() != tracks {
@@ -1045,7 +1083,7 @@ mod tests {
         let captured = sys.checkpoint();
         assert!(!captured.pending.is_empty(), "capture holds a backlog");
         type Mutation = fn(&mut Checkpoint);
-        let mutations: [(&str, Mutation); 7] = [
+        let mutations: [(&str, Mutation); 11] = [
             ("pending[0].cart", |cp| cp.pending[0].cart = 8),
             ("pending[0].from", |cp| cp.pending[0].from = 2),
             ("pending[0].to", |cp| cp.pending[0].to = 9),
@@ -1055,6 +1093,12 @@ mod tests {
                 cp.dock_used.pop();
             }),
             ("tracks", |cp| cp.tracks.push(TrackState::default())),
+            ("counters.dock_downtime", |cp| {
+                cp.counters.dock_downtime.clear()
+            }),
+            ("reliability_rng", |cp| cp.reliability_rng = None),
+            ("fault_rng", |cp| cp.fault_rng = None),
+            ("integrity_rng", |cp| cp.integrity_rng = cp.fault_rng),
         ];
         for (field, mutate) in mutations {
             let mut cp = captured.clone();

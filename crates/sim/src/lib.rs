@@ -60,8 +60,8 @@ pub use config::{
 };
 pub use movement::MovementCost;
 pub use parallel::{
-    default_threads, parallel_map, run_replicas, run_replicas_with_recovery, CrashInjection,
-    RecoveryOptions, ReplicaReport, ReplicaSet, ReplicaStats,
+    default_threads, parallel_map, run_replicas, CrashInjection, RecoveryOptions, ReplicaReport,
+    ReplicaStats,
 };
 pub use report::{BulkTransferReport, IntegrityReport, ReliabilityReport};
 pub use system::{CartId, CartLocation, DhlSystem, Direction, EndpointId, SimError};

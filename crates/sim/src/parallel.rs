@@ -4,14 +4,13 @@
 //! module fans those replicas across `std::thread::scope` workers and merges
 //! their results deterministically:
 //!
-//! - [`parallel_map`] — the generic chunked fan-out (the
-//!   `dhl_core::dse::sweep_parallel` pattern, generalised to any
-//!   `Send` work items). Output order always matches input order, and with
+//! - [`parallel_map`] — the workspace's one chunked fan-out, over any
+//!   `Send` work items. Output order always matches input order, and with
 //!   `threads <= 1` the closure runs inline with zero spawn overhead.
-//! - [`ReplicaSet`] / [`run_replicas`] — N seeded [`DhlSystem`] runs of the
-//!   same configuration. Replica 0 keeps the configured seeds (a 1-replica
-//!   set is exactly a single run); replica `i` derives per-stream seeds via
-//!   a splitmix64 mix of the base seed and `i`.
+//! - [`run_replicas`] — N seeded [`DhlSystem`] runs of the same
+//!   configuration. Replica 0 keeps the configured seeds (a 1-replica set
+//!   is exactly a single run); replica `i` derives per-stream seeds via a
+//!   splitmix64 mix of the base seed and `i`.
 //! - [`ReplicaReport`] — per-replica reports in replica order, a merged
 //!   [`MetricsSnapshot`] (counter sums, log₂-histogram bucket merges, gauges
 //!   last-write-wins by replica index, wall-clock gauges dropped), and
@@ -64,8 +63,7 @@ pub fn default_threads() -> usize {
 /// invocation costs nothing over a plain loop.
 ///
 /// Items are split into `ceil(len / threads)`-sized contiguous chunks, one
-/// worker per chunk — the same deterministic partitioning as
-/// `dhl_core::dse::sweep_parallel`.
+/// worker per chunk, so the partitioning is deterministic.
 pub fn parallel_map<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<U>
 where
     T: Send,
@@ -349,145 +347,47 @@ fn run_recoverable(
 /// count. On failure the error of the lowest-indexed failing replica is
 /// returned, again independent of thread count.
 ///
-/// # Errors
+/// With a `recovery` policy every replica checkpoints itself each
+/// `recovery.checkpoint_interval` of simulated time, and a replica that
+/// crashes (via `recovery.crash_hook`) restarts from its last checkpoint,
+/// up to `recovery.max_restarts` times. Checkpoint resume is bit-identical,
+/// so the merged report equals the crash-free outcome for any thread count
+/// — the property pinned by `tests/parallel_replicas.rs`.
 ///
-/// The first (by replica index) [`SimError`] any replica produced.
-pub fn run_replicas(
-    cfg: &SimConfig,
-    dataset: Bytes,
-    replicas: usize,
-    threads: usize,
-) -> Result<ReplicaReport, SimError> {
-    let configs: Vec<SimConfig> = (0..replicas)
-        .map(|i| replica_config(cfg.clone(), i as u64))
-        .collect();
-    let results = parallel_map(configs, threads, move |c| {
-        DhlSystem::new(c)?.run_bulk_transfer(dataset)
-    });
-    let mut reports = Vec::with_capacity(results.len());
-    for r in results {
-        reports.push(r?);
-    }
-    Ok(ReplicaReport::from_reports(reports))
-}
-
-/// [`run_replicas`] under a crash-recovery policy: every replica
-/// checkpoints itself each `recovery.checkpoint_interval` of simulated
-/// time, and a replica that crashes (via `recovery.crash_hook`) restarts
-/// from its last checkpoint, up to `recovery.max_restarts` times.
+/// # Examples
 ///
-/// Checkpoint resume is bit-identical, so the merged report equals the
-/// crash-free [`run_replicas`] outcome for any thread count — the property
-/// pinned by `tests/parallel_replicas.rs`.
+/// ```rust
+/// use dhl_sim::{run_replicas, ReliabilitySpec, SimConfig};
+/// use dhl_units::Bytes;
+///
+/// let mut cfg = SimConfig::paper_default();
+/// cfg.reliability = Some(ReliabilitySpec::typical());
+/// let merged = run_replicas(&cfg, Bytes::from_petabytes(1.0), 4, 2, None).unwrap();
+/// assert_eq!(merged.replica_count(), 4);
+/// assert!(merged.completion_time.mean > 0.0);
+/// ```
 ///
 /// # Errors
 ///
 /// The first (by replica index) [`SimError`] any replica produced,
 /// including [`SimError::RestartBudgetExhausted`] when a replica crashes
 /// more than `recovery.max_restarts` times.
-pub fn run_replicas_with_recovery(
+pub fn run_replicas(
     cfg: &SimConfig,
     dataset: Bytes,
     replicas: usize,
     threads: usize,
-    recovery: &RecoveryOptions,
+    recovery: Option<&RecoveryOptions>,
 ) -> Result<ReplicaReport, SimError> {
-    let configs: Vec<(u64, SimConfig)> = (0..replicas)
-        .map(|i| (i as u64, replica_config(cfg.clone(), i as u64)))
+    let configs: Vec<(u64, SimConfig)> = (0..replicas as u64)
+        .map(|i| (i, replica_config(cfg.clone(), i)))
         .collect();
-    let results = parallel_map(configs, threads, move |(index, c)| {
-        run_recoverable(c, dataset, index, recovery)
+    let results = parallel_map(configs, threads, move |(index, c)| match recovery {
+        None => DhlSystem::new(c)?.run_bulk_transfer(dataset),
+        Some(recovery) => run_recoverable(c, dataset, index, recovery),
     });
-    let mut reports = Vec::with_capacity(results.len());
-    for r in results {
-        reports.push(r?);
-    }
+    let reports = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(ReplicaReport::from_reports(reports))
-}
-
-/// Builder for a set of seeded replicas of one simulation.
-///
-/// # Examples
-///
-/// ```rust
-/// use dhl_sim::parallel::ReplicaSet;
-/// use dhl_sim::SimConfig;
-/// use dhl_units::Bytes;
-///
-/// let mut cfg = SimConfig::paper_default();
-/// cfg.reliability = Some(dhl_sim::ReliabilitySpec::typical());
-/// let merged = ReplicaSet::new(cfg, Bytes::from_petabytes(1.0))
-///     .replicas(4)
-///     .threads(2)
-///     .run()
-///     .unwrap();
-/// assert_eq!(merged.replica_count(), 4);
-/// assert!(merged.completion_time.mean > 0.0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct ReplicaSet {
-    cfg: SimConfig,
-    dataset: Bytes,
-    replicas: usize,
-    threads: usize,
-    recovery: Option<RecoveryOptions>,
-}
-
-impl ReplicaSet {
-    /// A set of one replica over `cfg`, using [`default_threads`] workers.
-    #[must_use]
-    pub fn new(cfg: SimConfig, dataset: Bytes) -> Self {
-        Self {
-            cfg,
-            dataset,
-            replicas: 1,
-            threads: default_threads(),
-            recovery: None,
-        }
-    }
-
-    /// Sets the number of seeded replicas (minimum 1).
-    #[must_use]
-    pub fn replicas(mut self, replicas: usize) -> Self {
-        self.replicas = replicas.max(1);
-        self
-    }
-
-    /// Caps the worker thread count (minimum 1). The thread count never
-    /// changes the result, only the wall-clock time.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables crash recovery: replicas checkpoint periodically and restart
-    /// from the last checkpoint on crash. The merged result is unchanged
-    /// (resume is bit-identical); only wall-clock time and the restart
-    /// budget are affected.
-    #[must_use]
-    pub fn recovery(mut self, recovery: RecoveryOptions) -> Self {
-        self.recovery = Some(recovery);
-        self
-    }
-
-    /// Runs the set and merges the outcomes.
-    ///
-    /// # Errors
-    ///
-    /// The first (by replica index) [`SimError`] any replica produced.
-    pub fn run(&self) -> Result<ReplicaReport, SimError> {
-        match &self.recovery {
-            None => run_replicas(&self.cfg, self.dataset, self.replicas, self.threads),
-            Some(recovery) => run_replicas_with_recovery(
-                &self.cfg,
-                self.dataset,
-                self.replicas,
-                self.threads,
-                recovery,
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -582,7 +482,7 @@ mod tests {
             .unwrap()
             .run_bulk_transfer(dataset)
             .unwrap();
-        let set = run_replicas(&cfg, dataset, 1, 1).unwrap();
+        let set = run_replicas(&cfg, dataset, 1, 1, None).unwrap();
         assert_eq!(set.reports.len(), 1);
         assert_eq!(set.reports[0], single);
         assert_eq!(set.completion_time.mean, single.completion_time.seconds());
@@ -597,7 +497,7 @@ mod tests {
             .unwrap()
             .run_bulk_transfer(dataset)
             .unwrap();
-        let set = run_replicas(&cfg, dataset, 3, 2).unwrap();
+        let set = run_replicas(&cfg, dataset, 3, 2, None).unwrap();
         assert!(set
             .metrics
             .gauges
@@ -615,7 +515,7 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.reliability = Some(ReliabilitySpec::typical());
         let dataset = Bytes::from_petabytes(1.0);
-        let clean = run_replicas(&cfg, dataset, 4, 2).unwrap();
+        let clean = run_replicas(&cfg, dataset, 4, 2, None).unwrap();
         let recovery = RecoveryOptions {
             checkpoint_interval: Seconds::new(15.0),
             max_restarts: 3,
@@ -631,12 +531,11 @@ mod tests {
             ..recovery.clone()
         };
         assert!(matches!(
-            run_replicas_with_recovery(&cfg, dataset, 4, 1, &strict),
+            run_replicas(&cfg, dataset, 4, 1, Some(&strict)),
             Err(SimError::RestartBudgetExhausted { replica: 2, .. })
         ));
         for threads in [1, 2, 8] {
-            let recovered =
-                run_replicas_with_recovery(&cfg, dataset, 4, threads, &recovery).unwrap();
+            let recovered = run_replicas(&cfg, dataset, 4, threads, Some(&recovery)).unwrap();
             assert_eq!(
                 recovered.reports, clean.reports,
                 "threads = {threads}: recovery must not change any replica's report"
@@ -651,13 +550,9 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.integrity = Some(IntegritySpec::typical());
         let dataset = Bytes::from_terabytes(512.0);
-        let clean = run_replicas(&cfg, dataset, 2, 1).unwrap();
-        let recovered = ReplicaSet::new(cfg, dataset)
-            .replicas(2)
-            .threads(2)
-            .recovery(RecoveryOptions::default())
-            .run()
-            .unwrap();
+        let clean = run_replicas(&cfg, dataset, 2, 1, None).unwrap();
+        let recovered =
+            run_replicas(&cfg, dataset, 2, 2, Some(&RecoveryOptions::default())).unwrap();
         assert_eq!(recovered.reports, clean.reports);
         assert_eq!(recovered.metrics, clean.metrics);
     }
@@ -676,8 +571,8 @@ mod tests {
                 crashes: 10,
             }),
         };
-        let err = run_replicas_with_recovery(&cfg, Bytes::from_petabytes(1.0), 2, 2, &recovery)
-            .unwrap_err();
+        let err =
+            run_replicas(&cfg, Bytes::from_petabytes(1.0), 2, 2, Some(&recovery)).unwrap_err();
         match err {
             SimError::RestartBudgetExhausted { replica, restarts } => {
                 assert_eq!(replica, 0);
@@ -691,8 +586,8 @@ mod tests {
     fn invalid_config_error_is_deterministic() {
         let mut cfg = SimConfig::paper_default();
         cfg.num_carts = 0;
-        let err_serial = run_replicas(&cfg, Bytes::from_terabytes(1.0), 4, 1).unwrap_err();
-        let err_parallel = run_replicas(&cfg, Bytes::from_terabytes(1.0), 4, 4).unwrap_err();
+        let err_serial = run_replicas(&cfg, Bytes::from_terabytes(1.0), 4, 1, None).unwrap_err();
+        let err_parallel = run_replicas(&cfg, Bytes::from_terabytes(1.0), 4, 4, None).unwrap_err();
         assert_eq!(format!("{err_serial:?}"), format!("{err_parallel:?}"));
     }
 }

@@ -38,7 +38,7 @@ fn any_thread_count_is_bit_identical_to_the_serial_loop() {
     let serial = serial_reference(&cfg, dataset, replicas);
     assert_eq!(serial.replica_count(), replicas);
     for threads in [1, 2, 4, 16, 1000] {
-        let parallel = run_replicas(&cfg, dataset, replicas, threads).unwrap();
+        let parallel = run_replicas(&cfg, dataset, replicas, threads, None).unwrap();
         // Simulation outcomes, per replica and in order.
         assert_eq!(parallel.reports, serial.reports, "threads = {threads}");
         // The merged snapshot — counters, wall-free gauges, histograms —
@@ -64,7 +64,7 @@ fn randomised_workloads_stay_thread_count_independent() {
             let threads = 1 + (g.u64_in(0, 31) as usize);
             let cfg = stochastic_config();
             let serial = serial_reference(&cfg, dataset, replicas);
-            let parallel = run_replicas(&cfg, dataset, replicas, threads).unwrap();
+            let parallel = run_replicas(&cfg, dataset, replicas, threads, None).unwrap();
             assert_eq!(
                 parallel, serial,
                 "replicas = {replicas}, threads = {threads}"
@@ -78,7 +78,7 @@ fn randomised_workloads_stay_thread_count_independent() {
 fn merged_aggregates_summarise_the_replica_outcomes() {
     let cfg = stochastic_config();
     let dataset = Bytes::from_petabytes(1.0);
-    let merged = run_replicas(&cfg, dataset, 5, 4).unwrap();
+    let merged = run_replicas(&cfg, dataset, 5, 4, None).unwrap();
     let times: Vec<f64> = merged
         .reports
         .iter()

@@ -193,7 +193,7 @@ impl RaidConfig {
     /// probability `p` (binomial survival across the layout).
     ///
     /// Each binomial term is O(1) via the memoised/Stirling
-    /// [`ln_factorial`], so the whole sum is O(parity) rather than
+    /// `ln_factorial`, so the whole sum is O(parity) rather than
     /// O(drives × parity).
     #[must_use]
     pub fn trip_survival_probability(&self, p: f64) -> f64 {

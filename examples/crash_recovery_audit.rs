@@ -21,8 +21,8 @@ use datacentre_hyperloop::sched::{
     DockRecoveryAwareness, Placement, Policy, Priority, Scenario, TransferRequest,
 };
 use datacentre_hyperloop::sim::{
-    run_replicas, run_replicas_with_recovery, Checkpoint, CrashInjection, DhlSystem,
-    DockControllerFaultSpec, FaultSpec, RecoveryOptions, ReliabilitySpec, SimConfig,
+    run_replicas, Checkpoint, CrashInjection, DhlSystem, DockControllerFaultSpec, FaultSpec,
+    RecoveryOptions, ReliabilitySpec, SimConfig,
 };
 use datacentre_hyperloop::storage::datasets;
 use datacentre_hyperloop::units::{Bytes, Seconds};
@@ -100,13 +100,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // outcome must equal the crash-free fan-out.
     let replica_cfg = SimConfig::paper_default();
     let replica_data = Bytes::from_petabytes(1.0);
-    let clean = run_replicas(&replica_cfg, replica_data, 4, 2)?;
-    let recovered = run_replicas_with_recovery(
+    let clean = run_replicas(&replica_cfg, replica_data, 4, 2, None)?;
+    let recovered = run_replicas(
         &replica_cfg,
         replica_data,
         4,
         2,
-        &RecoveryOptions {
+        Some(&RecoveryOptions {
             checkpoint_interval: Seconds::new(15.0),
             max_restarts: 3,
             crash_hook: Some(CrashInjection {
@@ -114,7 +114,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 at_time: Seconds::new(20.0),
                 crashes: 2,
             }),
-        },
+        }),
     )?;
     assert_eq!(
         clean.reports, recovered.reports,

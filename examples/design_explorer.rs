@@ -6,20 +6,20 @@
 //! ```
 
 use datacentre_hyperloop::core::{
-    acceleration_sweep, density_scaling, docking_time_sweep, sweep_parallel, CostModel, DhlConfig,
+    acceleration_sweep, density_scaling, docking_time_sweep, sweep, CostModel, DhlConfig,
 };
 use datacentre_hyperloop::units::{
     Bytes, Metres, MetresPerSecond, MetresPerSecondSquared, Seconds,
 };
 
 fn main() {
-    // 1. A 135-point sweep (vs the paper's 13), in parallel.
+    // 1. A 135-point sweep (vs the paper's 13).
     let speeds: Vec<MetresPerSecond> = (2..=10)
         .map(|v| MetresPerSecond::new(f64::from(v) * 30.0))
         .collect();
     let lengths: Vec<Metres> = [100.0, 250.0, 500.0, 750.0, 1000.0].map(Metres::new).into();
     let counts = [16, 32, 64];
-    let points = sweep_parallel(&speeds, &lengths, &counts, Bytes::from_petabytes(29.0), 8);
+    let points = sweep(&speeds, &lengths, &counts, Bytes::from_petabytes(29.0));
     let best_eff = points
         .iter()
         .max_by(|a, b| {

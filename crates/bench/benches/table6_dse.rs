@@ -3,8 +3,7 @@
 use std::hint::black_box;
 
 use dhl_bench::harness::bench_function;
-use dhl_core::{paper_dataset, paper_table_vi, sweep, DhlConfig, DsePoint};
-use dhl_sim::parallel_map;
+use dhl_core::{paper_dataset, paper_table_vi, sweep};
 use dhl_units::{Metres, MetresPerSecond};
 
 fn main() {
@@ -22,18 +21,5 @@ fn main() {
 
     bench_function("table6/sweep_serial_1350_points", || {
         sweep(&speeds, &lengths, &counts, paper_dataset()).len()
-    });
-    // The same grid, in `sweep`'s order, fanned across 8 workers.
-    let mut grid = Vec::with_capacity(speeds.len() * lengths.len() * counts.len());
-    for &v in &speeds {
-        for &l in &lengths {
-            grid.extend(counts.iter().map(|&n| (v, l, n)));
-        }
-    }
-    bench_function("table6/parallel_map_1350_points", || {
-        parallel_map(grid.clone(), 8, |(v, l, n)| {
-            DsePoint::evaluate(DhlConfig::with_ssd_count(v, l, n), paper_dataset())
-        })
-        .len()
     });
 }

@@ -19,10 +19,7 @@ use dhl_core::{crossover, paper_dataset, paper_minimal_dhl, paper_table_vi, Cost
 use dhl_mlsim::{fig6, iso_power, iso_time, DesDhlFabric, DhlFabric, DlrmWorkload};
 use dhl_net::route::{Route, RouteId};
 use dhl_physics::{BrakingSystem, TimeModel};
-use dhl_sim::{
-    default_threads, parallel_map, run_replicas, Checkpoint, DhlSystem, IntegritySpec,
-    ReliabilitySpec, SimConfig,
-};
+use dhl_sim::{run_replicas, Checkpoint, DhlSystem, IntegritySpec, ReliabilitySpec, SimConfig};
 use dhl_units::{Bytes, Metres, MetresPerSecond, Watts};
 
 use dhl_mlsim::CommFabric as _;
@@ -363,16 +360,11 @@ pub fn render_des_ablation() -> String {
             c
         }),
     ];
-    // Fan the independent DES variants across worker threads; results come
-    // back in input order, so the table is identical to the serial loop.
-    let rows = parallel_map(variants, default_threads(), |(name, cfg)| {
+    for (name, cfg) in variants {
         let report = DhlSystem::new(cfg)
             .expect("valid variant")
             .run_bulk_transfer(dataset)
             .expect("converges");
-        (name, report)
-    });
-    for (name, report) in rows {
         let _ = writeln!(
             out,
             "{:<42} {:>12.1} {:>12.3} {:>10.2}",
@@ -1596,43 +1588,19 @@ pub fn run_bench_suite() -> Vec<report_file::BenchCase> {
         metrics: Some(resumed_metrics),
     });
 
-    // Replica-driver cases: the same seeded Monte-Carlo set run serially
-    // and on the parallel driver. The merged report is bit-identical
-    // between the two by construction (pinned by tests/parallel_replicas.rs);
-    // only wall time may differ, and the delta is printed below.
+    // Replica-driver case: a seeded Monte-Carlo set, run in replica order.
     let replica_cfg = {
         let mut cfg = SimConfig::paper_default();
         cfg.reliability = Some(ReliabilitySpec::typical());
         cfg
     };
     let (replicas, replica_dataset) = (8, Bytes::from_terabytes(512.0));
-    let serial_result = harness::bench_function("sim/replicas_serial", || {
-        run_replicas(&replica_cfg, replica_dataset, replicas, 1, None)
-            .expect("replicas converge")
-            .replica_count()
-    });
-    let threads = default_threads();
-    let parallel_result = harness::bench_function("sim/replicas_parallel", || {
-        run_replicas(&replica_cfg, replica_dataset, replicas, threads, None)
-            .expect("replicas converge")
-            .replica_count()
-    });
-    eprintln!(
-        "sim/replicas: serial {:.0} ns vs parallel {:.0} ns on {} thread(s) — {:.2}x",
-        serial_result.mean_ns,
-        parallel_result.mean_ns,
-        threads,
-        serial_result.mean_ns / parallel_result.mean_ns
-    );
-    let merged = run_replicas(&replica_cfg, replica_dataset, replicas, threads, None)
-        .expect("replicas converge");
+    let replica_run =
+        || run_replicas(&replica_cfg, replica_dataset, replicas, None).expect("replicas converge");
+    let result = harness::bench_function("sim/replicas_serial", || replica_run().replica_count());
     cases.push(BenchCase {
-        result: serial_result,
-        metrics: Some(merged.metrics.clone()),
-    });
-    cases.push(BenchCase {
-        result: parallel_result,
-        metrics: Some(merged.metrics),
+        result,
+        metrics: Some(replica_run().metrics),
     });
 
     // Scheduler-backed case: a small multi-tenant mix.

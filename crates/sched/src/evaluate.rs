@@ -1,14 +1,12 @@
-//! Side-by-side policy evaluation on the parallel driver.
+//! Side-by-side policy evaluation.
 //!
 //! Capacity planning repeatedly asks "how would this workload have fared
 //! under a different discipline?" — FIFO vs shortest-job-first, with or
 //! without fault/integrity awareness. Each scenario is an independent
-//! scheduler over the same configuration, placement, and request mix, so
-//! they fan out across threads via [`dhl_sim::parallel_map`] and come back
-//! in submission order. The scheduler itself is deterministic, so results
-//! are identical for any thread count.
+//! scheduler over the same configuration, placement, and request mix; they
+//! run one after another and come back in submission order.
 
-use dhl_sim::{default_threads, parallel_map, SimConfig};
+use dhl_sim::SimConfig;
 
 use crate::admission::AdmissionSpec;
 use crate::placement::Placement;
@@ -92,65 +90,49 @@ pub struct ScenarioOutcome {
     pub outcome: ScheduleOutcome,
 }
 
-/// Runs every scenario against the same configuration, placement, and
-/// request mix, fanning across `threads` workers.
+/// Runs every scenario, in order, against the same configuration,
+/// placement, and request mix.
 ///
-/// Outcomes are returned in scenario order regardless of thread count; on
-/// failure the error from the earliest-indexed scenario is returned. With
-/// `threads <= 1` the scenarios run inline on the caller's thread.
+/// Outcomes are returned in scenario order; on failure the error from the
+/// earliest-indexed failing scenario is returned.
 ///
 /// # Errors
 ///
 /// Returns the first scenario's [`SchedulerError`] — an invalid
 /// configuration, an unknown dataset, or a non-rack destination.
-pub fn evaluate_scenarios(
-    cfg: &SimConfig,
-    placement: &Placement,
-    requests: &[TransferRequest],
-    scenarios: Vec<Scenario>,
-    threads: usize,
-) -> Result<Vec<ScenarioOutcome>, SchedulerError> {
-    let results = parallel_map(scenarios, threads, |scenario| {
-        let mut sched =
-            Scheduler::new(cfg.clone(), placement.clone())?.with_policy(scenario.policy);
-        if let Some(faults) = scenario.faults {
-            sched = sched.with_faults(faults);
-        }
-        if let Some(integrity) = scenario.integrity {
-            sched = sched.with_integrity(integrity);
-        }
-        if let Some(dock_recovery) = scenario.dock_recovery {
-            sched = sched.with_dock_recovery(dock_recovery);
-        }
-        if let Some(admission) = scenario.admission {
-            sched = sched.with_admission(admission);
-        }
-        for request in requests {
-            sched.submit(*request);
-        }
-        Ok(ScenarioOutcome {
-            label: scenario.label,
-            policy: scenario.policy,
-            outcome: sched.try_run()?,
-        })
-    });
-    results.into_iter().collect()
-}
-
-/// [`evaluate_scenarios`] with the ambient thread count
-/// ([`dhl_sim::default_threads`]: `DHL_SIM_THREADS` or the machine's
-/// available parallelism).
-///
-/// # Errors
-///
-/// See [`evaluate_scenarios`].
 pub fn evaluate(
     cfg: &SimConfig,
     placement: &Placement,
     requests: &[TransferRequest],
     scenarios: Vec<Scenario>,
 ) -> Result<Vec<ScenarioOutcome>, SchedulerError> {
-    evaluate_scenarios(cfg, placement, requests, scenarios, default_threads())
+    scenarios
+        .into_iter()
+        .map(|scenario| {
+            let mut sched =
+                Scheduler::new(cfg.clone(), placement.clone())?.with_policy(scenario.policy);
+            if let Some(faults) = scenario.faults {
+                sched = sched.with_faults(faults);
+            }
+            if let Some(integrity) = scenario.integrity {
+                sched = sched.with_integrity(integrity);
+            }
+            if let Some(dock_recovery) = scenario.dock_recovery {
+                sched = sched.with_dock_recovery(dock_recovery);
+            }
+            if let Some(admission) = scenario.admission {
+                sched = sched.with_admission(admission);
+            }
+            for request in requests {
+                sched.submit(*request);
+            }
+            Ok(ScenarioOutcome {
+                label: scenario.label,
+                policy: scenario.policy,
+                outcome: sched.try_run()?,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -196,11 +178,11 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_come_back_in_scenario_order_for_any_thread_count() {
+    fn outcomes_come_back_in_scenario_order() {
         let (placement, requests) = workload();
         let cfg = SimConfig::paper_default();
-        let serial = evaluate_scenarios(&cfg, &placement, &requests, scenarios(), 1).unwrap();
-        let labels: Vec<&str> = serial.iter().map(|o| o.label.as_str()).collect();
+        let outcomes = evaluate(&cfg, &placement, &requests, scenarios()).unwrap();
+        let labels: Vec<&str> = outcomes.iter().map(|o| o.label.as_str()).collect();
         assert_eq!(
             labels,
             [
@@ -212,11 +194,6 @@ mod tests {
                 "fifo+dock-rescan",
             ]
         );
-        for threads in [2, 3, 16] {
-            let parallel =
-                evaluate_scenarios(&cfg, &placement, &requests, scenarios(), threads).unwrap();
-            assert_eq!(parallel, serial, "threads = {threads}");
-        }
     }
 
     #[test]
@@ -271,7 +248,7 @@ mod tests {
             Priority::Normal,
             Seconds::ZERO,
         )];
-        let err = evaluate_scenarios(&cfg, &placement, &bad, scenarios(), 4).unwrap_err();
+        let err = evaluate(&cfg, &placement, &bad, scenarios()).unwrap_err();
         assert_eq!(err, SchedulerError::InvalidDestination(0));
     }
 }

@@ -19,9 +19,8 @@
 //!   admission queues, deadline-aware rejection, dock-saturation
 //!   backpressure, and per-tenant retry budgets with deterministic
 //!   exponential backoff;
-//! - [`evaluate`]: fanning alternative scheduling disciplines over the same
-//!   workload across threads (via `dhl_sim::parallel_map`) for side-by-side
-//!   comparison.
+//! - [`evaluate`]: running alternative scheduling disciplines over the same
+//!   workload for side-by-side comparison.
 //!
 //! Two further modules back the serving hot path: [`service_queue`] (the
 //! indexed, arena-backed pending structure the scheduler serves from) and
@@ -66,7 +65,7 @@ pub use admission::{
     TenantSlo,
 };
 pub use availability::{AvailabilityTracker, DataState};
-pub use evaluate::{evaluate_scenarios, Scenario, ScenarioOutcome};
+pub use evaluate::{Scenario, ScenarioOutcome};
 pub use placement::{CartContents, DatasetId, ParityPlan, Placement};
 pub use reference_service::{ReferencePending, ReferenceServiceQueue};
 pub use scheduler::{

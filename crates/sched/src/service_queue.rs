@@ -78,8 +78,7 @@ pub struct ServiceEntry {
 /// A generational reference to a pending slot: the dense index plus the
 /// generation it was issued against. Resolving a handle after its slot was
 /// freed (the entry was served or shed) yields `None` instead of silently
-/// reading a different request's state — the same shape as `dhl-sim`'s
-/// `CartHandle`.
+/// reading a different request's state.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct PendingSlot {
     index: u32,

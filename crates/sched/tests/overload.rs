@@ -1,15 +1,14 @@
 //! Property-based tests for overload-robust open-loop serving: goodput
 //! behaviour past the saturation knee, retry-backoff determinism across
-//! thread counts and checkpoint/resume, and bit-identity of the disabled
-//! path.
+//! runs and checkpoint/resume, and bit-identity of the disabled path.
 
 use dhl_rng::check::forall;
 use dhl_sched::admission::{
     retry_backoff, AdmissionSpec, OverloadPolicy, RetryBudgetSpec, TenantId,
 };
+use dhl_sched::evaluate::{evaluate, Scenario};
 use dhl_sched::placement::Placement;
 use dhl_sched::scheduler::{FaultAwareness, Priority, RequestId, Scheduler, TransferRequest};
-use dhl_sched::{evaluate_scenarios, Scenario};
 use dhl_sim::{ArrivalGenerator, ArrivalSpec, SimConfig};
 use dhl_storage::datasets::{Dataset, DatasetKind};
 use dhl_units::{Bytes, Seconds};
@@ -97,10 +96,10 @@ fn goodput_plateaus_past_the_knee_under_shedding() {
 }
 
 /// (b) Retry backoff is a pure function of (spec, seed, request, attempt),
-/// and full open-loop schedules are bit-identical across thread counts.
+/// and full open-loop schedules are bit-identical across runs.
 #[test]
-fn retry_backoff_is_deterministic_across_threads() {
-    forall("retry_backoff_is_deterministic_across_threads", 16, |g| {
+fn retry_backoff_is_deterministic_across_runs() {
+    forall("retry_backoff_is_deterministic_across_runs", 16, |g| {
         let retry = RetryBudgetSpec {
             max_attempts_per_request: g.u32_in(1, 6),
             tokens_per_tenant: g.u32_in(0, 32),
@@ -119,8 +118,8 @@ fn retry_backoff_is_deterministic_across_threads() {
             assert!(a.seconds() <= retry.backoff_cap.seconds() * (1.0 + retry.jitter_fraction));
         }
 
-        // The same open-loop scenario, fanned across 1 vs 4 threads,
-        // produces byte-identical outcomes (including admission reports).
+        // The same open-loop scenario, evaluated twice, produces
+        // byte-identical outcomes (including admission reports).
         let mut placement = Placement::new(Bytes::from_terabytes(256.0));
         let requests = poisson_workload(&mut placement, 24, g.f64_in(0.02, 0.3), seed);
         let spec = AdmissionSpec {
@@ -141,9 +140,9 @@ fn retry_backoff_is_deterministic_across_threads() {
                 .with_admission(spec.clone())]
         };
         let cfg = SimConfig::paper_default();
-        let one = evaluate_scenarios(&cfg, &placement, &requests, scenarios(), 1).unwrap();
-        let four = evaluate_scenarios(&cfg, &placement, &requests, scenarios(), 4).unwrap();
-        assert_eq!(one, four);
+        let first = evaluate(&cfg, &placement, &requests, scenarios()).unwrap();
+        let second = evaluate(&cfg, &placement, &requests, scenarios()).unwrap();
+        assert_eq!(first, second);
     });
 }
 

@@ -34,6 +34,7 @@ use dhl_rng::DeterministicRng;
 use dhl_storage::{CartWear, DockingConnector};
 use dhl_units::{Bytes, Joules, Seconds};
 
+use crate::arena::CartArena;
 use crate::backlog::Backlog;
 use crate::codec::{self, codec_enum, codec_struct, Codec, NullIsInf, NullIsNegInf, Plain};
 use crate::config::SimConfig;
@@ -41,8 +42,8 @@ use crate::engine::EventQueue;
 use crate::metrics::SimMetrics;
 use crate::movement::MovementCost;
 use crate::system::{
-    Abandoned, ActiveMovement, CartLocation, Counters, DhlSystem, Direction, Ev, Mission, Movement,
-    PendingVerify, RackDemand, Redelivery, SimError, TrackState,
+    Abandoned, ActiveMovement, CartId, CartLocation, Counters, DhlSystem, Direction, EndpointId,
+    Ev, Mission, Movement, PendingVerify, RackDemand, Redelivery, SimError, TrackState,
 };
 use crate::trace::{Trace, TraceEvent, TraceEventKind, TraceSink};
 
@@ -290,7 +291,7 @@ impl DhlSystem {
             .map(|c| c.kind);
         let endurance = sys.cfg.integrity.as_ref().map(|i| i.endurance.clone());
         let cart_capacity = sys.cfg.cart_capacity;
-        let generation = sys.carts.begin_rebuild();
+        sys.carts = CartArena::default();
         for (cart, c) in cp.carts.iter().enumerate() {
             let connector = match (connector_kind, c.connector_cycles) {
                 (Some(kind), Some(cycles)) => {
@@ -313,7 +314,7 @@ impl DhlSystem {
                 _ => None,
             };
             sys.carts.push_cart(
-                generation, c.location, c.movement, c.trips, connector, wear, c.matings, c.verify,
+                c.location, c.movement, c.trips, connector, wear, c.matings, c.verify,
             );
         }
         validate_state(&sys, cp)?;
@@ -430,6 +431,10 @@ fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
         );
     }
     let fleet = sys.carts.len();
+    let outside = |ep: EndpointId| format!("endpoint {ep} outside {endpoints} endpoints");
+    // A cart waits on at most one thing: a launch in the backlog or one
+    // queued event of its delivery machine.
+    let mut busy = vec![false; fleet];
     for (i, m) in cp.pending.iter().enumerate() {
         if m.cart >= fleet {
             return invalid(
@@ -439,10 +444,7 @@ fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
         }
         for (name, ep) in [("from", m.from), ("to", m.to)] {
             if ep >= endpoints {
-                return invalid(
-                    format!("pending[{i}].{name}"),
-                    format!("endpoint {ep} outside {endpoints} endpoints"),
-                );
+                return invalid(format!("pending[{i}].{name}"), outside(ep));
             }
         }
         if m.from == m.to {
@@ -450,6 +452,83 @@ fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
                 format!("pending[{i}].to"),
                 format!("movement from endpoint {} to itself", m.from),
             );
+        }
+        let c = &cp.carts[m.cart];
+        if busy[m.cart] || c.location != CartLocation::Docked(m.from) || c.movement.is_some() {
+            return invalid(
+                format!("pending[{i}].cart"),
+                format!("cart {} is not idle at endpoint {}", m.cart, m.from),
+            );
+        }
+        busy[m.cart] = true;
+    }
+    for (i, c) in cp.carts.iter().enumerate() {
+        let (from, to) = match c.location {
+            CartLocation::Docked(ep) => (ep, ep),
+            CartLocation::Moving { from, to } => (from, to),
+        };
+        if from.max(to) >= endpoints {
+            return invalid(format!("carts[{i}].location"), outside(from.max(to)));
+        }
+        if let Some(m) = &c.movement {
+            if m.from.max(m.to) >= endpoints {
+                return invalid(format!("carts[{i}].movement"), outside(m.from.max(m.to)));
+            }
+            if m.from == m.to {
+                return invalid(
+                    format!("carts[{i}].movement"),
+                    format!("movement from endpoint {} to itself", m.from),
+                );
+            }
+        }
+        if let Some(v) = &c.verify {
+            if v.to == 0 || v.to >= endpoints {
+                return invalid(
+                    format!("carts[{i}].verify"),
+                    format!("{} is not a rack", v.to),
+                );
+            }
+        }
+    }
+    for (i, r) in cp.redelivery_queue.iter().enumerate() {
+        if r.endpoint == 0 || r.endpoint >= endpoints {
+            return invalid(
+                format!("redelivery_queue[{i}].endpoint"),
+                format!("{} is not a rack", r.endpoint),
+            );
+        }
+    }
+    for (i, &(_, _, ev)) in cp.queue.iter().enumerate() {
+        let (cart, needs, has): (CartId, &str, fn(&CartState) -> bool) = match ev {
+            Ev::TryLaunch => continue,
+            Ev::UndockDone { cart } | Ev::Arrived { cart } | Ev::DockDone { cart } => {
+                (cart, "movement", |c| c.movement.is_some())
+            }
+            Ev::VerifyDone { cart } => (cart, "pending verify", |c| c.verify.is_some()),
+            Ev::ProcessingDone { cart } => (cart, "dock", |c| {
+                matches!(c.location, CartLocation::Docked(_))
+            }),
+        };
+        match cp.carts.get(cart) {
+            None => {
+                return invalid(
+                    format!("queue[{i}].cart"),
+                    format!("cart {cart} outside a fleet of {fleet}"),
+                )
+            }
+            Some(c) if !has(c) => {
+                return invalid(
+                    format!("queue[{i}]"),
+                    format!("{ev:?} for cart {cart}, which has no {needs}"),
+                )
+            }
+            Some(_) if busy[cart] => {
+                return invalid(
+                    format!("queue[{i}]"),
+                    format!("{ev:?} for cart {cart}, which is already waiting"),
+                )
+            }
+            Some(_) => busy[cart] = true,
         }
     }
     Ok(())
@@ -1083,7 +1162,7 @@ mod tests {
         let captured = sys.checkpoint();
         assert!(!captured.pending.is_empty(), "capture holds a backlog");
         type Mutation = fn(&mut Checkpoint);
-        let mutations: [(&str, Mutation); 11] = [
+        let mutations: [(&str, Mutation); 27] = [
             ("pending[0].cart", |cp| cp.pending[0].cart = 8),
             ("pending[0].from", |cp| cp.pending[0].from = 2),
             ("pending[0].to", |cp| cp.pending[0].to = 9),
@@ -1099,6 +1178,75 @@ mod tests {
             ("reliability_rng", |cp| cp.reliability_rng = None),
             ("fault_rng", |cp| cp.fault_rng = None),
             ("integrity_rng", |cp| cp.integrity_rng = cp.fault_rng),
+            ("carts[0].location", |cp| {
+                cp.carts[0].location = CartLocation::Docked(9)
+            }),
+            ("carts[0].location", |cp| {
+                cp.carts[0].location = CartLocation::Moving { from: 0, to: 9 }
+            }),
+            ("carts[0].movement", |cp| {
+                let m = cp.carts.iter().find_map(|c| c.movement).unwrap();
+                cp.carts[0].movement = Some(ActiveMovement { from: 9, ..m });
+            }),
+            ("carts[0].movement", |cp| {
+                let m = cp.carts.iter().find_map(|c| c.movement).unwrap();
+                cp.carts[0].movement = Some(ActiveMovement { to: 9, ..m });
+            }),
+            ("carts[0].movement", |cp| {
+                let m = cp.carts.iter().find_map(|c| c.movement).unwrap();
+                cp.carts[0].movement = Some(ActiveMovement { to: m.from, ..m });
+            }),
+            ("carts[0].verify", |cp| {
+                cp.carts[0].verify = Some(PendingVerify {
+                    to: 9,
+                    payload: Bytes::ZERO,
+                    attempt: 1,
+                    trip_time: Seconds::ZERO,
+                    shards: 0,
+                })
+            }),
+            ("redelivery_queue[0].endpoint", |cp| {
+                let r = Redelivery {
+                    endpoint: 0,
+                    payload: Bytes::ZERO,
+                    attempt: 2,
+                };
+                cp.redelivery_queue.insert(0, r);
+            }),
+            ("pending[1].cart", |cp| {
+                cp.pending[1].cart = cp.pending[0].cart
+            }),
+            ("pending[0].cart", |cp| {
+                let m = cp.carts.iter().find_map(|c| c.movement).unwrap();
+                cp.carts[cp.pending[0].cart].movement = Some(m);
+            }),
+            ("queue[0].cart", |cp| {
+                cp.queue[0].2 = Ev::Arrived { cart: 8 }
+            }),
+            ("queue[1]", |cp| {
+                let event = *cp.queue.iter().find(|e| e.2 != Ev::TryLaunch).unwrap();
+                cp.queue.splice(0..0, [event, event]);
+            }),
+            ("queue[0]", |cp| {
+                cp.carts[0].movement = None;
+                cp.queue[0].2 = Ev::UndockDone { cart: 0 };
+            }),
+            ("queue[0]", |cp| {
+                cp.carts[0].movement = None;
+                cp.queue[0].2 = Ev::Arrived { cart: 0 };
+            }),
+            ("queue[0]", |cp| {
+                cp.carts[0].movement = None;
+                cp.queue[0].2 = Ev::DockDone { cart: 0 };
+            }),
+            ("queue[0]", |cp| {
+                cp.carts[0].verify = None;
+                cp.queue[0].2 = Ev::VerifyDone { cart: 0 };
+            }),
+            ("queue[0]", |cp| {
+                cp.carts[0].location = CartLocation::Moving { from: 0, to: 1 };
+                cp.queue[0].2 = Ev::ProcessingDone { cart: 0 };
+            }),
         ];
         for (field, mutate) in mutations {
             let mut cp = captured.clone();

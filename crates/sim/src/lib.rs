@@ -7,9 +7,8 @@
 //!   docking stations, track contention (no-passing headway, bidirectional
 //!   track draining, §VI dual-track option), movement energy from
 //!   `dhl-physics`, and the §V-B bulk-transfer mission;
-//! - [`parallel`]: seeded Monte-Carlo replica fan-out across scoped threads
-//!   with deterministic, order-independent merging — any thread count
-//!   produces bit-identical merged reports;
+//! - [`replicas`]: seeded Monte-Carlo replicas run in index order and
+//!   merged deterministically;
 //! - [`api::DhlApi`]: the paper's four-command software API (§III-D —
 //!   **Open/Close/Read/Write**) as a synchronous facade, with optional SSD
 //!   failure injection and connector-wear tracking.
@@ -36,7 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod arena;
+mod arena;
 pub mod arrivals;
 mod backlog;
 pub mod checkpoint;
@@ -45,12 +44,11 @@ pub mod config;
 pub mod engine;
 pub(crate) mod metrics;
 pub mod movement;
-pub mod parallel;
+pub mod replicas;
 pub mod report;
 pub mod system;
 pub mod trace;
 
-pub use arena::CartHandle;
 pub use arrivals::{Arrival, ArrivalGenerator, ArrivalProcess, ArrivalSpec, ArrivalState};
 pub use checkpoint::{config_fingerprint, Checkpoint, CheckpointError};
 pub use config::{
@@ -59,10 +57,7 @@ pub use config::{
     RepressurisationSpec, SimConfig,
 };
 pub use movement::MovementCost;
-pub use parallel::{
-    default_threads, parallel_map, run_replicas, CrashInjection, RecoveryOptions, ReplicaReport,
-    ReplicaStats,
-};
+pub use replicas::{run_replicas, CrashInjection, RecoveryOptions, ReplicaReport, ReplicaStats};
 pub use report::{BulkTransferReport, IntegrityReport, ReliabilityReport};
 pub use system::{CartId, CartLocation, DhlSystem, Direction, EndpointId, SimError};
 pub use trace::{Trace, TraceEvent, TraceEventKind, TraceSink};

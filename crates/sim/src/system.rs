@@ -29,7 +29,7 @@ use dhl_storage::connectors::{ConnectorKind, DockingConnector};
 use dhl_storage::wear::CartWear;
 use dhl_units::{Bytes, Joules, Seconds, Watts};
 
-use crate::arena::{CartArena, CartHandle};
+use crate::arena::CartArena;
 use crate::backlog::Backlog;
 use crate::config::{ConfigError, DockRecoveryPolicy, EndpointKind, ProcessingModel, SimConfig};
 use crate::engine::EventQueue;
@@ -531,22 +531,6 @@ impl DhlSystem {
     #[must_use]
     pub fn cart_location(&self, cart: CartId) -> Option<CartLocation> {
         self.carts.locations.get(cart).copied()
-    }
-
-    /// A generational handle to a cart, for callers that hold references
-    /// across checkpoint/resume boundaries: a handle from before a resume
-    /// no longer resolves (see [`DhlSystem::cart_location_of`]).
-    #[must_use]
-    pub fn cart_handle(&self, cart: CartId) -> Option<CartHandle> {
-        (cart < self.carts.len()).then(|| self.carts.handle(cart))
-    }
-
-    /// Like [`DhlSystem::cart_location`], but validated against the
-    /// handle's generation: returns `None` for handles issued against a
-    /// fleet that has since been rebuilt.
-    #[must_use]
-    pub fn cart_location_of(&self, handle: CartHandle) -> Option<CartLocation> {
-        self.carts.resolve(handle).map(|i| self.carts.locations[i])
     }
 
     fn track_index(&self, dir: Direction) -> usize {

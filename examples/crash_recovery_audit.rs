@@ -16,7 +16,7 @@
 //! - `DHL_CRASH_AUDIT_JSON=<path>` writes the deterministic portion of the
 //!   audit (outcome plus counters, no wall-clock gauges) as JSON.
 
-use datacentre_hyperloop::sched::evaluate::evaluate_scenarios;
+use datacentre_hyperloop::sched::evaluate::evaluate;
 use datacentre_hyperloop::sched::{
     DockRecoveryAwareness, Placement, Policy, Priority, Scenario, TransferRequest,
 };
@@ -97,15 +97,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Replica retry-with-resume: replica 2 crashes twice at T = 20 s and
     // restarts from its 15 s periodic checkpoints; the merged Monte-Carlo
-    // outcome must equal the crash-free fan-out.
+    // outcome must equal the crash-free set.
     let replica_cfg = SimConfig::paper_default();
     let replica_data = Bytes::from_petabytes(1.0);
-    let clean = run_replicas(&replica_cfg, replica_data, 4, 2, None)?;
+    let clean = run_replicas(&replica_cfg, replica_data, 4, None)?;
     let recovered = run_replicas(
         &replica_cfg,
         replica_data,
         4,
-        2,
         Some(&RecoveryOptions {
             checkpoint_interval: Seconds::new(15.0),
             max_restarts: 3,
@@ -155,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 5. The same comparison at the scheduling layer: per-policy
-    // availability impact on a mixed workload, fanned out via evaluate.
+    // availability impact on a mixed workload, run side by side via evaluate.
     let mut placement = Placement::new(Bytes::from_terabytes(256.0));
     let laion = placement.store(datasets::laion_5b());
     let crawl = placement.store(datasets::common_crawl());
@@ -177,12 +176,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Scenario::new("rebuild-from-scan", Policy::PriorityFifo)
             .with_dock_recovery(awareness(DockControllerFaultSpec::rebuild_from_scan())),
     ];
-    let outcomes = evaluate_scenarios(
+    let outcomes = evaluate(
         &SimConfig::paper_default(),
         &placement,
         &requests,
         scenarios,
-        2,
     )?;
     println!("\nScheduler-level availability impact (37 dockings, same crash draws):");
     for o in &outcomes {

@@ -85,9 +85,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // What if the operator had picked a different discipline? Evaluate the
-    // same workload under every candidate policy side by side — the
-    // scenarios fan out across threads (DHL_SIM_THREADS to override) and
-    // come back in order.
+    // same workload under every candidate policy side by side; the
+    // outcomes come back in scenario order.
     let mut placement = Placement::new(Bytes::from_terabytes(256.0));
     let training = placement.store(datasets::laion_5b());
     let analytics = placement.store(datasets::common_crawl());

@@ -790,10 +790,108 @@ fn campus_backlog_case() -> report_file::BenchCase {
     }
 }
 
+/// Bound on deadline-aware admission's per-arrival cost with 4096 requests
+/// pending, as a multiple of its cost with 64 pending (see
+/// [`deadline_backlog_case`]). Walking the pending set at every arrival put
+/// the ratio far above this; a certified running backlog holds it near 1.
+const DEADLINE_BACKLOG_MAX_RATIO: f64 = 2.0;
+
+/// The `sched/requests_per_sec/deadline_backlog` case and its scaling gate:
+/// a saturating open-loop run in which every arrival carries a deadline,
+/// with the pending queue capped at 64 and at 4096.
+///
+/// # Panics
+///
+/// If the 4096-pending run costs [`DEADLINE_BACKLOG_MAX_RATIO`] times the
+/// 64-pending run per arrival or more.
+fn deadline_backlog_case() -> report_file::BenchCase {
+    use dhl_sched::admission::{AdmissionSpec, OverloadPolicy, TenantId};
+    use dhl_sched::placement::Placement;
+    use dhl_sched::scheduler::{Priority, Scheduler, TransferRequest};
+    use dhl_sim::{ArrivalGenerator, ArrivalSpec};
+    use dhl_units::Seconds;
+    use std::time::Instant;
+
+    // Long enough that the final drain of the deep queue is a small share
+    // of the run's services.
+    let arrivals = if harness::fast_mode() {
+        65_536
+    } else {
+        262_144
+    };
+    let build = |max_pending_global: usize| {
+        let mut p = Placement::new(Bytes::from_terabytes(256.0));
+        let small = p.store(dhl_storage::datasets::laion_5b()); // 1 cart
+        let mut sched = Scheduler::new(SimConfig::paper_default(), p)
+            .expect("valid")
+            .with_admission(AdmissionSpec {
+                max_pending_global,
+                max_pending_per_tenant: max_pending_global,
+                policy: OverloadPolicy::Reject,
+                deadline_aware: true,
+                ..AdmissionSpec::default()
+            });
+        sched.set_metrics_enabled(false);
+        // 4x the track's saturation rate keeps the queue at its cap; the
+        // deadline clears any backlog the cap allows, so every arrival
+        // runs the deadline check and none is refused by it.
+        let spec = ArrivalSpec::poisson(4.0 / 17.2, Seconds::new(1e15), 7).with_tenants(64);
+        for (i, arrival) in ArrivalGenerator::new(&spec).take(arrivals).enumerate() {
+            let priority = [Priority::Background, Priority::Normal, Priority::Urgent][i % 3];
+            sched.submit(
+                TransferRequest::new(small, 1, priority, arrival.at)
+                    .with_tenant(TenantId(arrival.tenant))
+                    .with_deadline(arrival.at + Seconds::new(1e7)),
+            );
+        }
+        sched
+    };
+    let serve = |sched: &mut Scheduler| {
+        let report = sched
+            .try_run()
+            .expect("valid")
+            .admission
+            .expect("open loop");
+        assert_eq!(report.rejected_deadline, 0, "the deadline never binds");
+        report.served
+    };
+    // Interleaved pairs, min of each side, timing the serve loop alone.
+    let caps = [64, 4096];
+    let rounds = if harness::fast_mode() { 7 } else { 21 };
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..rounds {
+        for (i, &cap) in caps.iter().enumerate() {
+            let mut sched = build(cap);
+            let start = Instant::now();
+            std::hint::black_box(serve(&mut sched));
+            best[i] = best[i].min(start.elapsed().as_secs_f64() * 1e9 / arrivals as f64);
+        }
+    }
+    let ratio = best[1] / best[0];
+    eprintln!(
+        "sched/requests_per_sec: deadline admission {:.1} ns/arrival at {} pending vs {:.1} ns/arrival at {} pending — {ratio:.2}x",
+        best[1], caps[1], best[0], caps[0],
+    );
+    assert!(
+        ratio < DEADLINE_BACKLOG_MAX_RATIO,
+        "deadline admission must not grow with the pending backlog: {} pending cost \
+         {ratio:.2}x the {}-pending run per arrival (bound {DEADLINE_BACKLOG_MAX_RATIO}x)",
+        caps[1],
+        caps[0],
+    );
+    let result = harness::bench_function("sched/requests_per_sec/deadline_backlog", || {
+        serve(&mut build(caps[1]))
+    });
+    report_file::BenchCase {
+        result,
+        metrics: None,
+    }
+}
+
 /// Runs the scheduler serving-throughput family
 /// (`sched/requests_per_sec/…`).
 ///
-/// Two kinds of case:
+/// Three kinds of case:
 ///
 /// - **service churn** — a hold model on the indexed
 ///   [`dhl_sched::service_queue::ServiceQueue`] (constant pending set;
@@ -807,7 +905,9 @@ fn campus_backlog_case() -> report_file::BenchCase {
 ///   admission control: a saturating Poisson mix (1 M arrivals, 100 k in
 ///   fast mode), a high-tenant-count variant, a retry-heavy variant with
 ///   in-transit losses, and a shortest-job-first variant over mixed cart
-///   counts.
+///   counts;
+/// - **deadline backlog** — deadline-aware admission at two queue depths
+///   (`deadline_backlog_case`), gated on their per-arrival cost ratio.
 ///
 /// The derived requests/sec rates are printed to stderr alongside the
 /// recorded ns/iter cases.
@@ -815,7 +915,8 @@ fn campus_backlog_case() -> report_file::BenchCase {
 /// # Panics
 ///
 /// Panics if the indexed structure fails to beat the reference pin by ≥5×
-/// on the churn case — the regression this family exists to catch.
+/// on the churn case, or if deadline admission's per-arrival cost grows
+/// with the pending backlog — the regressions this family exists to catch.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
@@ -1130,6 +1231,7 @@ pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
         result: sjf,
         metrics: None,
     });
+    cases.push(deadline_backlog_case());
 
     cases
 }

@@ -72,4 +72,4 @@ pub use scheduler::{
     DockRecoveryAwareness, FaultAwareness, IntegrityAwareness, Policy, Priority, RequestId,
     RequestOutcome, ScheduleOutcome, Scheduler, SchedulerError, TransferRequest,
 };
-pub use service_queue::{DockBank, PendingArena, PendingSlot, ServiceEntry, ServiceQueue};
+pub use service_queue::{DockBank, ServiceEntry, ServiceQueue};

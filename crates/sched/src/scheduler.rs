@@ -8,7 +8,6 @@
 //! destination, and every cart returns to the library after its dwell.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 use dhl_obs::{Histogram, MetricsRegistry, MetricsSnapshot, SloSummary, Stopwatch};
 use dhl_rng::{DeterministicRng, Rng};
@@ -23,7 +22,7 @@ use crate::admission::{
 use crate::availability::AvailabilityTracker;
 use crate::metrics::SchedMetrics;
 use crate::placement::{DatasetId, Placement};
-use crate::service_queue::{DockBank, ServiceEntry, ServiceQueue, TripCache};
+use crate::service_queue::{DockBank, ServiceEntry, ServiceQueue, TenantTable, TripCache};
 
 /// Request priority classes.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -308,6 +307,10 @@ pub enum SchedulerError {
     CorruptPlacement(DatasetId),
     /// A request's arrival time was NaN or infinite.
     NonFiniteArrival(Seconds),
+    /// A request's dwell was NaN, infinite or negative.
+    InvalidDwell(Seconds),
+    /// A request's deadline was NaN (`+∞` means no deadline pressure).
+    InvalidDeadline(Seconds),
 }
 
 impl core::fmt::Display for SchedulerError {
@@ -325,6 +328,8 @@ impl core::fmt::Display for SchedulerError {
                 )
             }
             Self::NonFiniteArrival(at) => write!(f, "request arrival {at} is not finite"),
+            Self::InvalidDwell(d) => write!(f, "request dwell {d} is not finite and ≥ 0"),
+            Self::InvalidDeadline(at) => write!(f, "request deadline {at} is NaN"),
         }
     }
 }
@@ -354,61 +359,6 @@ struct Queued {
 /// Per-tenant open-loop accumulator row: SLO counters, the delivery-latency
 /// histogram, and retry tokens remaining.
 type TenantCell = (TenantSlo, Histogram, u32);
-
-/// The per-run tenant-SLO accumulator.
-///
-/// Tenant ids minted by `ArrivalSpec` are dense small integers, so the
-/// common case indexes a `Vec` directly instead of walking a `BTreeMap` per
-/// admission, retry, and service completion. Hand-assigned sparse ids fall
-/// back to the map. Rows drain in ascending tenant id from either backing
-/// store, so `AdmissionReport::tenants` ordering is identical in both.
-enum TenantTable {
-    /// Indexed by tenant id; `None` until the tenant's first offer.
-    Dense(Vec<Option<TenantCell>>),
-    Sparse(BTreeMap<u32, TenantCell>),
-}
-
-impl TenantTable {
-    /// Ids at most this far beyond the request count still count as dense:
-    /// the `Option` slots are cheap relative to per-request map walks.
-    const DENSE_SLACK: usize = 1024;
-
-    /// Picks the backing store by scanning the run's maximum tenant id.
-    fn for_run(queue: &[Queued]) -> Self {
-        let max_id = queue.iter().map(|q| q.req.tenant.0).max();
-        match max_id {
-            Some(max) if (max as usize) < 2 * queue.len() + Self::DENSE_SLACK => {
-                Self::Dense(vec![None; max as usize + 1])
-            }
-            Some(_) => Self::Sparse(BTreeMap::new()),
-            None => Self::Dense(Vec::new()),
-        }
-    }
-
-    /// The row for `id`, created by `init` on first use.
-    fn get_or_insert(&mut self, id: u32, init: impl FnOnce() -> TenantCell) -> &mut TenantCell {
-        match self {
-            Self::Dense(rows) => rows[id as usize].get_or_insert_with(init),
-            Self::Sparse(rows) => rows.entry(id).or_insert_with(init),
-        }
-    }
-
-    /// The row for `id`, if the tenant has been offered work.
-    fn get_mut(&mut self, id: u32) -> Option<&mut TenantCell> {
-        match self {
-            Self::Dense(rows) => rows.get_mut(id as usize).and_then(Option::as_mut),
-            Self::Sparse(rows) => rows.get_mut(&id),
-        }
-    }
-
-    /// Drains the live rows in ascending tenant id.
-    fn into_rows(self) -> Vec<TenantCell> {
-        match self {
-            Self::Dense(rows) => rows.into_iter().flatten().collect(),
-            Self::Sparse(rows) => rows.into_values().collect(),
-        }
-    }
-}
 
 /// The conservative list scheduler over one DHL.
 pub struct Scheduler {
@@ -571,6 +521,12 @@ impl Scheduler {
         if !request.arrival.is_finite() {
             return Err(SchedulerError::NonFiniteArrival(request.arrival));
         }
+        if !(request.dwell.is_finite() && request.dwell.seconds() >= 0.0) {
+            return Err(SchedulerError::InvalidDwell(request.dwell));
+        }
+        if let Some(deadline) = request.deadline.filter(|d| d.seconds().is_nan()) {
+            return Err(SchedulerError::InvalidDeadline(deadline));
+        }
         if self.placement.carts_of(request.dataset).is_none() {
             return Err(SchedulerError::UnknownDataset(request.dataset));
         }
@@ -599,9 +555,11 @@ impl Scheduler {
     /// # Errors
     ///
     /// The first invalid request ([`SchedulerError::UnknownDataset`],
-    /// [`SchedulerError::InvalidDestination`] or
-    /// [`SchedulerError::NonFiniteArrival`]); no movements are scheduled
-    /// in that case.
+    /// [`SchedulerError::InvalidDestination`],
+    /// [`SchedulerError::NonFiniteArrival`],
+    /// [`SchedulerError::InvalidDwell`] or
+    /// [`SchedulerError::InvalidDeadline`]); no movements are scheduled in
+    /// that case.
     pub fn run(&mut self) -> ScheduleOutcome {
         self.try_run().expect("submitted requests were validated")
     }
@@ -701,15 +659,11 @@ impl Scheduler {
         let mut outcomes = Vec::new();
         let mut total_energy = Joules::ZERO;
 
-        let mut pending = ServiceQueue::new(policy);
+        let mut pending = ServiceQueue::for_requests(policy, queue.len());
         let mut report = AdmissionReport::default();
         // Tenant → (SLO accumulator, latency histogram, retry tokens left),
         // dense-indexed by tenant id when the id space allows.
-        let mut tenants = if OPEN {
-            TenantTable::for_run(queue)
-        } else {
-            TenantTable::Dense(Vec::new())
-        };
+        let mut tenants: TenantTable<TenantCell> = TenantTable::new(queue.len());
         let max_attempts = spec.retry.max_attempts_per_request.max(1);
         let mut cursor = 0usize;
 
@@ -765,14 +719,23 @@ impl Scheduler {
                     if spec.deadline_aware {
                         if let Some(deadline) = req.deadline {
                             let trip = trips.cost(cfg, req.destination).total_time.seconds();
-                            let backlog: f64 = pending.backlog_service_s();
                             let per_cart = 2.0 * trip + verify_s + req.dwell.seconds();
-                            let deliver_est = arrival_s.max(track_free)
-                                + backlog
-                                + carts_len.saturating_sub(1) as f64 * per_cart
-                                + trip
-                                + verify_s;
-                            if deliver_est > deadline.seconds() {
+                            let deliver_est = |backlog: f64| {
+                                arrival_s.max(track_free)
+                                    + backlog
+                                    + carts_len.saturating_sub(1) as f64 * per_cart
+                                    + trip
+                                    + verify_s
+                            };
+                            // Rounded addition is monotone, so a bracket on
+                            // one side decides as the exact sum would.
+                            let deadline = deadline.seconds();
+                            let late = match pending.backlog_bounds() {
+                                Some((lo, _)) if deliver_est(lo) > deadline => true,
+                                Some((_, hi)) if deliver_est(hi) <= deadline => false,
+                                _ => deliver_est(pending.backlog_service_s()) > deadline,
+                            };
+                            if late {
                                 match spec.policy {
                                     OverloadPolicy::DegradeToBestEffort => degrade = true,
                                     _ => {
@@ -1294,6 +1257,115 @@ mod tests {
             sched.try_run(),
             Err(SchedulerError::NonFiniteArrival(at)) if at.seconds().is_nan()
         ));
+    }
+
+    #[test]
+    fn invalid_dwells_and_nan_deadlines_are_rejected_before_any_scheduling() {
+        for dwell in [f64::INFINITY, f64::NAN, -1.0] {
+            let (mut sched, small, _) = setup();
+            sched.submit(
+                TransferRequest::new(small, 1, Priority::Normal, Seconds::ZERO)
+                    .with_dwell(Seconds::new(dwell)),
+            );
+            assert!(
+                matches!(
+                    sched.try_run(),
+                    Err(SchedulerError::InvalidDwell(d)) if d.seconds().to_bits() == dwell.to_bits()
+                ),
+                "dwell {dwell}"
+            );
+        }
+        let (mut sched, small, _) = setup();
+        sched.submit(
+            TransferRequest::new(small, 1, Priority::Normal, Seconds::ZERO)
+                .with_deadline(Seconds::new(f64::NAN)),
+        );
+        assert!(matches!(
+            sched.try_run(),
+            Err(SchedulerError::InvalidDeadline(d)) if d.seconds().is_nan()
+        ));
+        // +∞ stays a legal deadline, and is always met.
+        let (sched, small, _) = setup();
+        let mut sched = sched.with_admission(AdmissionSpec {
+            deadline_aware: true,
+            ..AdmissionSpec::default()
+        });
+        sched.submit(
+            TransferRequest::new(small, 1, Priority::Normal, Seconds::ZERO)
+                .with_deadline(Seconds::new(f64::INFINITY)),
+        );
+        let report = sched.try_run().unwrap().admission.unwrap();
+        assert_eq!((report.admitted, report.deadline_hits), (1, 1));
+    }
+
+    #[test]
+    fn deadlines_inside_the_backlog_bracket_match_the_exact_walk() {
+        use crate::reference_service::{ReferencePending, ReferenceServiceQueue};
+        // A is in service while B and C wait; D's deadline is set at the
+        // retired estimate (bit for bit) or one ULP below it.
+        let run = |deadline: f64| {
+            let (sched, small, _) = setup();
+            let mut sched = sched.with_admission(AdmissionSpec {
+                deadline_aware: true,
+                ..AdmissionSpec::default()
+            });
+            for at in 0..3 {
+                sched.submit(TransferRequest::new(
+                    small,
+                    1,
+                    Priority::Normal,
+                    Seconds::new(f64::from(at)),
+                ));
+            }
+            sched.submit(
+                TransferRequest::new(small, 1, Priority::Normal, Seconds::new(3.0))
+                    .with_deadline(Seconds::new(deadline)),
+            );
+            sched.try_run().unwrap()
+        };
+        let track_free = run(f64::INFINITY).completed[0].completed.seconds();
+        let cfg = SimConfig::paper_default();
+        let trip = TripCache::new(&cfg).cost(&cfg, 1).total_time.seconds();
+        let per_cart = 2.0 * trip + 0.0 + 0.0;
+        let service_s = 1.0 * per_cart;
+        let est = |backlog: f64| 3.0f64.max(track_free) + backlog + 0.0 * per_cart + trip + 0.0;
+
+        let mut reference = ReferenceServiceQueue::new();
+        let mut mirror = ServiceQueue::new(Policy::PriorityFifo);
+        let (_, small, _) = setup();
+        let waiting = |id: u64| ServiceEntry {
+            id: RequestId(id),
+            req: TransferRequest::new(small, 1, Priority::Normal, Seconds::new(id as f64)),
+            carts: 1,
+            service_s,
+        };
+        mirror.push(waiting(0));
+        let _ = mirror.pop_next();
+        for id in 1..3 {
+            mirror.push(waiting(id));
+            let e = waiting(id);
+            reference.push(ReferencePending {
+                id: e.id,
+                req: e.req,
+                carts: e.carts,
+                service_s,
+            });
+        }
+        let exact = est(reference.backlog_service_s());
+        let (lo, hi) = mirror.backlog_bounds().unwrap();
+        for (deadline, admit) in [(exact, true), (exact.next_down(), false)] {
+            assert!(
+                est(lo) <= deadline && est(hi) > deadline,
+                "the bracket straddles"
+            );
+            let report = run(deadline).admission.unwrap();
+            assert_eq!(
+                report.rejected_deadline,
+                u64::from(!admit),
+                "deadline {deadline}"
+            );
+            assert_eq!(report.admitted, 3 + u64::from(admit));
+        }
     }
 
     #[test]
@@ -1996,6 +2068,29 @@ mod admission_tests {
         assert_eq!(report.tenants.len(), 2);
         assert_eq!(report.tenants[0].tenant, TenantId(0));
         assert!(report.tenants[0].latency.p99 >= report.tenants[0].latency.p50);
+    }
+
+    #[test]
+    fn sparse_tenant_ids_keep_rows_in_ascending_order() {
+        let (sched, small, _) = setup();
+        let mut sched = sched.with_admission(roomy_spec());
+        // A dense id first, so its row must survive the move to sparse.
+        for (i, tenant) in [3, u32::MAX, 0, 3].into_iter().enumerate() {
+            sched.submit(
+                TransferRequest::new(small, 1, Priority::Normal, Seconds::new(i as f64 * 100.0))
+                    .with_tenant(TenantId(tenant)),
+            );
+        }
+        let report = sched.run().admission.expect("open-loop report");
+        let rows: Vec<(TenantId, u64)> = report
+            .tenants
+            .iter()
+            .map(|t| (t.tenant, t.served))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![(TenantId(0), 1), (TenantId(3), 2), (TenantId(u32::MAX), 1)]
+        );
     }
 
     #[test]

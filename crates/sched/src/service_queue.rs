@@ -6,11 +6,10 @@
 //! per arrival: O(n²) over a drain at the million-arrival tenant counts
 //! ROADMAP item 1 targets. This module replaces that with:
 //!
-//! - [`PendingArena`]: the pending set in struct-of-arrays layout (one
-//!   contiguous column per request field, a free list, and generational
-//!   slots mirroring `dhl-sim`'s cart arena), so admission never clones a
-//!   whole `TransferRequest` and service decisions touch only the columns
-//!   they need;
+//! - `PendingArena`: the pending set in struct-of-arrays layout (one
+//!   contiguous column per request field and a free list), so admission
+//!   never clones a whole `TransferRequest` and service decisions touch only
+//!   the columns they need;
 //! - [`ServiceQueue`]: per-priority-class FIFO rings under
 //!   [`Policy::PriorityFifo`] and a per-class `(cart count, id)` B-tree
 //!   index under [`Policy::ShortestJobFirst`], giving O(1)/O(log n) pop
@@ -34,15 +33,14 @@
 //! the verbatim reference pin
 //! ([`reference_service`](crate::reference_service)).
 //!
-//! The deadline-feasibility backlog is the one place admission still walks
-//! the whole pending set: floating-point addition is not associative, so
-//! summing per-entry service times in any order other than admission order
-//! would change admit/reject decisions by a few ULPs. [`ServiceQueue`]
-//! keeps a seq-ordered index ([`ServiceQueue::backlog_service_s`]) that
-//! re-sums in exactly the retired iteration order, keeping the overload
-//! audit byte-identical.
+//! The deadline check's backlog is the admission-order sum of pending
+//! service times (float addition is not associative, so any other order
+//! moves decisions by ULPs). Rather than re-sum per arrival, the queue
+//! keeps a running sum with a rigorous error bound
+//! ([`ServiceQueue::backlog_bounds`]); only a deadline inside that bracket
+//! pays for the exact walk ([`ServiceQueue::backlog_service_s`]).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use dhl_sim::{MovementCost, SimConfig};
 
@@ -75,31 +73,80 @@ pub struct ServiceEntry {
     pub service_s: f64,
 }
 
-/// A generational reference to a pending slot: the dense index plus the
-/// generation it was issued against. Resolving a handle after its slot was
-/// freed (the entry was served or shed) yields `None` instead of silently
-/// reading a different request's state.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct PendingSlot {
-    index: u32,
-    generation: u32,
+/// Per-tenant rows. Tenant ids minted by `ArrivalSpec` are dense small
+/// integers, so rows live in a `Vec` indexed by id (at most `limit` slots);
+/// the first id at or beyond `limit` (a hand-assigned sparse id such as
+/// `TenantId(u32::MAX)`) moves every row into a `BTreeMap`. Rows drain in
+/// ascending tenant id from either store.
+#[derive(Clone, Debug)]
+pub(crate) enum TenantTable<T> {
+    Dense { rows: Vec<Option<T>>, limit: usize },
+    Sparse(BTreeMap<u32, T>),
 }
 
-impl PendingSlot {
-    /// The dense arena index this handle refers to (unvalidated; use
-    /// [`PendingArena::resolve`] for the checked path).
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.index as usize
+impl<T> TenantTable<T> {
+    /// Ids at most this far beyond twice the request count still count as
+    /// dense: the `Option` slots are cheap relative to per-request map walks.
+    const DENSE_SLACK: usize = 1024;
+
+    /// An empty table for a run of `requests` requests.
+    pub(crate) fn new(requests: usize) -> Self {
+        Self::Dense {
+            rows: Vec::new(),
+            limit: 2 * requests + Self::DENSE_SLACK,
+        }
+    }
+
+    /// The row for `id`, created by `init` on first use.
+    pub(crate) fn get_or_insert(&mut self, id: u32, init: impl FnOnce() -> T) -> &mut T {
+        let i = id as usize;
+        if let Self::Dense { rows, limit } = self {
+            if i >= *limit {
+                let sparse = std::mem::take(rows)
+                    .into_iter()
+                    .zip(0u32..)
+                    .filter_map(|(row, id)| Some((id, row?)))
+                    .collect();
+                *self = Self::Sparse(sparse);
+            } else if i >= rows.len() {
+                rows.resize_with(i + 1, || None);
+            }
+        }
+        match self {
+            Self::Dense { rows, .. } => rows[i].get_or_insert_with(init),
+            Self::Sparse(rows) => rows.entry(id).or_insert_with(init),
+        }
+    }
+
+    /// The row for `id`, if one was created.
+    pub(crate) fn get(&self, id: u32) -> Option<&T> {
+        match self {
+            Self::Dense { rows, .. } => rows.get(id as usize).and_then(Option::as_ref),
+            Self::Sparse(rows) => rows.get(&id),
+        }
+    }
+
+    /// The row for `id`, if one was created.
+    pub(crate) fn get_mut(&mut self, id: u32) -> Option<&mut T> {
+        match self {
+            Self::Dense { rows, .. } => rows.get_mut(id as usize).and_then(Option::as_mut),
+            Self::Sparse(rows) => rows.get_mut(&id),
+        }
+    }
+
+    /// Drains the rows in ascending tenant id.
+    pub(crate) fn into_rows(self) -> Vec<T> {
+        match self {
+            Self::Dense { rows, .. } => rows.into_iter().flatten().collect(),
+            Self::Sparse(rows) => rows.into_values().collect(),
+        }
     }
 }
 
 /// The pending set in struct-of-arrays layout: one contiguous column per
-/// request field, slots recycled through a free list, with per-slot
-/// generations so stale handles never resolve.
+/// request field, slots recycled through a free list.
 #[derive(Clone, Debug, Default)]
-pub struct PendingArena {
-    generations: Vec<u32>,
+struct PendingArena {
     seqs: Vec<u64>,
     ids: Vec<RequestId>,
     datasets: Vec<crate::placement::DatasetId>,
@@ -112,81 +159,44 @@ pub struct PendingArena {
     carts: Vec<usize>,
     service_s: Vec<f64>,
     free: Vec<u32>,
-    live: usize,
     next_seq: u64,
 }
 
 impl PendingArena {
-    /// An empty arena.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Live (inserted and not yet removed) entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no entry is live.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
     /// Inserts an entry, recycling a freed slot when one exists, and
-    /// returns its generational handle. The admission sequence number is
-    /// assigned monotonically.
-    pub fn insert(&mut self, entry: ServiceEntry) -> PendingSlot {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.live += 1;
-        if let Some(index) = self.free.pop() {
-            let i = index as usize;
-            self.seqs[i] = seq;
-            self.ids[i] = entry.id;
-            self.datasets[i] = entry.req.dataset;
-            self.destinations[i] = entry.req.destination;
-            self.priorities[i] = entry.req.priority;
-            self.arrivals[i] = entry.req.arrival;
-            self.dwells[i] = entry.req.dwell;
-            self.tenants[i] = entry.req.tenant;
-            self.deadlines[i] = entry.req.deadline;
-            self.carts[i] = entry.carts;
-            self.service_s[i] = entry.service_s;
-            PendingSlot {
-                index,
-                generation: self.generations[i],
-            }
-        } else {
-            let index = u32::try_from(self.generations.len()).expect("pending set fits in u32");
-            self.generations.push(0);
-            self.seqs.push(seq);
-            self.ids.push(entry.id);
-            self.datasets.push(entry.req.dataset);
-            self.destinations.push(entry.req.destination);
-            self.priorities.push(entry.req.priority);
-            self.arrivals.push(entry.req.arrival);
-            self.dwells.push(entry.req.dwell);
-            self.tenants.push(entry.req.tenant);
-            self.deadlines.push(entry.req.deadline);
-            self.carts.push(entry.carts);
-            self.service_s.push(entry.service_s);
-            PendingSlot {
-                index,
-                generation: 0,
+    /// returns its dense index. The admission sequence number is assigned
+    /// monotonically.
+    fn insert(&mut self, entry: ServiceEntry) -> u32 {
+        fn put<T>(column: &mut Vec<T>, i: usize, value: T) {
+            match column.get_mut(i) {
+                Some(slot) => *slot = value,
+                None => column.push(value),
             }
         }
+        let index = match self.free.pop() {
+            Some(index) => index,
+            None => u32::try_from(self.seqs.len()).expect("pending set fits in u32"),
+        };
+        let i = index as usize;
+        put(&mut self.seqs, i, self.next_seq);
+        put(&mut self.ids, i, entry.id);
+        put(&mut self.datasets, i, entry.req.dataset);
+        put(&mut self.destinations, i, entry.req.destination);
+        put(&mut self.priorities, i, entry.req.priority);
+        put(&mut self.arrivals, i, entry.req.arrival);
+        put(&mut self.dwells, i, entry.req.dwell);
+        put(&mut self.tenants, i, entry.req.tenant);
+        put(&mut self.deadlines, i, entry.req.deadline);
+        put(&mut self.carts, i, entry.carts);
+        put(&mut self.service_s, i, entry.service_s);
+        self.next_seq += 1;
+        index
     }
 
-    /// Frees a slot by dense index, bumping its generation so outstanding
-    /// handles stop resolving, and returns the reconstructed entry.
+    /// Frees a slot by dense index and returns the reconstructed entry.
     fn remove(&mut self, index: u32) -> ServiceEntry {
         let entry = self.entry_at(index as usize);
-        self.generations[index as usize] = self.generations[index as usize].wrapping_add(1);
         self.free.push(index);
-        self.live -= 1;
         entry
     }
 
@@ -207,17 +217,11 @@ impl PendingArena {
             service_s: self.service_s[i],
         }
     }
-
-    /// Resolves a handle, or `None` if its slot was freed (stale
-    /// generation) since it was issued.
-    #[must_use]
-    pub fn resolve(&self, slot: PendingSlot) -> Option<ServiceEntry> {
-        let i = slot.index();
-        (self.generations.get(i) == Some(&slot.generation)).then(|| self.entry_at(i))
-    }
 }
 
-/// Per-policy service index over arena slots.
+/// Per-policy service index over arena slots. The FIFO rings and the SJF
+/// `by_seq` maps each hold one class in admission order, so their union
+/// sorted by sequence number is the admission order of the pending set.
 #[derive(Clone, Debug)]
 enum ServiceIndex {
     /// One FIFO ring per priority class. Valid because pushes are monotone
@@ -234,21 +238,23 @@ enum ServiceIndex {
 
 /// The indexed pending queue: an arena of admitted requests plus the
 /// per-class structures that make pop, shed, and the per-arrival admission
-/// counts O(1)/O(log n) instead of O(n).
+/// counts and backlog bracket O(1)/O(log n) instead of O(n).
 ///
 /// **Invariant (monotone admission):** entries must be pushed in
 /// non-decreasing `(arrival, id)` order, which is exactly the order the
 /// serving loop admits them in. Debug builds assert it.
 #[derive(Clone, Debug)]
 pub struct ServiceQueue {
-    policy: Policy,
     arena: PendingArena,
     index: ServiceIndex,
-    /// Admission-order (seq → slot) index over all classes: drives the
-    /// bit-identical backlog re-sum and admission-order snapshots.
-    by_seq: BTreeMap<u64, u32>,
     /// Per-tenant live counts, replacing the retired O(n) filter count.
-    tenant_pending: HashMap<u32, usize>,
+    tenant_pending: TenantTable<usize>,
+    /// Running `Σ service_s` and `Σ |service_s|` over the live entries, and
+    /// a bound on how far each sits from its exact real value. All three
+    /// reset to exactly 0 whenever the queue empties.
+    sum: f64,
+    abs_sum: f64,
+    drift: f64,
     /// Last pushed (arrival bits as ordered key, id) for the debug-mode
     /// monotonicity assertion.
     #[cfg(debug_assertions)]
@@ -259,6 +265,12 @@ impl ServiceQueue {
     /// An empty queue serving under `policy`.
     #[must_use]
     pub fn new(policy: Policy) -> Self {
+        Self::for_requests(policy, 0)
+    }
+
+    /// An empty queue whose tenant counts stay dense for the ids of a run
+    /// of `requests` requests (see `TenantTable`).
+    pub(crate) fn for_requests(policy: Policy, requests: usize) -> Self {
         let index = match policy {
             Policy::PriorityFifo => ServiceIndex::Fifo {
                 rings: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
@@ -269,11 +281,12 @@ impl ServiceQueue {
             },
         };
         Self {
-            policy,
-            arena: PendingArena::new(),
+            arena: PendingArena::default(),
             index,
-            by_seq: BTreeMap::new(),
-            tenant_pending: HashMap::new(),
+            tenant_pending: TenantTable::new(requests),
+            sum: 0.0,
+            abs_sum: 0.0,
+            drift: 0.0,
             #[cfg(debug_assertions)]
             last_key: None,
         }
@@ -283,71 +296,110 @@ impl ServiceQueue {
     /// checkpoint-style path: [`ServiceQueue::entries`] round-trips).
     #[must_use]
     pub fn from_entries(policy: Policy, entries: &[ServiceEntry]) -> Self {
-        let mut q = Self::new(policy);
+        let mut q = Self::for_requests(policy, entries.len());
         for &e in entries {
             q.push(e);
         }
         q
     }
 
-    /// The ordering discipline in effect.
-    #[must_use]
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
     /// Live pending entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.arena.len()
+        self.arena.seqs.len() - self.arena.free.len()
     }
 
     /// Whether nothing is pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
+        self.len() == 0
     }
 
     /// Live entries owned by `tenant` — O(1), maintained incrementally.
     #[must_use]
     pub fn tenant_pending(&self, tenant: TenantId) -> usize {
-        self.tenant_pending.get(&tenant.0).copied().unwrap_or(0)
+        self.tenant_pending.get(tenant.0).copied().unwrap_or(0)
+    }
+
+    /// A bracket `(lo, hi)` with `lo ≤ backlog_service_s() ≤ hi`, in O(1);
+    /// `None` when the running sums cannot certify one: a non-finite
+    /// service time was pushed since the queue last emptied, or the backlog
+    /// is within a factor of 4 of `f64::MAX`, where the walk could overflow.
+    ///
+    /// Why it brackets, with `u = ε/2` the unit roundoff: each push or
+    /// detach rounds `sum` and `abs_sum` once, by at most `u` times the
+    /// result, and `drift` grows by `2ε(|sum| + |abs_sum|)`, a 4× margin
+    /// that also absorbs `drift`'s own rounding; the walk's left fold over
+    /// `n` terms errs by at most `γ(n−1)·Σ|s| < (n+1)·ε·Σ|s|`, with
+    /// `Σ|s| ≤ |abs_sum| + drift`; and `sum ∓ bound` is rounded outward.
+    #[must_use]
+    pub fn backlog_bounds(&self) -> Option<(f64, f64)> {
+        let magnitude = self.abs_sum.abs() + self.drift;
+        // `drift` accumulated every |sum|, so a finite magnitude (NaN fails
+        // the test) also means `sum` never left the finite range.
+        (magnitude < f64::MAX / 4.0).then(|| {
+            let bound = self.drift + (self.len() as f64 + 1.0) * f64::EPSILON * magnitude;
+            ((self.sum - bound).next_down(), (self.sum + bound).next_up())
+        })
     }
 
     /// Pending service-time backlog, summed in admission order — the same
     /// floating-point reduction order as the retired `Vec` iteration
     /// (`Vec::remove` preserves relative order), so deadline-feasibility
-    /// estimates are bit-identical.
+    /// estimates are bit-identical. O(n): the deadline check calls it only
+    /// when [`ServiceQueue::backlog_bounds`] cannot decide.
     ///
-    /// Never inlined: this walk dominates deadline-aware admission, and
-    /// inlined into the serve loop its codegen follows the loop's register
-    /// pressure (measured ~20 % slower on the benchmark's `faulty` serving
-    /// run, release build, 2-vCPU VM).
+    /// Never inlined: it is the deadline check's rare fallback, and keeping
+    /// the merge out of the serve loop keeps that loop's hot path compact.
     #[must_use]
     #[inline(never)]
     pub fn backlog_service_s(&self) -> f64 {
-        self.by_seq
-            .values()
-            .map(|&slot| self.arena.service_s[slot as usize])
+        self.admission_order()
+            .map(|slot| self.arena.service_s[slot])
             .sum()
     }
 
     /// Live entries in admission order (for snapshots and rebuilds).
     #[must_use]
     pub fn entries(&self) -> Vec<ServiceEntry> {
-        self.by_seq
-            .values()
-            .map(|&slot| self.arena.entry_at(slot as usize))
+        self.admission_order()
+            .map(|slot| self.arena.entry_at(slot))
             .collect()
     }
 
-    /// Admits one entry and returns its generational handle.
+    /// Live arena slots in admission order: the per-class indexes are
+    /// each already in that order, so a stable sort by sequence number
+    /// merges their runs.
+    fn admission_order(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut slots: Vec<u32> = match &self.index {
+            ServiceIndex::Fifo { rings } => rings.iter().flatten().copied().collect(),
+            ServiceIndex::Sjf { by_seq, .. } => {
+                by_seq.iter().flat_map(BTreeMap::values).copied().collect()
+            }
+        };
+        slots.sort_by_key(|&slot| self.arena.seqs[slot as usize]);
+        slots.into_iter().map(|slot| slot as usize)
+    }
+
+    /// Folds a push (`sign = 1`) or detach (`sign = -1`) into the running
+    /// backlog, after the arena has been updated.
+    fn account(&mut self, service_s: f64, sign: f64) {
+        if self.is_empty() {
+            (self.sum, self.abs_sum, self.drift) = (0.0, 0.0, 0.0);
+            return;
+        }
+        self.sum += sign * service_s;
+        self.abs_sum += sign * service_s.abs();
+        self.drift += 2.0 * f64::EPSILON * (self.sum.abs() + self.abs_sum.abs());
+    }
+
+    /// Admits one entry.
     ///
     /// # Panics
     ///
     /// Debug builds panic if `(arrival, id)` regresses below the previous
     /// push (the serving loop's admission order makes that impossible).
-    pub fn push(&mut self, entry: ServiceEntry) -> PendingSlot {
+    pub fn push(&mut self, entry: ServiceEntry) {
         #[cfg(debug_assertions)]
         {
             let key = (entry.req.arrival.seconds(), entry.id.0);
@@ -361,26 +413,21 @@ impl ServiceQueue {
             self.last_key = Some(key);
         }
         let class = class_of(entry.req.priority);
-        let tenant = entry.req.tenant.0;
-        let handle = self.arena.insert(entry);
-        let slot = handle.index;
-        let seq = self.arena.seqs[slot as usize];
+        let slot = self.arena.insert(entry);
         match &mut self.index {
             ServiceIndex::Fifo { rings } => rings[class].push_back(slot),
             ServiceIndex::Sjf { by_size, by_seq } => {
                 by_size[class].insert((entry.carts, entry.id.0), slot);
-                by_seq[class].insert(seq, slot);
+                by_seq[class].insert(self.arena.seqs[slot as usize], slot);
             }
         }
-        self.by_seq.insert(seq, slot);
-        *self.tenant_pending.entry(tenant).or_insert(0) += 1;
-        handle
+        *self.tenant_pending.get_or_insert(entry.req.tenant.0, || 0) += 1;
+        self.account(entry.service_s, 1.0);
     }
 
     /// Detaches a slot from every index and frees its arena storage.
     fn detach(&mut self, slot: u32) -> ServiceEntry {
         let i = slot as usize;
-        let seq = self.arena.seqs[i];
         let class = class_of(self.arena.priorities[i]);
         match &mut self.index {
             ServiceIndex::Fifo { rings } => {
@@ -397,15 +444,15 @@ impl ServiceQueue {
             }
             ServiceIndex::Sjf { by_size, by_seq } => {
                 by_size[class].remove(&(self.arena.carts[i], self.arena.ids[i].0));
-                by_seq[class].remove(&seq);
+                by_seq[class].remove(&self.arena.seqs[i]);
             }
         }
-        self.by_seq.remove(&seq);
-        let tenant = self.arena.tenants[i].0;
-        if let Some(count) = self.tenant_pending.get_mut(&tenant) {
+        if let Some(count) = self.tenant_pending.get_mut(self.arena.tenants[i].0) {
             *count = count.saturating_sub(1);
         }
-        self.arena.remove(slot)
+        let entry = self.arena.remove(slot);
+        self.account(entry.service_s, -1.0);
+        entry
     }
 
     /// Serves the best pending entry: highest priority class; within it the
@@ -439,13 +486,6 @@ impl ServiceQueue {
         } else {
             None
         }
-    }
-
-    /// Resolves a handle issued by [`ServiceQueue::push`], or `None` once
-    /// the entry has been served or shed.
-    #[must_use]
-    pub fn resolve(&self, slot: PendingSlot) -> Option<ServiceEntry> {
-        self.arena.resolve(slot)
     }
 }
 
@@ -623,16 +663,67 @@ mod tests {
     }
 
     #[test]
-    fn handles_go_stale_once_served() {
+    fn sparse_tenant_ids_share_one_bounded_table() {
+        use crate::reference_service::{ReferencePending, ReferenceServiceQueue};
         let mut q = ServiceQueue::new(Policy::PriorityFifo);
-        let h = q.push(entry(0, Priority::Normal, 0.0, 1));
-        assert_eq!(q.resolve(h).unwrap().id.0, 0);
-        let _ = q.pop_next();
-        assert!(q.resolve(h).is_none(), "freed slot must not resolve");
-        // The slot is recycled; the old handle still must not resolve.
-        let h2 = q.push(entry(1, Priority::Normal, 1.0, 1));
-        assert!(q.resolve(h).is_none());
-        assert_eq!(q.resolve(h2).unwrap().id.0, 1);
+        let mut reference = ReferenceServiceQueue::new();
+        let tenants = [
+            TenantId(0),
+            TenantId(u32::MAX),
+            TenantId(7),
+            TenantId(u32::MAX - 1),
+        ];
+        for i in 0..16u64 {
+            let mut e = entry(i, Priority::Normal, i as f64, 1);
+            e.req.tenant = tenants[i as usize % tenants.len()];
+            q.push(e);
+            reference.push(ReferencePending {
+                id: e.id,
+                req: e.req,
+                carts: e.carts,
+                service_s: e.service_s,
+            });
+            if i % 3 == 2 {
+                assert_eq!(
+                    q.pop_next().map(|e| e.id),
+                    reference.pop_next(Policy::PriorityFifo).map(|e| e.id)
+                );
+            }
+            for t in tenants
+                .into_iter()
+                .chain([TenantId(1), TenantId(u32::MAX - 2)])
+            {
+                assert_eq!(q.tenant_pending(t), reference.tenant_pending(t), "{t:?}");
+            }
+        }
+        // One row per tenant seen, not one slot per id below the largest.
+        match &q.tenant_pending {
+            TenantTable::Sparse(rows) => assert_eq!(rows.len(), tenants.len()),
+            TenantTable::Dense { .. } => panic!("u32::MAX must not index a dense table"),
+        }
+    }
+
+    #[test]
+    fn non_finite_backlog_falls_back_and_recovers_exact_zero() {
+        let mut q = ServiceQueue::new(Policy::PriorityFifo);
+        q.push(entry(0, Priority::Normal, 0.0, 1));
+        let mut huge = entry(1, Priority::Background, 1.0, 1);
+        // A huge finite dwell can overflow one request's service time.
+        huge.service_s = f64::MAX * 4.0;
+        q.push(huge);
+        assert_eq!(q.backlog_bounds(), None);
+        assert_eq!(q.backlog_service_s(), f64::INFINITY);
+        assert_eq!(q.pop_next().unwrap().id.0, 0);
+        assert_eq!(
+            q.backlog_bounds(),
+            None,
+            "a non-finite sum stays uncertified"
+        );
+        assert_eq!(q.pop_next().unwrap().id.0, 1);
+        assert_eq!((q.sum.to_bits(), q.abs_sum, q.drift), (0, 0.0, 0.0));
+        q.push(entry(2, Priority::Normal, 2.0, 3));
+        let (lo, hi) = q.backlog_bounds().expect("finite again");
+        assert!(lo <= 30.0 && 30.0 <= hi && hi - lo < 1e-12, "[{lo}, {hi}]");
     }
 
     #[test]

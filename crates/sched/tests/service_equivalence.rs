@@ -98,6 +98,20 @@ fn assert_same(popped: Option<ServiceEntry>, expected: Option<ReferencePending>,
     }
 }
 
+/// Asserts that the O(1) backlog bracket holds the retired admission-order
+/// sum, whenever the running sums can certify one.
+fn assert_brackets(indexed: &ServiceQueue, reference: &ReferenceServiceQueue, ctx: &str) -> bool {
+    let Some((lo, hi)) = indexed.backlog_bounds() else {
+        return false;
+    };
+    let exact = reference.backlog_service_s();
+    assert!(
+        lo <= exact && exact <= hi,
+        "{ctx}: {exact:e} outside [{lo:e}, {hi:e}]"
+    );
+    true
+}
+
 /// Drives both structures in lock-step for `steps` operations and checks
 /// every observable after each one. `snapshot_at` injects a mid-drain
 /// entries()/from_entries round-trip of the indexed queue, modelling the
@@ -150,6 +164,10 @@ fn run_lockstep(policy: Policy, seed: u64, steps: usize, tenants: u64, snapshot_
             indexed.backlog_service_s().to_bits() == reference.backlog_service_s().to_bits(),
             "backlog bits step {step} seed {seed}"
         );
+        assert!(
+            assert_brackets(&indexed, &reference, &format!("step {step} seed {seed}")),
+            "finite backlogs always certify (step {step} seed {seed})"
+        );
         let probe = TenantId((xorshift(&mut rng) % tenants) as u32);
         assert_eq!(
             indexed.tenant_pending(probe),
@@ -196,6 +214,109 @@ fn mid_drain_snapshot_rebuild_keeps_matching() {
     for &policy in &[Policy::PriorityFifo, Policy::ShortestJobFirst] {
         for seed in 0..6 {
             run_lockstep(policy, seed, 1_500, 4, Some(700 + seed as usize));
+        }
+    }
+}
+
+/// The bracket must hold at magnitudes where the running sum and the
+/// admission-order walk round very differently: zeros, subnormals, values
+/// near 1e±300, cancelling signs, mixed scales, and infinities (which
+/// leave the queue uncertified until it empties, then exact again).
+#[test]
+fn backlog_bracket_holds_for_adversarial_magnitudes() {
+    const MAGNITUDES: [f64; 12] = [
+        0.0,
+        5e-324,
+        1e-300,
+        -1e-300,
+        1e-10,
+        17.2,
+        1e10,
+        -1e10,
+        1e300,
+        -1e300,
+        1.5e300,
+        f64::INFINITY,
+    ];
+    for &policy in &[Policy::PriorityFifo, Policy::ShortestJobFirst] {
+        for seed in 0..8u64 {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut indexed = ServiceQueue::new(policy);
+            let mut reference = ReferenceServiceQueue::new();
+            let (mut next_id, mut arrival) = (0u64, 0.0f64);
+            // A non-finite service time was pushed since the queue last
+            // emptied: the only state allowed to be uncertified.
+            let mut tainted = false;
+            let mut certified = 0usize;
+            for step in 0..20_000 {
+                // Pops outpace pushes, so the queue keeps emptying.
+                match xorshift(&mut rng) % 8 {
+                    0..=2 => {
+                        let mut entry = next_entry(&mut rng, &mut next_id, &mut arrival, 4);
+                        let pick = xorshift(&mut rng) as usize % (MAGNITUDES.len() * 16);
+                        // Infinity is rare, so certified stretches dominate.
+                        entry.service_s = match MAGNITUDES.get(pick) {
+                            Some(&m) => m,
+                            None => {
+                                MAGNITUDES[pick % (MAGNITUDES.len() - 1)]
+                                    * (1.0 + (pick % 7) as f64 / 3.0)
+                            }
+                        };
+                        tainted |= !entry.service_s.is_finite();
+                        indexed.push(entry);
+                        reference.push(to_reference(entry));
+                    }
+                    3..=6 => {
+                        let got = indexed.pop_next();
+                        assert_same(got, reference.pop_next(policy), "pop");
+                    }
+                    _ => {
+                        let incoming = priority_of(xorshift(&mut rng));
+                        let got = indexed.shed_victim(incoming);
+                        assert_same(got, reference.shed_victim(incoming), "shed");
+                    }
+                }
+                if reference.is_empty() {
+                    tainted = false;
+                }
+                let ctx = format!("{policy:?} seed {seed} step {step}");
+                if assert_brackets(&indexed, &reference, &ctx) {
+                    certified += 1;
+                } else {
+                    assert!(tainted, "{ctx}: uncertified without a non-finite push");
+                }
+            }
+            assert!(
+                certified > 10_000,
+                "{policy:?} seed {seed}: {certified} certified"
+            );
+        }
+    }
+}
+
+/// A million pops and a million pushes against a held backlog that never
+/// empties, so the bound never resets: it must stay tight enough that a
+/// deadline lands inside it only by a near-exact tie.
+#[test]
+fn backlog_bracket_stays_tight_over_a_million_operation_churn() {
+    let mut q = ServiceQueue::new(Policy::PriorityFifo);
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    let (mut next_id, mut arrival) = (0u64, 0.0f64);
+    for _ in 0..256 {
+        q.push(next_entry(&mut rng, &mut next_id, &mut arrival, 64));
+    }
+    for op in 1..=1_000_000u32 {
+        q.pop_next().expect("held backlog");
+        q.push(next_entry(&mut rng, &mut next_id, &mut arrival, 64));
+        if op % 4096 == 0 || op == 1_000_000 {
+            let exact = q.backlog_service_s();
+            let (lo, hi) = q.backlog_bounds().expect("finite backlog");
+            assert!(lo <= exact && exact <= hi, "op {op}");
+            assert!(
+                hi - lo < 1e-8 * exact,
+                "op {op}: width {:e} of {exact:e}",
+                hi - lo
+            );
         }
     }
 }

@@ -1,14 +1,25 @@
-//! Minimal JSON support: escaping/formatting for the exporters and a small
-//! recursive-descent parser so tools (the bench regression checker) can read
-//! the files back without any external dependency.
+//! Minimal JSON support with no external dependency.
 //!
-//! The parser accepts the full JSON grammar (objects, arrays, strings with
-//! escapes, numbers, booleans, null) and is intentionally strict: trailing
-//! garbage or malformed input yields an error rather than a best-effort
-//! value.
+//! - **Writing:** [`write_escaped`] and [`write_f64`] append tokens to a
+//!   `String`; the exporters and the checkpoint codec write documents
+//!   directly, with no tree in between.
+//! - **Reading:** [`Reader`] is a pull tokenizer over a `&str`. The caller
+//!   peeks at the next value's kind, then reads a scalar, steps through an
+//!   object's keys or an array's items, or skips the value. Strings without
+//!   escapes are borrowed, so a read allocates only what the caller keeps.
+//! - **The DOM:** [`parse`] builds a [`JsonValue`] tree over a [`Reader`],
+//!   for tools that want random access (the bench regression checker).
+//!
+//! There is one grammar, the full JSON grammar, read strictly: malformed
+//! input, trailing characters and nesting deeper than [`MAX_DEPTH`] are
+//! refused with a [`JsonError`] giving the byte offset.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// How deeply arrays and objects may nest before input is refused.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -39,11 +50,7 @@ impl JsonValue {
     /// representable `f64`).
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Self::Number(n) => Some(*n),
-            Self::UInt(n) => Some(*n as f64),
-            _ => None,
-        }
+        self.as_number().map(Number::as_f64)
     }
 
     /// The value as an exact unsigned integer, if it is one. Accepts
@@ -51,11 +58,13 @@ impl JsonValue {
     /// do not care which variant the writer produced.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
+        self.as_number().and_then(Number::as_u64)
+    }
+
+    fn as_number(&self) -> Option<Number> {
         match self {
-            Self::UInt(n) => Some(*n),
-            Self::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Self::Number(n) => Some(Number::Float(*n)),
+            Self::UInt(n) => Some(Number::UInt(*n)),
             _ => None,
         }
     }
@@ -139,6 +148,37 @@ impl JsonValue {
     }
 }
 
+/// A number as [`Reader::number`] read it.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum Number {
+    /// A plain digit string that fits `u64`, kept exact.
+    UInt(u64),
+    /// Any other number: signed, fractional, exponent, or wider than `u64`.
+    Float(f64),
+}
+
+impl Number {
+    /// The number as an `f64`, rounding a large `UInt`.
+    #[must_use]
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Self::UInt(n) => n as f64,
+            Self::Float(n) => n,
+        }
+    }
+
+    /// The number as an exact `u64`: a `UInt`, or an integral `Float` in
+    /// `0..2^64` (`u64::MAX as f64` *is* 2^64, which no `u64` holds).
+    #[must_use]
+    pub fn as_u64(self) -> Option<u64> {
+        match self {
+            Self::UInt(n) => Some(n),
+            Self::Float(n) if n.fract() == 0.0 && n >= 0.0 && n < u64::MAX as f64 => Some(n as u64),
+            Self::Float(_) => None,
+        }
+    }
+}
+
 /// A parse failure: byte offset plus a short description.
 #[derive(Clone, PartialEq, Debug)]
 pub struct JsonError {
@@ -160,31 +200,98 @@ impl core::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a complete JSON document.
-///
-/// # Errors
-///
-/// [`JsonError`] on malformed input or trailing non-whitespace.
+/// Parses a complete JSON document into a [`JsonValue`] tree, refusing
+/// what a [`Reader`] refuses.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
+    let mut r = Reader::new(input);
+    let v = tree(&mut r)?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The next value of `r` as a tree.
+fn tree(r: &mut Reader<'_>) -> Result<JsonValue, JsonError> {
+    Ok(match r.peek()? {
+        Kind::Null => {
+            r.null()?;
+            JsonValue::Null
+        }
+        Kind::Bool => JsonValue::Bool(r.bool()?),
+        Kind::Number => match r.number()? {
+            Number::UInt(n) => JsonValue::UInt(n),
+            Number::Float(n) => JsonValue::Number(n),
+        },
+        Kind::String => JsonValue::String(r.string()?.into_owned()),
+        Kind::Array => {
+            r.begin_array()?;
+            let mut items = Vec::new();
+            while r.next_item()? {
+                items.push(tree(r)?);
+            }
+            JsonValue::Array(items)
+        }
+        Kind::Object => {
+            r.begin_object()?;
+            let mut map = BTreeMap::new();
+            while let Some(key) = r.next_key()? {
+                let value = tree(r)?;
+                map.insert(key.into_owned(), value);
+            }
+            JsonValue::Object(map)
+        }
+    })
 }
 
-impl Parser<'_> {
+/// What kind of value comes next, from its first byte.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Kind {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    String,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
+}
+
+/// A pull tokenizer over one JSON document.
+///
+/// Each read skips leading whitespace, then consumes one value or token.
+/// Walk an object with [`Reader::begin_object`] and [`Reader::next_key`],
+/// reading or skipping each member's value in turn, and an array with
+/// [`Reader::begin_array`] and [`Reader::next_item`]; [`Reader::finish`]
+/// then checks that only whitespace follows. The reader is `Copy`: a copy
+/// is a saved position to look ahead from.
+///
+/// Every method returns a [`JsonError`] when the text is not JSON at that
+/// point. A document read through a `Reader` is refused exactly when
+/// [`parse`] refuses it, at the same offset, with the same message.
+#[derive(Clone, Copy, Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
+    /// An object or array has just opened: the next member needs no comma.
+    opened: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            pos: 0,
+            depth: 0,
+            opened: false,
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -192,175 +299,236 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+        self.skip_ws();
+        if self.byte() != Some(b) {
+            return Err(self.err(&format!("expected '{}'", b as char)));
         }
+        self.pos += 1;
+        Ok(())
     }
 
-    fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
+    fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
+        self.skip_ws();
+        if !self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            return Err(self.err(&format!("expected '{lit}'")));
         }
+        self.pos += lit.len();
+        Ok(())
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+    /// The kind of the next value.
+    pub fn peek(&mut self) -> Result<Kind, JsonError> {
+        self.skip_ws();
+        match self.byte() {
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
+            Some(b'"') => Ok(Kind::String),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'{') => Ok(Kind::Object),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+    /// Reads `null`.
+    pub fn null(&mut self) -> Result<(), JsonError> {
+        self.literal("null")
+    }
+
+    /// Reads `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(map));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
+        let value = self.byte() == Some(b't');
+        self.literal(if value { "true" } else { "false" })?;
+        Ok(value)
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Reads a number. A plain digit string that fits `u64` stays exact,
+    /// since `f64` rounds above 2^53 and would corrupt `u64` counters; any
+    /// other number goes through `str::parse::<f64>`.
+    pub fn number(&mut self) -> Result<Number, JsonError> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates are replaced rather than combined;
-                            // the exporters never emit them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8"))?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
         while matches!(
-            self.peek(),
+            self.byte(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        // Plain unsigned integers stay exact: f64 silently rounds above
-        // 2^53, which would corrupt u64 counters on a round trip.
+        let text = &self.text[start..self.pos];
         if text.bytes().all(|b| b.is_ascii_digit()) {
             if let Ok(n) = text.parse::<u64>() {
-                return Ok(JsonValue::UInt(n));
+                return Ok(Number::UInt(n));
             }
         }
         text.parse::<f64>()
-            .map(JsonValue::Number)
+            .map(Number::Float)
             .map_err(|_| self.err("invalid number"))
+    }
+
+    /// Reads a string, borrowed from the input when it has no escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.expect(b'"')?;
+        let mut owned: Option<String> = None;
+        loop {
+            // Quotes and backslashes are ASCII, so a run between them ends
+            // on a character boundary.
+            let start = self.pos;
+            let run = self.text.as_bytes()[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\');
+            self.pos = run.map_or(self.text.len(), |n| start + n);
+            let chunk = &self.text[start..self.pos];
+            match self.byte() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(chunk),
+                        Some(s) => Cow::Owned(s + chunk),
+                    });
+                }
+                _ => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(chunk);
+                    self.pos += 1;
+                    self.escape(out)?;
+                }
+            }
+        }
+    }
+
+    /// Reads the escape after a backslash into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let esc = self.byte().ok_or_else(|| self.err("unterminated escape"))?;
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'u' => {
+                let hex = self
+                    .text
+                    .as_bytes()
+                    .get(self.pos..self.pos + 4)
+                    .and_then(|h| std::str::from_utf8(h).ok())
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
+                self.pos += 4;
+                // Surrogates are replaced rather than combined; the
+                // exporters never emit them.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            _ => return Err(self.err("invalid escape")),
+        }
+        Ok(())
+    }
+
+    fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.depth == MAX_DEPTH && self.byte() == Some(bracket) {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        self.opened = true;
+        Ok(())
+    }
+
+    /// Whether the open container ends here with `close`; if not, steps
+    /// over the comma before its next member (none before the first).
+    fn closes(&mut self, close: u8, message: &str) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let first = std::mem::take(&mut self.opened);
+        if self.byte() == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            Ok(true)
+        } else if first {
+            Ok(false)
+        } else if self.byte() == Some(b',') {
+            self.pos += 1;
+            Ok(false)
+        } else {
+            Err(self.err(message))
+        }
+    }
+
+    /// Opens an object; step through its members with [`Reader::next_key`].
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.open(b'{')
+    }
+
+    /// The next member's key, with its `:` consumed so that the value
+    /// comes next; `None` once the object has closed.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if self.closes(b'}', "expected ',' or '}' in object")? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Opens an array; step through its items with [`Reader::next_item`].
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.open(b'[')
+    }
+
+    /// Whether another item comes next; `false` once the array has closed.
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        Ok(!self.closes(b']', "expected ',' or ']' in array")?)
+    }
+
+    /// Reads past the next value, checking its syntax.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::String => self.string().map(drop),
+            Kind::Array => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+            Kind::Object => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Checks that only whitespace follows the document.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after document"))
+        }
     }
 }
 
@@ -522,5 +690,89 @@ mod tests {
         let v = parse("99999999999999999999999999").unwrap();
         assert!(matches!(v, JsonValue::Number(_)));
         assert!(v.as_f64().unwrap() > 9.9e25);
+    }
+
+    #[test]
+    fn reader_walks_a_document_and_borrows_plain_strings() {
+        let mut r = Reader::new(r#" {"a": [1, -2.5, "x\ny"], "plain": "ok", "z": null} "#);
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("a"));
+        r.begin_array().unwrap();
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.number().unwrap(), Number::UInt(1));
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.number().unwrap(), Number::Float(-2.5));
+        assert!(r.next_item().unwrap());
+        assert!(matches!(r.string().unwrap(), Cow::Owned(s) if s == "x\ny"));
+        assert!(!r.next_item().unwrap());
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("plain"));
+        assert!(matches!(r.string().unwrap(), Cow::Borrowed("ok")));
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("z"));
+        assert_eq!(r.peek().unwrap(), Kind::Null);
+        r.skip_value().unwrap();
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn skipping_refuses_exactly_what_parse_refuses() {
+        for text in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            "[1,]",
+            "{,}",
+            "{\"a\":1,}",
+            "[1 2]",
+            "{\"a\" 1}",
+            "-",
+            "1e",
+            "\"\\q\"",
+            "\"\\u12\"",
+            "nul",
+        ] {
+            let mut r = Reader::new(text);
+            let skipped = r.skip_value().and_then(|()| r.finish());
+            assert_eq!(skipped.unwrap_err(), parse(text).unwrap_err(), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_limit_is_refused() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Far deeper input is refused at the same point, not by
+        // overflowing the stack.
+        assert_eq!(parse(&"[".repeat(100_000)).unwrap_err(), err);
+        assert_eq!(
+            parse(&"{\"a\":".repeat(100_000)).unwrap_err().offset,
+            5 * MAX_DEPTH
+        );
+    }
+
+    #[test]
+    fn two_to_the_64_is_not_a_u64() {
+        // `u64::MAX as f64` rounds up to 2^64, which no u64 holds.
+        for text in ["18446744073709551616", "1.8446744073709552e19"] {
+            assert_eq!(parse(text).unwrap().as_u64(), None, "{text}");
+        }
+        // The largest f64 below 2^64 is still exact.
+        assert_eq!(
+            parse("18446744073709549568.0").unwrap().as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
+    }
+
+    #[test]
+    fn parse_keeps_the_last_of_repeated_keys() {
+        let v = parse(r#"{"a": 1, "a": 2}"#).unwrap();
+        assert_eq!(v.get("a").and_then(JsonValue::as_u64), Some(2));
     }
 }

@@ -32,13 +32,11 @@
 //! zero tenant count clamps to one — a malformed spec degrades to a quiet
 //! generator instead of panicking or spinning.
 
-use dhl_obs::json;
 use dhl_rng::{DeterministicRng, Rng};
 use dhl_units::Seconds;
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::CheckpointError;
-use crate::codec::{codec_struct, Codec, NullIsInf};
+use crate::codec::{codec_struct, read_document, Codec};
 
 /// The stochastic process driving inter-arrival times.
 #[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -213,7 +211,9 @@ impl ArrivalState {
     /// formatting, and the non-finite Poisson phase end maps to `null`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        self.encode().to_json_string()
+        let mut out = String::new();
+        self.write(&mut out);
+        out
     }
 
     /// Parses a state serialised by [`ArrivalState::to_json`].
@@ -222,10 +222,7 @@ impl ArrivalState {
     ///
     /// A human-readable description of the first malformed field.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        json::parse(text)
-            .map_err(CheckpointError::from)
-            .and_then(|root| Self::decode(&root))
-            .map_err(|e| format!("arrival state: {e}"))
+        read_document::<Self>(text).map_err(|e| format!("arrival state: {e}"))
     }
 }
 
@@ -233,7 +230,7 @@ codec_struct!(ArrivalState {
     rng,
     clock,
     in_on_phase,
-    phase_ends_at via NullIsInf,
+    phase_ends_at: null => f64::INFINITY,
     emitted,
 });
 
@@ -275,18 +272,6 @@ impl ArrivalGenerator {
             phase_ends_at,
             emitted: 0,
         }
-    }
-
-    /// The (sanitised) spec in effect.
-    #[must_use]
-    pub fn spec(&self) -> &ArrivalSpec {
-        &self.spec
-    }
-
-    /// Arrivals emitted so far.
-    #[must_use]
-    pub fn emitted(&self) -> u64 {
-        self.emitted
     }
 
     /// Captures the generator's resumable state.

@@ -10,15 +10,22 @@
 //! replica engine's retry-with-resume and the kill-and-resume CI job build
 //! on.
 //!
-//! Checkpoints serialize to JSON through [`dhl_obs::json`], the workspace's
-//! zero-dependency codec. Each checkpointed type is declared once, as a
-//! field list for the `codec_struct!`/`codec_enum!` macros at the bottom
-//! of this module; the field names are the JSON keys. (The codec lives in
-//! `dhl-sim` rather than `dhl-obs` because of the orphan rule: its trait is
-//! implemented for the `dhl-units` types.) Exactness matters: `u64`
-//! counters ride the codec's lossless `UInt` path, and `f64` times rely on
-//! Rust's shortest-round-trip `Display` plus exact `str::parse::<f64>`, so
-//! a decode(encode(x)) trip reproduces every bit.
+//! Checkpoints serialize to JSON through the crate's field-list codec,
+//! which streams both ways with no JSON tree in between:
+//! [`Checkpoint::to_json`] writes every field straight into one `String`,
+//! and [`Checkpoint::from_json`] reads them straight off a
+//! [`dhl_obs::json::Reader`]. Each checkpointed type is declared once, as a
+//! field list for `codec_struct!`/`codec_enum!` at the bottom of this
+//! module; the field names are the JSON keys, written in a sorted order the
+//! macros compute at compile time, so equal checkpoints give byte-equal
+//! text. `u64` counters are exact digit strings, and `f64` times use Rust's
+//! shortest round-trip `Display` plus exact `str::parse::<f64>`, so a
+//! read(write(x)) trip reproduces every bit.
+//!
+//! A damaged document is refused whole, and the refusal does not depend on
+//! how far the reader got: a JSON syntax error anywhere comes first, then a
+//! missing or unsupported `version`, then the first field that does not
+//! fit, named by its path. A field or map key given twice is refused too.
 //!
 //! The configuration itself is *not* serialized — checkpoints are state,
 //! not provenance. [`DhlSystem::resume`] takes the configuration separately
@@ -28,7 +35,7 @@
 
 use std::collections::BTreeMap;
 
-use dhl_obs::json::{self, JsonError, JsonValue};
+use dhl_obs::json::{JsonError, Kind, Reader};
 use dhl_obs::{Histogram, MetricsRegistry, Stopwatch};
 use dhl_rng::DeterministicRng;
 use dhl_storage::{CartWear, DockingConnector};
@@ -36,7 +43,7 @@ use dhl_units::{Bytes, Joules, Seconds};
 
 use crate::arena::CartArena;
 use crate::backlog::Backlog;
-use crate::codec::{self, codec_enum, codec_struct, Codec, NullIsInf, NullIsNegInf, Plain};
+use crate::codec::{self, codec_enum, codec_struct, Codec};
 use crate::config::SimConfig;
 use crate::engine::EventQueue;
 use crate::metrics::SimMetrics;
@@ -138,6 +145,13 @@ pub struct Checkpoint {
     abandoned: Option<Abandoned>,
     watch_running: bool,
     metrics: Option<MetricsState>,
+    /// Always [`FORMAT_VERSION`]: [`Checkpoint::from_json`] refuses others.
+    version: u64,
+}
+
+/// A checkpoint's `version` key alone.
+struct Version {
+    version: u64,
 }
 
 impl Checkpoint {
@@ -250,6 +264,7 @@ impl DhlSystem {
             } else {
                 None
             },
+            version: FORMAT_VERSION,
         }
     }
 
@@ -488,6 +503,12 @@ fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
                     format!("{} is not a rack", v.to),
                 );
             }
+            if c.location != CartLocation::Docked(v.to) {
+                return invalid(
+                    format!("carts[{i}].verify"),
+                    format!("cart is not docked at endpoint {}", v.to),
+                );
+            }
         }
     }
     for (i, r) in cp.redelivery_queue.iter().enumerate() {
@@ -498,6 +519,7 @@ fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
             );
         }
     }
+    let mut undocking = vec![false; fleet];
     for (i, &(_, _, ev)) in cp.queue.iter().enumerate() {
         let (cart, needs, has): (CartId, &str, fn(&CartState) -> bool) = match ev {
             Ev::TryLaunch => continue,
@@ -505,9 +527,11 @@ fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
                 (cart, "movement", |c| c.movement.is_some())
             }
             Ev::VerifyDone { cart } => (cart, "pending verify", |c| c.verify.is_some()),
-            Ev::ProcessingDone { cart } => (cart, "dock", |c| {
-                matches!(c.location, CartLocation::Docked(_))
-            }),
+            Ev::ProcessingDone { cart } => (
+                cart,
+                "rack dock",
+                |c| matches!(c.location, CartLocation::Docked(ep) if ep != 0),
+            ),
         };
         match cp.carts.get(cart) {
             None => {
@@ -529,6 +553,28 @@ fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
                 )
             }
             Some(_) => busy[cart] = true,
+        }
+        undocking[cart] = matches!(ev, Ev::UndockDone { .. });
+    }
+    // A dock in use holds a docked cart, is reserved by a cart on its way
+    // in, or is still held by a cart undocking from it.
+    let mut held = vec![0u32; endpoints];
+    for (cart, c) in cp.carts.iter().enumerate() {
+        match (c.movement, c.location) {
+            (Some(m), _) => {
+                held[m.to] += 1;
+                held[m.from] += u32::from(undocking[cart]);
+            }
+            (None, CartLocation::Docked(ep)) => held[ep] += 1,
+            (None, CartLocation::Moving { .. }) => {}
+        }
+    }
+    for (ep, (&used, &held)) in cp.dock_used.iter().zip(&held).enumerate() {
+        if used != held {
+            return invalid(
+                format!("dock_used[{ep}]"),
+                format!("{used} docks in use where the fleet holds {held}"),
+            );
         }
     }
     Ok(())
@@ -567,11 +613,9 @@ impl Checkpoint {
     /// lossless path, so equal checkpoints produce byte-equal JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut root = self.encode();
-        if let JsonValue::Object(map) = &mut root {
-            map.insert("version".to_string(), FORMAT_VERSION.encode());
-        }
-        root.to_json_string()
+        let mut out = String::with_capacity(4096);
+        self.write(&mut out);
+        out
     }
 
     /// Parses a checkpoint previously produced by [`Checkpoint::to_json`].
@@ -582,14 +626,26 @@ impl Checkpoint {
     /// [`CheckpointError::Shape`] when the structure is not a
     /// version-compatible checkpoint.
     pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
-        let root = json::parse(text)?;
-        let version = codec::field::<u64, Plain>(&root, "version")?;
-        if version != FORMAT_VERSION {
-            return Err(codec::shape(format!(
-                "unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
-            )));
+        // A refused document's version outranks its other shape errors, so
+        // the version is read on its own.
+        match codec::read_document::<Self>(text) {
+            Ok(cp) => check_version(cp.version).map(|()| cp),
+            Err(CheckpointError::Shape(msg)) => Err(codec::read_document::<Version>(text)
+                .and_then(|v| check_version(v.version))
+                .err()
+                .unwrap_or(CheckpointError::Shape(msg))),
+            Err(e) => Err(e),
         }
-        Self::decode(&root)
+    }
+}
+
+fn check_version(version: u64) -> Result<(), CheckpointError> {
+    if version == FORMAT_VERSION {
+        Ok(())
+    } else {
+        Err(codec::shape(format!(
+            "unsupported checkpoint version {version} (expected {FORMAT_VERSION})"
+        )))
     }
 }
 
@@ -624,7 +680,10 @@ codec_struct!(Checkpoint {
     abandoned,
     watch_running,
     metrics,
+    version,
 });
+
+codec_struct!(Version { version });
 
 codec_struct!(CartState {
     location,
@@ -742,8 +801,8 @@ codec_struct!(MetricsState {
 codec_struct!(HistogramState {
     count,
     sum,
-    min via NullIsInf,
-    max via NullIsNegInf,
+    min: null => f64::INFINITY,
+    max: null => f64::NEG_INFINITY,
     buckets,
 });
 
@@ -780,17 +839,20 @@ codec_enum!(TraceEventKind {
 
 /// A track's direction travels as a bare `"out"` / `"in"` string.
 impl Codec for Direction {
-    fn encode(&self) -> JsonValue {
-        let name = match self {
-            Self::Outbound => "out",
-            Self::Inbound => "in",
-        };
-        JsonValue::String(name.to_string())
+    fn write(&self, out: &mut String) {
+        out.push_str(match self {
+            Self::Outbound => "\"out\"",
+            Self::Inbound => "\"in\"",
+        });
     }
-    fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-        match v.as_str() {
-            Some("out") => Ok(Self::Outbound),
-            Some("in") => Ok(Self::Inbound),
+    fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        let name = match r.peek()? {
+            Kind::String => r.string()?,
+            _ => "".into(),
+        };
+        match &*name {
+            "out" => Ok(Self::Outbound),
+            "in" => Ok(Self::Inbound),
             _ => Err(codec::shape("unknown track direction")),
         }
     }
@@ -1162,7 +1224,7 @@ mod tests {
         let captured = sys.checkpoint();
         assert!(!captured.pending.is_empty(), "capture holds a backlog");
         type Mutation = fn(&mut Checkpoint);
-        let mutations: [(&str, Mutation); 27] = [
+        let mutations: [(&str, Mutation); 29] = [
             ("pending[0].cart", |cp| cp.pending[0].cart = 8),
             ("pending[0].from", |cp| cp.pending[0].from = 2),
             ("pending[0].to", |cp| cp.pending[0].to = 9),
@@ -1246,6 +1308,19 @@ mod tests {
             ("queue[0]", |cp| {
                 cp.carts[0].location = CartLocation::Moving { from: 0, to: 1 };
                 cp.queue[0].2 = Ev::ProcessingDone { cart: 0 };
+            }),
+            ("queue[0]", |cp| {
+                cp.carts[0].location = CartLocation::Docked(0);
+                cp.queue[0].2 = Ev::ProcessingDone { cart: 0 };
+            }),
+            ("carts[0].verify", |cp| {
+                cp.carts[0].verify = Some(PendingVerify {
+                    to: 1,
+                    payload: Bytes::ZERO,
+                    attempt: 1,
+                    trip_time: Seconds::ZERO,
+                    shards: 0,
+                })
             }),
         ];
         for (field, mutate) in mutations {

@@ -1,209 +1,324 @@
 //! The field-list JSON codec behind checkpoints.
 //!
-//! Every checkpointed type implements [`Codec`]: it encodes to a
-//! [`JsonValue`] and decodes back, refusing anything that does not fit with
-//! a [`CheckpointError::Shape`] that names the offending field. Scalars,
-//! containers and the `dhl-units` quantities have impls here; named-field
-//! structs and `"t"`-tagged enums declare theirs with [`codec_struct!`] and
-//! [`codec_enum!`], listing each field once.
+//! Every checkpointed type implements [`Codec`]: it writes itself straight
+//! into a `String` and reads itself straight off a
+//! [`dhl_obs::json::Reader`], with no JSON tree in between, refusing what
+//! does not fit with a [`CheckpointError::Shape`] that names the field.
+//! Named-field structs and `"t"`-tagged enums declare theirs with
+//! [`codec_struct!`] and [`codec_enum!`], listing each field once.
 //!
-//! Encodings, fixed by the checkpoint format: `u64`/`u32`/`usize` and
-//! [`Bytes`] ride the lossless `UInt` path; `f64` and the `f64`-backed
-//! quantities are `Number`s; `None` is `null`; tuples and fixed arrays are
-//! JSON arrays; name-keyed maps are objects. Every field is required —
-//! an absent value is an explicit `null`, never a missing key.
+//! Integers and [`Bytes`] are exact digit strings, `f64`s Rust's shortest
+//! round-trip form, `None` is `null`, tuples and fixed arrays are arrays,
+//! name-keyed maps are objects. Every field is required: an absent value
+//! is an explicit `null`, never a missing key.
 //!
-//! The module lives in `dhl-sim` rather than in `dhl_obs::json` because of
-//! the orphan rule: the trait must be implemented for the `dhl-units`
-//! types, and `dhl-obs` depends on nothing.
+//! Keys are written in sorted byte order, so the text is canonical; the
+//! macros sort each type's keys at compile time with [`in_key_order`]. An
+//! enum's `"t"` tag sorts among its fields (`{"endpoint":12,"t":"docked"}`),
+//! so a read first looks ahead within the small object for it. Reads take
+//! keys in any order: each field fills one slot, unknown keys are skipped,
+//! a field (or map key) given twice is refused, and a missing field is
+//! reported in declaration order. A syntax error anywhere outranks every shape error
+//! ([`read_document`]). The module lives here, not in `dhl_obs::json`,
+//! because of the orphan rule: it implements the trait for `dhl-units`.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use dhl_obs::json::JsonValue;
+use dhl_obs::json::{self, Kind, Reader};
 use dhl_units::{Bytes, Joules, MetresPerSecond, Seconds};
 
 use crate::checkpoint::CheckpointError;
 
 /// A value that travels through checkpoint JSON.
 pub(crate) trait Codec: Sized {
-    /// The value as JSON.
-    fn encode(&self) -> JsonValue;
-    /// Reads a value written by [`Codec::encode`].
-    fn decode(v: &JsonValue) -> Result<Self, CheckpointError>;
+    /// Appends the value as JSON to `out`.
+    fn write(&self, out: &mut String);
+    /// Reads a value written by [`Codec::write`].
+    fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError>;
 }
 
 pub(crate) fn shape(msg: impl Into<String>) -> CheckpointError {
     CheckpointError::Shape(msg.into())
 }
 
-/// How one struct field travels: [`Plain`] through the field type's own
-/// [`Codec`], or through a field-specific adapter such as [`NullIsInf`].
-pub(crate) trait Field<T> {
-    fn encode(v: &T) -> JsonValue;
-    fn decode(v: &JsonValue) -> Result<T, CheckpointError>;
+pub(crate) fn missing(key: &str) -> CheckpointError {
+    shape(format!("missing field `{key}`"))
 }
 
-/// The default field adapter: the type's own [`Codec`].
-pub(crate) enum Plain {}
-
-impl<T: Codec> Field<T> for Plain {
-    fn encode(v: &T) -> JsonValue {
-        v.encode()
-    }
-    fn decode(v: &JsonValue) -> Result<T, CheckpointError> {
-        T::decode(v)
-    }
-}
-
-/// An `f64` whose non-finite value travels as `null` (JSON has no
-/// infinities) and reads back as `+∞`.
-pub(crate) enum NullIsInf {}
-
-/// As [`NullIsInf`], reading `null` back as `-∞`.
-pub(crate) enum NullIsNegInf {}
-
-fn finite_or_null(v: f64) -> JsonValue {
-    Some(v).filter(|v| v.is_finite()).encode()
-}
-
-impl Field<f64> for NullIsInf {
-    fn encode(v: &f64) -> JsonValue {
-        finite_or_null(*v)
-    }
-    fn decode(v: &JsonValue) -> Result<f64, CheckpointError> {
-        Ok(Option::decode(v)?.unwrap_or(f64::INFINITY))
+/// Reads a document holding one `T`. A shape error is reported only once
+/// the whole text is known to be well-formed; otherwise the first syntax
+/// error wins, exactly as if the text had been parsed before it was read.
+pub(crate) fn read_document<T: Codec>(text: &str) -> Result<T, CheckpointError> {
+    let mut r = Reader::new(text);
+    let read = T::read(&mut r).and_then(|v| {
+        r.finish()?;
+        Ok(v)
+    });
+    match read {
+        Err(CheckpointError::Shape(msg)) => {
+            let mut r = Reader::new(text);
+            Err(match r.skip_value().and_then(|()| r.finish()) {
+                Err(syntax) => CheckpointError::Json(syntax),
+                Ok(()) => CheckpointError::Shape(msg),
+            })
+        }
+        done => done,
     }
 }
 
-impl Field<f64> for NullIsNegInf {
-    fn encode(v: &f64) -> JsonValue {
-        finite_or_null(*v)
-    }
-    fn decode(v: &JsonValue) -> Result<f64, CheckpointError> {
-        Ok(Option::decode(v)?.unwrap_or(f64::NEG_INFINITY))
+/// `Err(shape(msg))` unless the next value is of `kind`.
+fn expect(r: &mut Reader<'_>, kind: Kind, msg: &str) -> Result<(), CheckpointError> {
+    if r.peek()? == kind {
+        Ok(())
+    } else {
+        Err(shape(msg))
     }
 }
 
-/// Reads field `key` of object `v` through adapter `F`.
-pub(crate) fn field<T, F: Field<T>>(v: &JsonValue, key: &str) -> Result<T, CheckpointError> {
-    let value = v
-        .get(key)
-        .ok_or_else(|| shape(format!("missing field `{key}`")))?;
-    within(key, F::decode(value))
-}
-
-/// Names the field `key` in a decode error from its value.
-fn within<T>(key: &str, decoded: Result<T, CheckpointError>) -> Result<T, CheckpointError> {
-    decoded.map_err(|e| match e {
+/// Names the field `key` in a read error from its value.
+pub(crate) fn within<T>(key: &str, read: Result<T, CheckpointError>) -> Result<T, CheckpointError> {
+    read.map_err(|e| match e {
         CheckpointError::Shape(msg) => shape(format!("`{key}`: {msg}")),
         other => other,
     })
 }
 
-impl Codec for u64 {
-    fn encode(&self) -> JsonValue {
-        JsonValue::UInt(*self)
+/// `keys` sorted by their `names`, byte-wise as `str`'s `Ord` sorts: the
+/// order in which a type's JSON keys are written.
+pub(crate) const fn in_key_order<T: Copy, const N: usize>(
+    mut names: [&str; N],
+    mut keys: [T; N],
+) -> [T; N] {
+    let mut i = 1;
+    while i < N {
+        let mut j = i;
+        while j > 0 && precedes(names[j].as_bytes(), names[j - 1].as_bytes()) {
+            (names[j], names[j - 1]) = (names[j - 1], names[j]);
+            (keys[j], keys[j - 1]) = (keys[j - 1], keys[j]);
+            j -= 1;
+        }
+        i += 1;
     }
-    fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-        v.as_u64().ok_or_else(|| shape("not a u64"))
-    }
+    keys
 }
 
-impl Codec for u32 {
-    fn encode(&self) -> JsonValue {
-        JsonValue::UInt(u64::from(*self))
+const fn precedes(a: &[u8], b: &[u8]) -> bool {
+    let mut i = 0;
+    while i < a.len() && i < b.len() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
+        }
+        i += 1;
     }
-    fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-        Self::try_from(u64::decode(v)?).map_err(|_| shape("overflows u32"))
-    }
+    a.len() < b.len()
 }
 
-impl Codec for usize {
-    fn encode(&self) -> JsonValue {
-        JsonValue::UInt(*self as u64)
+/// Fills field `key`'s slot with the value `read` takes off `r`.
+pub(crate) fn fill<T>(
+    slot: &mut Option<T>,
+    key: &str,
+    r: &mut Reader<'_>,
+    read: fn(&mut Reader<'_>) -> Result<T, CheckpointError>,
+) -> Result<(), CheckpointError> {
+    if slot.is_some() {
+        return Err(shape(format!("repeated key `{key}`")));
     }
-    fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-        Self::try_from(u64::decode(v)?).map_err(|_| shape("overflows usize"))
-    }
+    *slot = Some(within(key, read(r))?);
+    Ok(())
 }
 
-impl Codec for f64 {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Number(*self)
-    }
-    fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-        v.as_f64().ok_or_else(|| shape("not a number"))
-    }
-}
-
-impl Codec for bool {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Bool(*self)
-    }
-    fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-        match v {
-            JsonValue::Bool(b) => Ok(*b),
-            _ => Err(shape("not a boolean")),
+/// The `"t"` tag of the enum object at `r`, found on a copy of the reader.
+pub(crate) fn tag<'a>(r: &Reader<'a>) -> Result<Cow<'a, str>, CheckpointError> {
+    let missing = "missing string field `t`";
+    let mut ahead = *r;
+    expect(&mut ahead, Kind::Object, missing)?;
+    ahead.begin_object()?;
+    let mut tag = None;
+    while let Some(key) = ahead.next_key()? {
+        if key != "t" {
+            ahead.skip_value()?;
+        } else if tag.is_some() {
+            return Err(shape("repeated key `t`"));
+        } else {
+            expect(&mut ahead, Kind::String, missing)?;
+            tag = Some(ahead.string()?);
         }
     }
+    tag.ok_or_else(|| shape(missing))
 }
 
-impl Codec for Bytes {
-    fn encode(&self) -> JsonValue {
-        self.as_u64().encode()
-    }
-    fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-        u64::decode(v).map(Self::new)
-    }
-}
-
-/// `f64`-backed quantities travel as their bare number.
-macro_rules! quantity_codec {
-    ($($ty:ty => $get:ident),* $(,)?) => {$(
-        impl Codec for $ty {
-            fn encode(&self) -> JsonValue {
-                self.$get().encode()
+/// Writes an object whose members are `key => write-the-value`, in sorted
+/// key order.
+macro_rules! write_object {
+    ($out:ident, $($key:ident => $write:expr),*) => {{
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy)]
+        enum Key { $($key),* }
+        const ORDER: &[Key] =
+            &$crate::codec::in_key_order([$(stringify!($key)),*], [$(Key::$key),*]);
+        $out.push('{');
+        for (i, key) in ORDER.iter().enumerate() {
+            if i > 0 {
+                $out.push(',');
             }
-            fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-                f64::decode(v).map(<$ty>::new)
+            match key {$(
+                Key::$key => {
+                    $out.push_str(concat!("\"", stringify!($key), "\":"));
+                    $write;
+                }
+            )*}
+        }
+        $out.push('}');
+    }};
+}
+
+/// Reads the object at `r` into one slot per listed field, then evaluates
+/// `$build` with each field name bound to its value.
+macro_rules! read_object {
+    (@read) => { $crate::codec::Codec::read };
+    (@read $null:expr) => {
+        |r| Ok(<Option<_> as $crate::codec::Codec>::read(r)?.unwrap_or($null))
+    };
+    ($r:ident, [$($field:ident $(: null => $null:expr)?),*], $build:expr) => {{
+        $(let mut $field = None;)*
+        $r.begin_object()?;
+        while let Some(key) = $r.next_key()? {
+            match &*key {
+                $(stringify!($field) => $crate::codec::fill(
+                    &mut $field,
+                    stringify!($field),
+                    $r,
+                    $crate::codec::read_object!(@read $($null)?),
+                )?,)*
+                _ => $r.skip_value()?,
+            }
+        }
+        $(let $field = $field.ok_or_else(|| $crate::codec::missing(stringify!($field)))?;)*
+        Ok($build)
+    }};
+}
+
+impl Codec for u64 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        expect(r, Kind::Number, "not a u64")?;
+        r.number()?.as_u64().ok_or_else(|| shape("not a u64"))
+    }
+}
+
+/// Narrower integers travel as `u64`s that must fit.
+macro_rules! narrow_codec {
+    ($($ty:ty),*) => {$(
+        impl Codec for $ty {
+            fn write(&self, out: &mut String) {
+                (*self as u64).write(out);
+            }
+            fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+                Self::try_from(u64::read(r)?)
+                    .map_err(|_| shape(concat!("overflows ", stringify!($ty))))
             }
         }
     )*};
 }
 
-quantity_codec!(Seconds => seconds, Joules => value, MetresPerSecond => value);
+narrow_codec!(u32, usize);
+
+/// Non-finite values write as `null`, which reads back only into a field
+/// declared `name: null => value`.
+impl Codec for f64 {
+    fn write(&self, out: &mut String) {
+        json::write_f64(out, *self);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        expect(r, Kind::Number, "not a number")?;
+        Ok(r.number()?.as_f64())
+    }
+}
+
+impl Codec for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        expect(r, Kind::Bool, "not a boolean")?;
+        Ok(r.bool()?)
+    }
+}
+
+/// Quantities travel as their bare number.
+macro_rules! quantity_codec {
+    ($($ty:ty => $get:ident: $raw:ty),* $(,)?) => {$(
+        impl Codec for $ty {
+            fn write(&self, out: &mut String) {
+                self.$get().write(out);
+            }
+            fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+                <$raw>::read(r).map(<$ty>::new)
+            }
+        }
+    )*};
+}
+
+quantity_codec!(
+    Bytes => as_u64: u64,
+    Seconds => seconds: f64,
+    Joules => value: f64,
+    MetresPerSecond => value: f64,
+);
 
 impl<T: Codec> Codec for Option<T> {
-    fn encode(&self) -> JsonValue {
-        self.as_ref().map_or(JsonValue::Null, Codec::encode)
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
     }
-    fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-        match v {
-            JsonValue::Null => Ok(None),
-            v => T::decode(v).map(Some),
+    fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        if r.peek()? == Kind::Null {
+            r.null()?;
+            Ok(None)
+        } else {
+            T::read(r).map(Some)
         }
     }
 }
 
-impl<T: Codec> Codec for Vec<T> {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(Codec::encode).collect())
+fn write_items<T: Codec>(items: &[T], out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write(out);
     }
-    fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-        v.as_array()
-            .ok_or_else(|| shape("not an array"))?
-            .iter()
-            .map(T::decode)
-            .collect()
+    out.push(']');
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn write(&self, out: &mut String) {
+        write_items(self, out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        expect(r, Kind::Array, "not an array")?;
+        r.begin_array()?;
+        let mut items = Vec::new();
+        while r.next_item()? {
+            items.push(T::read(r)?);
+        }
+        Ok(items)
     }
 }
 
 impl<T: Codec, const N: usize> Codec for [T; N] {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(Codec::encode).collect())
+    fn write(&self, out: &mut String) {
+        write_items(self, out);
     }
-    fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-        Vec::decode(v)?
+    fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Vec::read(r)?
             .try_into()
             .map_err(|_| shape(format!("not {N} entries")))
     }
@@ -211,30 +326,73 @@ impl<T: Codec, const N: usize> Codec for [T; N] {
 
 /// A name-keyed map travels as a JSON object.
 impl<T: Codec> Codec for BTreeMap<String, T> {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Object(self.iter().map(|(k, v)| (k.clone(), v.encode())).collect())
+    fn write(&self, out: &mut String) {
+        out.push('{');
+        for (i, (key, value)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_escaped(out, key);
+            out.push(':');
+            value.write(out);
+        }
+        out.push('}');
     }
-    fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-        v.as_object()
-            .ok_or_else(|| shape("not an object"))?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), within(k, T::decode(v))?)))
-            .collect()
+    fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        expect(r, Kind::Object, "not an object")?;
+        r.begin_object()?;
+        let mut map = Self::new();
+        while let Some(key) = r.next_key()? {
+            if map.contains_key(&*key) {
+                return Err(shape(format!("repeated key `{key}`")));
+            }
+            let value = within(&key, T::read(r))?;
+            map.insert(key.into_owned(), value);
+        }
+        Ok(map)
     }
+}
+
+/// Opens a `len`-entry array. As the format always has, the length is
+/// checked (on a copy of the reader) before any entry is read.
+fn begin_tuple(r: &mut Reader<'_>, len: usize) -> Result<(), CheckpointError> {
+    let mut ahead = *r;
+    let mut entries = 0;
+    if ahead.peek()? == Kind::Array {
+        ahead.begin_array()?;
+        while ahead.next_item()? {
+            ahead.skip_value()?;
+            entries += 1;
+        }
+    }
+    if entries != len {
+        return Err(shape(format!("not a {len}-entry array")));
+    }
+    Ok(r.begin_array()?)
 }
 
 /// Tuples travel as fixed-length JSON arrays.
 macro_rules! tuple_codec {
     ($($len:literal: ($($t:ident $i:tt),*)),* $(,)?) => {$(
         impl<$($t: Codec),*> Codec for ($($t,)*) {
-            fn encode(&self) -> JsonValue {
-                JsonValue::Array(vec![$(self.$i.encode()),*])
+            fn write(&self, out: &mut String) {
+                out.push('[');
+                $(
+                    if $i > 0 {
+                        out.push(',');
+                    }
+                    self.$i.write(out);
+                )*
+                out.push(']');
             }
-            fn decode(v: &JsonValue) -> Result<Self, CheckpointError> {
-                match v.as_array() {
-                    Some(items) if items.len() == $len => Ok(($($t::decode(&items[$i])?,)*)),
-                    _ => Err(shape(concat!("not a ", $len, "-entry array"))),
-                }
+            fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+                begin_tuple(r, $len)?;
+                let entries = ($({
+                    r.next_item()?;
+                    $t::read(r)?
+                },)*);
+                r.next_item()?;
+                Ok(entries)
             }
         }
     )*};
@@ -243,30 +401,31 @@ macro_rules! tuple_codec {
 tuple_codec!(2: (A 0, B 1), 3: (A 0, B 1, C 2));
 
 /// Implements [`Codec`] for a struct with named fields, encoded as a JSON
-/// object keyed by field name. A field written `name via Adapter` travels
-/// through that [`Field`] adapter instead of its type's own codec. Decoding
-/// builds `Self { .. }` from the list, so a field left out does not compile.
+/// object keyed by field name. A field written `name: null => value` reads
+/// a JSON `null` as `value`: an `f64` field's infinities travel as `null`,
+/// since JSON has none. Reading builds `Self { .. }` from the list, so a
+/// field left out does not compile.
 macro_rules! codec_struct {
-    (@via) => { $crate::codec::Plain };
-    (@via $adapter:ty) => { $adapter };
-    ($ty:ty { $($field:ident $(via $adapter:ty)?),* $(,)? }) => {
+    ($ty:ty { $($field:ident $(: null => $null:expr)?),* $(,)? }) => {
         impl $crate::codec::Codec for $ty {
-            fn encode(&self) -> ::dhl_obs::json::JsonValue {
-                ::dhl_obs::json::JsonValue::Object(::std::collections::BTreeMap::from([$((
-                    stringify!($field).to_string(),
-                    <$crate::codec::codec_struct!(@via $($adapter)?)
-                        as $crate::codec::Field<_>>::encode(&self.$field),
-                )),*]))
+            fn write(&self, out: &mut String) {
+                $crate::codec::write_object!(
+                    out,
+                    $($field => $crate::codec::Codec::write(&self.$field, out)),*
+                );
             }
-            fn decode(
-                v: &::dhl_obs::json::JsonValue,
+            fn read(
+                r: &mut ::dhl_obs::json::Reader<'_>,
             ) -> Result<Self, $crate::checkpoint::CheckpointError> {
-                Ok(Self {$(
-                    $field: $crate::codec::field::<
-                        _,
-                        $crate::codec::codec_struct!(@via $($adapter)?),
-                    >(v, stringify!($field))?,
-                )*})
+                if r.peek()? != ::dhl_obs::json::Kind::Object {
+                    // As if every field were missing: the first is named.
+                    return Err($crate::codec::missing([$(stringify!($field)),*][0]));
+                }
+                $crate::codec::read_object!(
+                    r,
+                    [$($field $(: null => $null)?),*],
+                    Self { $($field),* }
+                )
             }
         }
     };
@@ -280,39 +439,24 @@ macro_rules! codec_enum {
         $($variant:ident $(($key:ident))? $({ $($field:ident),* })? = $tag:literal),* $(,)?
     }) => {
         impl $crate::codec::Codec for $ty {
-            fn encode(&self) -> ::dhl_obs::json::JsonValue {
-                let mut map = ::std::collections::BTreeMap::new();
-                let tag = match self {$(
-                    Self::$variant $(($key))? $({ $($field),* })? => {
-                        $(map.insert(
-                            stringify!($key).to_string(),
-                            $crate::codec::Codec::encode($key),
-                        );)?
-                        $($(map.insert(
-                            stringify!($field).to_string(),
-                            $crate::codec::Codec::encode($field),
-                        );)*)?
-                        $tag
-                    }
-                )*};
-                map.insert(
-                    "t".to_string(),
-                    ::dhl_obs::json::JsonValue::String(tag.to_string()),
-                );
-                ::dhl_obs::json::JsonValue::Object(map)
+            fn write(&self, out: &mut String) {
+                match self {$(
+                    Self::$variant $(($key))? $({ $($field),* })? => $crate::codec::write_object!(
+                        out,
+                        $($key => $crate::codec::Codec::write($key, out),)?
+                        $($($field => $crate::codec::Codec::write($field, out),)*)?
+                        t => out.push_str(concat!("\"", $tag, "\""))
+                    ),
+                )*}
             }
-            fn decode(
-                v: &::dhl_obs::json::JsonValue,
+            fn read(
+                r: &mut ::dhl_obs::json::Reader<'_>,
             ) -> Result<Self, $crate::checkpoint::CheckpointError> {
-                use $crate::codec::{field, Plain};
-                let tag = v
-                    .get("t")
-                    .and_then(::dhl_obs::json::JsonValue::as_str)
-                    .ok_or_else(|| $crate::codec::shape("missing string field `t`"))?;
-                match tag {
-                    $($tag => Ok(Self::$variant
-                        $((field::<_, Plain>(v, stringify!($key))?))?
-                        $({ $($field: field::<_, Plain>(v, stringify!($field))?),* })?
+                match &*$crate::codec::tag(r)? {
+                    $($tag => $crate::codec::read_object!(
+                        r,
+                        [$($key)? $($($field),*)?],
+                        Self::$variant $(($key))? $({ $($field),* })?
                     ),)*
                     other => Err($crate::codec::shape(format!(
                         "unknown `t` tag `{other}` for {}",
@@ -324,4 +468,4 @@ macro_rules! codec_enum {
     };
 }
 
-pub(crate) use {codec_enum, codec_struct};
+pub(crate) use {codec_enum, codec_struct, read_object, write_object};

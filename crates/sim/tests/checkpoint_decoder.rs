@@ -11,11 +11,21 @@
 //! `metrics.counters`, `metrics.gauges` and `metrics.histograms`: those
 //! maps hold whatever metrics had been recorded, so a shorter map is still
 //! a well-formed checkpoint.
+//!
+//! Refusals are pinned, not just counted. The damage sweep truncates the
+//! document at every byte and substitutes each of a fixed set of bytes at
+//! every offset; the outcome of every damaged document (accepted, a JSON
+//! syntax error with its offset and message, or a shape error with its
+//! message) is hashed, as are the messages of the deleted-key and
+//! retyped-scalar refusals. The mutation sweep resumes every single-digit
+//! mutation of a stressed capture and runs it to the end: each must be
+//! refused with a typed error or complete, never panic.
 
 use dhl_obs::json::{self, JsonValue};
 use dhl_sim::{
     Checkpoint, CheckpointError, DhlSystem, FaultSpec, IntegritySpec, ReliabilitySpec, SimConfig,
 };
+use dhl_storage::fnv1a_64;
 use dhl_units::{Bytes, Seconds};
 
 fn rich_checkpoint() -> JsonValue {
@@ -152,4 +162,261 @@ fn every_retyped_scalar_is_refused() {
         retypes += 1;
     }
     assert!(retypes > 250, "only {retypes} scalars retyped");
+}
+
+/// What `Checkpoint::from_json` made of `text`, as one line.
+fn outcome(text: &str) -> String {
+    match std::panic::catch_unwind(|| Checkpoint::from_json(text)) {
+        Ok(Ok(_)) => "accepted".into(),
+        Ok(Err(CheckpointError::Json(e))) => format!("json {} {}", e.offset, e.message),
+        Ok(Err(CheckpointError::Shape(msg))) => format!("shape {msg}"),
+        Err(_) => "panic".into(),
+    }
+}
+
+/// The bytes substituted at every offset by the damage sweep: digits and
+/// number syntax that may keep the document well-formed, and structural
+/// bytes that mostly break it.
+const SUBSTITUTES: &[u8; 8] = b"09.e-x\"}";
+
+/// FNV-1a over the outcome of every damaged document of the sweep.
+const DAMAGE_SWEEP_HASH: u64 = 0xc584_3749_00bf_e427;
+
+/// FNV-1a over the messages of the deleted-key and retyped-scalar refusals.
+const REFUSAL_MESSAGES_HASH: u64 = 0x494d_016d_6790_16e6;
+
+#[test]
+fn damage_sweep_outcomes_match_their_pinned_hash() {
+    let text = rich_checkpoint().to_json_string();
+    let mut log = String::new();
+    let mut record = |damaged: &str| {
+        log.push_str(&outcome(damaged));
+        log.push('\n');
+    };
+    for end in 0..text.len() {
+        record(&text[..end]);
+    }
+    let mut bytes = text.clone().into_bytes();
+    for i in 0..bytes.len() {
+        let original = bytes[i];
+        for &b in SUBSTITUTES.iter().filter(|&&b| b != original) {
+            bytes[i] = b;
+            record(std::str::from_utf8(&bytes).expect("ASCII document"));
+        }
+        bytes[i] = original;
+    }
+    let count = |prefix: &str| log.lines().filter(|l| l.starts_with(prefix)).count();
+    let (documents, panics) = (log.lines().count(), count("panic"));
+    assert_eq!(
+        panics, 0,
+        "{panics} of {documents} damaged documents panicked"
+    );
+    let hash = fnv1a_64(log.as_bytes());
+    assert!(
+        hash == DAMAGE_SWEEP_HASH,
+        "{documents} documents ({} accepted, {} json, {} shape): hash 0x{hash:016x} != pinned 0x{DAMAGE_SWEEP_HASH:016x}",
+        count("accepted"),
+        count("json"),
+        count("shape"),
+    );
+}
+
+#[test]
+fn refusal_messages_match_their_pinned_hash() {
+    let doc = rich_checkpoint();
+    let mut paths = Vec::new();
+    walk(&doc, &mut Vec::new(), &mut paths);
+    let mut log = String::new();
+    for (path, deletable, _) in &paths {
+        if let (true, Some((Step::Key(key), parent))) = (*deletable, path.split_last()) {
+            let mut damaged = doc.clone();
+            if let JsonValue::Object(map) = at_mut(&mut damaged, parent) {
+                map.remove(key);
+            }
+            log.push_str(&outcome(&damaged.to_json_string()));
+            log.push('\n');
+        }
+    }
+    for (path, _, scalar) in &paths {
+        if *scalar {
+            let mut damaged = doc.clone();
+            *at_mut(&mut damaged, path) = JsonValue::String("x".into());
+            log.push_str(&outcome(&damaged.to_json_string()));
+            log.push('\n');
+        }
+    }
+    let hash = fnv1a_64(log.as_bytes());
+    assert!(
+        hash == REFUSAL_MESSAGES_HASH,
+        "{} refusals: hash 0x{hash:016x} != pinned 0x{REFUSAL_MESSAGES_HASH:016x}",
+        log.lines().count(),
+    );
+}
+
+/// Writes `v` with every object's keys in reverse order and whitespace
+/// between all tokens.
+fn write_reordered(v: &JsonValue, out: &mut String) {
+    match v {
+        JsonValue::Object(map) => {
+            out.push_str("{\n ");
+            for (i, (key, value)) in map.iter().rev().enumerate() {
+                if i > 0 {
+                    out.push_str(" ,\r\n ");
+                }
+                json::write_escaped(out, key);
+                out.push_str(" :\t");
+                write_reordered(value, out);
+            }
+            out.push_str("\n}");
+        }
+        JsonValue::Array(items) => {
+            out.push_str("[ ");
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(" , ");
+                }
+                write_reordered(item, out);
+            }
+            out.push_str(" ]");
+        }
+        scalar => scalar.write_to(out),
+    }
+}
+
+#[test]
+fn reordered_keys_and_whitespace_decode_to_an_equal_checkpoint() {
+    let doc = rich_checkpoint();
+    let text = doc.to_json_string();
+    let mut reordered = String::new();
+    write_reordered(&doc, &mut reordered);
+    assert_ne!(reordered, text);
+    let cp = Checkpoint::from_json(&reordered).expect("decode reordered");
+    assert_eq!(cp, Checkpoint::from_json(&text).expect("decode"));
+    assert_eq!(cp.to_json(), text);
+}
+
+/// The stressed capture the mutation sweep damages: reliability, fault
+/// injection, integrity verification and a trace, 30 s into the mission.
+fn stressed_capture() -> (SimConfig, String) {
+    let mut cfg = SimConfig::paper_default();
+    cfg.reliability = Some(ReliabilitySpec {
+        seed: 7,
+        ..ReliabilitySpec::typical()
+    });
+    cfg.faults = Some(FaultSpec::stress());
+    cfg.integrity = Some(IntegritySpec::typical());
+    let mut sys = DhlSystem::new(cfg.clone()).expect("valid configuration");
+    sys.enable_trace(64);
+    sys.begin_bulk_transfer(Bytes::from_petabytes(2.0))
+        .expect("begin");
+    let _ = sys.run_until(Seconds::new(30.0)).expect("run");
+    (cfg, sys.checkpoint().to_json())
+}
+
+/// Decodes, resumes and runs `text` to the end; `Ok(true)` when it
+/// completed, `Ok(false)` when it was refused with a typed error.
+fn resume_to_the_end(cfg: &SimConfig, text: &str) -> bool {
+    let Ok(cp) = Checkpoint::from_json(text) else {
+        return false;
+    };
+    let Ok(mut sys) = DhlSystem::resume(cfg.clone(), &cp) else {
+        return false;
+    };
+    match sys.run_until(Seconds::new(f64::INFINITY)) {
+        Ok(_) => {
+            let _ = sys.finish();
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+#[test]
+fn every_digit_mutation_is_refused_or_runs_to_the_end() {
+    let (cfg, text) = stressed_capture();
+    let (mut completed, mut refused, mut panicked) = (0, 0, Vec::new());
+    let mut bytes = text.clone().into_bytes();
+    for i in 0..bytes.len() {
+        let original = bytes[i];
+        if !original.is_ascii_digit() {
+            continue;
+        }
+        for digit in (b'0'..=b'9').filter(|&d| d != original) {
+            bytes[i] = digit;
+            let damaged = std::str::from_utf8(&bytes).expect("ASCII document");
+            match std::panic::catch_unwind(|| resume_to_the_end(&cfg, damaged)) {
+                Ok(true) => completed += 1,
+                Ok(false) => refused += 1,
+                Err(_) => panicked.push((i, digit as char)),
+            }
+        }
+        bytes[i] = original;
+    }
+    let mutations = completed + refused + panicked.len();
+    assert!(
+        panicked.is_empty(),
+        "{mutations} mutations: {completed} completed, {refused} refused, \
+         panics at (byte offset, digit) {panicked:?}"
+    );
+    assert!(mutations > 2_000, "only {mutations} digits mutated");
+    eprintln!("{mutations} mutations: {completed} completed, {refused} refused");
+}
+
+#[test]
+fn deep_nesting_is_refused_without_exhausting_the_stack() {
+    for depth in [10_000, 100_000] {
+        match Checkpoint::from_json(&"[".repeat(depth)) {
+            Err(CheckpointError::Json(e)) => {
+                assert_eq!(e.offset, json::MAX_DEPTH, "{depth} deep");
+                assert!(e.message.contains("nesting"), "{}", e.message);
+            }
+            other => panic!("{depth} deep: expected a Json error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn two_to_the_64_is_not_a_counter() {
+    let text = rich_checkpoint().to_json_string();
+    let start = text.find("\"movements\":").expect("movements key") + "\"movements\":".len();
+    let end = start + text[start..].find(',').expect("next key");
+    for wide in ["18446744073709551616", "1.8446744073709552e19"] {
+        let damaged = format!("{}{wide}{}", &text[..start], &text[end..]);
+        match Checkpoint::from_json(&damaged) {
+            Err(CheckpointError::Shape(msg)) => assert_eq!(msg, "`movements`: not a u64"),
+            other => panic!("{wide}: expected a Shape error, got {other:?}"),
+        }
+    }
+    // The largest f64 below 2^64 still reads exactly.
+    let largest = format!("{}18446744073709549568.0{}", &text[..start], &text[end..]);
+    assert!(Checkpoint::from_json(&largest).is_ok());
+}
+
+#[test]
+fn repeated_keys_are_refused() {
+    let text = rich_checkpoint().to_json_string();
+    let insert = |before: &str, member: &str| {
+        let at = text.find(before).expect("anchor");
+        format!("{}{member}{}", &text[..at], &text[at..])
+    };
+    for (damaged, message) in [
+        (insert("\"abandoned\"", "\"now\":1,"), "repeated key `now`"),
+        (
+            insert("\"connector_cycles\"", "\"trips\":0,"),
+            "`carts`: repeated key `trips`",
+        ),
+        (
+            insert("\"cart\":0,\"t\":\"verify_done\"", "\"t\":\"arrived\","),
+            "`queue`: repeated key `t`",
+        ),
+        (
+            insert("\"sim.deliveries\"", "\"sim.deliveries\":0,"),
+            "`metrics`: `counters`: repeated key `sim.deliveries`",
+        ),
+    ] {
+        match Checkpoint::from_json(&damaged) {
+            Err(CheckpointError::Shape(msg)) => assert_eq!(msg, message),
+            other => panic!("{message}: expected a Shape error, got {other:?}"),
+        }
+    }
 }

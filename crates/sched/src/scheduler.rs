@@ -311,6 +311,8 @@ pub enum SchedulerError {
     InvalidDwell(Seconds),
     /// A request's deadline was NaN (`+∞` means no deadline pressure).
     InvalidDeadline(Seconds),
+    /// A departure, arrival or return time overflowed (a huge finite dwell).
+    NonFiniteSchedule(RequestId),
 }
 
 impl core::fmt::Display for SchedulerError {
@@ -330,6 +332,7 @@ impl core::fmt::Display for SchedulerError {
             Self::NonFiniteArrival(at) => write!(f, "request arrival {at} is not finite"),
             Self::InvalidDwell(d) => write!(f, "request dwell {d} is not finite and ≥ 0"),
             Self::InvalidDeadline(at) => write!(f, "request deadline {at} is NaN"),
+            Self::NonFiniteSchedule(id) => write!(f, "request {id:?} overflows the schedule"),
         }
     }
 }
@@ -870,20 +873,16 @@ impl Scheduler {
                     // A dock-controller crash strikes only when a loaded
                     // cart actually docks: the docking stalls for the
                     // recovery latency and the dock is down for the window.
-                    let mut recovery_s = 0.0;
+                    let mut crashed = None;
                     if !lost {
                         if let Some((rng, p, recovery)) = crash.as_mut() {
                             if rng.random_bool(*p) {
                                 dock_crashes += 1;
-                                recovery_s = *recovery;
-                                availability.record_dock_downtime(
-                                    req.destination,
-                                    Seconds::new(arrive),
-                                    Seconds::new(arrive + recovery_s),
-                                );
+                                crashed = Some(*recovery);
                             }
                         }
                     }
+                    let recovery_s = crashed.unwrap_or(0.0);
                     // Verify-on-dock happens only for payloads that arrived
                     // (after any controller recovery): the scrub may reject
                     // the delivery, sending the cart home for a reshipment.
@@ -907,6 +906,18 @@ impl Scheduler {
                     track_free = home;
                     track_busy += cost.total_time.seconds();
                     *dock = back_depart + cfg.undock_time.seconds();
+                    // Every time above is at most `home`: a finite but huge
+                    // dwell must fail here, before a window is recorded.
+                    if !home.is_finite() {
+                        return Err(SchedulerError::NonFiniteSchedule(id));
+                    }
+                    if let Some(recovery_s) = crashed {
+                        availability.record_dock_downtime(
+                            req.destination,
+                            Seconds::new(arrive),
+                            Seconds::new(arrive + recovery_s),
+                        );
+                    }
                     completed = completed.max(home);
 
                     energy += cost.energy + cost.energy;
@@ -1257,6 +1268,29 @@ mod tests {
             sched.try_run(),
             Err(SchedulerError::NonFiniteArrival(at)) if at.seconds().is_nan()
         ));
+    }
+
+    #[test]
+    fn a_finite_dwell_that_overflows_the_schedule_is_a_typed_error() {
+        let mut placement = Placement::new(Bytes::from_terabytes(256.0));
+        let two_carts = placement.store(datasets::Dataset {
+            name: "two carts".into(),
+            size: Bytes::from_terabytes(512.0),
+            kind: datasets::DatasetKind::BigData,
+        });
+        for admission in [None, Some(AdmissionSpec::default())] {
+            let mut sched = Scheduler::new(SimConfig::paper_default(), placement.clone()).unwrap();
+            if let Some(spec) = admission {
+                sched = sched.with_admission(spec);
+            }
+            // The first cart's return lands near 1e308 s; the second's
+            // overflows to +inf.
+            let id = sched.submit(
+                TransferRequest::new(two_carts, 1, Priority::Normal, Seconds::ZERO)
+                    .with_dwell(Seconds::new(1e308)),
+            );
+            assert_eq!(sched.try_run(), Err(SchedulerError::NonFiniteSchedule(id)));
+        }
     }
 
     #[test]

@@ -1,54 +1,42 @@
 //! The pending-launch backlog, indexed by launch group.
 //!
 //! Movements wait here until the launch rule lets them go. The rule reads
-//! only two things about a movement: whether its destination has a free
-//! dock (`dock_used[to]`) and whether the track its direction uses is free
-//! (`check_track(direction)`). So every movement that shares a
-//! *launch group* — a (direction, destination) pair — passes or fails the
-//! test together, and only the oldest movement of each group can be the
-//! next to launch.
+//! only whether a movement's destination has a free dock and whether the
+//! track its direction uses is free. So every movement of a *launch group*
+//! — a (direction, destination) pair — passes or fails together, and only
+//! each group's oldest movement can launch next. [`Backlog`] keeps one FIFO
+//! per group, each entry tagged with its global sequence number (the order
+//! one FIFO would have kept).
 //!
-//! [`Backlog`] therefore keeps one FIFO per group, tags each entry with a
-//! global sequence number (the order a single FIFO would have kept), and
-//! lists the non-empty groups with the sequence number of each one's
-//! oldest entry. Choosing a launch walks that dense list — at most two
-//! groups per endpoint — instead of the whole backlog, and removing the
-//! chosen movement pops a group's front instead of shifting the middle of
-//! one long queue. The global order survives intact:
-//! [`Backlog::to_fifo`] merges the groups back by sequence number for
-//! checkpoint capture, and [`Backlog::from_fifo`] rebuilds the index on
-//! resume.
+//! The track test depends only on the direction, so a scan of the group
+//! heads would decide on two of them: the oldest dock-free head of each
+//! direction. Each direction therefore has a tournament tree over
+//! destinations whose leaf `to` holds the head's sequence number while
+//! group `(d, to)` is non-empty and `to` has a free dock, and `u64::MAX`
+//! otherwise; the root is the scan's winner. A push into an empty group, a
+//! pop and a dock-free change ([`Backlog::set_dock_free`]) refresh a leaf
+//! in O(log endpoints); choosing a launch reads two roots. The trees are
+//! derived state: [`Backlog::to_fifo`] merges the groups back by sequence
+//! number for checkpoint capture and [`Backlog::from_fifo`] rebuilds them.
 
 use std::collections::VecDeque;
 
 use crate::system::{DhlSystem, Direction, EndpointId, Movement};
-
-/// The oldest movement of one non-empty launch group.
-pub(crate) struct Head {
-    /// Where the group sits in the live list, to hand back to
-    /// [`Backlog::pop`].
-    pub(crate) slot: usize,
-    /// Position of the movement in global FIFO order.
-    pub(crate) seq: u64,
-    pub(crate) to: EndpointId,
-    pub(crate) direction: Direction,
-}
 
 /// Pending launches, one FIFO per (direction, destination) group.
 pub(crate) struct Backlog {
     /// Group `2 * to + d` holds the movements bound for endpoint `to` in
     /// direction `d` (0 outbound, 1 inbound), oldest first.
     groups: Vec<VecDeque<(u64, Movement)>>,
-    /// The non-empty groups, in no particular order, each with the
-    /// sequence number of its oldest entry.
-    live: Vec<Live>,
+    /// Per direction, a tournament tree over destinations (see the module
+    /// docs): `tree[width + to]` is leaf `to`, and node `i` holds
+    /// `(sequence number, destination)`, the smaller of nodes `2i` and
+    /// `2i + 1`.
+    trees: [Vec<(u64, EndpointId)>; 2],
+    /// Whether each endpoint has a free dock.
+    dock_free: Vec<bool>,
     next_seq: u64,
     len: usize,
-}
-
-struct Live {
-    group: usize,
-    head: u64,
 }
 
 fn group_of(m: &Movement) -> usize {
@@ -57,11 +45,14 @@ fn group_of(m: &Movement) -> usize {
 }
 
 impl Backlog {
-    /// An empty backlog over `endpoints` endpoints.
+    /// An empty backlog over `endpoints` endpoints, none of them with a
+    /// free dock until [`Backlog::set_dock_free`] says so.
     pub(crate) fn new(endpoints: usize) -> Self {
+        let tree = vec![(u64::MAX, 0); 2 * endpoints.next_power_of_two()];
         Self {
             groups: vec![VecDeque::new(); 2 * endpoints],
-            live: Vec::new(),
+            trees: [tree.clone(), tree],
+            dock_free: vec![false; endpoints],
             next_seq: 0,
             len: 0,
         }
@@ -86,58 +77,59 @@ impl Backlog {
         self.len == 0
     }
 
+    /// Re-derives group `group`'s leaf from its head and dock state, and
+    /// the leaf's ancestors from their children.
+    fn refresh(&mut self, group: usize) {
+        let to = group / 2;
+        let head = self.groups[group].front().map(|&(seq, _)| seq);
+        let tree = &mut self.trees[group % 2];
+        let mut i = tree.len() / 2 + to;
+        tree[i] = (head.filter(|_| self.dock_free[to]).unwrap_or(u64::MAX), to);
+        while i > 1 {
+            i /= 2;
+            tree[i] = tree[2 * i].min(tree[2 * i + 1]);
+        }
+    }
+
+    /// Records whether endpoint `ep` has a free dock.
+    pub(crate) fn set_dock_free(&mut self, ep: EndpointId, free: bool) {
+        if self.dock_free[ep] != free {
+            self.dock_free[ep] = free;
+            self.refresh(2 * ep);
+            self.refresh(2 * ep + 1);
+        }
+    }
+
     /// Queues `m` behind every movement already pending.
     pub(crate) fn push(&mut self, m: Movement) {
         let group = group_of(&m);
-        let fifo = &mut self.groups[group];
-        if fifo.is_empty() {
-            self.live.push(Live {
-                group,
-                head: self.next_seq,
-            });
+        self.groups[group].push_back((self.next_seq, m));
+        if self.groups[group].len() == 1 {
+            self.refresh(group);
         }
-        fifo.push_back((self.next_seq, m));
         self.next_seq += 1;
         self.len += 1;
     }
 
-    /// The oldest movement of every non-empty group.
-    pub(crate) fn heads(&self) -> impl Iterator<Item = Head> + '_ {
-        self.live.iter().enumerate().map(|(slot, live)| Head {
-            slot,
-            seq: live.head,
-            to: live.group / 2,
-            direction: if live.group % 2 == 0 {
-                Direction::Outbound
-            } else {
-                Direction::Inbound
-            },
-        })
+    /// The sequence number and destination of the oldest movement bound in
+    /// direction `d` to an endpoint with a free dock.
+    pub(crate) fn oldest(&self, d: Direction) -> Option<(u64, EndpointId)> {
+        Some(self.trees[d as usize][1]).filter(|&(seq, _)| seq != u64::MAX)
     }
 
-    /// Removes and returns the oldest movement of the group in live-list
-    /// slot `slot` (a [`Head::slot`] from the current [`Backlog::heads`]).
-    pub(crate) fn pop(&mut self, slot: usize) -> Movement {
-        let live = &mut self.live[slot];
-        let fifo = &mut self.groups[live.group];
-        let (_, m) = fifo.pop_front().expect("live groups are non-empty");
-        match fifo.front() {
-            Some(&(next, _)) => live.head = next,
-            None => {
-                self.live.swap_remove(slot);
-            }
-        }
+    /// Removes and returns the movement [`Backlog::oldest`] names for `d`.
+    pub(crate) fn pop(&mut self, d: Direction) -> Movement {
+        let (_, to) = self.oldest(d).expect("a dock-free head");
+        let group = 2 * to + d as usize;
+        let (_, m) = self.groups[group].pop_front().expect("indexed group");
+        self.refresh(group);
         self.len -= 1;
         m
     }
 
     /// Every pending movement in global FIFO order.
     pub(crate) fn to_fifo(&self) -> Vec<Movement> {
-        let mut entries: Vec<(u64, Movement)> = self
-            .live
-            .iter()
-            .flat_map(|live| self.groups[live.group].iter().copied())
-            .collect();
+        let mut entries: Vec<(u64, Movement)> = self.groups.iter().flatten().copied().collect();
         entries.sort_unstable_by_key(|&(seq, _)| seq);
         entries.into_iter().map(|(_, m)| m).collect()
     }
@@ -146,7 +138,10 @@ impl Backlog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dhl_rng::check::forall;
     use dhl_units::Bytes;
+
+    const DIRECTIONS: [Direction; 2] = [Direction::Outbound, Direction::Inbound];
 
     fn mv(cart: usize, from: EndpointId, to: EndpointId) -> Movement {
         Movement {
@@ -158,6 +153,15 @@ mod tests {
         }
     }
 
+    /// A backlog holding `fifo` with every dock free.
+    fn all_free(endpoints: usize, fifo: &[Movement]) -> Backlog {
+        let mut backlog = Backlog::from_fifo(endpoints, fifo.iter().copied());
+        for ep in 0..endpoints {
+            backlog.set_dock_free(ep, true);
+        }
+        backlog
+    }
+
     #[test]
     fn groups_split_by_direction_and_destination() {
         let fifo = [
@@ -167,37 +171,83 @@ mod tests {
             mv(3, 0, 2),
             mv(4, 1, 0),
         ];
-        let backlog = Backlog::from_fifo(3, fifo);
+        let mut backlog = all_free(3, &fifo);
         assert_eq!(backlog.len(), 5);
-        let mut heads: Vec<(u64, EndpointId, Direction)> = backlog
-            .heads()
-            .map(|h| (h.seq, h.to, h.direction))
-            .collect();
-        heads.sort_unstable_by_key(|&(seq, ..)| seq);
-        // Carts 3 and 4 queue behind the heads of their groups.
-        assert_eq!(
-            heads,
-            vec![
-                (0, 2, Direction::Outbound),
-                (1, 0, Direction::Inbound),
-                (2, 1, Direction::Outbound),
-            ]
-        );
+        assert_eq!(backlog.oldest(Direction::Outbound), Some((0, 2)));
+        assert_eq!(backlog.oldest(Direction::Inbound), Some((1, 0)));
+        // A full destination hides its group; cart 3 queues behind cart 0
+        // in a group, so the next outbound head is cart 2's.
+        backlog.set_dock_free(2, false);
+        assert_eq!(backlog.oldest(Direction::Outbound), Some((2, 1)));
+        backlog.set_dock_free(0, false);
+        assert_eq!(backlog.oldest(Direction::Inbound), None);
         assert_eq!(backlog.to_fifo(), fifo.to_vec());
     }
 
     #[test]
     fn pop_takes_a_group_front_and_keeps_the_global_order() {
         let fifo = [mv(0, 0, 2), mv(1, 2, 0), mv(2, 0, 2), mv(3, 0, 1)];
-        let mut backlog = Backlog::from_fifo(3, fifo);
-        let slot = |b: &Backlog, seq| b.heads().find(|h| h.seq == seq).expect("head").slot;
-        assert_eq!(backlog.pop(slot(&backlog, 0)), fifo[0]);
-        assert_eq!(backlog.pop(slot(&backlog, 2)), fifo[2]);
-        assert_eq!(backlog.heads().count(), 2, "emptied group left the list");
+        let mut backlog = all_free(3, &fifo);
+        assert_eq!(backlog.pop(Direction::Outbound), fifo[0]);
+        assert_eq!(backlog.pop(Direction::Outbound), fifo[2]);
+        assert_eq!(backlog.oldest(Direction::Outbound), Some((3, 1)));
         assert_eq!(backlog.to_fifo(), vec![fifo[1], fifo[3]]);
         backlog.push(mv(4, 0, 2));
         assert_eq!(backlog.to_fifo(), vec![fifo[1], fifo[3], mv(4, 0, 2)]);
         assert_eq!(backlog.len(), 3);
         assert!(!backlog.is_empty());
+    }
+
+    /// The rule the index replaces: scanning every pending movement in
+    /// FIFO order, the first one in direction `d` whose destination has a
+    /// free dock.
+    fn scan(fifo: &[(u64, Movement)], dock_free: &[bool], d: Direction) -> Option<(u64, usize)> {
+        fifo.iter()
+            .find(|(_, m)| DhlSystem::direction_of(m.from, m.to) == d && dock_free[m.to])
+            .map(|&(seq, m)| (seq, m.to))
+    }
+
+    #[test]
+    fn oldest_matches_a_full_scan_under_random_operations() {
+        forall("backlog index matches a full scan", 256, |g| {
+            let endpoints = g.usize_in(1, 71);
+            let mut backlog = Backlog::new(endpoints);
+            let mut fifo: Vec<(u64, Movement)> = Vec::new();
+            let mut dock_free = vec![false; endpoints];
+            let mut next_seq = 0u64;
+            for _ in 0..g.usize_in(0, 400) {
+                match g.usize_in(0, 4) {
+                    0 | 1 if endpoints > 1 => {
+                        let from = g.usize_in(0, endpoints);
+                        let to = (from + g.usize_in(1, endpoints)) % endpoints;
+                        let m = mv(next_seq as usize, from, to);
+                        backlog.push(m);
+                        fifo.push((next_seq, m));
+                        next_seq += 1;
+                    }
+                    2 => {
+                        let d = DIRECTIONS[usize::from(g.bool())];
+                        if let Some((seq, _)) = scan(&fifo, &dock_free, d) {
+                            let at = fifo.iter().position(|&(s, _)| s == seq).expect("seq");
+                            assert_eq!(backlog.pop(d), fifo.remove(at).1);
+                        }
+                    }
+                    _ => {
+                        let ep = g.usize_in(0, endpoints);
+                        dock_free[ep] = g.bool();
+                        backlog.set_dock_free(ep, dock_free[ep]);
+                    }
+                }
+                for d in DIRECTIONS {
+                    assert_eq!(backlog.oldest(d), scan(&fifo, &dock_free, d), "{d:?}");
+                }
+                assert_eq!(backlog.len(), fifo.len());
+            }
+            let pending: Vec<Movement> = fifo.iter().map(|&(_, m)| m).collect();
+            assert_eq!(backlog.to_fifo(), pending);
+            let rebuilt = Backlog::from_fifo(endpoints, backlog.to_fifo());
+            assert_eq!(rebuilt.to_fifo(), pending);
+            assert_eq!(rebuilt.len(), pending.len());
+        });
     }
 }

@@ -336,6 +336,7 @@ impl DhlSystem {
         sys.dock_used = cp.dock_used.clone();
         sys.tracks = cp.tracks.clone();
         sys.backlog = Backlog::from_fifo(sys.cfg.endpoints.len(), cp.pending.iter().copied());
+        sys.index_docks();
         sys.redelivery_queue = cp.redelivery_queue.iter().copied().collect();
         sys.mission = cp.mission.clone();
         sys.wakeup_scheduled = cp.wakeup_scheduled;

@@ -17,9 +17,9 @@
 //! until none can go; a movement held only by the same-direction headway
 //! books a wakeup for when the headway ends. The backlog is indexed by
 //! launch group — (direction, destination) — because every movement of a
-//! group passes or fails that test together, so choosing a launch costs
-//! one look per non-empty group rather than one per waiting movement (see
-//! the `backlog` module and `DhlSystem::try_launch` for the exact rule).
+//! group passes or fails that test together, and choosing a launch reads
+//! only the oldest dock-free movement of each direction, however many racks
+//! (see the `backlog` module and `DhlSystem::try_launch` for the exact rule).
 
 use std::collections::VecDeque;
 
@@ -364,6 +364,7 @@ pub struct DhlSystem {
     /// Precomputed per-hop kinematics — built once per configuration so the
     /// hot path never re-evaluates a trapezoid.
     pub(crate) costs: MovementTable,
+    /// Carts holding or reserving a dock, per endpoint (see `set_dock_used`).
     pub(crate) dock_used: Vec<u32>,
     pub(crate) tracks: Vec<TrackState>,
     /// Movements waiting to launch, indexed by launch group.
@@ -452,7 +453,7 @@ impl DhlSystem {
         let backlog = Backlog::new(cfg.endpoints.len());
         let mut metrics = MetricsRegistry::enabled();
         let handles = SimMetrics::register(&mut metrics);
-        Ok(Self {
+        let mut sys = Self {
             cfg,
             queue: EventQueue::new(),
             carts,
@@ -480,7 +481,9 @@ impl DhlSystem {
             run_watch: None,
             metrics,
             handles,
-        })
+        };
+        sys.index_docks();
+        Ok(sys)
     }
 
     /// The observability registry (metrics accumulate across runs).
@@ -546,6 +549,20 @@ impl DhlSystem {
             Direction::Outbound
         } else {
             Direction::Inbound
+        }
+    }
+
+    /// Sets the docks in use at `ep`, and whether the backlog sees it free.
+    fn set_dock_used(&mut self, ep: EndpointId, used: u32) {
+        self.dock_used[ep] = used;
+        self.backlog
+            .set_dock_free(ep, used < self.cfg.endpoints[ep].docks);
+    }
+
+    /// Derives the backlog's dock-free index from `dock_used` (new, resume).
+    pub(crate) fn index_docks(&mut self) {
+        for ep in 0..self.dock_used.len() {
+            self.set_dock_used(ep, self.dock_used[ep]);
         }
     }
 
@@ -622,7 +639,7 @@ impl DhlSystem {
         let idx = self.track_index(dir);
         let (cost, stalled) = self.sample_launch_faults(idx, m.from, m.to, now);
 
-        self.dock_used[m.to] += 1; // reserve the destination dock now
+        self.set_dock_used(m.to, self.dock_used[m.to] + 1); // reserve the dock now
         let track = &mut self.tracks[idx];
         track.update_busy(now);
         track.direction = Some(dir);
@@ -688,41 +705,34 @@ impl DhlSystem {
     /// The rule is that of one FIFO scanned front to back: launch the
     /// first movement whose dock is free and whose track is `Free`, then
     /// scan again; a movement passed over on a `Headway` track asks for a
-    /// wakeup. Movements of one launch group share both tests, so the scan
-    /// reduces to the group heads (see [`crate::backlog`]): the launch is
-    /// the oldest passing head, and a `Headway` head asks for its wakeup
-    /// only if it is older than that launch (the scan would have stopped
-    /// before reaching it otherwise), or when nothing launches.
+    /// wakeup. The track test depends only on the direction, so the scan
+    /// reduces to the oldest dock-free movement per direction, which the
+    /// backlog keeps indexed (see [`crate::backlog`]): the launch is the
+    /// older of the two on a `Free` track, and one on a `Headway` track
+    /// asks for its wakeup only if it is older than that launch (the scan
+    /// would have stopped before reaching it otherwise), or when nothing
+    /// launches.
     fn try_launch(&mut self) {
         let now = self.queue.now().seconds();
         self.metrics
             .record(self.handles.queue_depth, self.backlog.len() as f64);
         let mut wakeup: Option<f64> = None;
         loop {
-            // Track status per direction (indexed `Direction as usize`),
-            // computed at most once per pass and only if a dock-free head
-            // needs it.
-            let mut checks: [Option<LaunchCheck>; 2] = [None; 2];
-            let mut launch: Option<(u64, usize)> = None;
-            // Per direction: the oldest dock-free head held by headway,
-            // and when that headway ends.
+            let mut launch: Option<(u64, Direction)> = None;
+            // Per direction: the oldest dock-free movement held by
+            // headway, and when that headway ends.
             let mut held: [Option<(u64, f64)>; 2] = [None; 2];
-            for head in self.backlog.heads() {
-                if self.dock_used[head.to] >= self.cfg.endpoints[head.to].docks {
-                    continue; // destination full
-                }
-                let d = head.direction as usize;
-                match *checks[d].get_or_insert_with(|| self.check_track(head.direction, now)) {
+            for dir in [Direction::Outbound, Direction::Inbound] {
+                let Some((seq, _)) = self.backlog.oldest(dir) else {
+                    continue;
+                };
+                match self.check_track(dir, now) {
                     LaunchCheck::Free => {
-                        if launch.is_none_or(|(seq, _)| head.seq < seq) {
-                            launch = Some((head.seq, head.slot));
+                        if launch.is_none_or(|(oldest, _)| seq < oldest) {
+                            launch = Some((seq, dir));
                         }
                     }
-                    LaunchCheck::Headway(at) => {
-                        if held[d].is_none_or(|(seq, _)| head.seq < seq) {
-                            held[d] = Some((head.seq, at));
-                        }
-                    }
+                    LaunchCheck::Headway(at) => held[dir as usize] = Some((seq, at)),
                     // Both resolve on a later DockDone, which re-runs
                     // try_launch; no timed wakeup needed.
                     LaunchCheck::BusyOpposite | LaunchCheck::Blocked => {}
@@ -733,8 +743,8 @@ impl DhlSystem {
                     wakeup = Some(wakeup.map_or(at, |w: f64| w.min(at)));
                 }
             }
-            let Some((_, slot)) = launch else { break };
-            let m = self.backlog.pop(slot);
+            let Some((_, dir)) = launch else { break };
+            let m = self.backlog.pop(dir);
             self.launch(m);
             // A launch we just made imposes headway on the rest; look
             // again (some may still be launchable on the other track when
@@ -803,7 +813,7 @@ impl DhlSystem {
             }
             Ev::UndockDone { cart } => {
                 let m = self.carts.movements[cart].expect("moving cart");
-                self.dock_used[m.from] -= 1;
+                self.set_dock_used(m.from, self.dock_used[m.from] - 1);
                 let mut transit = m.cost.motion_time;
                 self.record(TraceEventKind::EnterTube { cart });
                 if m.stalled {

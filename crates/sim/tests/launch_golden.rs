@@ -1,10 +1,11 @@
 //! Golden hashes for the simulator's launch order.
 //!
-//! Ten configurations cover every way the launch rule can decide: one
+//! Eleven configurations cover every way the launch rule can decide: one
 //! shared track and a dual track, one rack and a multi-stop track whose
 //! inbound and outbound headway wakeups interleave, single-dock racks,
-//! a 128-cart campus with a deep backlog, stalled carts blocking a track,
-//! a fixed processing dwell, and integrity reshipment. Each mission runs
+//! a 128-cart campus with a deep backlog, a 64-rack campus with many
+//! launch groups waiting at once, stalled carts blocking a track, a fixed
+//! processing dwell, and integrity reshipment. Each mission runs
 //! with a trace large enough to keep every event; the full trace (every
 //! `Launch` with its cart, origin, destination and time, plus every other
 //! transition) and the deterministic fields of the `BulkTransferReport`
@@ -23,7 +24,7 @@ use dhl_storage::fnv1a_64;
 use dhl_storage::integrity::CorruptionModel;
 use dhl_units::{Bytes, Metres, Seconds};
 
-const CONFIGS: [&str; 10] = [
+const CONFIGS: [&str; 11] = [
     "paper-default",
     "paper-serial",
     "dual-track",
@@ -31,6 +32,7 @@ const CONFIGS: [&str; 10] = [
     "multi-stop-dual",
     "one-dock-racks",
     "campus",
+    "campus-64",
     "stress",
     "fixed-dwell",
     "reshipment",
@@ -38,9 +40,10 @@ const CONFIGS: [&str; 10] = [
 
 /// One entry per entry of `CONFIGS`.
 #[rustfmt::skip]
-const GOLDEN: [u64; 10] = [
+const GOLDEN: [u64; 11] = [
     0xcdc5fb4a2fb9e209, 0x982bf16ee9a9baa4, 0x9c50ea74058e5ede, 0x310081dbebd28a82, 0x3b246e9ac304dc8e,
-    0xa54070554c115d98, 0xf787ef95b97d66f4, 0x0f8b034ef99d9cb8, 0xd6c740976c58b8cc, 0x88d6d45b6db1e221,
+    0xa54070554c115d98, 0xf787ef95b97d66f4, 0x67acd88765ac8f75, 0x0f8b034ef99d9cb8, 0xd6c740976c58b8cc,
+    0x88d6d45b6db1e221,
 ];
 
 /// Checkpoint instants, as fractions of each mission's uninterrupted
@@ -85,6 +88,7 @@ fn config(name: &str) -> SimConfig {
         },
         "one-dock-racks" => campus(8, 3, 1),
         "campus" => campus(128, 16, 4),
+        "campus-64" => campus(512, 64, 4),
         "stress" => {
             let mut cfg = campus(24, 4, 3);
             cfg.reliability = Some(ReliabilitySpec {
@@ -134,6 +138,14 @@ fn begun(name: &str) -> DhlSystem {
     match name {
         "paper-default" | "dual-track" => sys.begin_bulk_transfer(Bytes::from_petabytes(6.0)),
         "paper-serial" => sys.begin_bulk_transfer(Bytes::from_petabytes(2.0)),
+        // A few petabytes per rack keep 64 racks' trace within capacity.
+        "campus-64" => {
+            let demands: Vec<(usize, Bytes)> = racks
+                .iter()
+                .map(|&r| (r, Bytes::from_terabytes(2_048.0 + 1_024.0 * (r % 3) as f64)))
+                .collect();
+            sys.begin_multi_rack(&demands)
+        }
         _ => {
             // Uneven demands, so racks finish at different times and the
             // greedy assignment keeps switching destination.
@@ -238,6 +250,16 @@ fn every_configuration_exercises_its_regime() {
                     .histogram("sim.queue_depth")
                     .expect("queue depth recorded");
                 assert!(depth.mean > 32.0, "{name}: backlog mean {}", depth.mean);
+            }
+            "campus-64" => {
+                let depth = report
+                    .metrics
+                    .histogram("sim.queue_depth")
+                    .expect("queue depth recorded");
+                // Every rack is served and the backlog averages more than
+                // one waiting movement per rack.
+                assert_eq!(report.deliveries_by_endpoint.len(), 64, "{name}");
+                assert!(depth.mean > 64.0, "{name}: backlog mean {}", depth.mean);
             }
             "stress" => assert!(report.reliability.cart_stalls > 0, "{name}"),
             "reshipment" => assert!(report.integrity.deliveries_reshipped > 0, "{name}"),

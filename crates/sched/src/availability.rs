@@ -4,13 +4,12 @@
 //! inaccessible during transit." The tracker records every transit window
 //! per dataset so clients can ask whether (and when) data is readable.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use dhl_units::Seconds;
 
 use crate::placement::DatasetId;
+use crate::service_queue::IdTable;
 
 /// Whether a dataset's bytes are reachable at an instant.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -27,9 +26,9 @@ pub enum DataState {
 /// spent recovering a crashed controller).
 #[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
 pub struct AvailabilityTracker {
-    windows: HashMap<DatasetId, Vec<(f64, f64)>>,
+    windows: IdTable<Vec<(f64, f64)>>,
     downtime: Vec<(f64, f64)>,
-    dock_downtime: HashMap<usize, Vec<(f64, f64)>>,
+    dock_downtime: IdTable<Vec<(f64, f64)>>,
 }
 
 /// Total covered time across possibly-overlapping `[from, to)` windows.
@@ -74,8 +73,7 @@ impl AvailabilityTracker {
             "transit window must be a finite, ordered interval"
         );
         self.windows
-            .entry(dataset)
-            .or_default()
+            .get_or_insert(dataset.0, Vec::new)
             .push((from.seconds(), to.seconds()));
     }
 
@@ -84,9 +82,9 @@ impl AvailabilityTracker {
     pub fn state_at(&self, dataset: DatasetId, at: Seconds) -> DataState {
         let t = at.seconds();
         let moving = self
-            .windows
-            .get(&dataset)
-            .is_some_and(|ws| ws.iter().any(|(a, b)| t >= *a && t < *b));
+            .transit_windows(dataset)
+            .iter()
+            .any(|(a, b)| t >= *a && t < *b);
         if moving {
             DataState::InTransit
         } else {
@@ -97,9 +95,7 @@ impl AvailabilityTracker {
     /// Earliest time ≥ `at` when the dataset is fully at rest.
     #[must_use]
     pub fn next_at_rest(&self, dataset: DatasetId, at: Seconds) -> Seconds {
-        let Some(ws) = self.windows.get(&dataset) else {
-            return at;
-        };
+        let ws = self.transit_windows(dataset);
         let mut t = at.seconds();
         // Advance past every overlapping window until stable (windows may
         // be unsorted and overlapping).
@@ -121,23 +117,20 @@ impl AvailabilityTracker {
     /// overlapping windows.
     #[must_use]
     pub fn total_transit_time(&self, dataset: DatasetId) -> Seconds {
-        self.windows
-            .get(&dataset)
-            .map_or(Seconds::ZERO, |ws| merged_total(ws))
+        merged_total(self.transit_windows(dataset))
     }
 
-    /// Number of transit windows recorded for a dataset. Every cart trip —
-    /// including redelivery and reshipment retries — adds one window, so
-    /// this is the dataset's total track-load figure.
+    /// The transit windows recorded for a dataset, in insertion order: one
+    /// per cart trip, redelivery and reshipment retries included.
     #[must_use]
-    pub fn transit_count(&self, dataset: DatasetId) -> usize {
-        self.windows.get(&dataset).map_or(0, Vec::len)
+    pub fn transit_windows(&self, dataset: DatasetId) -> &[(f64, f64)] {
+        self.windows.get(dataset.0).map_or(&[], Vec::as_slice)
     }
 
     /// Number of datasets with any recorded transit.
     #[must_use]
     pub fn tracked_datasets(&self) -> usize {
-        self.windows.len()
+        self.windows.iter().count()
     }
 
     /// Records that the track was out of service during `[from, to)`.
@@ -178,8 +171,7 @@ impl AvailabilityTracker {
             "dock downtime window must be a finite, ordered interval"
         );
         self.dock_downtime
-            .entry(endpoint)
-            .or_default()
+            .get_or_insert(endpoint as u64, Vec::new)
             .push((from.seconds(), to.seconds()));
     }
 
@@ -187,21 +179,15 @@ impl AvailabilityTracker {
     /// order (empty if its controllers never crashed).
     #[must_use]
     pub fn dock_downtime_windows(&self, endpoint: usize) -> &[(f64, f64)] {
-        self.dock_downtime.get(&endpoint).map_or(&[], Vec::as_slice)
+        self.dock_downtime
+            .get(endpoint as u64)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Total dock downtime for an endpoint, merging overlapping windows.
     #[must_use]
     pub fn total_dock_downtime(&self, endpoint: usize) -> Seconds {
-        self.dock_downtime
-            .get(&endpoint)
-            .map_or(Seconds::ZERO, |ws| merged_total(ws))
-    }
-
-    /// Number of endpoints with any recorded dock downtime.
-    #[must_use]
-    pub fn docks_with_downtime(&self) -> usize {
-        self.dock_downtime.len()
+        merged_total(self.dock_downtime_windows(endpoint))
     }
 
     /// Earliest time ≥ `at` outside every downtime window (when a departure
@@ -309,7 +295,8 @@ mod tests {
         assert_eq!(t.total_dock_downtime(1).seconds(), 40.0);
         assert_eq!(t.total_dock_downtime(2).seconds(), 5.0);
         assert_eq!(t.dock_downtime_windows(1).len(), 2);
-        assert_eq!(t.docks_with_downtime(), 2);
+        assert_eq!(t.dock_downtime_windows(2).len(), 1);
+        assert!(t.dock_downtime_windows(0).is_empty());
         // Dock downtime is endpoint-local: the track itself stayed up.
         assert_eq!(t.total_track_downtime(), Seconds::ZERO);
     }
@@ -319,6 +306,32 @@ mod tests {
     fn reversed_dock_downtime_panics() {
         let mut t = AvailabilityTracker::new();
         t.record_dock_downtime(1, Seconds::new(5.0), Seconds::new(1.0));
+    }
+
+    #[test]
+    fn boundary_ids_keep_their_own_windows() {
+        let mut t = AvailabilityTracker::new();
+        let huge = DatasetId(u64::MAX);
+        t.record_transit(huge, Seconds::new(0.0), Seconds::new(10.0));
+        t.record_transit(D, Seconds::new(5.0), Seconds::new(6.0));
+        t.record_transit(huge, Seconds::new(20.0), Seconds::new(30.0));
+        t.record_dock_downtime(usize::MAX, Seconds::new(1.0), Seconds::new(2.0));
+        assert_eq!(t.transit_windows(huge), [(0.0, 10.0), (20.0, 30.0)]);
+        assert_eq!(t.transit_windows(D), [(5.0, 6.0)]);
+        assert!(t.transit_windows(DatasetId(u64::MAX - 1)).is_empty());
+        assert_eq!(t.tracked_datasets(), 2);
+        assert_eq!(t.state_at(huge, Seconds::new(25.0)), DataState::InTransit);
+        assert_eq!(t.next_at_rest(huge, Seconds::new(5.0)).seconds(), 10.0);
+        assert_eq!(t.total_dock_downtime(usize::MAX).seconds(), 1.0);
+        assert!(t.dock_downtime_windows(usize::MAX - 1).is_empty());
+        // Equality does not depend on the order datasets were first seen.
+        let mut u = AvailabilityTracker::new();
+        u.record_dock_downtime(usize::MAX, Seconds::new(1.0), Seconds::new(2.0));
+        u.record_transit(D, Seconds::new(5.0), Seconds::new(6.0));
+        u.record_transit(huge, Seconds::new(0.0), Seconds::new(10.0));
+        assert_ne!(t, u);
+        u.record_transit(huge, Seconds::new(20.0), Seconds::new(30.0));
+        assert_eq!(t, u);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! cart belongs to at most one dataset at a time (the paper's carts dock
 //! with their SSDs "as a single unit").
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use dhl_storage::datasets::Dataset;
@@ -35,8 +33,8 @@ pub struct Placement {
     cart_capacity: Bytes,
     /// Cart id → contents (None = empty cart).
     carts: Vec<Option<CartContents>>,
-    datasets: HashMap<DatasetId, StoredDataset>,
-    next_id: u64,
+    /// Dataset id → record (None = evicted); ids are dense, never reused.
+    datasets: Vec<Option<StoredDataset>>,
 }
 
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -58,8 +56,7 @@ impl Placement {
         Self {
             cart_capacity,
             carts: Vec::new(),
-            datasets: HashMap::new(),
-            next_id: 0,
+            datasets: Vec::new(),
         }
     }
 
@@ -72,8 +69,7 @@ impl Placement {
     /// Stores a dataset, striping it across freshly provisioned carts, and
     /// returns its handle.
     pub fn store(&mut self, dataset: Dataset) -> DatasetId {
-        let id = DatasetId(self.next_id);
-        self.next_id += 1;
+        let id = DatasetId(self.datasets.len() as u64);
         let mut cart_ids = Vec::new();
         for (shard_index, bytes) in dataset.shards(self.cart_capacity).enumerate() {
             let cart_id = self.allocate_cart();
@@ -84,14 +80,11 @@ impl Placement {
             });
             cart_ids.push(cart_id);
         }
-        self.datasets.insert(
-            id,
-            StoredDataset {
-                name: dataset.name.into_owned(),
-                size: dataset.size,
-                cart_ids,
-            },
-        );
+        self.datasets.push(Some(StoredDataset {
+            name: dataset.name.into_owned(),
+            size: dataset.size,
+            cart_ids,
+        }));
         id
     }
 
@@ -106,37 +99,45 @@ impl Placement {
 
     /// Deletes a dataset, freeing its carts. Returns whether it existed.
     pub fn evict(&mut self, id: DatasetId) -> bool {
-        match self.datasets.remove(&id) {
-            Some(stored) => {
-                for cart in stored.cart_ids {
-                    // A stored dataset only ever references carts it was
-                    // assigned; tolerate (rather than panic on) a stale id.
-                    if let Some(slot) = self.carts.get_mut(cart) {
-                        *slot = None;
-                    }
-                }
-                true
+        let slot = usize::try_from(id.0).ok();
+        let Some(stored) = slot.and_then(|i| self.datasets.get_mut(i)?.take()) else {
+            return false;
+        };
+        for cart in stored.cart_ids {
+            // A stored dataset only ever references carts it was assigned;
+            // tolerate (rather than panic on) a stale id.
+            if let Some(slot) = self.carts.get_mut(cart) {
+                *slot = None;
             }
-            None => false,
         }
+        true
+    }
+
+    fn stored(&self, id: DatasetId) -> Option<&StoredDataset> {
+        self.datasets.get(usize::try_from(id.0).ok()?)?.as_ref()
     }
 
     /// The carts (in shard order) holding a dataset.
     #[must_use]
     pub fn carts_of(&self, id: DatasetId) -> Option<&[usize]> {
-        self.datasets.get(&id).map(|d| d.cart_ids.as_slice())
+        self.stored(id).map(|d| d.cart_ids.as_slice())
     }
 
     /// Stored name of a dataset.
     #[must_use]
     pub fn name_of(&self, id: DatasetId) -> Option<&str> {
-        self.datasets.get(&id).map(|d| d.name.as_str())
+        self.stored(id).map(|d| d.name.as_str())
     }
 
     /// Stored size of a dataset.
     #[must_use]
     pub fn size_of(&self, id: DatasetId) -> Option<Bytes> {
-        self.datasets.get(&id).map(|d| d.size)
+        self.stored(id).map(|d| d.size)
+    }
+
+    /// Cart count and size of a dataset, in one lookup.
+    pub(crate) fn extent_of(&self, id: DatasetId) -> Option<(usize, Bytes)> {
+        self.stored(id).map(|d| (d.cart_ids.len(), d.size))
     }
 
     /// What a cart holds.
@@ -160,9 +161,10 @@ impl Placement {
     /// All stored dataset ids, in insertion order of id.
     #[must_use]
     pub fn dataset_ids(&self) -> Vec<DatasetId> {
-        let mut ids: Vec<DatasetId> = self.datasets.keys().copied().collect();
-        ids.sort();
-        ids
+        (0u64..)
+            .zip(&self.datasets)
+            .filter_map(|(id, d)| d.as_ref().map(|_| DatasetId(id)))
+            .collect()
     }
 
     /// Trades parity level against payload capacity for shipping a dataset
@@ -292,6 +294,43 @@ mod tests {
     }
 
     #[test]
+    fn lookups_miss_on_evicted_unknown_and_huge_ids() {
+        let mut p = placement();
+        let a = p.store(datasets::laion_5b());
+        let b = p.store(datasets::common_crawl());
+        let c = p.store(datasets::massive_text());
+        assert!(p.evict(b));
+        for id in [b, DatasetId(3), DatasetId(u64::MAX)] {
+            assert!(p.carts_of(id).is_none(), "{id:?}");
+            assert!(p.size_of(id).is_none(), "{id:?}");
+            assert!(p.name_of(id).is_none(), "{id:?}");
+            assert!(p.extent_of(id).is_none(), "{id:?}");
+            assert!(!p.evict(id), "{id:?}");
+        }
+        // The survivors keep their rows, and one lookup gives both stats.
+        assert_eq!(p.name_of(c), Some("MassiveText"));
+        assert_eq!(p.carts_of(a).map(<[usize]>::len), Some(1));
+        let laion = datasets::laion_5b().size;
+        assert_eq!(p.size_of(a), Some(laion));
+        assert_eq!(p.extent_of(a), Some((1, laion)));
+    }
+
+    #[test]
+    fn dataset_ids_stay_in_id_order_after_evictions() {
+        let mut p = placement();
+        let ids: Vec<DatasetId> = (0..5).map(|_| p.store(datasets::laion_5b())).collect();
+        assert_eq!(ids, (0..5).map(DatasetId).collect::<Vec<_>>());
+        assert!(p.evict(ids[0]));
+        assert!(p.evict(ids[3]));
+        // A new dataset reuses a freed cart but never a freed id.
+        let fresh = p.store(datasets::massive_text());
+        assert_eq!(fresh, DatasetId(5));
+        assert_eq!(p.cart_count(), 5);
+        let expected = [ids[1], ids[2], ids[4], fresh];
+        assert_eq!(p.dataset_ids(), expected);
+    }
+
+    #[test]
     #[should_panic(expected = "cart capacity must be non-zero")]
     fn zero_capacity_rejected() {
         let _ = Placement::new(Bytes::ZERO);
@@ -302,7 +341,7 @@ mod tests {
         let mut p = placement();
         let a = p.store(datasets::common_crawl());
         let b = p.store(datasets::genomics_17pb());
-        let carts_a: std::collections::HashSet<_> =
+        let carts_a: std::collections::BTreeSet<_> =
             p.carts_of(a).unwrap().iter().copied().collect();
         for cart in p.carts_of(b).unwrap() {
             assert!(!carts_a.contains(cart));

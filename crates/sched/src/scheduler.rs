@@ -22,7 +22,7 @@ use crate::admission::{
 use crate::availability::AvailabilityTracker;
 use crate::metrics::SchedMetrics;
 use crate::placement::{DatasetId, Placement};
-use crate::service_queue::{DockBank, ServiceEntry, ServiceQueue, TenantTable, TripCache};
+use crate::service_queue::{DockBank, IdTable, ServiceEntry, ServiceQueue, TripCache};
 
 /// Request priority classes.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -251,14 +251,6 @@ pub struct RequestOutcome {
     pub dock_crashes: u64,
 }
 
-impl RequestOutcome {
-    /// Queueing + service latency from arrival to full delivery.
-    #[must_use]
-    pub fn delivery_latency(&self, arrival: Seconds) -> Seconds {
-        self.delivered - arrival
-    }
-}
-
 /// Result of running the scheduler to completion.
 ///
 /// Equality compares the *schedule* only: [`ScheduleOutcome::metrics`]
@@ -347,7 +339,7 @@ impl From<ConfigError> for SchedulerError {
 
 /// A submitted request with its placement-derived stats precomputed at
 /// submit time, so neither service ordering nor per-arrival admission pays
-/// a placement `HashMap` lookup.
+/// a placement lookup.
 #[derive(Copy, Clone, Debug)]
 struct Queued {
     id: RequestId,
@@ -502,14 +494,10 @@ impl Scheduler {
     pub fn submit(&mut self, request: TransferRequest) -> RequestId {
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        let carts = self
+        let (carts, bytes) = self
             .placement
-            .carts_of(request.dataset)
-            .map_or(usize::MAX, <[usize]>::len);
-        let bytes = self
-            .placement
-            .size_of(request.dataset)
-            .map_or(0.0, |b| b.as_f64());
+            .extent_of(request.dataset)
+            .map_or((usize::MAX, 0.0), |(carts, size)| (carts, size.as_f64()));
         self.queue.push(Queued {
             id,
             req: request,
@@ -666,7 +654,7 @@ impl Scheduler {
         let mut report = AdmissionReport::default();
         // Tenant → (SLO accumulator, latency histogram, retry tokens left),
         // dense-indexed by tenant id when the id space allows.
-        let mut tenants: TenantTable<TenantCell> = TenantTable::new(queue.len());
+        let mut tenants: IdTable<TenantCell> = IdTable::new(queue.len());
         let max_attempts = spec.retry.max_attempts_per_request.max(1);
         let mut cursor = 0usize;
 
@@ -702,7 +690,8 @@ impl Scheduler {
                 }
                 if OPEN {
                     let arrival_s = req.arrival.seconds();
-                    let slot = tenants.get_or_insert(req.tenant.0, || {
+                    let tenant = u64::from(req.tenant.0);
+                    let slot = tenants.get_or_insert(tenant, || {
                         (
                             TenantSlo::new(req.tenant),
                             Histogram::new(),
@@ -772,7 +761,9 @@ impl Scheduler {
                                 report.shed += 1;
                                 report.shed_ids.push(victim.id);
                                 metrics.add(handles.shed, 1);
-                                if let Some((slo, _, _)) = tenants.get_mut(victim.req.tenant.0) {
+                                if let Some((slo, _, _)) =
+                                    tenants.get_mut(u64::from(victim.req.tenant.0))
+                                {
                                     slo.shed += 1;
                                 }
                                 true
@@ -785,7 +776,7 @@ impl Scheduler {
                         let degrade_through =
                             !queue_full && spec.policy == OverloadPolicy::DegradeToBestEffort;
                         if !admitted_via_shed && !degrade_through {
-                            let slot = tenants.get_mut(req.tenant.0).expect("inserted above");
+                            let slot = tenants.get_mut(tenant).expect("inserted above");
                             slot.0.rejected += 1;
                             report.rejected_ids.push(id);
                             if queue_full {
@@ -808,7 +799,7 @@ impl Scheduler {
                         report.degraded += 1;
                         metrics.add(handles.degraded, 1);
                     }
-                    let slot = tenants.get_mut(req.tenant.0).expect("inserted above");
+                    let slot = tenants.get_mut(tenant).expect("inserted above");
                     slot.0.admitted += 1;
                     if degrade {
                         slot.0.degraded += 1;
@@ -832,6 +823,7 @@ impl Scheduler {
                 continue;
             };
             let (id, req) = (entry.id, entry.req);
+            let tenant = u64::from(req.tenant.0);
             let carts = placement
                 .carts_of(req.dataset)
                 .ok_or(SchedulerError::CorruptPlacement(req.dataset))?;
@@ -963,7 +955,7 @@ impl Scheduler {
                     }
                     if OPEN {
                         let tokens = &mut tenants
-                            .get_mut(req.tenant.0)
+                            .get_mut(tenant)
                             .expect("tenant registered at admission")
                             .2;
                         if *tokens == 0 {
@@ -986,7 +978,7 @@ impl Scheduler {
                         let backoff = retry_backoff(&spec.retry, spec.seed, id, attempt);
                         metrics.record(handles.retry_backoff_s, backoff.seconds());
                         not_before = home + backoff.seconds();
-                        if let Some((slo, _, _)) = tenants.get_mut(req.tenant.0) {
+                        if let Some((slo, _, _)) = tenants.get_mut(tenant) {
                             slo.retries += 1;
                         }
                     }
@@ -1016,7 +1008,7 @@ impl Scheduler {
                 report.delivered_bytes += delivered_bytes;
                 let fully_delivered = deliveries as usize == carts.len();
                 let slot = tenants
-                    .get_mut(req.tenant.0)
+                    .get_mut(tenant)
                     .expect("tenant registered at admission");
                 slot.0.served += 1;
                 slot.0.abandoned_shards += abandoned;
@@ -1117,7 +1109,7 @@ mod tests {
     use super::*;
     use dhl_storage::datasets;
     use dhl_units::Bytes;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn setup() -> (Scheduler, DatasetId, DatasetId) {
         let mut placement = Placement::new(Bytes::from_terabytes(256.0));
@@ -1163,7 +1155,7 @@ mod tests {
             Seconds::ZERO,
         ));
         let out = sched.run();
-        let by_id: HashMap<RequestId, &RequestOutcome> =
+        let by_id: BTreeMap<RequestId, &RequestOutcome> =
             out.completed.iter().map(|o| (o.id, o)).collect();
         // The urgent single-cart request starts first and finishes first.
         assert!(by_id[&fast].completed < by_id[&slow].started + Seconds::new(1.0));
@@ -1732,7 +1724,7 @@ mod integrity_tests {
         );
         // Every reshipment round trip is visible to availability clients:
         // 36 + reshipments round trips, 2 transit windows each.
-        let windows = s.availability().transit_count(ds);
+        let windows = s.availability().transit_windows(ds).len();
         assert_eq!(windows as u64, 2 * (36 + r.reshipments));
         // Mid-first-flight the data is in transit.
         assert_eq!(

@@ -14,9 +14,12 @@
 //!   [`Policy::PriorityFifo`] and a per-class `(cart count, id)` B-tree
 //!   index under [`Policy::ShortestJobFirst`], giving O(1)/O(log n) pop
 //!   and shed with **no element shifting**;
-//! - [`DockBank`]: every endpoint's dock free-times in one flat array
-//!   (replacing a per-run `HashMap<usize, Vec<f64>>`), with the
-//!   earliest-free scan and the backpressure busy count in one place.
+//! - [`DockBank`]: every endpoint's dock free-times in one flat array,
+//!   with the earliest-free scan and the backpressure busy count in one
+//!   place;
+//! - `IdTable`: rows in `Vec` slots keyed by a dense id, with a `BTreeMap`
+//!   past the dense limit. It backs the tenant counts and SLO rows and the
+//!   availability tracker's windows, so no serve-path lookup hashes.
 //!
 //! # Why the indexed order is exactly the retired scan order
 //!
@@ -73,73 +76,89 @@ pub struct ServiceEntry {
     pub service_s: f64,
 }
 
-/// Per-tenant rows. Tenant ids minted by `ArrivalSpec` are dense small
-/// integers, so rows live in a `Vec` indexed by id (at most `limit` slots);
-/// the first id at or beyond `limit` (a hand-assigned sparse id such as
-/// `TenantId(u32::MAX)`) moves every row into a `BTreeMap`. Rows drain in
-/// ascending tenant id from either store.
+/// Rows keyed by a dense id: tenant ids minted by `ArrivalSpec`, dataset
+/// ids minted by `Placement`, endpoint indices. Ids below `limit` index a
+/// `Vec` of slots; an id at or beyond it (a hand-assigned sparse id such as
+/// `TenantId(u32::MAX)`) keys a `BTreeMap` instead, so no id allocates more
+/// than `limit` slots. Rows walk in ascending id (every dense id is below
+/// every sparse one), and equality compares those walks.
 #[derive(Clone, Debug)]
-pub(crate) enum TenantTable<T> {
-    Dense { rows: Vec<Option<T>>, limit: usize },
-    Sparse(BTreeMap<u32, T>),
+pub(crate) struct IdTable<T> {
+    dense: Vec<Option<T>>,
+    sparse: BTreeMap<u64, T>,
+    limit: usize,
 }
 
-impl<T> TenantTable<T> {
+impl<T> IdTable<T> {
     /// Ids at most this far beyond twice the request count still count as
     /// dense: the `Option` slots are cheap relative to per-request map walks.
     const DENSE_SLACK: usize = 1024;
 
     /// An empty table for a run of `requests` requests.
     pub(crate) fn new(requests: usize) -> Self {
-        Self::Dense {
-            rows: Vec::new(),
-            limit: 2 * requests + Self::DENSE_SLACK,
+        Self {
+            dense: Vec::new(),
+            sparse: BTreeMap::new(),
+            limit: requests.saturating_mul(2).saturating_add(Self::DENSE_SLACK),
         }
+    }
+
+    /// The dense slot of `id`, or `None` when it is keyed sparsely.
+    fn slot(&self, id: u64) -> Option<usize> {
+        usize::try_from(id).ok().filter(|&i| i < self.limit)
     }
 
     /// The row for `id`, created by `init` on first use.
-    pub(crate) fn get_or_insert(&mut self, id: u32, init: impl FnOnce() -> T) -> &mut T {
-        let i = id as usize;
-        if let Self::Dense { rows, limit } = self {
-            if i >= *limit {
-                let sparse = std::mem::take(rows)
-                    .into_iter()
-                    .zip(0u32..)
-                    .filter_map(|(row, id)| Some((id, row?)))
-                    .collect();
-                *self = Self::Sparse(sparse);
-            } else if i >= rows.len() {
-                rows.resize_with(i + 1, || None);
-            }
+    pub(crate) fn get_or_insert(&mut self, id: u64, init: impl FnOnce() -> T) -> &mut T {
+        let Some(i) = self.slot(id) else {
+            return self.sparse.entry(id).or_insert_with(init);
+        };
+        if i >= self.dense.len() {
+            self.dense.resize_with(i + 1, || None);
         }
-        match self {
-            Self::Dense { rows, .. } => rows[i].get_or_insert_with(init),
-            Self::Sparse(rows) => rows.entry(id).or_insert_with(init),
+        self.dense[i].get_or_insert_with(init)
+    }
+
+    /// The row for `id`, if one was created.
+    pub(crate) fn get(&self, id: u64) -> Option<&T> {
+        match self.slot(id) {
+            Some(i) => self.dense.get(i)?.as_ref(),
+            None => self.sparse.get(&id),
         }
     }
 
     /// The row for `id`, if one was created.
-    pub(crate) fn get(&self, id: u32) -> Option<&T> {
-        match self {
-            Self::Dense { rows, .. } => rows.get(id as usize).and_then(Option::as_ref),
-            Self::Sparse(rows) => rows.get(&id),
+    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut T> {
+        match self.slot(id) {
+            Some(i) => self.dense.get_mut(i)?.as_mut(),
+            None => self.sparse.get_mut(&id),
         }
     }
 
-    /// The row for `id`, if one was created.
-    pub(crate) fn get_mut(&mut self, id: u32) -> Option<&mut T> {
-        match self {
-            Self::Dense { rows, .. } => rows.get_mut(id as usize).and_then(Option::as_mut),
-            Self::Sparse(rows) => rows.get_mut(&id),
-        }
+    /// `(id, row)` pairs in ascending id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        (0u64..)
+            .zip(&self.dense)
+            .filter_map(|(id, row)| Some((id, row.as_ref()?)))
+            .chain(self.sparse.iter().map(|(&id, row)| (id, row)))
     }
 
-    /// Drains the rows in ascending tenant id.
+    /// Drains the rows in ascending id.
     pub(crate) fn into_rows(self) -> Vec<T> {
-        match self {
-            Self::Dense { rows, .. } => rows.into_iter().flatten().collect(),
-            Self::Sparse(rows) => rows.into_values().collect(),
-        }
+        let sparse = self.sparse.into_values();
+        self.dense.into_iter().flatten().chain(sparse).collect()
+    }
+}
+
+impl<T> Default for IdTable<T> {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
+impl<T: PartialEq> PartialEq for IdTable<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 
@@ -248,7 +267,7 @@ pub struct ServiceQueue {
     arena: PendingArena,
     index: ServiceIndex,
     /// Per-tenant live counts, replacing the retired O(n) filter count.
-    tenant_pending: TenantTable<usize>,
+    tenant_pending: IdTable<usize>,
     /// Running `Σ service_s` and `Σ |service_s|` over the live entries, and
     /// a bound on how far each sits from its exact real value. All three
     /// reset to exactly 0 whenever the queue empties.
@@ -269,7 +288,7 @@ impl ServiceQueue {
     }
 
     /// An empty queue whose tenant counts stay dense for the ids of a run
-    /// of `requests` requests (see `TenantTable`).
+    /// of `requests` requests (see `IdTable`).
     pub(crate) fn for_requests(policy: Policy, requests: usize) -> Self {
         let index = match policy {
             Policy::PriorityFifo => ServiceIndex::Fifo {
@@ -283,7 +302,7 @@ impl ServiceQueue {
         Self {
             arena: PendingArena::default(),
             index,
-            tenant_pending: TenantTable::new(requests),
+            tenant_pending: IdTable::new(requests),
             sum: 0.0,
             abs_sum: 0.0,
             drift: 0.0,
@@ -318,7 +337,10 @@ impl ServiceQueue {
     /// Live entries owned by `tenant` — O(1), maintained incrementally.
     #[must_use]
     pub fn tenant_pending(&self, tenant: TenantId) -> usize {
-        self.tenant_pending.get(tenant.0).copied().unwrap_or(0)
+        self.tenant_pending
+            .get(u64::from(tenant.0))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// A bracket `(lo, hi)` with `lo ≤ backlog_service_s() ≤ hi`, in O(1);
@@ -421,7 +443,9 @@ impl ServiceQueue {
                 by_seq[class].insert(self.arena.seqs[slot as usize], slot);
             }
         }
-        *self.tenant_pending.get_or_insert(entry.req.tenant.0, || 0) += 1;
+        *self
+            .tenant_pending
+            .get_or_insert(u64::from(entry.req.tenant.0), || 0) += 1;
         self.account(entry.service_s, 1.0);
     }
 
@@ -447,7 +471,10 @@ impl ServiceQueue {
                 by_seq[class].remove(&self.arena.seqs[i]);
             }
         }
-        if let Some(count) = self.tenant_pending.get_mut(self.arena.tenants[i].0) {
+        if let Some(count) = self
+            .tenant_pending
+            .get_mut(u64::from(self.arena.tenants[i].0))
+        {
             *count = count.saturating_sub(1);
         }
         let entry = self.arena.remove(slot);
@@ -489,13 +516,13 @@ impl ServiceQueue {
     }
 }
 
-/// Every endpoint's dock free-times in one flat array, replacing a
-/// `HashMap<usize, Vec<f64>>` and its per-service allocation.
+/// Every endpoint's dock free-times in one flat array, with no
+/// per-service allocation.
 ///
 /// An endpoint counts as *touched* once a request has been served to it —
-/// matching the lazy `HashMap::entry` creation of the retired code, whose
-/// dock-saturation backpressure treated a never-served endpoint as
-/// unsaturated regardless of its dock count.
+/// matching the retired per-run map, which created an endpoint's entry on
+/// first service, so dock-saturation backpressure treated a never-served
+/// endpoint as unsaturated regardless of its dock count.
 #[derive(Clone, Debug)]
 pub struct DockBank {
     /// Slot range of endpoint `ep` is `offsets[ep]..offsets[ep + 1]`.
@@ -697,10 +724,56 @@ mod tests {
             }
         }
         // One row per tenant seen, not one slot per id below the largest.
-        match &q.tenant_pending {
-            TenantTable::Sparse(rows) => assert_eq!(rows.len(), tenants.len()),
-            TenantTable::Dense { .. } => panic!("u32::MAX must not index a dense table"),
+        let table = &q.tenant_pending;
+        assert_eq!((table.dense.len(), table.sparse.len()), (8, 2));
+    }
+
+    #[test]
+    fn id_table_keys_boundary_ids_sparsely() {
+        let mut table: IdTable<u64> = IdTable::new(4);
+        let ids = [u64::MAX, 3, u64::from(u32::MAX), 0, u64::MAX - 1];
+        for id in ids {
+            *table.get_or_insert(id, || 0) += id % 1000 + 1;
         }
+        *table.get_or_insert(u64::MAX, || 0) += 1;
+        // Only the ids below the limit (2 × 4 + slack) take dense slots.
+        assert_eq!((table.dense.len(), table.sparse.len()), (4, 3));
+        assert!(table.dense.capacity() <= table.limit);
+        for id in ids {
+            let extra = u64::from(id == u64::MAX);
+            assert_eq!(table.get(id), Some(&(id % 1000 + 1 + extra)), "{id}");
+        }
+        for id in [1, 1031, u64::MAX - 2] {
+            assert_eq!(table.get(id), None, "{id}");
+            assert_eq!(table.get_mut(id), None, "{id}");
+        }
+        let walk: Vec<u64> = table.iter().map(|(id, _)| id).collect();
+        assert_eq!(walk, [0, 3, u64::from(u32::MAX), u64::MAX - 1, u64::MAX]);
+        let rows = table.into_rows();
+        assert_eq!(rows, [1, 4, 296, 615, 617]);
+    }
+
+    #[test]
+    fn id_table_equality_ignores_where_rows_live() {
+        let rows = [(2000, 'c'), (0, 'a'), (u64::MAX, 'd'), (5, 'b')];
+        // Limit 3024: only u64::MAX is sparse. Limit 1024: 2000 is too.
+        let mut dense = IdTable::new(1000);
+        let mut sparse = IdTable::new(0);
+        for &(id, row) in &rows {
+            dense.get_or_insert(id, || row);
+        }
+        for &(id, row) in rows.iter().rev() {
+            sparse.get_or_insert(id, || row);
+        }
+        assert_eq!((dense.sparse.len(), sparse.sparse.len()), (1, 2));
+        assert_eq!(dense, sparse);
+        assert_eq!(sparse, dense);
+        *sparse.get_mut(2000).unwrap() = 'x';
+        assert_ne!(dense, sparse);
+        *sparse.get_mut(2000).unwrap() = 'c';
+        sparse.get_or_insert(7, || 'e');
+        assert_ne!(dense, sparse);
+        assert_ne!(IdTable::<char>::default(), dense);
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //! `sched.wall_time_s`) fold into one FNV-1a hash, compared against the
 //! table below. On a mismatch the test prints the freshly computed table;
 //! replace `GOLDEN` with it only when a schedule change is intended.
+//!
+//! A second hash per scenario pins what the run left in the scheduler's
+//! `AvailabilityTracker`: every dataset's transit windows in insertion
+//! order, the tracked-dataset count, the track downtime windows and each
+//! endpoint's dock downtime windows (`TRACKER_GOLDEN`).
 
 use dhl_sched::admission::{AdmissionSpec, OverloadPolicy, RetryBudgetSpec, TenantId};
 use dhl_sched::placement::Placement;
@@ -53,6 +58,23 @@ const GOLDEN: [[u64; 8]; 12] = [
     [0xe5e09ece0962b053, 0xe21ed75712ad310d, 0xd0ed403c876dd318, 0x317dc07c171c1de6, 0xb89c90cf2a4b4387, 0x456a013295b703e2, 0x8e9ea45678e420df, 0xa29ef8f4c80e4050],
     [0xb5006be09efa484c, 0x16c44a08fc1ccebe, 0x8de741d07cfac3f1, 0x7f130930f39d11d9, 0xb3b94acfce52f0f1, 0x48def41d757a1045, 0xb6a2d1debb8896b4, 0xeccf2ac6e0c30eb3],
     [0x369885cc41870b2b, 0x50b5e033df5d8c2b, 0xc24746036781f9dd, 0x0ed5f4947be5483c, 0xab702aefc037fc05, 0x0582e845b6af09a2, 0x1760b7d2f3f9bee0, 0xac1c1469ebb1f9f8],
+];
+
+/// Same layout as `GOLDEN`, for the availability tracker.
+#[rustfmt::skip]
+const TRACKER_GOLDEN: [[u64; 8]; 12] = [
+    [0x31869afd7bfb53e9, 0x00b0379506aa11e3, 0xfb074a7f6359ee29, 0x2bc771e6cbe7a4d7, 0xb3fc4fbdba52f641, 0x089e4a40b19d59d7, 0xc96d923f25a0bccc, 0xf8b9b65b7e242acb],
+    [0x7218052e2ed9f042, 0xc0be8ccf0ee3412a, 0x348af661cdd2a9d7, 0xa84b50ad1f9a9b7e, 0x3455cbc436761d07, 0x13e80b9028ceba5e, 0x79451ad2b01a993a, 0xe4bcc1a1734645da],
+    [0xa4ce061df5ace653, 0x7abc71f3a8fbedd1, 0x3bb1ef0c6df35347, 0xc5cfbb82e821365a, 0x8e519ce7339e5652, 0xf295bc6e29ea3f67, 0xe59f8a5a05977951, 0xa3d34e075d69ac18],
+    [0x64357d4d46e58798, 0xb0907b91233b602c, 0xf448802195dace1c, 0xe2e3068231bcff46, 0xda617e0a2febce03, 0x608960561f3668e8, 0x637a55678e571902, 0xeca5c0dfd924d137],
+    [0xbb2354890f96d400, 0xaa8c4f2d25a6218d, 0x70c9a7d9c758a51b, 0x1779e7adad1619a6, 0x3f68b8a38c63c9d7, 0x42a1aab9bbf330a0, 0x3271e00d8bfebbb3, 0x0ad0ac45fb6aea8f],
+    [0xde6c8fe159c0d0cc, 0x56dd6172cfa966d5, 0xee192262d539a738, 0xe440d18f6e870bf0, 0x0a050670673a03d6, 0x22378212c8b34af5, 0xcc646f2797223452, 0x583842991d5b3c42],
+    [0xfb73196e2c373109, 0xd53ad065c5308fb2, 0x19ccbdd6285aeb9d, 0x3b906fb59e675ee8, 0xf180601f411009fa, 0x56af8259ca7f070b, 0xe4e1a1cbb70931ae, 0x3440332f43fa297e],
+    [0x2bb6a2f578688cb9, 0x11f9c5af42ad0aef, 0x9f3c3a7ff2b5fe91, 0xa0ad6ee7f12c07e0, 0x6f26b2d11f55f84e, 0xc952f000168369ab, 0x0a51b60fba61a9fe, 0x71683bd9fb6c26f2],
+    [0xdfe378a9fd00b16b, 0x748d60fd19e8d19c, 0x02003675e6d4b1b2, 0xb418fbfb8c9ced37, 0xd03e2b2708e36f64, 0x3bd245575b928ff6, 0x61f46f4ae560203a, 0x73549aa95cd6b78b],
+    [0x6cb5334b87f7abcc, 0x86988509bfaf5489, 0x648cefa61c746042, 0x7f119c98e0211b71, 0xbb2d091b178d3b36, 0x0fcbf8de7ce93116, 0xfafe15c6234161c9, 0x9e4d7edf30e1f416],
+    [0x9e44168e3b8c6b37, 0xce637540b887e16d, 0xbc8e30f0e1a5e30b, 0xf9c6f795be2cfdc9, 0x11ec4bfbd4c9d0a7, 0x768ef62ede54621d, 0xb724cd0833b2b9ab, 0x5f49b7a45a212fc0],
+    [0xf377e80027cb1172, 0x3b2e0c8f0502d917, 0x84b19adefb7f8cce, 0x4360cc290cc1015d, 0x558786ede094697b, 0xec7f8b3515ca0873, 0x5a8687919b9fa40f, 0xceee1b8348581e18],
 ];
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -295,12 +317,36 @@ fn digest(out: &ScheduleOutcome) -> u64 {
     fnv1a_64(&d.0)
 }
 
-#[test]
-fn every_scenario_matches_its_golden_hash() {
-    let mut fresh = Vec::new();
+fn windows(d: &mut Image, windows: &[(f64, f64)]) {
+    d.u64(windows.len() as u64);
+    for &(from, to) in windows {
+        d.f64(from);
+        d.f64(to);
+    }
+}
+
+fn tracker_digest(sched: &Scheduler) -> u64 {
+    let tracker = sched.availability();
+    let mut d = Image::default();
+    for id in sched.placement().dataset_ids() {
+        d.u64(id.0);
+        windows(&mut d, tracker.transit_windows(id));
+    }
+    d.u64(tracker.tracked_datasets() as u64);
+    windows(&mut d, tracker.downtime_windows());
+    for endpoint in 0..config().endpoints.len() {
+        windows(&mut d, tracker.dock_downtime_windows(endpoint));
+    }
+    fnv1a_64(&d.0)
+}
+
+/// Runs every scenario once: `(schedule hashes, tracker hashes)`, one row
+/// per `(seed, policy)`.
+fn fresh_tables() -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+    let (mut outcomes, mut trackers) = (Vec::new(), Vec::new());
     for seed in 0..SEEDS {
         for policy in POLICIES {
-            let row: Vec<u64> = MIXES
+            let (row, tracker_row): (Vec<u64>, Vec<u64>) = MIXES
                 .iter()
                 .map(|mix| {
                     let (placement, requests) = workload(seed);
@@ -314,12 +360,17 @@ fn every_scenario_matches_its_golden_hash() {
                         sched.admission().is_some(),
                         "seed {seed}, {policy:?}, {mix}"
                     );
-                    digest(&out)
+                    (digest(&out), tracker_digest(&sched))
                 })
-                .collect();
-            fresh.push(row);
+                .unzip();
+            outcomes.push(row);
+            trackers.push(tracker_row);
         }
     }
+    (outcomes, trackers)
+}
+
+fn assert_table(name: &str, fresh: &[Vec<u64>], golden: &[[u64; 8]; 12]) {
     let table: String = fresh
         .iter()
         .map(|row| {
@@ -330,24 +381,33 @@ fn every_scenario_matches_its_golden_hash() {
     for (i, row) in fresh.iter().enumerate() {
         for (j, &hash) in row.iter().enumerate() {
             assert!(
-                hash == GOLDEN[i][j],
-                "seed {}, {:?}, {}: hash 0x{hash:016x} != golden 0x{:016x}\n\
+                hash == golden[i][j],
+                "{name}: seed {}, {:?}, {}: hash 0x{hash:016x} != golden 0x{:016x}\n\
                  fresh table:\n[\n{table}]",
                 i / 2,
                 POLICIES[i % 2],
                 MIXES[j],
-                GOLDEN[i][j],
+                golden[i][j],
             );
         }
     }
+}
+
+#[test]
+fn every_scenario_matches_its_golden_hash() {
+    let (outcomes, trackers) = fresh_tables();
+    assert_table("GOLDEN", &outcomes, &GOLDEN);
+    assert_table("TRACKER_GOLDEN", &trackers, &TRACKER_GOLDEN);
 }
 
 /// The hash must see enough of each outcome to tell the scenarios apart:
 /// a table of collisions would pin nothing.
 #[test]
 fn golden_hashes_are_distinct() {
-    let mut all: Vec<u64> = GOLDEN.iter().flatten().copied().collect();
-    all.sort_unstable();
-    all.dedup();
-    assert_eq!(all.len(), 96);
+    for table in [GOLDEN, TRACKER_GOLDEN] {
+        let mut all: Vec<u64> = table.iter().flatten().copied().collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), 96);
+    }
 }

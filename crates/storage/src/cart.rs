@@ -192,14 +192,6 @@ impl CartStorage {
             .transfer_time(self.capacity())
     }
 
-    /// Time to write the full cart through a docking station.
-    #[must_use]
-    pub fn full_write_time(&self, link: PcieLink) -> Seconds {
-        self.aggregate_write_bandwidth()
-            .min(link.bandwidth())
-            .transfer_time(self.capacity())
-    }
-
     /// Aggregate active power with all SSDs under load (feeds the thermal
     /// model).
     #[must_use]

@@ -217,7 +217,7 @@ pub fn retry_backoff(
 }
 
 /// Per-tenant SLO accounting from one open-loop run.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
 pub struct TenantSlo {
     /// The tenant.
     pub tenant: TenantId,
@@ -248,24 +248,6 @@ pub struct TenantSlo {
 }
 
 impl TenantSlo {
-    pub(crate) fn new(tenant: TenantId) -> Self {
-        Self {
-            tenant,
-            offered: 0,
-            admitted: 0,
-            served: 0,
-            rejected: 0,
-            shed: 0,
-            degraded: 0,
-            retries: 0,
-            abandoned_shards: 0,
-            deadline_hits: 0,
-            deadline_misses: 0,
-            delivered_bytes: 0.0,
-            latency: SloSummary::default(),
-        }
-    }
-
     /// Fraction of deadline-bearing served requests that delivered in time
     /// (1.0 when none carried deadlines).
     #[must_use]
@@ -421,7 +403,10 @@ mod tests {
     fn hit_ratio_defaults_to_one_without_deadlines() {
         let r = AdmissionReport::default();
         assert_eq!(r.deadline_hit_ratio(), 1.0);
-        let t = TenantSlo::new(TenantId(3));
+        let t = TenantSlo {
+            tenant: TenantId(3),
+            ..TenantSlo::default()
+        };
         assert_eq!(t.deadline_hit_ratio(), 1.0);
     }
 }

@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 use dhl_units::Seconds;
 
 use crate::placement::DatasetId;
+use crate::recycle;
 use crate::service_queue::IdTable;
 
 /// Whether a dataset's bytes are reachable at an instant.
@@ -29,6 +30,16 @@ pub struct AvailabilityTracker {
     windows: IdTable<Vec<(f64, f64)>>,
     downtime: Vec<(f64, f64)>,
     dock_downtime: IdTable<Vec<(f64, f64)>>,
+}
+
+// The transit-window vectors go back to this thread's pool, for the next
+// tracker's windows.
+impl Drop for AvailabilityTracker {
+    fn drop(&mut self) {
+        std::mem::take(&mut self.windows)
+            .into_values()
+            .for_each(recycle::give_window);
+    }
 }
 
 /// Total covered time across possibly-overlapping `[from, to)` windows.
@@ -73,7 +84,7 @@ impl AvailabilityTracker {
             "transit window must be a finite, ordered interval"
         );
         self.windows
-            .get_or_insert(dataset.0, Vec::new)
+            .get_or_insert(dataset.0, recycle::take_window)
             .push((from.seconds(), to.seconds()));
     }
 
@@ -89,27 +100,6 @@ impl AvailabilityTracker {
             DataState::InTransit
         } else {
             DataState::AtRest
-        }
-    }
-
-    /// Earliest time ≥ `at` when the dataset is fully at rest.
-    #[must_use]
-    pub fn next_at_rest(&self, dataset: DatasetId, at: Seconds) -> Seconds {
-        let ws = self.transit_windows(dataset);
-        let mut t = at.seconds();
-        // Advance past every overlapping window until stable (windows may
-        // be unsorted and overlapping).
-        loop {
-            let mut advanced = false;
-            for (a, b) in ws {
-                if t >= *a && t < *b {
-                    t = *b;
-                    advanced = true;
-                }
-            }
-            if !advanced {
-                return Seconds::new(t);
-            }
         }
     }
 
@@ -220,7 +210,6 @@ mod tests {
     fn untracked_data_is_at_rest() {
         let t = AvailabilityTracker::new();
         assert_eq!(t.state_at(D, Seconds::new(5.0)), DataState::AtRest);
-        assert_eq!(t.next_at_rest(D, Seconds::new(5.0)).seconds(), 5.0);
         assert_eq!(t.total_transit_time(D), Seconds::ZERO);
     }
 
@@ -233,17 +222,6 @@ mod tests {
         assert_eq!(t.state_at(D, Seconds::new(19.99)), DataState::InTransit);
         // Half-open interval: at-rest exactly at the end.
         assert_eq!(t.state_at(D, Seconds::new(20.0)), DataState::AtRest);
-    }
-
-    #[test]
-    fn next_at_rest_chains_overlapping_windows() {
-        let mut t = AvailabilityTracker::new();
-        t.record_transit(D, Seconds::new(10.0), Seconds::new(20.0));
-        t.record_transit(D, Seconds::new(15.0), Seconds::new(30.0));
-        t.record_transit(D, Seconds::new(40.0), Seconds::new(50.0));
-        assert_eq!(t.next_at_rest(D, Seconds::new(12.0)).seconds(), 30.0);
-        assert_eq!(t.next_at_rest(D, Seconds::new(35.0)).seconds(), 35.0);
-        assert_eq!(t.next_at_rest(D, Seconds::new(45.0)).seconds(), 50.0);
     }
 
     #[test]
@@ -321,7 +299,6 @@ mod tests {
         assert!(t.transit_windows(DatasetId(u64::MAX - 1)).is_empty());
         assert_eq!(t.tracked_datasets(), 2);
         assert_eq!(t.state_at(huge, Seconds::new(25.0)), DataState::InTransit);
-        assert_eq!(t.next_at_rest(huge, Seconds::new(5.0)).seconds(), 10.0);
         assert_eq!(t.total_dock_downtime(usize::MAX).seconds(), 1.0);
         assert!(t.dock_downtime_windows(usize::MAX - 1).is_empty());
         // Equality does not depend on the order datasets were first seen.

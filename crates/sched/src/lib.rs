@@ -56,6 +56,7 @@ pub mod availability;
 pub mod evaluate;
 pub(crate) mod metrics;
 pub mod placement;
+mod recycle;
 pub mod reference_service;
 pub mod scheduler;
 pub mod service_queue;

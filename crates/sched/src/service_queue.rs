@@ -6,11 +6,9 @@
 //! per arrival: O(n²) over a drain at the million-arrival tenant counts
 //! ROADMAP item 1 targets. This module replaces that with:
 //!
-//! - `PendingArena`: the pending set in struct-of-arrays layout (one
-//!   contiguous column per request field and a free list), so admission
-//!   never clones a whole `TransferRequest` and service decisions touch only
-//!   the columns they need;
-//! - [`ServiceQueue`]: per-priority-class FIFO rings under
+//! - `PendingArena`: the pending set as whole entries in one `Vec` of
+//!   slots, with the FIFO lists and the free list linked through them;
+//! - [`ServiceQueue`]: per-priority-class FIFO lists under
 //!   [`Policy::PriorityFifo`] and a per-class `(cart count, id)` B-tree
 //!   index under [`Policy::ShortestJobFirst`], giving O(1)/O(log n) pop
 //!   and shed with **no element shifting**;
@@ -18,7 +16,7 @@
 //!   with the earliest-free scan and the backpressure busy count in one
 //!   place;
 //! - `IdTable`: rows in `Vec` slots keyed by a dense id, with a `BTreeMap`
-//!   past the dense limit. It backs the tenant counts and SLO rows and the
+//!   past the dense limit. It backs the tenant counts and rows and the
 //!   availability tracker's windows, so no serve-path lookup hashes.
 //!
 //! # Why the indexed order is exactly the retired scan order
@@ -27,7 +25,7 @@
 //! index)` order, and request ids are assigned in submission order, so
 //! pushes into the pending set are **monotone**: each entry's
 //! `(arrival, id)` key is ≥ every key pushed before it. Consequently each
-//! per-class FIFO ring is already sorted by `(arrival, id)` — the retired
+//! per-class FIFO list is already sorted by `(arrival, id)` — the retired
 //! `pick_next` scan's within-class FIFO key — so its front *is* the scan's
 //! winner, and its back *is* the shed scan's latest-arrived victim. The
 //! ShortestJobFirst scan ordered by `(cart count, id)` within a class
@@ -43,11 +41,12 @@
 //! ([`ServiceQueue::backlog_bounds`]); only a deadline inside that bracket
 //! pays for the exact walk ([`ServiceQueue::backlog_service_s`]).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use dhl_sim::{MovementCost, SimConfig};
 
 use crate::admission::TenantId;
+use crate::recycle;
 use crate::scheduler::{Policy, Priority, RequestId, TransferRequest};
 
 /// Number of [`Priority`] classes.
@@ -62,8 +61,7 @@ fn class_of(priority: Priority) -> usize {
     }
 }
 
-/// One admitted-but-unserved request, as stored in (and reconstructed
-/// from) the arena's columns.
+/// One admitted-but-unserved request, as stored in the arena.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ServiceEntry {
     /// The request's handle.
@@ -143,10 +141,16 @@ impl<T> IdTable<T> {
             .chain(self.sparse.iter().map(|(&id, row)| (id, row)))
     }
 
-    /// Drains the rows in ascending id.
-    pub(crate) fn into_rows(self) -> Vec<T> {
+    /// The rows in ascending id.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        let sparse = self.sparse.values_mut();
+        self.dense.iter_mut().flatten().chain(sparse)
+    }
+
+    /// Consumes the table, yielding its rows in ascending id.
+    pub(crate) fn into_values(self) -> impl Iterator<Item = T> {
         let sparse = self.sparse.into_values();
-        self.dense.into_iter().flatten().chain(sparse).collect()
+        self.dense.into_iter().flatten().chain(sparse)
     }
 }
 
@@ -162,91 +166,76 @@ impl<T: PartialEq> PartialEq for IdTable<T> {
     }
 }
 
-/// The pending set in struct-of-arrays layout: one contiguous column per
-/// request field, slots recycled through a free list.
-#[derive(Clone, Debug, Default)]
+/// Ends every slot list.
+const NIL: u32 = u32::MAX;
+
+/// An arena slot: a pending entry, its admission sequence number, and its
+/// links in its class's FIFO list. A freed slot's `next` links the free list.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Slot {
+    entry: ServiceEntry,
+    seq: u64,
+    prev: u32,
+    next: u32,
+}
+
+/// The pending set: whole entries in one `Vec` of slots, recycled across
+/// runs on a thread (see [`recycle`]), so a push or pop touches one or two
+/// cache lines and a repeated run allocates nothing here.
+#[derive(Clone, Debug)]
 struct PendingArena {
-    seqs: Vec<u64>,
-    ids: Vec<RequestId>,
-    datasets: Vec<crate::placement::DatasetId>,
-    destinations: Vec<usize>,
-    priorities: Vec<Priority>,
-    arrivals: Vec<dhl_units::Seconds>,
-    dwells: Vec<dhl_units::Seconds>,
-    tenants: Vec<TenantId>,
-    deadlines: Vec<Option<dhl_units::Seconds>>,
-    carts: Vec<usize>,
-    service_s: Vec<f64>,
-    free: Vec<u32>,
+    slots: Vec<Slot>,
+    free: u32,
+    live: usize,
     next_seq: u64,
 }
 
 impl PendingArena {
-    /// Inserts an entry, recycling a freed slot when one exists, and
-    /// returns its dense index. The admission sequence number is assigned
-    /// monotonically.
+    /// Inserts an entry, unlinked, recycling a freed slot when one exists,
+    /// and returns its index. Sequence numbers are assigned monotonically.
     fn insert(&mut self, entry: ServiceEntry) -> u32 {
-        fn put<T>(column: &mut Vec<T>, i: usize, value: T) {
-            match column.get_mut(i) {
-                Some(slot) => *slot = value,
-                None => column.push(value),
-            }
-        }
-        let index = match self.free.pop() {
-            Some(index) => index,
-            None => u32::try_from(self.seqs.len()).expect("pending set fits in u32"),
+        let slot = Slot {
+            entry,
+            seq: self.next_seq,
+            prev: NIL,
+            next: NIL,
         };
-        let i = index as usize;
-        put(&mut self.seqs, i, self.next_seq);
-        put(&mut self.ids, i, entry.id);
-        put(&mut self.datasets, i, entry.req.dataset);
-        put(&mut self.destinations, i, entry.req.destination);
-        put(&mut self.priorities, i, entry.req.priority);
-        put(&mut self.arrivals, i, entry.req.arrival);
-        put(&mut self.dwells, i, entry.req.dwell);
-        put(&mut self.tenants, i, entry.req.tenant);
-        put(&mut self.deadlines, i, entry.req.deadline);
-        put(&mut self.carts, i, entry.carts);
-        put(&mut self.service_s, i, entry.service_s);
         self.next_seq += 1;
+        self.live += 1;
+        if self.free != NIL {
+            let index = self.free;
+            self.free = self.slots[index as usize].next;
+            self.slots[index as usize] = slot;
+            return index;
+        }
+        let index = u32::try_from(self.slots.len())
+            .ok()
+            .filter(|&i| i != NIL)
+            .expect("pending set fits in u32");
+        self.slots.push(slot);
         index
     }
 
-    /// Frees a slot by dense index and returns the reconstructed entry.
+    /// Frees a slot and returns its entry.
     fn remove(&mut self, index: u32) -> ServiceEntry {
-        let entry = self.entry_at(index as usize);
-        self.free.push(index);
-        entry
-    }
-
-    /// Reconstructs the entry stored at a dense index.
-    fn entry_at(&self, i: usize) -> ServiceEntry {
-        ServiceEntry {
-            id: self.ids[i],
-            req: TransferRequest {
-                dataset: self.datasets[i],
-                destination: self.destinations[i],
-                priority: self.priorities[i],
-                arrival: self.arrivals[i],
-                dwell: self.dwells[i],
-                tenant: self.tenants[i],
-                deadline: self.deadlines[i],
-            },
-            carts: self.carts[i],
-            service_s: self.service_s[i],
-        }
+        self.live -= 1;
+        let slot = &mut self.slots[index as usize];
+        slot.next = self.free;
+        self.free = index;
+        slot.entry
     }
 }
 
-/// Per-policy service index over arena slots. The FIFO rings and the SJF
+/// Per-policy service index over arena slots. The FIFO lists and the SJF
 /// `by_seq` maps each hold one class in admission order, so their union
 /// sorted by sequence number is the admission order of the pending set.
 #[derive(Clone, Debug)]
 enum ServiceIndex {
-    /// One FIFO ring per priority class. Valid because pushes are monotone
-    /// in `(arrival, id)` (see the module docs): each ring is sorted, so
-    /// front = next-to-serve and back = shed victim within its class.
-    Fifo { rings: [VecDeque<u32>; CLASSES] },
+    /// One `(head, tail)` slot list per priority class, linked through the
+    /// arena. Valid because pushes are monotone in `(arrival, id)` (see the
+    /// module docs): each list is sorted, so head = next-to-serve and tail =
+    /// shed victim within its class.
+    Fifo { ends: [(u32, u32); CLASSES] },
     /// Shortest-job-first: per-class `(cart count, id)` order for service,
     /// plus per-class admission order for the shed victim (latest pushed).
     Sjf {
@@ -292,7 +281,7 @@ impl ServiceQueue {
     pub(crate) fn for_requests(policy: Policy, requests: usize) -> Self {
         let index = match policy {
             Policy::PriorityFifo => ServiceIndex::Fifo {
-                rings: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+                ends: [(NIL, NIL); CLASSES],
             },
             Policy::ShortestJobFirst => ServiceIndex::Sjf {
                 by_size: [BTreeMap::new(), BTreeMap::new(), BTreeMap::new()],
@@ -300,7 +289,12 @@ impl ServiceQueue {
             },
         };
         Self {
-            arena: PendingArena::default(),
+            arena: PendingArena {
+                slots: recycle::take(&recycle::ARENAS),
+                free: NIL,
+                live: 0,
+                next_seq: 0,
+            },
             index,
             tenant_pending: IdTable::new(requests),
             sum: 0.0,
@@ -325,7 +319,7 @@ impl ServiceQueue {
     /// Live pending entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.arena.seqs.len() - self.arena.free.len()
+        self.arena.live
     }
 
     /// Whether nothing is pending.
@@ -377,7 +371,7 @@ impl ServiceQueue {
     #[inline(never)]
     pub fn backlog_service_s(&self) -> f64 {
         self.admission_order()
-            .map(|slot| self.arena.service_s[slot])
+            .map(|slot| self.arena.slots[slot].entry.service_s)
             .sum()
     }
 
@@ -385,7 +379,7 @@ impl ServiceQueue {
     #[must_use]
     pub fn entries(&self) -> Vec<ServiceEntry> {
         self.admission_order()
-            .map(|slot| self.arena.entry_at(slot))
+            .map(|slot| self.arena.slots[slot].entry)
             .collect()
     }
 
@@ -394,12 +388,19 @@ impl ServiceQueue {
     /// merges their runs.
     fn admission_order(&self) -> impl Iterator<Item = usize> + '_ {
         let mut slots: Vec<u32> = match &self.index {
-            ServiceIndex::Fifo { rings } => rings.iter().flatten().copied().collect(),
+            ServiceIndex::Fifo { ends } => ends
+                .iter()
+                .flat_map(|&(head, _)| {
+                    let linked = |i: u32| Some(i).filter(|&i| i != NIL);
+                    let next = move |&i: &u32| linked(self.arena.slots[i as usize].next);
+                    std::iter::successors(linked(head), next)
+                })
+                .collect(),
             ServiceIndex::Sjf { by_seq, .. } => {
                 by_seq.iter().flat_map(BTreeMap::values).copied().collect()
             }
         };
-        slots.sort_by_key(|&slot| self.arena.seqs[slot as usize]);
+        slots.sort_by_key(|&slot| self.arena.slots[slot as usize].seq);
         slots.into_iter().map(|slot| slot as usize)
     }
 
@@ -436,11 +437,20 @@ impl ServiceQueue {
         }
         let class = class_of(entry.req.priority);
         let slot = self.arena.insert(entry);
+        let slots = &mut self.arena.slots;
         match &mut self.index {
-            ServiceIndex::Fifo { rings } => rings[class].push_back(slot),
+            ServiceIndex::Fifo { ends } => {
+                let (head, tail) = &mut ends[class];
+                slots[slot as usize].prev = *tail;
+                match *tail {
+                    NIL => *head = slot,
+                    last => slots[last as usize].next = slot,
+                }
+                *tail = slot;
+            }
             ServiceIndex::Sjf { by_size, by_seq } => {
                 by_size[class].insert((entry.carts, entry.id.0), slot);
-                by_seq[class].insert(self.arena.seqs[slot as usize], slot);
+                by_seq[class].insert(slots[slot as usize].seq, slot);
             }
         }
         *self
@@ -451,30 +461,31 @@ impl ServiceQueue {
 
     /// Detaches a slot from every index and frees its arena storage.
     fn detach(&mut self, slot: u32) -> ServiceEntry {
-        let i = slot as usize;
-        let class = class_of(self.arena.priorities[i]);
+        let slots = &mut self.arena.slots;
+        let Slot {
+            entry: ServiceEntry { id, req, carts, .. },
+            seq,
+            prev,
+            next,
+        } = slots[slot as usize];
+        let class = class_of(req.priority);
         match &mut self.index {
-            ServiceIndex::Fifo { rings } => {
-                // Pops always take the front and sheds the back, so this
-                // linear fallback only runs for arbitrary removals (none on
-                // the serving path).
-                if rings[class].front() == Some(&slot) {
-                    rings[class].pop_front();
-                } else if rings[class].back() == Some(&slot) {
-                    rings[class].pop_back();
-                } else if let Some(pos) = rings[class].iter().position(|&s| s == slot) {
-                    rings[class].remove(pos);
+            ServiceIndex::Fifo { ends } => {
+                match prev {
+                    NIL => ends[class].0 = next,
+                    prev => slots[prev as usize].next = next,
+                }
+                match next {
+                    NIL => ends[class].1 = prev,
+                    next => slots[next as usize].prev = prev,
                 }
             }
             ServiceIndex::Sjf { by_size, by_seq } => {
-                by_size[class].remove(&(self.arena.carts[i], self.arena.ids[i].0));
-                by_seq[class].remove(&self.arena.seqs[i]);
+                by_size[class].remove(&(carts, id.0));
+                by_seq[class].remove(&seq);
             }
         }
-        if let Some(count) = self
-            .tenant_pending
-            .get_mut(u64::from(self.arena.tenants[i].0))
-        {
+        if let Some(count) = self.tenant_pending.get_mut(u64::from(req.tenant.0)) {
             *count = count.saturating_sub(1);
         }
         let entry = self.arena.remove(slot);
@@ -487,9 +498,7 @@ impl ServiceQueue {
     /// exactly the retired scan's winner.
     pub fn pop_next(&mut self) -> Option<ServiceEntry> {
         let slot = match &self.index {
-            ServiceIndex::Fifo { rings } => {
-                rings.iter().rev().find_map(|ring| ring.front().copied())?
-            }
+            ServiceIndex::Fifo { ends } => ends.iter().rev().map(|e| e.0).find(|&h| h != NIL)?,
             ServiceIndex::Sjf { by_size, .. } => by_size
                 .iter()
                 .rev()
@@ -503,16 +512,23 @@ impl ServiceQueue {
     /// than `incoming`.
     pub fn shed_victim(&mut self, incoming: Priority) -> Option<ServiceEntry> {
         let slot = match &self.index {
-            ServiceIndex::Fifo { rings } => rings.iter().find_map(|ring| ring.back().copied())?,
+            ServiceIndex::Fifo { ends } => ends.iter().map(|e| e.1).find(|&t| t != NIL)?,
             ServiceIndex::Sjf { by_seq, .. } => by_seq
                 .iter()
                 .find_map(|m| m.values().next_back().copied())?,
         };
-        if self.arena.priorities[slot as usize] < incoming {
+        if self.arena.slots[slot as usize].entry.req.priority < incoming {
             Some(self.detach(slot))
         } else {
             None
         }
+    }
+}
+
+// The arena's slots go back to this thread's pool, for the next queue.
+impl Drop for ServiceQueue {
+    fn drop(&mut self) {
+        recycle::give(&recycle::ARENAS, std::mem::take(&mut self.arena.slots));
     }
 }
 
@@ -749,7 +765,7 @@ mod tests {
         }
         let walk: Vec<u64> = table.iter().map(|(id, _)| id).collect();
         assert_eq!(walk, [0, 3, u64::from(u32::MAX), u64::MAX - 1, u64::MAX]);
-        let rows = table.into_rows();
+        let rows: Vec<u64> = table.into_values().collect();
         assert_eq!(rows, [1, 4, 296, 615, 617]);
     }
 

@@ -1,18 +1,16 @@
 //! A minimal wall-clock benchmark harness.
 //!
-//! Stands in for Criterion in the offline build: each `[[bench]]` target is
-//! a plain `fn main()` (`harness = false`) that calls [`bench_function`] for
-//! every case. The harness warms the case up over a short window (so
-//! calibration never hinges on one cold first call), picks an iteration
-//! count that fills a fixed measurement window, and measures in batches to
-//! report min/mean/p50/p95 per iteration. Results are also pushed to a
-//! process-wide collector ([`take_results`]) so the `report` binary can
-//! export them as machine-readable JSON.
+//! Stands in for Criterion in the offline build: the `report` binary's
+//! suite ([`crate::run_bench_suite`]) calls [`bench_function`] for every
+//! case. The harness warms the case up over a short window (so calibration
+//! never hinges on one cold first call), picks an iteration count that
+//! fills a fixed measurement window, and measures in batches to report
+//! min/mean/p50/p95 per iteration. Each call returns its [`CaseResult`],
+//! which the suite collects and `report` exports as machine-readable JSON.
 //!
 //! Setting `DHL_BENCH_FAST=1` shrinks both windows ~10× for CI smoke runs;
 //! the statistics get noisier but every case still executes.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How long each case is measured for (after warm-up).
@@ -50,20 +48,11 @@ pub struct CaseResult {
     pub p95_ns: f64,
 }
 
-static RESULTS: Mutex<Vec<CaseResult>> = Mutex::new(Vec::new());
-
 /// Whether `DHL_BENCH_FAST` is set (to anything but `0`): ~10× shorter
 /// warm-up and measurement windows for CI smoke runs.
 #[must_use]
 pub fn fast_mode() -> bool {
     std::env::var_os("DHL_BENCH_FAST").is_some_and(|v| v != "0")
-}
-
-/// Drains every [`CaseResult`] recorded by [`bench_function`] so far, in
-/// execution order.
-#[must_use]
-pub fn take_results() -> Vec<CaseResult> {
-    std::mem::take(&mut *RESULTS.lock().expect("results lock"))
 }
 
 /// Picks the iteration count that fills `window` given the warm-up's mean
@@ -90,8 +79,8 @@ fn percentile(samples: &mut [f64], q: f64) -> f64 {
     samples[rank]
 }
 
-/// Measures `f`'s wall-clock time, prints one summary line, and records a
-/// [`CaseResult`] in the process-wide collector.
+/// Measures `f`'s wall-clock time, prints one summary line, and returns the
+/// [`CaseResult`].
 ///
 /// Calibration runs the closure repeatedly for a short warm-up window (not
 /// a single cold first call, which over-estimated the per-call cost of
@@ -149,16 +138,14 @@ pub fn bench_function<T>(name: &str, mut f: impl FnMut() -> T) -> CaseResult {
         format_time(p95_ns * 1e-9),
     );
 
-    let result = CaseResult {
+    CaseResult {
         name: name.to_string(),
         iters,
         mean_ns,
         min_ns,
         p50_ns,
         p95_ns,
-    };
-    RESULTS.lock().expect("results lock").push(result.clone());
-    result
+    }
 }
 
 /// Renders a duration in the most readable unit.
@@ -185,9 +172,6 @@ mod tests {
         assert!(r.mean_ns > 0.0);
         assert!(r.min_ns <= r.p50_ns);
         assert!(r.p50_ns <= r.p95_ns);
-        // The collector saw the same case.
-        let collected = take_results();
-        assert!(collected.iter().any(|c| c == &r));
     }
 
     #[test]

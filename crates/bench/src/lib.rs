@@ -4,8 +4,10 @@
 //! Each `render_*` function recomputes one table or figure from the models
 //! and returns it as formatted text with the paper's reference values
 //! alongside, so `cargo run -p dhl-bench --bin report` regenerates the whole
-//! evaluation and the bench targets (one per table/figure, timed by
-//! [`harness`]) both measure and print them.
+//! evaluation. The same binary is the only benchmark runner:
+//! [`run_bench_suite`] times every renderer and the simulator, scheduler
+//! and metrics cases under [`harness`], and `report --check` gates them
+//! against a committed baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -598,7 +600,7 @@ pub fn all_reports() -> Vec<(&'static str, ReportFn)> {
 /// The derived events/sec rates are printed to stderr alongside the
 /// recorded ns/iter cases.
 #[must_use]
-pub fn events_per_sec_cases() -> Vec<report_file::BenchCase> {
+fn events_per_sec_cases() -> Vec<report_file::BenchCase> {
     use dhl_sim::engine::{EventQueue, ReferenceQueue};
     use dhl_units::Seconds;
     use report_file::BenchCase;
@@ -945,7 +947,7 @@ fn deadline_backlog_case() -> report_file::BenchCase {
 /// with the pending backlog — the regressions this family exists to catch.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
+fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
     use dhl_sched::admission::{AdmissionSpec, OverloadPolicy, RetryBudgetSpec, TenantId};
     use dhl_sched::placement::{DatasetId, Placement};
     use dhl_sched::reference_service::{ReferencePending, ReferenceServiceQueue};
@@ -1114,7 +1116,7 @@ pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
                     .with_tenant(TenantId(arrival.tenant)),
             );
         }
-        sched.run()
+        sched.try_run().expect("valid requests")
     };
     let report_rate = |case: &harness::CaseResult, arrivals: usize| {
         eprintln!(
@@ -1288,7 +1290,7 @@ pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
 /// catch.
 #[must_use]
 #[allow(clippy::too_many_lines)]
-pub fn record_throughput_cases() -> Vec<report_file::BenchCase> {
+fn record_throughput_cases() -> Vec<report_file::BenchCase> {
     use dhl_obs::reference_registry::ReferenceRegistry;
     use dhl_obs::MetricsRegistry;
     use dhl_sched::admission::{AdmissionSpec, OverloadPolicy, TenantId};
@@ -1597,7 +1599,12 @@ pub fn record_throughput_cases() -> Vec<report_file::BenchCase> {
                     .with_tenant(TenantId(arrival.tenant)),
             );
         }
-        sched.run().admission.expect("open loop").served
+        sched
+            .try_run()
+            .expect("valid requests")
+            .admission
+            .expect("open loop")
+            .served
     };
     let sched_on =
         harness::bench_function("obs/record_throughput/sched_open_loop_metrics_on", || {
@@ -1744,7 +1751,7 @@ pub fn run_bench_suite() -> Vec<report_file::BenchCase> {
             Priority::Urgent,
             Seconds::new(5.0),
         ));
-        sched.run()
+        sched.try_run().expect("valid requests")
     };
     let result =
         harness::bench_function("sched/multi_tenant_mix", || sched_run().makespan.seconds());
@@ -1793,7 +1800,7 @@ pub fn run_bench_suite() -> Vec<report_file::BenchCase> {
                 .with_tenant(TenantId(arrival.tenant)),
             );
         }
-        sched.run()
+        sched.try_run().expect("valid requests")
     };
     let result = harness::bench_function("sched/overload_sweep", || {
         overload_run()

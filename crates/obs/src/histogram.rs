@@ -151,19 +151,10 @@ impl Histogram {
         self.quantiles([q])[0]
     }
 
-    /// [`Histogram::quantile`] at each of the ascending `qs`, in one walk
-    /// over the buckets.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, if `qs` is not ascending: the walk resumes from the
-    /// previous quantile, so a smaller one listed later would resolve too high.
+    /// [`Histogram::quantile`] at each of `qs`, which may come in any
+    /// order; ascending `qs` share one walk over the buckets.
     #[must_use]
     pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
-        debug_assert!(
-            qs.is_sorted_by(|a, b| a <= b),
-            "quantiles {qs:?} are not ascending"
-        );
         Self::quantiles_in(
             self.counts.iter().enumerate().map(|(s, &c)| (s as u32, c)),
             self.count,
@@ -206,9 +197,10 @@ impl Histogram {
     /// Every quantile estimate's walk: the bucket where the `q`-th
     /// observation falls gives its geometric midpoint (or the observed
     /// extreme for underflow and overflow), clamped to `[min, max]`. Each
-    /// quantile resumes the walk where the one before it stopped.
+    /// quantile resumes the walk where the one before it stopped, or
+    /// restarts it when its rank is lower, so ascending `qs` cost one walk.
     fn quantiles_in<const N: usize>(
-        mut buckets: impl Iterator<Item = (u32, u64)>,
+        buckets: impl Iterator<Item = (u32, u64)> + Clone,
         count: u64,
         min: f64,
         max: f64,
@@ -218,22 +210,29 @@ impl Histogram {
             return [0.0; N];
         }
         let mut out = [max; N];
-        let (mut seen, mut slot) = (0, 0);
-        'walk: for (q, out) in qs.into_iter().zip(&mut out) {
+        let mut walk = buckets.clone();
+        let (mut seen, mut slot, mut last) = (0, 0, 0);
+        for (q, out) in qs.into_iter().zip(&mut out) {
             let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
+            if rank < last {
+                (walk, seen, slot) = (buckets.clone(), 0, 0);
+            }
+            last = rank;
             while seen < rank {
-                let Some((s, c)) = buckets.next() else {
-                    break 'walk;
+                let Some((s, c)) = walk.next() else {
+                    break;
                 };
                 (seen, slot) = (seen + c, s as usize);
             }
-            let estimate = match slot {
-                0 => min,
-                s if s == BUCKETS + 1 => max,
-                // Geometric midpoint of [lo, 2·lo).
-                s => Self::bucket_lower_bound(s - 1) * std::f64::consts::SQRT_2,
-            };
-            *out = estimate.clamp(min, max);
+            if seen >= rank {
+                let estimate = match slot {
+                    0 => min,
+                    s if s == BUCKETS + 1 => max,
+                    // Geometric midpoint of [lo, 2·lo).
+                    s => Self::bucket_lower_bound(s - 1) * std::f64::consts::SQRT_2,
+                };
+                *out = estimate.clamp(min, max);
+            }
         }
         out
     }

@@ -414,61 +414,33 @@ impl HistogramSummary {
         }
     }
 
-    /// Merges another summary of the same metric into this one: bucket-wise
-    /// count addition with the quantile estimates recomputed from the
-    /// combined buckets. The result equals summarising one histogram that
-    /// recorded both observation streams.
+    /// Merges another summary of the same metric into this one: both sides
+    /// are rebuilt as histograms, merged with [`Histogram::merge`] and
+    /// summarised again under this summary's name. The result equals
+    /// summarising one histogram that recorded both observation streams.
     pub fn merge(&mut self, other: &HistogramSummary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            let name = std::mem::take(&mut self.name);
-            *self = other.clone();
-            self.name = name;
-            return;
-        }
-        let mut buckets = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.buckets.len() || j < other.buckets.len() {
-            let next = match (self.buckets.get(i), other.buckets.get(j)) {
-                (Some(&(sa, ca)), Some(&(sb, cb))) => match sa.cmp(&sb) {
-                    std::cmp::Ordering::Less => {
-                        i += 1;
-                        (sa, ca)
-                    }
-                    std::cmp::Ordering::Greater => {
-                        j += 1;
-                        (sb, cb)
-                    }
-                    std::cmp::Ordering::Equal => {
-                        i += 1;
-                        j += 1;
-                        (sa, ca + cb)
-                    }
-                },
-                (Some(&(sa, ca)), None) => {
-                    i += 1;
-                    (sa, ca)
-                }
-                (None, Some(&(sb, cb))) => {
-                    j += 1;
-                    (sb, cb)
-                }
-                (None, None) => unreachable!(),
-            };
-            buckets.push(next);
-        }
-        self.buckets = buckets;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.mean = self.sum / self.count as f64;
-        self.p50 =
-            Histogram::quantile_from_buckets(&self.buckets, self.count, self.min, self.max, 0.50);
-        self.p95 =
-            Histogram::quantile_from_buckets(&self.buckets, self.count, self.min, self.max, 0.95);
+        let mut merged = self.histogram();
+        merged.merge(&other.histogram());
+        *self = Self::of(&self.name, &merged);
+    }
+
+    /// The histogram this summary was taken of. A summary clamps the `min`
+    /// and `max` of a histogram with no finite observation (empty, or only
+    /// `+∞`) to 0; they are restored to `±∞` so the merge does not take 0
+    /// for an observed value.
+    fn histogram(&self) -> Histogram {
+        // A finite observation lands below the overflow slot, or else sets
+        // `max` to at least the top of the regular range.
+        let overflow_only = self
+            .buckets
+            .iter()
+            .all(|&(s, _)| s as usize > histogram::BUCKETS);
+        let (min, max) = if overflow_only && self.max == 0.0 {
+            (f64::INFINITY, f64::NEG_INFINITY)
+        } else {
+            (self.min, self.max)
+        };
+        Histogram::from_parts(self.count, self.sum, min, max, &self.buckets)
     }
 }
 
@@ -507,23 +479,6 @@ impl SloSummary {
             p95,
             p99,
             max: h.max(),
-        }
-    }
-
-    /// Summarises a snapshot-time [`HistogramSummary`], re-estimating the
-    /// p99 from its carried buckets.
-    #[must_use]
-    pub fn of_summary(s: &HistogramSummary) -> Self {
-        if s.count == 0 {
-            return Self::default();
-        }
-        Self {
-            count: s.count,
-            mean: s.mean,
-            p50: s.p50,
-            p95: s.p95,
-            p99: Histogram::quantile_from_buckets(&s.buckets, s.count, s.min, s.max, 0.99),
-            max: s.max,
         }
     }
 }
@@ -1117,14 +1072,7 @@ mod tests {
         assert!(slo.p50 <= slo.p95 && slo.p95 <= slo.p99 && slo.p99 <= slo.max);
         // p99 must land in the tail, beyond the p95 estimate's bucket floor.
         assert!(slo.p99 >= 512.0, "{}", slo.p99);
-        // The summary-of-summary path agrees with the live-histogram path.
-        let via_summary = SloSummary::of_summary(&HistogramSummary::of("h", &h));
-        assert_eq!(slo, via_summary);
         // Empty distributions summarise to zeros.
         assert_eq!(SloSummary::of(&Histogram::new()), SloSummary::default());
-        assert_eq!(
-            SloSummary::of_summary(&HistogramSummary::of("e", &Histogram::new())),
-            SloSummary::default()
-        );
     }
 }

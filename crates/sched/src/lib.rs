@@ -18,9 +18,7 @@
 //! - [`admission`]: overload robustness for open-loop serving — bounded
 //!   admission queues, deadline-aware rejection, dock-saturation
 //!   backpressure, and per-tenant retry budgets with deterministic
-//!   exponential backoff;
-//! - [`evaluate`]: running alternative scheduling disciplines over the same
-//!   workload for side-by-side comparison.
+//!   exponential backoff.
 //!
 //! Two further modules back the serving hot path: [`service_queue`] (the
 //! indexed, arena-backed pending structure the scheduler serves from) and
@@ -42,7 +40,7 @@
 //!
 //! let mut sched = Scheduler::new(SimConfig::paper_default(), placement)?;
 //! sched.submit(TransferRequest::new(laion, 1, Priority::Normal, Seconds::ZERO));
-//! let outcome = sched.run();
+//! let outcome = sched.try_run()?;
 //! assert_eq!(outcome.completed.len(), 1);
 //! # Ok(())
 //! # }
@@ -53,7 +51,6 @@
 
 pub mod admission;
 pub mod availability;
-pub mod evaluate;
 pub(crate) mod metrics;
 pub mod placement;
 mod recycle;
@@ -66,7 +63,6 @@ pub use admission::{
     TenantSlo,
 };
 pub use availability::{AvailabilityTracker, DataState};
-pub use evaluate::{Scenario, ScenarioOutcome};
 pub use placement::{CartContents, DatasetId, ParityPlan, Placement};
 pub use reference_service::{ReferencePending, ReferenceServiceQueue};
 pub use scheduler::{

@@ -487,7 +487,7 @@ impl Scheduler {
     /// sanitised on installation ([`AdmissionSpec::sanitised`]). Without
     /// this call the same serve loop refuses nothing: every request is
     /// admitted up front and retries follow the awareness budgets (see
-    /// [`Scheduler::run`]).
+    /// [`Scheduler::try_run`]).
     #[must_use]
     pub fn with_admission(mut self, admission: AdmissionSpec) -> Self {
         self.admission = Some(admission.sanitised());
@@ -512,7 +512,7 @@ impl Scheduler {
         &self.placement
     }
 
-    /// The availability tracker, populated by [`Scheduler::run`].
+    /// The availability tracker, populated by [`Scheduler::try_run`].
     #[must_use]
     pub fn availability(&self) -> &AvailabilityTracker {
         &self.availability
@@ -585,15 +585,6 @@ impl Scheduler {
     /// [`FaultAwareness::downtime`] window
     /// ([`SchedulerError::InvalidDowntime`]); no movements are scheduled in
     /// that case.
-    pub fn run(&mut self) -> ScheduleOutcome {
-        self.try_run().expect("submitted requests were validated")
-    }
-
-    /// Like [`Scheduler::run`] but surfacing validation errors.
-    ///
-    /// # Errors
-    ///
-    /// See [`Scheduler::run`].
     pub fn try_run(&mut self) -> Result<ScheduleOutcome, SchedulerError> {
         match self.admission.clone() {
             Some(spec) => self.serve::<true>(&spec),
@@ -1220,7 +1211,7 @@ mod tests {
             Priority::Normal,
             Seconds::ZERO,
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         assert_eq!(out.completed.len(), 1);
         let r = &out.completed[0];
         assert_eq!(r.deliveries, 1);
@@ -1246,7 +1237,7 @@ mod tests {
             Priority::Urgent,
             Seconds::ZERO,
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let by_id: BTreeMap<RequestId, &RequestOutcome> =
             out.completed.iter().map(|o| (o.id, o)).collect();
         // The urgent single-cart request starts first and finishes first.
@@ -1269,7 +1260,7 @@ mod tests {
             Priority::Normal,
             Seconds::new(1.0),
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         assert_eq!(out.completed[0].id, first);
         assert_eq!(out.completed[1].id, second);
         // Second serialises behind the first on the track.
@@ -1285,7 +1276,7 @@ mod tests {
             Priority::Normal,
             Seconds::ZERO,
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         // 36 carts × (out + back) = 72 × 8.6 s on a serial track.
         assert!((out.makespan.seconds() - 72.0 * 8.6).abs() < 1.0);
         assert_eq!(out.completed[0].deliveries, 36);
@@ -1298,7 +1289,7 @@ mod tests {
             TransferRequest::new(small, 1, Priority::Normal, Seconds::ZERO)
                 .with_dwell(Seconds::new(100.0)),
         );
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let r = &out.completed[0];
         assert!((r.delivered.seconds() - 8.6).abs() < 1e-9);
         assert!((r.completed.seconds() - 117.2).abs() < 1e-9);
@@ -1489,7 +1480,7 @@ mod tests {
     #[test]
     fn empty_schedule_is_trivial() {
         let (mut sched, _, _) = setup();
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         assert!(out.completed.is_empty());
         assert_eq!(out.makespan, Seconds::ZERO);
         assert_eq!(out.track_utilisation, 0.0);
@@ -1504,7 +1495,7 @@ mod tests {
             Priority::Normal,
             Seconds::ZERO,
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let per_movement = out.total_energy.value() / 72.0;
         assert!((per_movement - 15_191.0).abs() < 100.0, "{per_movement}");
     }
@@ -1527,7 +1518,7 @@ mod tests {
             Priority::Normal,
             Seconds::ZERO,
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let r = &out.completed[0];
         assert!(
             (r.started.seconds() - 100.0).abs() < 1e-9,
@@ -1581,7 +1572,7 @@ mod tests {
         let clean_out = {
             let mut s = Scheduler::new(SimConfig::paper_default(), p.clone()).unwrap();
             s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-            s.run()
+            s.try_run().expect("valid requests")
         };
         let mut s = Scheduler::new(SimConfig::paper_default(), p)
             .unwrap()
@@ -1592,7 +1583,7 @@ mod tests {
                 downtime: Vec::new(),
             });
         s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-        let out = s.run();
+        let out = s.try_run().expect("valid requests");
         let r = &out.completed[0];
         assert!(r.redeliveries > 0, "40% loss over 36 carts");
         assert_eq!(r.abandoned, 0, "budget of 32 is effectively unbounded");
@@ -1623,7 +1614,7 @@ mod tests {
                     downtime: Vec::new(),
                 });
             s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-            s.run()
+            s.try_run().expect("valid requests")
         };
         let a = run(7);
         let b = run(7);
@@ -1643,7 +1634,7 @@ mod tests {
                 downtime: Vec::new(),
             });
         s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-        let out = s.run();
+        let out = s.try_run().expect("valid requests");
         let r = &out.completed[0];
         assert_eq!(r.deliveries, 0);
         assert_eq!(r.abandoned, 1);
@@ -1660,7 +1651,7 @@ mod tests {
             Priority::Normal,
             Seconds::ZERO,
         ));
-        let _ = sched.run();
+        let _ = sched.try_run().expect("valid requests");
         let tracker = sched.availability();
         use crate::availability::DataState;
         assert_eq!(
@@ -1702,7 +1693,7 @@ mod metrics_tests {
             Priority::Normal,
             Seconds::new(1.0),
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let m = &out.metrics;
         assert!(!m.is_empty());
         assert_eq!(m.counter("sched.requests"), Some(2));
@@ -1734,7 +1725,7 @@ mod metrics_tests {
             Priority::Normal,
             Seconds::ZERO,
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         assert_eq!(out.metrics.gauge("sched.track_downtime_s"), Some(100.0));
         let lat = out.metrics.histogram("sched.placement_latency_s").unwrap();
         assert!(
@@ -1756,7 +1747,7 @@ mod metrics_tests {
                 downtime: Vec::new(),
             });
         s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-        let out = s.run();
+        let out = s.try_run().expect("valid requests");
         let m = &out.metrics;
         assert_eq!(m.counter("sched.deliveries"), Some(0));
         assert_eq!(m.counter("sched.redeliveries"), Some(2));
@@ -1777,7 +1768,7 @@ mod metrics_tests {
             Priority::Normal,
             Seconds::ZERO,
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         assert!(out.metrics.is_empty());
         assert_eq!(out.completed.len(), 1, "scheduling itself is unaffected");
     }
@@ -1802,13 +1793,13 @@ mod integrity_tests {
         let clean = {
             let mut s = Scheduler::new(SimConfig::paper_default(), p.clone()).unwrap();
             s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-            s.run()
+            s.try_run().expect("valid requests")
         };
         let mut s = Scheduler::new(SimConfig::paper_default(), p)
             .unwrap()
             .with_integrity(IntegrityAwareness::verification_only(Seconds::new(50.0)));
         s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-        let out = s.run();
+        let out = s.try_run().expect("valid requests");
         let r = &out.completed[0];
         assert_eq!(r.deliveries, 36);
         assert_eq!(r.reshipments, 0);
@@ -1836,7 +1827,7 @@ mod integrity_tests {
                 seed: 9,
             });
         s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-        let out = s.run();
+        let out = s.try_run().expect("valid requests");
         let r = &out.completed[0];
         assert!(r.reshipments > 0, "40% rejection over 36 carts");
         assert_eq!(r.abandoned, 0, "budget of 32 is effectively unbounded");
@@ -1876,7 +1867,7 @@ mod integrity_tests {
                     seed,
                 });
             s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-            s.run()
+            s.try_run().expect("valid requests")
         };
         let a = go(1);
         let b = go(1);
@@ -1905,7 +1896,7 @@ mod integrity_tests {
                 seed: 1,
             });
         s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-        let out = s.run();
+        let out = s.try_run().expect("valid requests");
         let r = &out.completed[0];
         assert_eq!(r.deliveries, 0);
         assert_eq!(r.abandoned, 1);
@@ -1991,7 +1982,7 @@ mod dock_recovery_tests {
             .unwrap()
             .with_dock_recovery(always_crash(Seconds::new(30.0)));
         s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-        let out = s.run();
+        let out = s.try_run().expect("valid requests");
         let r = &out.completed[0];
         assert_eq!(r.dock_crashes, 1);
         assert_eq!(r.deliveries, 1, "a crash delays, it does not lose data");
@@ -2023,13 +2014,13 @@ mod dock_recovery_tests {
                     seed: 3,
                 });
             s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-            s.run()
+            s.try_run().expect("valid requests")
         };
         assert_eq!(go(1.0), go(1.0));
         let clean = {
             let mut s = Scheduler::new(SimConfig::paper_default(), p.clone()).unwrap();
             s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-            s.run()
+            s.try_run().expect("valid requests")
         };
         let zero = go(0.0);
         assert_eq!(zero, clean, "zero hazard must not perturb the schedule");
@@ -2049,7 +2040,7 @@ mod dock_recovery_tests {
                 .unwrap()
                 .with_dock_recovery(DockRecoveryAwareness::from_spec(&spec, payload, 17));
             s.submit(TransferRequest::new(ds, 1, Priority::Normal, Seconds::ZERO));
-            s.run()
+            s.try_run().expect("valid requests")
         };
         let replay = go(DockControllerFaultSpec::journal_replay());
         let rescan = go(DockControllerFaultSpec::rebuild_from_scan());
@@ -2067,6 +2058,57 @@ mod dock_recovery_tests {
             rescan.metrics.gauge("sched.dock_downtime_s").unwrap()
                 > replay.metrics.gauge("sched.dock_downtime_s").unwrap()
         );
+    }
+
+    #[test]
+    fn awareness_layers_delay_a_mixed_workload_without_dropping_it() {
+        // Two datasets (37 carts), the urgent one arriving 5 s late, run
+        // under each awareness layer against its plain schedule.
+        let mut p = Placement::new(Bytes::from_terabytes(256.0));
+        let laion = p.store(datasets::laion_5b());
+        let crawl = p.store(datasets::common_crawl());
+        let mix = |policy: Policy| {
+            let mut s = Scheduler::new(SimConfig::paper_default(), p.clone())
+                .unwrap()
+                .with_policy(policy);
+            s.submit(TransferRequest::new(
+                crawl,
+                1,
+                Priority::Normal,
+                Seconds::ZERO,
+            ));
+            s.submit(TransferRequest::new(
+                laion,
+                1,
+                Priority::Urgent,
+                Seconds::new(5.0),
+            ));
+            s
+        };
+        let run = |mut s: Scheduler| {
+            let out = s.try_run().expect("valid requests");
+            assert_eq!(out.completed.len(), 2);
+            out
+        };
+        let dock = |mut spec: DockControllerFaultSpec| {
+            spec.crash_probability_per_docking = 0.5;
+            DockRecoveryAwareness::from_spec(&spec, Bytes::from_terabytes(256.0), 21)
+        };
+        let verify = IntegrityAwareness::verification_only(Seconds::new(3.0));
+        let sjf = run(mix(Policy::ShortestJobFirst));
+        let sjf_verify = run(mix(Policy::ShortestJobFirst).with_integrity(verify));
+        assert!(sjf_verify.makespan > sjf.makespan);
+
+        let fifo = run(mix(Policy::PriorityFifo));
+        let replay = run(mix(Policy::PriorityFifo)
+            .with_dock_recovery(dock(DockControllerFaultSpec::journal_replay())));
+        let rescan = run(mix(Policy::PriorityFifo)
+            .with_dock_recovery(dock(DockControllerFaultSpec::rebuild_from_scan())));
+        let crashes = |o: &ScheduleOutcome| o.completed.iter().map(|r| r.dock_crashes).sum::<u64>();
+        assert_eq!(crashes(&replay), crashes(&rescan));
+        assert!(crashes(&replay) > 0, "50% hazard over 37 dockings");
+        assert!(replay.makespan > fifo.makespan);
+        assert!(rescan.makespan > replay.makespan);
     }
 }
 
@@ -2116,8 +2158,8 @@ mod policy_tests {
     fn sjf_cuts_mean_latency_without_changing_makespan() {
         let (mut fifo, _) = build(Policy::PriorityFifo);
         let (mut sjf, _) = build(Policy::ShortestJobFirst);
-        let out_fifo = fifo.run();
-        let out_sjf = sjf.run();
+        let out_fifo = fifo.try_run().expect("valid requests");
+        let out_sjf = sjf.try_run().expect("valid requests");
         assert!(
             mean_delivery(&out_sjf) < mean_delivery(&out_fifo) / 2.0,
             "sjf {} vs fifo {}",
@@ -2132,7 +2174,7 @@ mod policy_tests {
     #[test]
     fn sjf_runs_small_jobs_first() {
         let (mut sjf, ids) = build(Policy::ShortestJobFirst);
-        let out = sjf.run();
+        let out = sjf.try_run().expect("valid requests");
         let big = out.completed.iter().find(|o| o.id == ids[0]).unwrap();
         for small_id in &ids[1..] {
             let small = out.completed.iter().find(|o| o.id == *small_id).unwrap();
@@ -2160,7 +2202,7 @@ mod policy_tests {
             Priority::Urgent,
             Seconds::ZERO,
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let urgent = out.completed.iter().find(|o| o.id == b).unwrap();
         let tiny = out.completed.iter().find(|o| o.id == t).unwrap();
         assert!(urgent.started < tiny.started);
@@ -2207,7 +2249,7 @@ mod admission_tests {
                     .with_tenant(TenantId(i % 2)),
             );
         }
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let report = out.admission.as_ref().expect("open-loop report");
         assert_eq!(report.offered, 4);
         assert_eq!(report.admitted, 4);
@@ -2231,7 +2273,11 @@ mod admission_tests {
                     .with_tenant(TenantId(tenant)),
             );
         }
-        let report = sched.run().admission.expect("open-loop report");
+        let report = sched
+            .try_run()
+            .expect("valid requests")
+            .admission
+            .expect("open-loop report");
         let rows: Vec<(TenantId, u64)> = report
             .tenants
             .iter()
@@ -2259,7 +2305,7 @@ mod admission_tests {
                 Seconds::ZERO,
             ));
         }
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let report = out.admission.as_ref().unwrap();
         assert_eq!(report.offered, 6);
         assert_eq!(report.rejected_queue_full, 4);
@@ -2289,7 +2335,7 @@ mod admission_tests {
             Priority::Urgent,
             Seconds::ZERO,
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let report = out.admission.as_ref().unwrap();
         assert_eq!(report.shed, 1);
         assert_eq!(report.shed_ids, vec![bg]);
@@ -2313,7 +2359,7 @@ mod admission_tests {
             TransferRequest::new(small, 1, Priority::Normal, Seconds::ZERO)
                 .with_deadline(Seconds::new(60.0)),
         );
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let report = out.admission.as_ref().unwrap();
         assert_eq!(report.rejected_deadline, 1);
         assert_eq!(report.admitted, 1);
@@ -2336,7 +2382,7 @@ mod admission_tests {
             TransferRequest::new(small, 1, Priority::Urgent, Seconds::ZERO)
                 .with_deadline(Seconds::new(1.0)),
         );
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let report = out.admission.as_ref().unwrap();
         assert_eq!(report.rejected_deadline, 0);
         assert_eq!(report.degraded, 1);
@@ -2370,7 +2416,7 @@ mod admission_tests {
             Priority::Normal,
             Seconds::ZERO,
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let report = out.admission.as_ref().unwrap();
         // Every attempt is lost; the single tenant held one retry token, so
         // exactly one retry fires in total and every shard is abandoned. The
@@ -2400,7 +2446,7 @@ mod admission_tests {
             Priority::Normal,
             Seconds::ZERO,
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let r = &out.completed[0];
         // Attempt 1 is home at 17.2 s; the retry may not depart before
         // 17.2 s + the 50 s backoff, so it can't be home before 84.4 s.
@@ -2417,7 +2463,7 @@ mod admission_tests {
             Priority::Normal,
             Seconds::ZERO,
         ));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         assert!(out.admission.is_none());
     }
 }

@@ -6,7 +6,6 @@ use dhl_rng::check::forall;
 use dhl_sched::admission::{
     retry_backoff, AdmissionSpec, OverloadPolicy, RetryBudgetSpec, TenantId,
 };
-use dhl_sched::evaluate::{evaluate, Scenario};
 use dhl_sched::placement::Placement;
 use dhl_sched::scheduler::{FaultAwareness, Priority, RequestId, Scheduler, TransferRequest};
 use dhl_sim::{ArrivalGenerator, ArrivalSpec, SimConfig};
@@ -55,7 +54,7 @@ fn goodput_at(rate: f64, seed: u64, spec: &AdmissionSpec) -> f64 {
     for r in requests {
         sched.submit(r);
     }
-    let out = sched.run();
+    let out = sched.try_run().expect("valid requests");
     out.admission.unwrap().goodput_bytes_per_s
 }
 
@@ -118,7 +117,7 @@ fn retry_backoff_is_deterministic_across_runs() {
             assert!(a.seconds() <= retry.backoff_cap.seconds() * (1.0 + retry.jitter_fraction));
         }
 
-        // The same open-loop scenario, evaluated twice, produces
+        // The same open-loop scheduler, built and run twice, produces
         // byte-identical outcomes (including admission reports).
         let mut placement = Placement::new(Bytes::from_terabytes(256.0));
         let requests = poisson_workload(&mut placement, 24, g.f64_in(0.02, 0.3), seed);
@@ -134,14 +133,17 @@ fn retry_backoff_is_deterministic_across_runs() {
             seed: seed ^ 1,
             downtime: Vec::new(),
         };
-        let scenarios = || {
-            vec![Scenario::new("open-loop", dhl_sched::Policy::PriorityFifo)
+        let run = || {
+            let mut sched = Scheduler::new(SimConfig::paper_default(), placement.clone())
+                .unwrap()
                 .with_faults(faults.clone())
-                .with_admission(spec.clone())]
+                .with_admission(spec.clone());
+            for r in &requests {
+                sched.submit(*r);
+            }
+            sched.try_run().expect("valid requests")
         };
-        let cfg = SimConfig::paper_default();
-        let first = evaluate(&cfg, &placement, &requests, scenarios()).unwrap();
-        let second = evaluate(&cfg, &placement, &requests, scenarios()).unwrap();
+        let (first, second) = (run(), run());
         assert_eq!(first, second);
     });
 }
@@ -216,7 +218,7 @@ fn disabled_admission_is_bit_identical_to_closed_loop() {
                     }
                     sched.submit(req);
                 }
-                sched.run()
+                sched.try_run().expect("valid requests")
             };
             let plain = build(false);
             let tagged = build(true);

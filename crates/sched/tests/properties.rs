@@ -70,7 +70,7 @@ fn schedule_serialises_without_overlap() {
                 Seconds::ZERO,
             ));
         }
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         assert_eq!(out.completed.len(), ids.len());
         // Total track time equals movements × trip time (serial track, no
         // dwell): utilisation is 100 % and makespan = Σ movements × 8.6 s.
@@ -96,7 +96,7 @@ fn priorities_always_finish_urgent_first() {
             Seconds::ZERO,
         ));
         let uid = sched.submit(TransferRequest::new(u, 1, Priority::Urgent, Seconds::ZERO));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let pos = |id| out.completed.iter().position(|o| o.id == id).unwrap();
         assert!(out.completed[pos(uid)].started <= out.completed[pos(bid)].started);
     });
@@ -112,7 +112,7 @@ fn makespan_is_at_least_the_largest_request() {
         for id in ids {
             sched.submit(TransferRequest::new(id, 1, Priority::Normal, Seconds::ZERO));
         }
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let max_single = sizes
             .iter()
             .map(|&tb| Bytes::from_terabytes(tb).div_ceil(Bytes::from_terabytes(256.0)))
@@ -130,7 +130,7 @@ fn transit_time_is_bounded_by_makespan() {
         let id = p.store(dataset(tb));
         let mut sched = Scheduler::new(SimConfig::paper_default(), p).unwrap();
         sched.submit(TransferRequest::new(id, 1, Priority::Normal, Seconds::ZERO));
-        let out = sched.run();
+        let out = sched.try_run().expect("valid requests");
         let transit = sched.availability().total_transit_time(id);
         assert!(transit.seconds() <= out.makespan.seconds() + 1e-6);
         assert!(transit.seconds() > 0.0);
@@ -159,7 +159,7 @@ fn lossy_schedules_never_lose_deliveries_within_budget() {
                     downtime: Vec::new(),
                 });
             sched.submit(TransferRequest::new(id, 1, Priority::Normal, Seconds::ZERO));
-            let out = sched.run();
+            let out = sched.try_run().expect("valid requests");
             let o = &out.completed[0];
             assert_eq!(o.abandoned, 0);
             let shards = Bytes::from_terabytes(tb).div_ceil(Bytes::from_terabytes(256.0));

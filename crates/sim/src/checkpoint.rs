@@ -1166,6 +1166,36 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_limit_is_refused_before_any_event() {
+        let cfg = SimConfig::paper_default();
+        let nan = Seconds::new(f64::NAN);
+        let mut fresh = DhlSystem::new(cfg.clone()).expect("valid config");
+        fresh
+            .begin_bulk_transfer(Bytes::from_petabytes(PB2))
+            .expect("begin");
+        let before = fresh.checkpoint();
+        let err = fresh.run_until(nan).expect_err("NaN limit");
+        assert!(matches!(err, SimError::InvalidLimit(l) if l.seconds().is_nan()));
+        assert_eq!(
+            fresh.checkpoint().events_processed(),
+            before.events_processed()
+        );
+
+        let _ = fresh.run_until(Seconds::new(100.0)).expect("run");
+        let cp = fresh.checkpoint();
+        let mut resumed = DhlSystem::resume(cfg, &cp).expect("resume");
+        let err = resumed.run_until(nan).expect_err("NaN limit");
+        assert!(matches!(err, SimError::InvalidLimit(_)));
+        assert_eq!(resumed.now(), cp.time());
+        assert_eq!(
+            resumed.checkpoint().events_processed(),
+            cp.events_processed()
+        );
+        // The refusal leaves the run intact: it still drains to completion.
+        assert!(resumed.run_until(Seconds::new(f64::INFINITY)).expect("run"));
+    }
+
+    #[test]
     fn disabled_metrics_and_trace_stay_disabled_across_resume() {
         let cfg = SimConfig::paper_default();
         let mut sys = DhlSystem::new(cfg.clone()).expect("valid config");

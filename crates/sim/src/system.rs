@@ -256,6 +256,9 @@ pub enum SimError {
         /// What is wrong with it.
         reason: String,
     },
+    /// [`DhlSystem::run_until`] was given a NaN limit, which no event time
+    /// can be compared against.
+    InvalidLimit(Seconds),
     /// A replica crashed more times than its recovery budget allows.
     RestartBudgetExhausted {
         /// Index of the replica that kept crashing.
@@ -305,6 +308,7 @@ impl core::fmt::Display for SimError {
             Self::InvalidCheckpointState { field, reason } => {
                 write!(f, "checkpoint field `{field}` is invalid: {reason}")
             }
+            Self::InvalidLimit(limit) => write!(f, "run limit {limit} is not a number"),
             Self::RestartBudgetExhausted { replica, restarts } => {
                 write!(
                     f,
@@ -1375,11 +1379,16 @@ impl DhlSystem {
     ///
     /// # Errors
     ///
+    /// - [`SimError::InvalidLimit`] if `limit` is NaN, before any event is
+    ///   processed;
     /// - [`SimError::DeliveryAbandoned`] if a shard exhausted its attempts;
     /// - [`SimError::EventBudgetExhausted`] if the simulation fails to
     ///   converge (defensive bound; does not occur for valid
     ///   configurations).
     pub fn run_until(&mut self, limit: Seconds) -> Result<bool, SimError> {
+        if limit.seconds().is_nan() {
+            return Err(SimError::InvalidLimit(limit));
+        }
         loop {
             // One queue scan per event: `pop_at_or_before` folds the peek
             // and the pop together.

@@ -16,9 +16,8 @@
 //! - `DHL_CRASH_AUDIT_JSON=<path>` writes the deterministic portion of the
 //!   audit (outcome plus counters, no wall-clock gauges) as JSON.
 
-use datacentre_hyperloop::sched::evaluate::evaluate;
 use datacentre_hyperloop::sched::{
-    DockRecoveryAwareness, Placement, Policy, Priority, Scenario, TransferRequest,
+    DockRecoveryAwareness, Placement, Priority, Scheduler, TransferRequest,
 };
 use datacentre_hyperloop::sim::{
     run_replicas, Checkpoint, CrashInjection, DhlSystem, DockControllerFaultSpec, FaultSpec,
@@ -154,7 +153,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 5. The same comparison at the scheduling layer: per-policy
-    // availability impact on a mixed workload, run side by side via evaluate.
+    // availability impact on a mixed workload, one scheduler per policy.
     let mut placement = Placement::new(Bytes::from_terabytes(256.0));
     let laion = placement.store(datasets::laion_5b());
     let crawl = placement.store(datasets::common_crawl());
@@ -169,28 +168,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         DockRecoveryAwareness::from_spec(&hazardous, Bytes::from_terabytes(256.0), 21)
     };
-    let scenarios = vec![
-        Scenario::new("crash-free", Policy::PriorityFifo),
-        Scenario::new("journal-replay", Policy::PriorityFifo)
-            .with_dock_recovery(awareness(DockControllerFaultSpec::journal_replay())),
-        Scenario::new("rebuild-from-scan", Policy::PriorityFifo)
-            .with_dock_recovery(awareness(DockControllerFaultSpec::rebuild_from_scan())),
-    ];
-    let outcomes = evaluate(
-        &SimConfig::paper_default(),
-        &placement,
-        &requests,
-        scenarios,
-    )?;
     println!("\nScheduler-level availability impact (37 dockings, same crash draws):");
-    for o in &outcomes {
-        let crashes: u64 = o.outcome.completed.iter().map(|r| r.dock_crashes).sum();
+    for (label, recovery) in [
+        ("crash-free", None),
+        (
+            "journal-replay",
+            Some(awareness(DockControllerFaultSpec::journal_replay())),
+        ),
+        (
+            "rebuild-from-scan",
+            Some(awareness(DockControllerFaultSpec::rebuild_from_scan())),
+        ),
+    ] {
+        let mut sched = Scheduler::new(SimConfig::paper_default(), placement.clone())?;
+        if let Some(recovery) = recovery {
+            sched = sched.with_dock_recovery(recovery);
+        }
+        for request in &requests {
+            sched.submit(*request);
+        }
+        let outcome = sched.try_run()?;
+        let crashes: u64 = outcome.completed.iter().map(|r| r.dock_crashes).sum();
         println!(
             "  {:>17}: makespan {:>9.1} s, {} crashes, {:>8.1} s of dock downtime",
-            o.label,
-            o.outcome.makespan.seconds(),
+            label,
+            outcome.makespan.seconds(),
             crashes,
-            o.outcome
+            outcome
                 .metrics
                 .gauge("sched.dock_downtime_s")
                 .unwrap_or(0.0)

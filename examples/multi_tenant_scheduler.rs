@@ -6,7 +6,6 @@
 //! cargo run --example multi_tenant_scheduler
 //! ```
 
-use datacentre_hyperloop::sched::evaluate::{evaluate, Scenario};
 use datacentre_hyperloop::sched::placement::Placement;
 use datacentre_hyperloop::sched::scheduler::{
     IntegrityAwareness, Policy, Priority, Scheduler, TransferRequest,
@@ -57,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ];
 
-    let outcome = sched.run();
+    let outcome = sched.try_run()?;
     println!(
         "{:<24} {:>10} {:>12} {:>12} {:>10}",
         "request", "carts", "delivered s", "done s", "energy kJ"
@@ -84,41 +83,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.total_energy.megajoules()
     );
 
-    // What if the operator had picked a different discipline? Evaluate the
-    // same workload under every candidate policy side by side; the
-    // outcomes come back in scenario order.
+    // What if the operator had picked a different discipline? Run the
+    // same workload under every candidate policy, one scheduler each.
     let mut placement = Placement::new(Bytes::from_terabytes(256.0));
     let training = placement.store(datasets::laion_5b());
     let analytics = placement.store(datasets::common_crawl());
     let backup = placement.store(datasets::genomics_17pb());
-    let requests = vec![
+    let requests = [
         TransferRequest::new(backup, 1, Priority::Background, Seconds::ZERO),
         TransferRequest::new(analytics, 1, Priority::Normal, Seconds::ZERO)
             .with_dwell(Seconds::new(30.0)),
         TransferRequest::new(training, 1, Priority::Urgent, Seconds::new(5.0)),
     ];
-    let scenarios = vec![
-        Scenario::new("priority FIFO", Policy::PriorityFifo),
-        Scenario::new("shortest job first", Policy::ShortestJobFirst),
-        Scenario::new("FIFO + verify-on-dock", Policy::PriorityFifo)
-            .with_integrity(IntegrityAwareness::verification_only(Seconds::new(3.0))),
-    ];
     println!(
         "\n{:<24} {:>12} {:>12} {:>12}",
         "policy", "makespan s", "util %", "energy MJ"
     );
-    for s in evaluate(
-        &SimConfig::paper_default(),
-        &placement,
-        &requests,
-        scenarios,
-    )? {
+    let verify = IntegrityAwareness::verification_only(Seconds::new(3.0));
+    for (label, policy, integrity) in [
+        ("priority FIFO", Policy::PriorityFifo, None),
+        ("shortest job first", Policy::ShortestJobFirst, None),
+        ("FIFO + verify-on-dock", Policy::PriorityFifo, Some(verify)),
+    ] {
+        let mut candidate =
+            Scheduler::new(SimConfig::paper_default(), placement.clone())?.with_policy(policy);
+        if let Some(integrity) = integrity {
+            candidate = candidate.with_integrity(integrity);
+        }
+        for request in requests {
+            candidate.submit(request);
+        }
+        let outcome = candidate.try_run()?;
         println!(
             "{:<24} {:>12.0} {:>12.0} {:>12.2}",
-            s.label,
-            s.outcome.makespan.seconds(),
-            s.outcome.track_utilisation * 100.0,
-            s.outcome.total_energy.megajoules()
+            label,
+            outcome.makespan.seconds(),
+            outcome.track_utilisation * 100.0,
+            outcome.total_energy.megajoules()
         );
     }
 

@@ -105,7 +105,7 @@ fn run_workload(
         }
         sched.submit(req);
     }
-    let out = sched.run();
+    let out = sched.try_run()?;
     let report = out.admission.expect("open-loop run carries a report");
     let tenants: Vec<TenantRow> = report
         .tenants

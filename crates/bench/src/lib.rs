@@ -579,12 +579,9 @@ pub fn all_reports() -> Vec<(&'static str, ReportFn)> {
 /// Five workload shapes:
 ///
 /// - **queue churn** — a classic hold model (constant events in flight,
-///   every operation pops the head and schedules a replacement) on the
-///   calendar [`dhl_sim::engine::EventQueue`], isolating the queue from
-///   the rest of the simulator. The identical workload also runs on the
-///   retired `BinaryHeap`-backed [`dhl_sim::engine::ReferenceQueue`], so
-///   the speedup is measured live on every run rather than claimed from a
-///   historical baseline;
+///   every operation pops the head and schedules a replacement) on
+///   [`dhl_sim::engine::EventQueue`], isolating the queue from the rest of
+///   the simulator;
 /// - **steady state** — a full 2 PB bulk-transfer mission;
 /// - **checkpoint heavy** — the same mission interrupted every 60
 ///   simulated seconds by a checkpoint → JSON → parse → resume round trip;
@@ -601,15 +598,16 @@ pub fn all_reports() -> Vec<(&'static str, ReportFn)> {
 /// recorded ns/iter cases.
 #[must_use]
 fn events_per_sec_cases() -> Vec<report_file::BenchCase> {
-    use dhl_sim::engine::{EventQueue, ReferenceQueue};
+    use dhl_sim::engine::EventQueue;
     use dhl_units::Seconds;
     use report_file::BenchCase;
 
-    // Held-in-flight event count for the churn cases: deep enough that
-    // the reference heap's O(log n) sift chases dependent loads through
-    // cache- and TLB-missing levels — the regime the calendar queue's
-    // O(1) buckets are built for. Fast mode holds a shallower backlog so
-    // CI smoke runs spend their time measuring, not seeding.
+    // Held-in-flight event count for the churn case: far deeper than any
+    // simulation gets (the DES holds at most a few dozen pending events),
+    // so the heap's O(log n) sift chases cache- and TLB-missing levels and
+    // the case bounds the queue's worst-case cost. Fast mode holds a
+    // shallower backlog so CI smoke runs spend their time measuring, not
+    // seeding.
     let pending: u32 = if harness::fast_mode() {
         1_048_576
     } else {
@@ -636,31 +634,9 @@ fn events_per_sec_cases() -> Vec<report_file::BenchCase> {
         id
     });
     cases.push(BenchCase {
-        result: churn.clone(),
+        result: churn,
         metrics: None,
     });
-
-    let mut r: ReferenceQueue<u32> = ReferenceQueue::new();
-    let mut seed = 0x9e37_79b9_7f4a_7c15u64;
-    for i in 0..pending {
-        r.schedule(Seconds::new(lcg_delay(&mut seed)), i);
-    }
-    let reference = harness::bench_function("sim/events_per_sec/queue_churn_reference", || {
-        let (_, id) = r.pop().expect("hold model never drains");
-        r.schedule(Seconds::new(lcg_delay(&mut seed)), id);
-        id
-    });
-    cases.push(BenchCase {
-        result: reference.clone(),
-        metrics: None,
-    });
-    eprintln!(
-        "sim/events_per_sec: calendar queue {:.1} ns/event ({:.2}M ev/s) vs reference heap {:.1} ns/event — {:.2}x on queue churn",
-        churn.mean_ns,
-        1e3 / churn.mean_ns,
-        reference.mean_ns,
-        reference.mean_ns / churn.mean_ns
-    );
 
     let steady_events = DhlSystem::new(SimConfig::paper_default())
         .expect("valid paper config")

@@ -14,8 +14,7 @@
 //!   on every run instead of claiming it from a historical number.
 //!
 //! Nothing in the serving path calls this module; it exists for tests and
-//! benches only, mirroring how `dhl-sim`'s `ReferenceQueue` pins the
-//! retired `BinaryHeap` event queue.
+//! benches only.
 
 use crate::scheduler::{Policy, Priority, RequestId, TransferRequest};
 

@@ -13,7 +13,7 @@ use dhl_obs::{Histogram, MetricsRegistry, MetricsSnapshot, SloSummary, Stopwatch
 use dhl_rng::{DeterministicRng, Rng};
 use serde::{Deserialize, Serialize};
 
-use dhl_sim::{ConfigError, DockControllerFaultSpec, DockRecoveryPolicy, EndpointKind, SimConfig};
+use dhl_sim::{ConfigError, DockControllerFaultSpec, EndpointKind, SimConfig};
 use dhl_units::{Bytes, Joules, Seconds};
 
 use crate::admission::{
@@ -207,19 +207,13 @@ pub struct DockRecoveryAwareness {
 impl DockRecoveryAwareness {
     /// Derives the scheduler-level awareness from the simulator's fault
     /// spec, resolving the policy's recovery latency for carts carrying
-    /// `payload_per_cart` bytes: journal replay is payload-independent,
-    /// rebuild-from-scan re-reads the whole docked payload.
+    /// `payload_per_cart` bytes with the DES's own
+    /// [`DockControllerFaultSpec::recovery_time`].
     #[must_use]
     pub fn from_spec(spec: &DockControllerFaultSpec, payload_per_cart: Bytes, seed: u64) -> Self {
-        let recovery_time = match spec.recovery {
-            DockRecoveryPolicy::JournalReplay => spec.journal_replay_time,
-            DockRecoveryPolicy::RebuildFromScan => Seconds::new(
-                payload_per_cart.as_f64() / spec.rebuild_scan_bandwidth_bytes_per_second,
-            ),
-        };
         Self {
             crash_probability_per_docking: spec.crash_probability_per_docking,
-            recovery_time,
+            recovery_time: spec.recovery_time(payload_per_cart),
             seed,
         }
     }

@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 use dhl_obs::json::{JsonError, Kind, Reader};
 use dhl_obs::{Histogram, MetricsRegistry, Stopwatch};
 use dhl_rng::DeterministicRng;
-use dhl_storage::{CartWear, DockingConnector};
+use dhl_storage::{fnv1a_64, CartWear, DockingConnector};
 use dhl_units::{Bytes, Joules, Seconds};
 
 use crate::arena::CartArena;
@@ -62,13 +62,7 @@ const FORMAT_VERSION: u64 = 2;
 /// simulator reads, since they all appear in `Debug` output.
 #[must_use]
 pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
-    let repr = format!("{cfg:?}");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in repr.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a_64(format!("{cfg:?}").as_bytes())
 }
 
 /// Portable per-cart state. Connector and wear objects are reduced to the

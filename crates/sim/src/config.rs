@@ -261,6 +261,19 @@ impl DockControllerFaultSpec {
             ..Self::journal_replay()
         }
     }
+
+    /// The recovery latency one crash charges while a cart carrying
+    /// `payload` is docked: journal replay is payload-independent,
+    /// rebuild-from-scan re-reads the whole docked payload.
+    #[must_use]
+    pub fn recovery_time(&self, payload: Bytes) -> Seconds {
+        match self.recovery {
+            DockRecoveryPolicy::JournalReplay => self.journal_replay_time,
+            DockRecoveryPolicy::RebuildFromScan => {
+                Seconds::new(payload.as_f64() / self.rebuild_scan_bandwidth_bytes_per_second)
+            }
+        }
+    }
 }
 
 /// Fault injection and recovery policy for the system simulator.

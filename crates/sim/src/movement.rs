@@ -80,52 +80,15 @@ impl MovementCost {
     }
 }
 
-impl MovementCost {
-    /// Batch-evaluates the trapezoidal kinematics for a set of hop
-    /// distances under one speed cap, computing each *distinct* trapezoid
-    /// exactly once and fanning the result out. Bit-identical to calling
-    /// [`MovementCost::for_distance_limited`] per element — the batching
-    /// only amortizes the evaluation, it never changes the arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// As [`MovementCost::for_distance_limited`], per element.
-    #[must_use]
-    pub fn for_distances_limited(
-        cfg: &SimConfig,
-        distances: &[Metres],
-        speed_cap: MetresPerSecond,
-    ) -> Vec<Self> {
-        let mut distinct: Vec<(f64, Self)> = Vec::new();
-        distances
-            .iter()
-            .map(|&d| {
-                match distinct
-                    .iter()
-                    .find(|(seen, _)| *seen == d.value())
-                    .map(|&(_, cost)| cost)
-                {
-                    Some(cost) => cost,
-                    None => {
-                        let cost = Self::for_distance_limited(cfg, d, speed_cap);
-                        distinct.push((d.value(), cost));
-                        cost
-                    }
-                }
-            })
-            .collect()
-    }
-}
-
 /// Precomputed per-hop movement costs for every ordered endpoint pair —
-/// the batched-kinematics table the simulator's hot path reads instead of
-/// re-running the trapezoid per event.
+/// the table the simulator's hot path reads instead of re-running the
+/// trapezoid per event.
 ///
 /// Two tiers mirror the two speeds a launch can happen at: `full` (the
 /// configured maximum) and `degraded` (the repressurisation cap, present
-/// only when that fault is configured). Both are evaluated in one batched
-/// pass at construction via [`MovementCost::for_distances_limited`], so
-/// enabling the table cannot perturb a single bit of the physics.
+/// only when that fault is configured). Each entry is one
+/// [`MovementCost::for_distance_limited`] call, so the table cannot
+/// perturb a single bit of the physics.
 #[derive(Clone, Debug)]
 pub(crate) struct MovementTable {
     /// Endpoint count; costs are indexed `from * n + to`.
@@ -143,32 +106,22 @@ impl MovementTable {
     #[must_use]
     pub(crate) fn build(cfg: &SimConfig, degraded_cap: Option<MetresPerSecond>) -> Self {
         let n = cfg.endpoints.len();
-        let mut pairs = Vec::with_capacity(n * n - n);
-        for from in 0..n {
-            for to in 0..n {
-                if from != to {
-                    pairs.push((cfg.endpoints[to].position - cfg.endpoints[from].position).abs());
-                }
-            }
-        }
-        let fan_out = |costs: Vec<MovementCost>| {
-            let mut table = Vec::with_capacity(n * n);
-            let mut it = costs.into_iter();
-            for from in 0..n {
-                for to in 0..n {
-                    table.push((from != to).then(|| it.next().expect("one cost per pair")));
-                }
-            }
-            table
+        let tier = |cap: MetresPerSecond| -> Vec<Option<MovementCost>> {
+            (0..n * n)
+                .map(|i| {
+                    let (from, to) = (i / n, i % n);
+                    (from != to).then(|| {
+                        let d = (cfg.endpoints[to].position - cfg.endpoints[from].position).abs();
+                        MovementCost::for_distance_limited(cfg, d, cap)
+                    })
+                })
+                .collect()
         };
-        let full = fan_out(MovementCost::for_distances_limited(
-            cfg,
-            &pairs,
-            cfg.max_speed,
-        ));
-        let degraded =
-            degraded_cap.map(|cap| fan_out(MovementCost::for_distances_limited(cfg, &pairs, cap)));
-        Self { n, full, degraded }
+        Self {
+            n,
+            full: tier(cfg.max_speed),
+            degraded: degraded_cap.map(tier),
+        }
     }
 
     /// Full-speed cost of the `from → to` hop.
@@ -271,21 +224,6 @@ mod tests {
             Metres::new(500.0),
             MetresPerSecond::ZERO,
         );
-    }
-
-    #[test]
-    fn batched_evaluation_is_bit_identical_to_per_call() {
-        let cfg = SimConfig::paper_default();
-        let distances = [
-            Metres::new(500.0),
-            Metres::new(10.0),
-            Metres::new(500.0), // duplicate: served from the distinct set
-            Metres::new(1234.5),
-        ];
-        let batched = MovementCost::for_distances_limited(&cfg, &distances, cfg.max_speed);
-        for (d, cost) in distances.iter().zip(&batched) {
-            assert_eq!(*cost, MovementCost::for_distance(&cfg, *d));
-        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use dhl_units::{Bytes, Joules, Seconds, Watts};
 
 use crate::arena::CartArena;
 use crate::backlog::Backlog;
-use crate::config::{ConfigError, DockRecoveryPolicy, EndpointKind, ProcessingModel, SimConfig};
+use crate::config::{ConfigError, EndpointKind, ProcessingModel, SimConfig};
 use crate::engine::EventQueue;
 use crate::metrics::SimMetrics;
 use crate::movement::{MovementCost, MovementTable};
@@ -957,12 +957,7 @@ impl DhlSystem {
         if !rng.random_bool(spec.crash_probability_per_docking) {
             return None;
         }
-        let downtime = match spec.recovery {
-            DockRecoveryPolicy::JournalReplay => spec.journal_replay_time,
-            DockRecoveryPolicy::RebuildFromScan => {
-                Seconds::new(m.payload.as_f64() / spec.rebuild_scan_bandwidth_bytes_per_second)
-            }
-        };
+        let downtime = spec.recovery_time(m.payload);
         self.counters.dock_crashes += 1;
         self.counters.dock_recovery_time_s += downtime.seconds();
         self.counters.dock_downtime[m.to] += downtime.seconds();
@@ -1390,7 +1385,7 @@ impl DhlSystem {
             return Err(SimError::InvalidLimit(limit));
         }
         loop {
-            // One queue scan per event: `pop_at_or_before` folds the peek
+            // One queue look per event: `pop_at_or_before` folds the peek
             // and the pop together.
             let Some((_, ev)) = self.queue.pop_at_or_before(limit) else {
                 return Ok(self.queue.is_empty());

@@ -34,6 +34,7 @@
 //! via an FNV-1a fingerprint over the configuration's debug form.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use dhl_obs::json::{JsonError, Kind, Reader};
 use dhl_obs::{Histogram, MetricsRegistry, Stopwatch};
@@ -177,7 +178,9 @@ impl DhlSystem {
     #[must_use]
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
-            fingerprint: config_fingerprint(&self.cfg),
+            fingerprint: *self
+                .fingerprint
+                .get_or_init(|| config_fingerprint(&self.cfg)),
             now: self.queue.now().seconds(),
             next_seq: self.queue.next_seq(),
             events_processed: self.queue.events_processed(),
@@ -273,7 +276,8 @@ impl DhlSystem {
     ///   wear is beyond its rating, which no run can reach.
     /// - [`SimError::InvalidCheckpointState`] if the dock table, the track
     ///   list, a pending launch, the per-endpoint dock downtime or the
-    ///   presence of an RNG stream does not fit the configuration.
+    ///   presence of an RNG stream does not fit the configuration, or the
+    ///   event or sequence counters cannot count on from where they stand.
     /// - [`SimError::UnknownMetric`] if the checkpoint carries a metric the
     ///   simulator does not record.
     pub fn resume(cfg: SimConfig, cp: &Checkpoint) -> Result<Self, SimError> {
@@ -285,6 +289,7 @@ impl DhlSystem {
                 actual,
             });
         }
+        sys.fingerprint = OnceLock::from(actual);
         sys.queue = EventQueue::from_entries(
             Seconds::new(cp.now),
             cp.next_seq,
@@ -390,6 +395,25 @@ impl DhlSystem {
 fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
     let invalid =
         |field: String, reason: String| Err(SimError::InvalidCheckpointState { field, reason });
+    // The engine counts on from these, and numbered every pending event
+    // below `next_seq`.
+    for (field, value, limit) in [
+        ("next_seq", cp.next_seq, u64::MAX - 1),
+        ("events_processed", cp.events_processed, u64::MAX - 1),
+        (
+            "events_at_mission_start",
+            cp.events_at_mission_start,
+            cp.events_processed,
+        ),
+    ] {
+        if value > limit {
+            return invalid(field.into(), format!("{value} is above {limit}"));
+        }
+    }
+    if let Some(i) = cp.queue.iter().position(|e| e.1 >= cp.next_seq) {
+        let reason = format!("{} is not below next_seq {}", cp.queue[i].1, cp.next_seq);
+        return invalid(format!("queue[{i}].seq"), reason);
+    }
     let endpoints = sys.cfg.endpoints.len();
     if cp.dock_used.len() != endpoints {
         return invalid(
@@ -1372,6 +1396,79 @@ mod tests {
         cp.tracks.pop();
         let err = DhlSystem::resume(dual, &cp).expect_err("one track for two");
         assert!(err.to_string().contains("`tracks`"), "{err}");
+    }
+
+    #[test]
+    fn resume_refuses_counters_that_cannot_count_on() {
+        // At `u64::MAX` the counters overflowed: a panic in a debug build, a
+        // silent wrap in a release build. The other edits break the
+        // engine's numbering.
+        let cfg = SimConfig::paper_default();
+        let mut sys = DhlSystem::new(cfg.clone()).expect("valid config");
+        sys.begin_bulk_transfer(Bytes::from_petabytes(PB2))
+            .expect("begin");
+        let _ = sys.run_until(Seconds::new(30.0)).expect("run");
+        let cp = sys.checkpoint();
+        let text = cp.to_json();
+        let (time, seq, _) = cp.queue[0];
+        let (max, next) = (u64::MAX, cp.next_seq);
+        let field = |name: &str, value: u64| format!("\"{name}\":{value}");
+        let edits = [
+            (
+                "queue[0].seq",
+                format!("[{time},{seq},"),
+                format!("[{time},{max},"),
+            ),
+            (
+                "queue[0].seq",
+                format!("[{time},{seq},"),
+                format!("[{time},{next},"),
+            ),
+            ("next_seq", field("next_seq", next), field("next_seq", max)),
+            (
+                "events_processed",
+                field("events_processed", cp.events_processed),
+                field("events_processed", max),
+            ),
+            (
+                "events_at_mission_start",
+                field("events_at_mission_start", cp.events_at_mission_start),
+                field("events_at_mission_start", cp.events_processed + 1),
+            ),
+        ];
+        for (name, from, to) in edits {
+            assert_eq!(text.matches(&from).count(), 1, "{from} occurs once");
+            let edited = Checkpoint::from_json(&text.replace(&from, &to)).expect("well-formed");
+            match DhlSystem::resume(cfg.clone(), &edited) {
+                Err(SimError::InvalidCheckpointState { field, .. }) => assert_eq!(field, name),
+                other => panic!("{to}: expected InvalidCheckpointState, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_resumed_system_captures_what_the_original_did() {
+        let cfg = faulty_config();
+        let mut sys = DhlSystem::new(cfg.clone()).expect("valid config");
+        sys.begin_bulk_transfer(Bytes::from_petabytes(PB2))
+            .expect("begin");
+        let _ = sys.run_until(Seconds::new(100.0)).expect("run");
+        let cp = sys.checkpoint();
+        assert_eq!(
+            sys.checkpoint(),
+            cp,
+            "a second capture reads the cached fingerprint"
+        );
+        let resumed = DhlSystem::resume(cfg, &cp).expect("resume");
+        assert_eq!(resumed.checkpoint(), cp);
+        let mismatched = SimConfig {
+            dock_time: sys.config().dock_time + Seconds::new(1.0),
+            ..faulty_config()
+        };
+        assert!(matches!(
+            DhlSystem::resume(mismatched, &resumed.checkpoint()),
+            Err(SimError::CheckpointMismatch { .. })
+        ));
     }
 
     fn m2_connector_config() -> SimConfig {

@@ -21,25 +21,32 @@
 //! assert_eq!(order, vec![(1.0, Ev::Ping), (2.0, Ev::Pong)]);
 //! ```
 //!
-//! # Implementation: one binary heap
+//! # Implementation: a sorted run, or a heap when deep
 //!
-//! Pending events are `(time, seq, event)` slots in a
-//! [`BinaryHeap`], earliest first. `seq` is the insertion counter, so
-//! `(time, seq)` is a total order: equal times pop first-in first-out,
-//! and the pop order is a function of the schedule calls alone.
+//! Pending events are `(time, seq, event)` slots. `seq` is the insertion
+//! counter, so `(time, seq)` is a total order: equal times pop first-in
+//! first-out, and the pop order is a function of the schedule calls alone.
 //! Checkpoints ([`EventQueue::pending_entries`] /
 //! [`EventQueue::from_entries`]) carry that sorted logical view, never the
-//! heap's layout, so a restored queue has an identical future.
+//! storage layout, so a restored queue has an identical future.
 //!
-//! A heap suits the traffic the simulator makes. The deepest pending set
-//! over a whole perfbench run is 9 events on `clean`, 25 on `faulty` and
-//! 10 on `large`, so a pop is a handful of compares.
+//! Up to [`RUN_MAX`] slots sit in a `Vec` sorted latest-first: a pop is
+//! `Vec::pop`, and a push scans back from the earliest end and inserts. No
+//! perfbench run holds more than 25 (9 on `clean`, 25 on `faulty`, 10 on
+//! `large`), so the simulator stays in this form. A deeper queue moves to a
+//! [`BinaryHeap`] and back once a pop leaves [`HEAP_MIN`]; the gap keeps a
+//! queue near the limit from converting on every push.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use dhl_units::Seconds;
+
+/// The form limits: a run holds at most `RUN_MAX` slots, and a heap popped
+/// down to `HEAP_MIN` turns back into a run.
+const RUN_MAX: usize = 64;
+const HEAP_MIN: usize = 16;
 
 /// A pending event: fires at `time`, FIFO within equal times.
 struct Slot<E> {
@@ -78,6 +85,9 @@ impl<E> Ord for Slot<E> {
 /// The clock only moves forward: popping an event advances `now` to the
 /// event's timestamp. Scheduling into the past is rejected.
 pub struct EventQueue<E> {
+    /// The slots sorted latest-first, or empty while `heap` holds them.
+    run: Vec<Slot<E>>,
+    /// The slots of a deep queue, or empty.
     heap: BinaryHeap<Slot<E>>,
     now: f64,
     seq: u64,
@@ -98,6 +108,7 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> Self {
         Self {
+            run: Vec::new(),
             heap: BinaryHeap::new(),
             now: 0.0,
             seq: 0,
@@ -128,13 +139,13 @@ impl<E> EventQueue<E> {
     /// Number of events still pending.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// Whether no events remain.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.pending() == 0
     }
 
     /// Schedules whose NaN/negative/past timestamps were clamped to `now`
@@ -176,15 +187,20 @@ impl<E> EventQueue<E> {
     /// A non-finite or past `at` is a caller bug: it is clamped to the
     /// current time and counted (see [`EventQueue::schedule`]).
     pub fn schedule_at(&mut self, at: Seconds, event: E) {
-        let time = if at.is_finite() && at.seconds() > self.now {
-            at.seconds()
-        } else {
-            if !(at.is_finite() && at.seconds() == self.now) {
-                self.clamped += 1; // NaN, ±∞, and past times
-            }
-            self.now
-        };
+        let time = self.clamp(at);
         self.push(time, event);
+    }
+
+    /// `at`, or `now` if `at` is not a finite time from `now` on, counting
+    /// the clamp unless `at` was `now` itself.
+    fn clamp(&mut self, at: Seconds) -> f64 {
+        if at.is_finite() && at.seconds() > self.now {
+            return at.seconds();
+        }
+        if !(at.is_finite() && at.seconds() == self.now) {
+            self.clamped += 1; // NaN, ±∞, and past times
+        }
+        self.now
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
@@ -197,20 +213,26 @@ impl<E> EventQueue<E> {
     /// is empty *or* the next event lies beyond `limit` — one peek either
     /// way, where a peek-then-pop pair would look twice.
     pub fn pop_at_or_before(&mut self, limit: Seconds) -> Option<(Seconds, E)> {
-        let head = self.heap.peek_mut()?;
-        if head.time > limit.seconds() {
-            return None;
-        }
-        let slot = PeekMut::pop(head);
+        let due = |slot: &Slot<E>| slot.time <= limit.seconds();
+        let slot = if self.heap.is_empty() {
+            self.run.pop_if(|slot| due(slot))?
+        } else {
+            let slot = PeekMut::pop(self.heap.peek_mut().filter(|head| due(head))?);
+            if self.heap.len() <= HEAP_MIN {
+                self.switch_to_run();
+            }
+            slot
+        };
         self.now = slot.time;
-        self.processed += 1;
+        self.processed = self.processed.saturating_add(1);
         Some((Seconds::new(slot.time), slot.event))
     }
 
     /// Peeks at the next event time without popping.
     #[must_use]
     pub fn next_time(&self) -> Option<Seconds> {
-        self.heap.peek().map(|slot| Seconds::new(slot.time))
+        let head = self.run.last().or(self.heap.peek());
+        head.map(|slot| Seconds::new(slot.time))
     }
 
     /// The pending entries as `(time, seq, event)` in deterministic pop
@@ -220,8 +242,8 @@ impl<E> EventQueue<E> {
     /// a queue with an identical future.
     #[must_use]
     pub fn pending_entries(&self) -> Vec<(Seconds, u64, &E)> {
-        let mut slots: Vec<&Slot<E>> = self.heap.iter().collect();
-        // `Slot` orders latest-first for the max-heap; reverse it back.
+        let mut slots: Vec<&Slot<E>> = self.run.iter().chain(&self.heap).collect();
+        // `Slot` orders latest-first; reverse it back.
         slots.sort_by(|a, b| b.cmp(a));
         slots
             .into_iter()
@@ -255,34 +277,50 @@ impl<E> EventQueue<E> {
         queue.now = now_s;
         queue.seq = seq;
         queue.processed = processed;
-        let mut slots = Vec::new();
         for (time, entry_seq, event) in entries {
-            let time_s = if time.is_finite() && time.seconds() > now_s {
-                time.seconds()
-            } else {
-                if !(time.is_finite() && time.seconds() == now_s) {
-                    queue.clamped += 1;
-                }
-                now_s
-            };
-            slots.push(Slot {
-                time: time_s,
+            let time = queue.clamp(time);
+            queue.run.push(Slot {
+                time,
                 seq: entry_seq,
                 event,
             });
-            queue.seq = queue.seq.max(entry_seq + 1);
+            queue.seq = queue.seq.max(entry_seq.saturating_add(1));
         }
-        queue.heap = BinaryHeap::from(slots);
+        queue.run.sort_unstable();
+        if queue.run.len() > RUN_MAX {
+            queue.switch_to_heap();
+        }
         queue
     }
 
     fn push(&mut self, time: f64, event: E) {
-        self.heap.push(Slot {
+        let slot = Slot {
             time,
             seq: self.seq,
             event,
-        });
-        self.seq += 1;
+        };
+        self.seq = self.seq.saturating_add(1);
+        if self.heap.is_empty() {
+            // The new slot has the largest `seq`, so it pops after every
+            // slot at its time.
+            let before = self.run.iter().rev().take_while(|s| s.time <= time).count();
+            self.run.insert(self.run.len() - before, slot);
+            if self.run.len() > RUN_MAX {
+                self.switch_to_heap();
+            }
+        } else {
+            self.heap.push(slot);
+        }
+    }
+
+    #[cold]
+    fn switch_to_heap(&mut self) {
+        self.heap = BinaryHeap::from(std::mem::take(&mut self.run));
+    }
+
+    #[cold]
+    fn switch_to_run(&mut self) {
+        self.run = std::mem::take(&mut self.heap).into_sorted_vec();
     }
 }
 
@@ -485,11 +523,71 @@ mod tests {
     }
 
     #[test]
+    fn counters_at_the_top_of_their_range_saturate() {
+        let mut q = EventQueue::from_entries(
+            Seconds::ZERO,
+            0,
+            u64::MAX,
+            vec![(Seconds::new(1.0), u64::MAX, 'a')],
+        );
+        assert_eq!(q.next_seq(), u64::MAX);
+        assert_eq!(q.pop(), Some((Seconds::new(1.0), 'a')));
+        assert_eq!(q.events_processed(), u64::MAX);
+        q.schedule(Seconds::ZERO, 'b');
+        assert_eq!(q.next_seq(), u64::MAX);
+    }
+
+    #[test]
     fn set_clamped_restores_checkpointed_count() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert_eq!(q.clamped(), 0);
         q.set_clamped(7);
         assert_eq!(q.clamped(), 7);
+    }
+
+    #[test]
+    fn forms_switch_at_the_limits_only() {
+        let mut q = EventQueue::new();
+        for i in 0..RUN_MAX {
+            q.schedule(Seconds::new(i as f64), i);
+        }
+        assert!(q.heap.is_empty(), "a run holds up to RUN_MAX");
+        q.schedule(Seconds::ZERO, RUN_MAX);
+        assert!(q.run.is_empty(), "one more makes a heap");
+        while q.pending() > HEAP_MIN + 1 {
+            q.pop();
+        }
+        q.schedule(Seconds::ZERO, 0);
+        q.pop();
+        assert!(q.run.is_empty(), "a heap above HEAP_MIN stays one");
+        q.pop();
+        assert!(q.heap.is_empty(), "a pop down to HEAP_MIN makes a run");
+        assert_eq!(q.pending(), HEAP_MIN);
+    }
+
+    #[test]
+    fn pending_entries_read_the_same_from_a_run_and_a_heap() {
+        // Dense ties, so the order rests on `seq` as much as on `time`.
+        let mut heap = EventQueue::new();
+        for i in 0..=RUN_MAX {
+            heap.schedule(Seconds::new((i % 5) as f64), i);
+        }
+        heap.pop();
+        assert!(heap.run.is_empty());
+        let entries: Vec<(Seconds, u64, usize)> = heap
+            .pending_entries()
+            .into_iter()
+            .map(|(t, s, &e)| (t, s, e))
+            .collect();
+        let mut run = EventQueue::from_entries(heap.now(), heap.next_seq(), 1, entries.clone());
+        assert!(run.heap.is_empty());
+        assert!(run
+            .pending_entries()
+            .into_iter()
+            .map(|(t, s, &e)| (t, s, e))
+            .eq(entries.iter().copied()));
+        let drain = |q: &mut EventQueue<usize>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        assert_eq!(drain(&mut run), drain(&mut heap));
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! (see the `backlog` module and `DhlSystem::try_launch` for the exact rule).
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use dhl_obs::{MetricsRegistry, Stopwatch};
 use dhl_rng::{DeterministicRng, Rng};
@@ -362,6 +363,10 @@ fn cfg_reliability_rng(cfg: &SimConfig) -> Option<DeterministicRng> {
 /// ```
 pub struct DhlSystem {
     pub(crate) cfg: SimConfig,
+    /// `config_fingerprint(&cfg)`, computed by the first checkpoint (or
+    /// verified by resume), since formatting the configuration dominates a
+    /// capture.
+    pub(crate) fingerprint: OnceLock<u64>,
     pub(crate) queue: EventQueue<Ev>,
     /// The cart fleet in struct-of-arrays layout (see [`crate::arena`]).
     pub(crate) carts: CartArena,
@@ -485,6 +490,7 @@ impl DhlSystem {
             run_watch: None,
             metrics,
             handles,
+            fingerprint: OnceLock::new(),
         };
         sys.index_docks();
         Ok(sys)

@@ -145,7 +145,8 @@ impl Histogram {
 
     /// Estimated quantile `q` in `[0, 1]`: the geometric midpoint of the
     /// bucket holding the `q`-th observation, clamped to the observed
-    /// `[min, max]`. Returns 0 when empty.
+    /// `[min, max]`. Returns 0 when empty, and `+∞` when every observation
+    /// was infinite.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
         self.quantiles([q])[0]
@@ -208,6 +209,13 @@ impl Histogram {
     ) -> [f64; N] {
         if count == 0 {
             return [0.0; N];
+        }
+        // Only infinities: all in the overflow slot, with no finite maximum.
+        let overflow_only = buckets
+            .clone()
+            .all(|(s, c)| c == 0 || s as usize == BUCKETS + 1);
+        if max == 0.0 && overflow_only {
+            return [f64::INFINITY; N];
         }
         let mut out = [max; N];
         let mut walk = buckets.clone();

@@ -7,6 +7,9 @@
 //!   peeks at the next value's kind, then reads a scalar, steps through an
 //!   object's keys or an array's items, or skips the value. Strings without
 //!   escapes are borrowed, so a read allocates only what the caller keeps.
+//!   A caller that knows which key comes next matches it as one literal
+//!   ([`Reader::next_key_is`]). The per-token readers are `#[inline]` and
+//!   build their errors out of line, so they inline into a caller's loop.
 //! - **The DOM:** [`parse`] builds a [`JsonValue`] tree over a [`Reader`],
 //!   for tools that want random access (the bench regression checker).
 //!
@@ -292,7 +295,9 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn err(&self, message: &str) -> JsonError {
+    // Built out of line, so that the token readers inline into callers.
+    #[cold]
+    fn err(&self, message: impl core::fmt::Display) -> JsonError {
         JsonError {
             offset: self.pos,
             message: message.to_string(),
@@ -309,25 +314,28 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         self.skip_ws();
         if self.byte() != Some(b) {
-            return Err(self.err(&format!("expected '{}'", b as char)));
+            return Err(self.err(format_args!("expected '{}'", char::from(b))));
         }
         self.pos += 1;
         Ok(())
     }
 
+    #[inline]
     fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
         self.skip_ws();
         if !self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
-            return Err(self.err(&format!("expected '{lit}'")));
+            return Err(self.err(format_args!("expected '{lit}'")));
         }
         self.pos += lit.len();
         Ok(())
     }
 
     /// The kind of the next value.
+    #[inline]
     pub fn peek(&mut self) -> Result<Kind, JsonError> {
         self.skip_ws();
         match self.byte() {
@@ -342,11 +350,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `null`.
+    #[inline]
     pub fn null(&mut self) -> Result<(), JsonError> {
         self.literal("null")
     }
 
     /// Reads `true` or `false`.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, JsonError> {
         self.skip_ws();
         let value = self.byte() == Some(b't');
@@ -355,29 +365,45 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a number. A plain digit string that fits `u64` stays exact,
-    /// since `f64` rounds above 2^53 and would corrupt `u64` counters; any
-    /// other number goes through `str::parse::<f64>`.
+    /// since `f64` rounds above 2^53 and would corrupt `u64` counters; it
+    /// is accumulated while it is scanned. Any other number goes through
+    /// `str::parse::<f64>`.
+    #[inline]
     pub fn number(&mut self) -> Result<Number, JsonError> {
         self.skip_ws();
         let start = self.pos;
-        while matches!(
-            self.byte(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        let mut exact = Some(0u64);
+        while let Some(digit @ b'0'..=b'9') = self.byte() {
+            exact = exact.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(digit - b'0')));
             self.pos += 1;
         }
-        let text = &self.text[start..self.pos];
-        if text.bytes().all(|b| b.is_ascii_digit()) {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Number::UInt(n));
-            }
+        match exact {
+            Some(n) if self.pos > start && !self.float_continues() => Ok(Number::UInt(n)),
+            _ => self.float(start),
         }
-        text.parse::<f64>()
+    }
+
+    fn float_continues(&self) -> bool {
+        matches!(
+            self.byte(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        )
+    }
+
+    /// Reads the number that starts at `start` as an `f64`.
+    #[inline(never)]
+    fn float(&mut self, start: usize) -> Result<Number, JsonError> {
+        while self.float_continues() {
+            self.pos += 1;
+        }
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Number::Float)
             .map_err(|_| self.err("invalid number"))
     }
 
     /// Reads a string, borrowed from the input when it has no escapes.
+    #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let mut owned: Option<String> = None;
@@ -444,7 +470,7 @@ impl<'a> Reader<'a> {
     fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
         self.skip_ws();
         if self.depth == MAX_DEPTH && self.byte() == Some(bracket) {
-            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+            return Err(self.err(format_args!("nesting deeper than {MAX_DEPTH} levels")));
         }
         self.expect(bracket)?;
         self.depth += 1;
@@ -454,6 +480,7 @@ impl<'a> Reader<'a> {
 
     /// Whether the open container ends here with `close`; if not, steps
     /// over the comma before its next member (none before the first).
+    #[inline]
     fn closes(&mut self, close: u8, message: &str) -> Result<bool, JsonError> {
         self.skip_ws();
         let first = std::mem::take(&mut self.opened);
@@ -478,6 +505,7 @@ impl<'a> Reader<'a> {
 
     /// The next member's key, with its `:` consumed so that the value
     /// comes next; `None` once the object has closed.
+    #[inline]
     pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
         if self.closes(b'}', "expected ',' or '}' in object")? {
             return Ok(None);
@@ -487,12 +515,32 @@ impl<'a> Reader<'a> {
         Ok(Some(key))
     }
 
+    /// Steps over the next member's key and colon if they are written
+    /// exactly as `literal` (such as `"\"cart\":"`), and says whether it
+    /// did. Otherwise nothing is consumed, and [`Reader::next_key`] reads
+    /// the member as it would have.
+    #[inline]
+    pub fn next_key_is(&mut self, literal: &str) -> bool {
+        let mut ahead = *self;
+        if ahead.closes(b'}', "") != Ok(false) {
+            return false;
+        }
+        ahead.skip_ws();
+        let found = self.text.as_bytes()[ahead.pos..].starts_with(literal.as_bytes());
+        if found {
+            *self = ahead;
+            self.pos += literal.len();
+        }
+        found
+    }
+
     /// Opens an array; step through its items with [`Reader::next_item`].
     pub fn begin_array(&mut self) -> Result<(), JsonError> {
         self.open(b'[')
     }
 
     /// Whether another item comes next; `false` once the array has closed.
+    #[inline]
     pub fn next_item(&mut self) -> Result<bool, JsonError> {
         Ok(!self.closes(b']', "expected ',' or ']' in array")?)
     }

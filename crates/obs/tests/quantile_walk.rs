@@ -3,7 +3,8 @@
 //! a separate walk per quantile. The reference below is that per-quantile
 //! walk, written against the public bucket view: the `q`-th observation's
 //! rank, then the geometric midpoint of its bucket (or the observed extreme
-//! for underflow and overflow), clamped to the observed range.
+//! for underflow and overflow), clamped to the observed range; `+∞` when
+//! every observation was infinite.
 
 use dhl_obs::histogram::{BUCKETS, MIN_EXP};
 use dhl_obs::{Histogram, SloSummary};
@@ -12,6 +13,9 @@ use dhl_rng::{DeterministicRng, Rng};
 fn reference(h: &Histogram, q: f64) -> f64 {
     if h.count() == 0 {
         return 0.0;
+    }
+    if h.sparse_buckets() == [(BUCKETS as u32 + 1, h.count())] && h.max() == 0.0 {
+        return f64::INFINITY;
     }
     let rank = ((q.clamp(0.0, 1.0) * h.count() as f64).ceil() as u64).max(1);
     let mut seen = 0;
@@ -109,6 +113,21 @@ fn one_walk_matches_a_walk_per_quantile() {
         }
         assert_agrees(&h, &mut rng, &format!("mixed round {round}"));
     }
+}
+
+#[test]
+fn infinite_observations_alone_give_infinite_quantiles() {
+    let mut h = Histogram::new();
+    for _ in 0..3 {
+        h.record(f64::INFINITY);
+    }
+    assert_eq!(h.quantiles([0.0, 0.5, 0.95, 1.0]), [f64::INFINITY; 4]);
+    let slo = SloSummary::of(&h);
+    assert_eq!([slo.p50, slo.p95, slo.p99], [f64::INFINITY; 3]);
+    assert_eq!((slo.max, h.min()), (0.0, 0.0));
+    // One finite observation makes the overflow slot read as the maximum.
+    h.record(2.0);
+    assert_eq!(h.quantiles([0.0, 0.95]), [2.0, 2.0]);
 }
 
 #[test]

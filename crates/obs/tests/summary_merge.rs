@@ -56,6 +56,24 @@ fn bits(s: &HistogramSummary) -> (&str, u64, [u64; 6], &[(u32, u64)]) {
 }
 
 #[test]
+fn infinite_only_summaries_merge_to_infinite_quantiles() {
+    let mut inf = Histogram::new();
+    inf.record(f64::INFINITY);
+    let mut merged = HistogramSummary::of("lhs", &inf);
+    assert_eq!((merged.p50, merged.p95), (f64::INFINITY, f64::INFINITY));
+    merged.merge(&HistogramSummary::of("rhs", &inf));
+    assert_eq!(
+        (merged.count, merged.p50, merged.p95),
+        (2, f64::INFINITY, f64::INFINITY)
+    );
+    assert_eq!((merged.min, merged.max), (0.0, 0.0));
+    let mut finite = Histogram::new();
+    finite.record(3.0);
+    merged.merge(&HistogramSummary::of("rhs", &finite));
+    assert_eq!((merged.min, merged.max, merged.p50), (3.0, 3.0, 3.0));
+}
+
+#[test]
 fn summary_merge_equals_merging_the_live_histograms() {
     let mut rng = DeterministicRng::seed_from_u64(0x4d45_5247);
     for pair in 0..PAIRS {

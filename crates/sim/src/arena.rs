@@ -22,10 +22,10 @@ use crate::system::{ActiveMovement, CartLocation, PendingVerify};
 
 /// The cart fleet in struct-of-arrays layout. Every column has one entry
 /// per cart; index `i` across columns is cart `i`.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Debug)]
 pub(crate) struct CartArena {
-    /// Written only through [`CartArena::set_location`] and
-    /// [`CartArena::push_cart`], which keep `at_library` in step.
+    /// Written only through [`CartArena::set_location`], which keeps
+    /// `at_library` in step.
     pub(crate) locations: Vec<CartLocation>,
     /// Carts whose location is `Docked(0)`.
     at_library: usize,
@@ -82,29 +82,6 @@ impl CartArena {
     pub(crate) fn all_at_library(&self) -> bool {
         self.at_library == self.locations.len()
     }
-
-    /// Appends one cart's state (checkpoint restore path, starting from
-    /// an empty arena).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_cart(
-        &mut self,
-        location: CartLocation,
-        movement: Option<ActiveMovement>,
-        trips: u64,
-        connector: Option<DockingConnector>,
-        wear: Option<CartWear>,
-        matings: u32,
-        verify: Option<PendingVerify>,
-    ) {
-        self.at_library += usize::from(location == CartLocation::Docked(0));
-        self.locations.push(location);
-        self.movements.push(movement);
-        self.trips.push(trips);
-        self.connectors.push(connector);
-        self.wear.push(wear);
-        self.matings.push(matings);
-        self.verify.push(verify);
-    }
 }
 
 #[cfg(test)]
@@ -135,11 +112,9 @@ mod tests {
         arena.set_location(1, CartLocation::Docked(0));
         assert!(arena.all_at_library());
 
-        // A rebuild recounts from the restored locations.
-        arena = CartArena::default();
-        for location in [CartLocation::Docked(0), CartLocation::Docked(2)] {
-            arena.push_cart(location, None, 0, None, None, 0, None);
-        }
+        // A rebuild sets each restored location on a fresh fleet.
+        arena = CartArena::with_fleet(2, None, None);
+        arena.set_location(1, CartLocation::Docked(2));
         assert!(!arena.all_at_library());
         arena.set_location(1, CartLocation::Docked(0));
         assert!(arena.all_at_library());

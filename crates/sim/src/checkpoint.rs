@@ -34,12 +34,13 @@
 //! via an FNV-1a fingerprint over the configuration's debug form.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use dhl_obs::json::{JsonError, Kind, Reader};
 use dhl_obs::{Histogram, MetricsRegistry, Stopwatch};
 use dhl_rng::DeterministicRng;
-use dhl_storage::{fnv1a_64, CartWear, DockingConnector};
+use dhl_storage::{CartWear, Checksum64, DockingConnector};
 use dhl_units::{Bytes, Joules, Seconds};
 
 use crate::arena::CartArena;
@@ -47,7 +48,6 @@ use crate::backlog::Backlog;
 use crate::codec::{self, codec_enum, codec_struct, Codec};
 use crate::config::SimConfig;
 use crate::engine::EventQueue;
-use crate::metrics::SimMetrics;
 use crate::movement::MovementCost;
 use crate::system::{
     Abandoned, ActiveMovement, CartId, CartLocation, Counters, DhlSystem, Direction, EndpointId,
@@ -60,10 +60,13 @@ const FORMAT_VERSION: u64 = 2;
 
 /// FNV-1a over the configuration's debug representation: stable across
 /// processes (unlike `DefaultHasher`) and sensitive to every field the
-/// simulator reads, since they all appear in `Debug` output.
+/// simulator reads, since they all appear in `Debug` output. The text is
+/// streamed into the hash, never collected.
 #[must_use]
 pub fn config_fingerprint(cfg: &SimConfig) -> u64 {
-    fnv1a_64(format!("{cfg:?}").as_bytes())
+    let mut sum = Checksum64::new();
+    let _ = write!(sum, "{cfg:?}");
+    sum.finish()
 }
 
 /// Portable per-cart state. Connector and wear objects are reduced to the
@@ -281,14 +284,54 @@ impl DhlSystem {
     /// - [`SimError::UnknownMetric`] if the checkpoint carries a metric the
     ///   simulator does not record.
     pub fn resume(cfg: SimConfig, cp: &Checkpoint) -> Result<Self, SimError> {
-        let mut sys = Self::new(cfg)?;
-        let actual = config_fingerprint(&sys.cfg);
+        cfg.validate()?;
+        let actual = config_fingerprint(&cfg);
         if actual != cp.fingerprint {
             return Err(SimError::CheckpointMismatch {
                 expected: cp.fingerprint,
                 actual,
             });
         }
+        let connector_kind = cfg
+            .faults
+            .as_ref()
+            .and_then(|f| f.docking_connector.as_ref())
+            .map(|c| c.kind);
+        let endurance = cfg.integrity.as_ref().map(|i| &i.endurance);
+        let mut carts = CartArena::with_fleet(cp.carts.len(), None, None);
+        for (cart, c) in cp.carts.iter().enumerate() {
+            if let (Some(kind), Some(cycles)) = (connector_kind, c.connector_cycles) {
+                carts.connectors[cart] =
+                    Some(DockingConnector::with_cycles_used(kind, cycles).ok_or(
+                        SimError::ConnectorCyclesExceedRating {
+                            cart,
+                            cycles,
+                            rated: kind.rated_cycles(),
+                        },
+                    )?);
+            }
+            if let (Some(endurance), Some(written)) = (endurance, c.wear_written) {
+                let mut wear = CartWear::new(endurance.clone(), cfg.cart_capacity);
+                wear.record_write(Bytes::new(written));
+                carts.wear[cart] = Some(wear);
+            }
+            carts.set_location(cart, c.location);
+            carts.movements[cart] = c.movement;
+            carts.trips[cart] = c.trips;
+            carts.matings[cart] = c.matings;
+            carts.verify[cart] = c.verify;
+        }
+        validate_state(&cfg, carts.len(), cp)?;
+        let backlog = Backlog::from_fifo(cfg.endpoints.len(), cp.pending.iter().copied());
+        // The registry is enabled as the capture's was, and the handle
+        // bundle registered once: its registration list is the one place
+        // metric names are written, so every name the checkpoint carries
+        // must resolve to a slot it created.
+        let metrics = match cp.metrics {
+            None => MetricsRegistry::disabled(),
+            Some(_) => MetricsRegistry::enabled(),
+        };
+        let mut sys = Self::assemble(cfg, carts, backlog, metrics);
         sys.fingerprint = OnceLock::from(actual);
         sys.queue = EventQueue::from_entries(
             Seconds::new(cp.now),
@@ -297,44 +340,8 @@ impl DhlSystem {
             cp.queue.iter().map(|&(t, s, e)| (Seconds::new(t), s, e)),
         );
         sys.queue.set_clamped(cp.events_clamped);
-        let connector_kind = sys
-            .cfg
-            .faults
-            .as_ref()
-            .and_then(|f| f.docking_connector.as_ref())
-            .map(|c| c.kind);
-        let endurance = sys.cfg.integrity.as_ref().map(|i| i.endurance.clone());
-        let cart_capacity = sys.cfg.cart_capacity;
-        sys.carts = CartArena::default();
-        for (cart, c) in cp.carts.iter().enumerate() {
-            let connector = match (connector_kind, c.connector_cycles) {
-                (Some(kind), Some(cycles)) => {
-                    Some(DockingConnector::with_cycles_used(kind, cycles).ok_or(
-                        SimError::ConnectorCyclesExceedRating {
-                            cart,
-                            cycles,
-                            rated: kind.rated_cycles(),
-                        },
-                    )?)
-                }
-                _ => None,
-            };
-            let wear = match (&endurance, c.wear_written) {
-                (Some(endurance), Some(written)) => {
-                    let mut wear = CartWear::new(endurance.clone(), cart_capacity);
-                    wear.record_write(Bytes::new(written));
-                    Some(wear)
-                }
-                _ => None,
-            };
-            sys.carts.push_cart(
-                c.location, c.movement, c.trips, connector, wear, c.matings, c.verify,
-            );
-        }
-        validate_state(&sys, cp)?;
         sys.dock_used = cp.dock_used.clone();
         sys.tracks = cp.tracks.clone();
-        sys.backlog = Backlog::from_fifo(sys.cfg.endpoints.len(), cp.pending.iter().copied());
         sys.index_docks();
         sys.redelivery_queue = cp.redelivery_queue.iter().copied().collect();
         sys.mission = cp.mission.clone();
@@ -356,14 +363,6 @@ impl DhlSystem {
         sys.abandoned = cp.abandoned;
         sys.events_at_mission_start = cp.events_at_mission_start;
         sys.run_watch = cp.watch_running.then(Stopwatch::start);
-        // Register the handle bundle first: its registration list is the
-        // one place metric names are written, so every name the checkpoint
-        // carries must resolve to a slot it created.
-        sys.metrics = match cp.metrics {
-            None => MetricsRegistry::disabled(),
-            Some(_) => MetricsRegistry::enabled(),
-        };
-        sys.handles = SimMetrics::register(&mut sys.metrics);
         if let Some(m) = &cp.metrics {
             let reg = &mut sys.metrics;
             let unknown = |name: &String| SimError::UnknownMetric { name: name.clone() };
@@ -388,11 +387,10 @@ impl DhlSystem {
 }
 
 /// Checks the state the run indexes by endpoint, cart and track, and the
-/// RNG streams it draws from, against the configuration (and the fleet
-/// already rebuilt into `sys`), so a corrupt checkpoint is refused here
-/// instead of panicking mid-run on an out-of-range index or a missing
-/// stream.
-fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
+/// RNG streams it draws from, against the configuration (and the `fleet`
+/// size already rebuilt), so a corrupt checkpoint is refused here instead
+/// of panicking mid-run on an out-of-range index or a missing stream.
+fn validate_state(cfg: &SimConfig, fleet: usize, cp: &Checkpoint) -> Result<(), SimError> {
     let invalid =
         |field: String, reason: String| Err(SimError::InvalidCheckpointState { field, reason });
     // The engine counts on from these, and numbered every pending event
@@ -414,7 +412,7 @@ fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
         let reason = format!("{} is not below next_seq {}", cp.queue[i].1, cp.next_seq);
         return invalid(format!("queue[{i}].seq"), reason);
     }
-    let endpoints = sys.cfg.endpoints.len();
+    let endpoints = cfg.endpoints.len();
     if cp.dock_used.len() != endpoints {
         return invalid(
             "dock_used".into(),
@@ -432,17 +430,13 @@ fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
         (
             "reliability_rng",
             cp.reliability_rng.is_some(),
-            sys.cfg.reliability.is_some(),
+            cfg.reliability.is_some(),
         ),
-        (
-            "fault_rng",
-            cp.fault_rng.is_some(),
-            sys.cfg.faults.is_some(),
-        ),
+        ("fault_rng", cp.fault_rng.is_some(), cfg.faults.is_some()),
         (
             "integrity_rng",
             cp.integrity_rng.is_some(),
-            sys.cfg.integrity.is_some(),
+            cfg.integrity.is_some(),
         ),
     ] {
         if has_stream != has_spec {
@@ -457,14 +451,13 @@ fn validate_state(sys: &DhlSystem, cp: &Checkpoint) -> Result<(), SimError> {
             );
         }
     }
-    let tracks = if sys.cfg.dual_track { 2 } else { 1 };
+    let tracks = if cfg.dual_track { 2 } else { 1 };
     if cp.tracks.len() != tracks {
         return invalid(
             "tracks".into(),
             format!("{} tracks where the layout has {tracks}", cp.tracks.len()),
         );
     }
-    let fleet = sys.carts.len();
     let outside = |ep: EndpointId| format!("endpoint {ep} outside {endpoints} endpoints");
     // A cart waits on at most one thing: a launch in the backlog or one
     // queued event of its delivery machine.
@@ -883,8 +876,10 @@ mod tests {
     use crate::config::{
         DockControllerFaultSpec, DockRecoveryPolicy, FaultSpec, IntegritySpec, ReliabilitySpec,
     };
+    use crate::config::{EndpointKind, EndpointSpec};
     use crate::report::BulkTransferReport;
     use dhl_storage::ConnectorKind;
+    use dhl_units::Metres;
 
     const PB2: f64 = 2.0;
 
@@ -1007,6 +1002,29 @@ mod tests {
         let mut b = SimConfig::paper_default();
         b.num_carts += 1;
         assert_ne!(config_fingerprint(&a), config_fingerprint(&b));
+    }
+
+    #[test]
+    fn streamed_fingerprint_hashes_the_formatted_configuration() {
+        let mut stressed = SimConfig::paper_default();
+        stressed.faults = Some(FaultSpec::stress());
+        stressed.integrity = Some(IntegritySpec::typical());
+        let mut campus = SimConfig::paper_default();
+        campus.endpoints = (0..17)
+            .map(|i| EndpointSpec {
+                position: Metres::new(300.0 * f64::from(i)),
+                docks: if i == 0 { 128 } else { 4 },
+                kind: if i == 0 {
+                    EndpointKind::Library
+                } else {
+                    EndpointKind::Rack
+                },
+            })
+            .collect();
+        for cfg in [SimConfig::paper_default(), stressed, campus] {
+            let formatted = dhl_storage::fnv1a_64(format!("{cfg:?}").as_bytes());
+            assert_eq!(config_fingerprint(&cfg), formatted);
+        }
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! is an explicit `null`, never a missing key.
 //!
 //! Keys are written in sorted byte order, so the text is canonical; the
-//! macros sort each type's keys at compile time with [`in_key_order`]. An
-//! enum's `"t"` tag sorts among its fields (`{"endpoint":12,"t":"docked"}`),
-//! so a read first looks ahead within the small object for it. Reads take
+//! macros sort each type's keys at compile time with [`in_key_order`], and
+//! a read first matches the key canonical order puts next as one literal.
+//! An enum's `"t"` tag sorts among its fields (`{"endpoint":12,"t":"docked"}`),
+//! so a read steps over the members before the tag, holding a reader at
+//! each value ([`tag`]), and reads them once the tag names the variant.
+//! Reads take
 //! keys in any order: each field fills one slot, unknown keys are skipped,
 //! a field (or map key) given twice is refused, and a missing field is
 //! reported in declaration order. A syntax error anywhere outranks every shape error
@@ -24,7 +27,6 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use dhl_obs::json::{self, Kind, Reader};
 use dhl_units::{Bytes, Joules, MetresPerSecond, Seconds};
@@ -69,6 +71,7 @@ pub(crate) fn read_document<T: Codec>(text: &str) -> Result<T, CheckpointError> 
 }
 
 /// `Err(shape(msg))` unless the next value is of `kind`.
+#[inline]
 fn expect(r: &mut Reader<'_>, kind: Kind, msg: &str) -> Result<(), CheckpointError> {
     if r.peek()? == kind {
         Ok(())
@@ -129,24 +132,57 @@ pub(crate) fn fill<T>(
     Ok(())
 }
 
-/// The `"t"` tag of the enum object at `r`, found on a copy of the reader.
-pub(crate) fn tag<'a>(r: &Reader<'a>) -> Result<Cow<'a, str>, CheckpointError> {
+/// A member of an enum object before its `"t"` tag: the key, and a reader
+/// at its value.
+pub(crate) type Member<'a> = Option<(Cow<'a, str>, Reader<'a>)>;
+
+/// Opens the enum object at `r` and reads up to its `"t"` tag, stepping over
+/// the members before it into `held`. If more come, `held` is emptied and
+/// `r` goes back to the first member: the returned flag says the tag is ahead.
+pub(crate) fn tag<'a>(
+    r: &mut Reader<'a>,
+    held: &mut [Member<'a>],
+) -> Result<(Cow<'a, str>, bool), CheckpointError> {
     let missing = "missing string field `t`";
-    let mut ahead = *r;
-    expect(&mut ahead, Kind::Object, missing)?;
-    ahead.begin_object()?;
-    let mut tag = None;
-    while let Some(key) = ahead.next_key()? {
-        if key != "t" {
-            ahead.skip_value()?;
-        } else if tag.is_some() {
-            return Err(shape("repeated key `t`"));
-        } else {
-            expect(&mut ahead, Kind::String, missing)?;
-            tag = Some(ahead.string()?);
+    expect(r, Kind::Object, missing)?;
+    r.begin_object()?;
+    let (first, mut members) = (*r, 0);
+    while let Some(key) = r.next_key()? {
+        if key == "t" {
+            expect(r, Kind::String, missing)?;
+            let tag = r.string()?;
+            let ahead = members > held.len();
+            if ahead {
+                *r = first;
+                held.fill(None);
+            }
+            return Ok((tag, ahead));
+        }
+        if let Some(slot) = held.get_mut(members) {
+            *slot = Some((key, *r));
+        }
+        members += 1;
+        r.skip_value()?;
+    }
+    Err(shape(missing))
+}
+
+/// `e`, unless the enum object at `r` repeats its `"t"` tag, which outranks
+/// its fields' refusals. (A syntax error outranks both, so it ends the walk.)
+#[cold]
+pub(crate) fn unless_tag_repeated(mut r: Reader<'_>, e: CheckpointError) -> CheckpointError {
+    let mut tags = 0;
+    let _ = r.begin_object();
+    while let Ok(Some(key)) = r.next_key() {
+        tags += usize::from(key == "t");
+        if r.skip_value().is_err() {
+            break;
         }
     }
-    tag.ok_or_else(|| shape(missing))
+    match e {
+        CheckpointError::Shape(_) if tags > 1 => shape("repeated key `t`"),
+        e => e,
+    }
 }
 
 /// Writes an object whose members are `key => write-the-value`, in sorted
@@ -174,26 +210,64 @@ macro_rules! write_object {
     }};
 }
 
-/// Reads the object at `r` into one slot per listed field, then evaluates
-/// `$build` with each field name bound to its value.
+/// Reads the members of the open object at `r` into one slot per listed
+/// field, then evaluates `$build` with each field name bound to its value.
+/// `$held` gives the members [`tag`] held, and whether the tag lies ahead.
+/// An enum's read lists `t`, so that a second tag is refused.
+///
+/// A member is matched first as the literal that canonical order puts
+/// next, and only then read as a key and looked up.
 macro_rules! read_object {
     (@read) => { $crate::codec::Codec::read };
     (@read $null:expr) => {
         |r| Ok(<Option<_> as $crate::codec::Codec>::read(r)?.unwrap_or($null))
     };
-    ($r:ident, [$($field:ident $(: null => $null:expr)?),*], $build:expr) => {{
+    ($r:ident, $held:expr, [$($field:ident $(: null => $null:expr)?),*] $(+ $t:ident)?, $build:expr) => {{
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy)]
+        enum Key { $($field,)* $($t)? }
+        const KEYS: &[(Key, &str)] = &$crate::codec::in_key_order(
+            [$(stringify!($field),)* $(stringify!($t))?],
+            [$((Key::$field, concat!("\"", stringify!($field), "\":")),)* $((Key::$t, "\"t\":"))?],
+        );
+        let (held, _ahead): (&[$crate::codec::Member<'_>], bool) = $held;
+        $(let mut $t = _ahead;)?
+        // In canonical order a read tag follows the held members.
+        let mut next = held.iter().flatten().count() $(+ usize::from(!$t))?;
         $(let mut $field = None;)*
-        $r.begin_object()?;
-        while let Some(key) = $r.next_key()? {
-            match &*key {
-                $(stringify!($field) => $crate::codec::fill(
-                    &mut $field,
-                    stringify!($field),
-                    $r,
-                    $crate::codec::read_object!(@read $($null)?),
-                )?,)*
-                _ => $r.skip_value()?,
+        let key_of = |name: &str| match name {
+            $(stringify!($field) => Some(Key::$field),)*
+            $(stringify!($t) => Some(Key::$t),)?
+            _ => None,
+        };
+        let mut fill = |key, r: &mut ::dhl_obs::json::Reader<'_>| match key {
+            $(Key::$field => $crate::codec::fill(
+                &mut $field,
+                stringify!($field),
+                r,
+                $crate::codec::read_object!(@read $($null)?),
+            ),)*
+            $(Key::$t if std::mem::take(&mut $t) => Ok(r.skip_value()?),
+            Key::$t => Err($crate::codec::shape("repeated key `t`")),)?
+        };
+        for (name, at) in held.iter().flatten() {
+            if let Some(key) = key_of(name) {
+                fill(key, &mut at.clone())?;
             }
+        }
+        loop {
+            let key = match KEYS.get(next) {
+                Some(&(key, literal)) if $r.next_key_is(literal) => Some(key),
+                _ => match $r.next_key()? {
+                    Some(name) => key_of(&name),
+                    None => break,
+                },
+            };
+            match key {
+                Some(key) => fill(key, $r)?,
+                None => $r.skip_value()?,
+            }
+            next += 1;
         }
         $(let $field = $field.ok_or_else(|| $crate::codec::missing(stringify!($field)))?;)*
         Ok($build)
@@ -201,8 +275,15 @@ macro_rules! read_object {
 }
 
 impl Codec for u64 {
+    /// Digits without `core::fmt`, last first.
     fn write(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
+        let (mut digits, mut i, mut n) = ([0u8; 20], 20, *self);
+        while i == 20 || n > 0 {
+            i -= 1;
+            digits[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        out.extend(digits[i..].iter().map(|&d| char::from(d)));
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         expect(r, Kind::Number, "not a u64")?;
@@ -353,22 +434,20 @@ impl<T: Codec> Codec for BTreeMap<String, T> {
     }
 }
 
-/// Opens a `len`-entry array. As the format always has, the length is
-/// checked (on a copy of the reader) before any entry is read.
-fn begin_tuple(r: &mut Reader<'_>, len: usize) -> Result<(), CheckpointError> {
-    let mut ahead = *r;
+/// `e`, unless the tuple at `r` does not have `len` entries, which outranks
+/// its entries' refusals. (A syntax error outranks both, so it ends the count.)
+#[cold]
+fn unless_wrong_length(mut r: Reader<'_>, len: usize, e: CheckpointError) -> CheckpointError {
     let mut entries = 0;
-    if ahead.peek()? == Kind::Array {
-        ahead.begin_array()?;
-        while ahead.next_item()? {
-            ahead.skip_value()?;
+    if r.peek() == Ok(Kind::Array) && r.begin_array().is_ok() {
+        while r.next_item() == Ok(true) && r.skip_value().is_ok() {
             entries += 1;
         }
     }
-    if entries != len {
-        return Err(shape(format!("not a {len}-entry array")));
+    match e {
+        CheckpointError::Shape(_) if entries != len => shape(format!("not a {len}-entry array")),
+        e => e,
     }
-    Ok(r.begin_array()?)
 }
 
 /// Tuples travel as fixed-length JSON arrays.
@@ -386,13 +465,23 @@ macro_rules! tuple_codec {
                 out.push(']');
             }
             fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-                begin_tuple(r, $len)?;
-                let entries = ($({
-                    r.next_item()?;
-                    $t::read(r)?
-                },)*);
-                r.next_item()?;
-                Ok(entries)
+                // A wrong length is refused by `unless_wrong_length`.
+                let start = *r;
+                let mut read = || {
+                    expect(r, Kind::Array, "")?;
+                    r.begin_array()?;
+                    let entries = ($({
+                        if !r.next_item()? {
+                            return Err(shape(""));
+                        }
+                        $t::read(r)?
+                    },)*);
+                    match r.next_item()? {
+                        true => Err(shape("")),
+                        false => Ok(entries),
+                    }
+                };
+                read().map_err(|e| unless_wrong_length(start, $len, e))
             }
         }
     )*};
@@ -421,8 +510,10 @@ macro_rules! codec_struct {
                     // As if every field were missing: the first is named.
                     return Err($crate::codec::missing([$(stringify!($field)),*][0]));
                 }
+                r.begin_object()?;
                 $crate::codec::read_object!(
                     r,
+                    (&[], false),
                     [$($field $(: null => $null)?),*],
                     Self { $($field),* }
                 )
@@ -452,17 +543,22 @@ macro_rules! codec_enum {
             fn read(
                 r: &mut ::dhl_obs::json::Reader<'_>,
             ) -> Result<Self, $crate::checkpoint::CheckpointError> {
-                match &*$crate::codec::tag(r)? {
+                let start = *r;
+                let mut held: [$crate::codec::Member<'_>; 4] = Default::default();
+                let (tag, ahead) = $crate::codec::tag(r, &mut held)?;
+                let mut read = || match &*tag {
                     $($tag => $crate::codec::read_object!(
                         r,
-                        [$($key)? $($($field),*)?],
+                        (&held, ahead),
+                        [$($key)? $($($field),*)?] + t,
                         Self::$variant $(($key))? $({ $($field),* })?
                     ),)*
                     other => Err($crate::codec::shape(format!(
                         "unknown `t` tag `{other}` for {}",
                         stringify!($ty),
                     ))),
-                }
+                };
+                read().map_err(|e| $crate::codec::unless_tag_repeated(start, e))
             }
         }
     };

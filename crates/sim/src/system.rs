@@ -433,6 +433,21 @@ impl DhlSystem {
             .as_ref()
             .map(|i| CartWear::new(i.endurance.clone(), cfg.cart_capacity));
         let carts = CartArena::with_fleet(cfg.num_carts as usize, connector, wear);
+        let backlog = Backlog::new(cfg.endpoints.len());
+        let mut sys = Self::assemble(cfg, carts, backlog, MetricsRegistry::enabled());
+        sys.index_docks();
+        Ok(sys)
+    }
+
+    /// A system at time zero over a validated `cfg`, around the fleet,
+    /// backlog and registry that [`DhlSystem::new`] or
+    /// [`DhlSystem::resume`] built for it. The caller indexes the docks.
+    pub(crate) fn assemble(
+        cfg: SimConfig,
+        carts: CartArena,
+        backlog: Backlog,
+        mut metrics: MetricsRegistry,
+    ) -> Self {
         let mut dock_used = vec![0u32; cfg.endpoints.len()];
         dock_used[0] = cfg.num_carts;
         let tracks = if cfg.dual_track {
@@ -459,10 +474,8 @@ impl DhlSystem {
             .map(|i| DeterministicRng::seed_from_u64(i.seed));
         let dock_downtime = vec![0.0; cfg.endpoints.len()];
         let costs = MovementTable::build(&cfg, degraded_cap);
-        let backlog = Backlog::new(cfg.endpoints.len());
-        let mut metrics = MetricsRegistry::enabled();
         let handles = SimMetrics::register(&mut metrics);
-        let mut sys = Self {
+        Self {
             cfg,
             queue: EventQueue::new(),
             carts,
@@ -491,9 +504,7 @@ impl DhlSystem {
             metrics,
             handles,
             fingerprint: OnceLock::new(),
-        };
-        sys.index_docks();
-        Ok(sys)
+        }
     }
 
     /// The observability registry (metrics accumulate across runs).

@@ -1,12 +1,13 @@
-//! Allocation gate for checkpoint JSON.
+//! Allocation gate for checkpoint JSON and resume.
 //!
 //! A counting global allocator tallies the heap allocations each thread
 //! makes, so the numbers below are exact and do not depend on what other
-//! tests in this binary are doing. The gate encodes and decodes one
-//! checkpoint of a 128-cart, 16-rack campus captured mid-mission and
+//! tests in this binary are doing. The gate encodes, decodes and resumes
+//! one checkpoint of a 128-cart, 16-rack campus captured mid-mission and
 //! bounds the allocations of each: the codec streams between the state and
 //! the bytes, so the count must not grow with the number of carts, events
-//! or keys in the document.
+//! or keys in the document, and a resume builds the fleet, the backlog and
+//! the metrics registry once each.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -57,7 +58,9 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// Encode allocations allowed per checkpoint.
 const MAX_ENCODE_ALLOCATIONS: u64 = 8;
 /// Decode allocations allowed per checkpoint.
-const MAX_DECODE_ALLOCATIONS: u64 = 64;
+const MAX_DECODE_ALLOCATIONS: u64 = 35;
+/// Resume allocations allowed per checkpoint.
+const MAX_RESUME_ALLOCATIONS: u64 = 87;
 
 /// A library and 16 racks 300 m apart, 128 carts and 64 PB owed per rack.
 fn campus() -> (SimConfig, Vec<(usize, Bytes)>) {
@@ -84,7 +87,7 @@ fn campus() -> (SimConfig, Vec<(usize, Bytes)>) {
 #[test]
 fn checkpoint_json_allocations_stay_bounded() {
     let (cfg, demands) = campus();
-    let mut sys = DhlSystem::new(cfg).expect("valid configuration");
+    let mut sys = DhlSystem::new(cfg.clone()).expect("valid configuration");
     sys.begin_multi_rack(&demands).expect("begin");
     let drained = sys.run_until(Seconds::new(2_000.0)).expect("run");
     assert!(!drained, "the capture must be mid-mission");
@@ -103,5 +106,11 @@ fn checkpoint_json_allocations_stay_bounded() {
         "{}-byte checkpoint: {encode} allocations to encode (at most \
          {MAX_ENCODE_ALLOCATIONS}), {decode} to decode (at most {MAX_DECODE_ALLOCATIONS})",
         text.len()
+    );
+    let (resumed, resume) = allocations(|| DhlSystem::resume(cfg, &cp));
+    assert_eq!(resumed.expect("resume").checkpoint(), cp);
+    assert!(
+        resume <= MAX_RESUME_ALLOCATIONS,
+        "{resume} allocations to resume (at most {MAX_RESUME_ALLOCATIONS})"
     );
 }

@@ -84,6 +84,14 @@ impl Default for Checksum64 {
     }
 }
 
+/// Formatting into a checksum feeds it the text, with no `String` between.
+impl core::fmt::Write for Checksum64 {
+    fn write_str(&mut self, s: &str) -> core::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// The recorded checksum of one shard of a cart payload.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct ShardChecksum {

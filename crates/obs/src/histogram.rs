@@ -7,7 +7,8 @@
 //! observation is ever dropped. Recording is O(1) with no allocation after
 //! construction; quantiles are estimated from the bucket mass with the
 //! geometric midpoint of the resolved bucket, clamped into the exact
-//! `[min, max]` observed.
+//! `[min, max]` observed. `-∞` is counted in the underflow bucket and `+∞`
+//! in the overflow bucket, so a histogram of only infinities reports them.
 
 /// Exponent of the first regular bucket's lower bound (`2^-30` ≈ 0.93 ns).
 pub const MIN_EXP: i32 = -30;
@@ -77,15 +78,16 @@ impl Histogram {
         }
     }
 
-    /// Lower bound of regular bucket `i` (`0 <= i < BUCKETS`).
+    /// Lower bound of regular bucket `i` (`0 <= i < BUCKETS`): `2^(MIN_EXP
+    /// + i)`, built from its exponent bits.
     #[must_use]
     pub fn bucket_lower_bound(i: usize) -> f64 {
-        f64::powi(2.0, MIN_EXP + i as i32)
+        f64::from_bits(((MIN_EXP + i as i32 + 1023) as u64) << 52)
     }
 
-    /// Records one observation. Negative, NaN, and infinite values are
-    /// counted in the underflow/overflow buckets but excluded from
-    /// `min`/`max`/`sum` only when non-finite.
+    /// Records one observation. NaN is ignored; negative values and `-∞`
+    /// are counted in the underflow bucket, `+∞` in the overflow bucket,
+    /// and infinities are excluded from `min`/`max`/`sum`.
     pub fn record(&mut self, value: f64) {
         if value.is_nan() {
             return;
@@ -97,7 +99,7 @@ impl Histogram {
             self.max = self.max.max(value);
             self.counts[Self::slot(value.max(0.0))] += 1;
         } else {
-            self.counts[BUCKETS + 1] += 1;
+            self.counts[if value > 0.0 { BUCKETS + 1 } else { 0 }] += 1;
         }
     }
 
@@ -145,8 +147,8 @@ impl Histogram {
 
     /// Estimated quantile `q` in `[0, 1]`: the geometric midpoint of the
     /// bucket holding the `q`-th observation, clamped to the observed
-    /// `[min, max]`. Returns 0 when empty, and `+∞` when every observation
-    /// was infinite.
+    /// `[min, max]`. Returns 0 when empty; with no finite observation, `-∞`
+    /// or `+∞` as the `q`-th observation was.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
         self.quantiles([q])[0]
@@ -159,8 +161,8 @@ impl Histogram {
         Self::quantiles_in(
             self.counts.iter().enumerate().map(|(s, &c)| (s as u32, c)),
             self.count,
-            self.min(),
-            self.max(),
+            self.min,
+            self.max,
             qs,
         )
     }
@@ -181,9 +183,10 @@ impl Histogram {
     }
 
     /// Estimated quantile over `(slot, count)` buckets with a known
-    /// observation `count` and finite `[min, max]` range — the exact walk
-    /// [`Histogram::quantile`] performs, exposed for merged summaries that
-    /// no longer hold the full histogram. Buckets must be in slot order.
+    /// observation `count` and *raw* `min`/`max` (see
+    /// [`Histogram::raw_min`]) — the exact walk [`Histogram::quantile`]
+    /// performs, exposed for merged summaries that no longer hold the full
+    /// histogram. Buckets must be in slot order.
     #[must_use]
     pub fn quantile_from_buckets(
         buckets: &[(u32, u64)],
@@ -200,6 +203,8 @@ impl Histogram {
     /// extreme for underflow and overflow), clamped to `[min, max]`. Each
     /// quantile resumes the walk where the one before it stopped, or
     /// restarts it when its rank is lower, so ascending `qs` cost one walk.
+    /// With no finite value recorded (raw `min > max`), underflow holds
+    /// only `-∞` and overflow only `+∞`: those are their extremes.
     fn quantiles_in<const N: usize>(
         buckets: impl Iterator<Item = (u32, u64)> + Clone,
         count: u64,
@@ -210,13 +215,11 @@ impl Histogram {
         if count == 0 {
             return [0.0; N];
         }
-        // Only infinities: all in the overflow slot, with no finite maximum.
-        let overflow_only = buckets
-            .clone()
-            .all(|(s, c)| c == 0 || s as usize == BUCKETS + 1);
-        if max == 0.0 && overflow_only {
-            return [f64::INFINITY; N];
-        }
+        let (min, max) = if min <= max {
+            (min, max)
+        } else {
+            (f64::NEG_INFINITY, f64::INFINITY)
+        };
         let mut out = [max; N];
         let mut walk = buckets.clone();
         let (mut seen, mut slot, mut last) = (0, 0, 0);

@@ -426,16 +426,11 @@ impl HistogramSummary {
 
     /// The histogram this summary was taken of. A summary clamps the `min`
     /// and `max` of a histogram with no finite observation (empty, or only
-    /// `+∞`) to 0; they are restored to `±∞` so the merge does not take 0
-    /// for an observed value.
+    /// infinities) to 0; they are restored to `±∞` so the merge does not
+    /// take 0 for an observed value. Such a histogram is empty or has an
+    /// infinite median: a finite observation clamps every quantile finite.
     fn histogram(&self) -> Histogram {
-        // A finite observation lands below the overflow slot, or else sets
-        // `max` to at least the top of the regular range.
-        let overflow_only = self
-            .buckets
-            .iter()
-            .all(|&(s, _)| s as usize > histogram::BUCKETS);
-        let (min, max) = if overflow_only && self.max == 0.0 {
+        let (min, max) = if self.count == 0 || self.p50.is_infinite() {
             (f64::INFINITY, f64::NEG_INFINITY)
         } else {
             (self.min, self.max)

@@ -83,7 +83,7 @@ impl ReferenceHistogram {
             self.max = self.max.max(value);
             self.counts[Self::slot(value.max(0.0))] += 1;
         } else {
-            self.counts[BUCKETS + 1] += 1;
+            self.counts[if value > 0.0 { BUCKETS + 1 } else { 0 }] += 1;
         }
     }
 
@@ -132,13 +132,7 @@ impl ReferenceHistogram {
     /// Estimated quantile, the same bucket walk as [`Histogram::quantile`].
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
-        Histogram::quantile_from_buckets(
-            &self.sparse_buckets(),
-            self.count,
-            self.min(),
-            self.max(),
-            q,
-        )
+        Histogram::quantile_from_buckets(&self.sparse_buckets(), self.count, self.min, self.max, q)
     }
 
     /// Nonzero `(slot, count)` buckets in slot order.

@@ -3,8 +3,9 @@
 //! a separate walk per quantile. The reference below is that per-quantile
 //! walk, written against the public bucket view: the `q`-th observation's
 //! rank, then the geometric midpoint of its bucket (or the observed extreme
-//! for underflow and overflow), clamped to the observed range; `+∞` when
-//! every observation was infinite.
+//! for underflow and overflow), clamped to the observed range. With no
+//! finite observation the underflow bucket holds only `-∞` and the overflow
+//! bucket only `+∞`, so those are their extremes.
 
 use dhl_obs::histogram::{BUCKETS, MIN_EXP};
 use dhl_obs::{Histogram, SloSummary};
@@ -14,23 +15,26 @@ fn reference(h: &Histogram, q: f64) -> f64 {
     if h.count() == 0 {
         return 0.0;
     }
-    if h.sparse_buckets() == [(BUCKETS as u32 + 1, h.count())] && h.max() == 0.0 {
-        return f64::INFINITY;
-    }
+    let finite = h.raw_max() >= h.raw_min();
+    let (min, max) = if finite {
+        (h.min(), h.max())
+    } else {
+        (f64::NEG_INFINITY, f64::INFINITY)
+    };
     let rank = ((q.clamp(0.0, 1.0) * h.count() as f64).ceil() as u64).max(1);
     let mut seen = 0;
     for (slot, c) in h.sparse_buckets() {
         seen += c;
         if seen >= rank {
             let estimate = match slot as usize {
-                0 => h.min(),
-                s if s == BUCKETS + 1 => h.max(),
+                0 => min,
+                s if s == BUCKETS + 1 => max,
                 s => Histogram::bucket_lower_bound(s - 1) * std::f64::consts::SQRT_2,
             };
-            return estimate.clamp(h.min(), h.max());
+            return estimate.clamp(min, max);
         }
     }
-    h.max()
+    max
 }
 
 /// Quantile triples: the SLO triple, the extremes, a descending one, and
@@ -99,14 +103,21 @@ fn one_walk_matches_a_walk_per_quantile() {
     }
     assert_agrees(&over, &mut rng, "overflow only");
 
+    let mut infinities = Histogram::new();
+    for v in [f64::NEG_INFINITY, f64::INFINITY, f64::NEG_INFINITY] {
+        infinities.record(v);
+    }
+    assert_agrees(&infinities, &mut rng, "infinities only");
+
     for round in 0..200 {
         let mut h = Histogram::new();
         let n = rng.random_range_u64(1, 400);
         for _ in 0..n {
-            let v = match rng.random_range_u64(0, 10) {
+            let v = match rng.random_range_u64(0, 11) {
                 0 => rng.random_range_f64(-1.0, lowest),
                 1 => highest * rng.random_range_f64(1.0, 1e3),
                 2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
                 _ => 10f64.powf(rng.random_range_f64(-9.0, 10.0)),
             };
             h.record(v);
@@ -128,6 +139,38 @@ fn infinite_observations_alone_give_infinite_quantiles() {
     // One finite observation makes the overflow slot read as the maximum.
     h.record(2.0);
     assert_eq!(h.quantiles([0.0, 0.95]), [2.0, 2.0]);
+}
+
+#[test]
+fn negative_infinity_alone_gives_negative_infinite_quantiles() {
+    let mut h = Histogram::new();
+    for _ in 0..3 {
+        h.record(f64::NEG_INFINITY);
+    }
+    assert_eq!(
+        h.sparse_buckets(),
+        [(0, 3)],
+        "counted in the underflow slot"
+    );
+    assert_eq!(h.quantiles([0.0, 0.5, 0.95, 1.0]), [f64::NEG_INFINITY; 4]);
+    let slo = SloSummary::of(&h);
+    assert_eq!([slo.p50, slo.p95, slo.p99], [f64::NEG_INFINITY; 3]);
+    assert_eq!((slo.max, h.min()), (0.0, 0.0));
+    // One finite observation makes the underflow slot read as the minimum.
+    h.record(2.0);
+    assert_eq!(h.quantiles([0.0, 0.95]), [2.0, 2.0]);
+}
+
+#[test]
+fn bucket_bounds_are_the_powers_of_two() {
+    for i in 0..BUCKETS {
+        let want = f64::powi(2.0, MIN_EXP + i as i32);
+        assert_eq!(
+            Histogram::bucket_lower_bound(i).to_bits(),
+            want.to_bits(),
+            "{i}"
+        );
+    }
 }
 
 #[test]

@@ -9,11 +9,13 @@
 //! dense index (no boxing, no hashing).
 //!
 //! Columns are plain `Vec`s with `pub(crate)` visibility: the simulator
-//! and the checkpoint codec index them directly, and the arena's job is to
-//! keep them the same length. Locations are the one column written
-//! through a method (`CartArena::set_location`), so the arena can keep
-//! count of the carts docked at the library — derived state that makes the
-//! mission's all-carts-home check O(1) and is never serialised.
+//! indexes them directly, a checkpoint copies each one whole and a resume
+//! copies them back, and the arena's job is to keep them the same length.
+//! Locations are the one column written through a method
+//! (`CartArena::set_location`, or `set_locations` for all of them), so the
+//! arena can keep count of the carts docked at the library — derived state
+//! that makes the mission's all-carts-home check O(1) and is never
+//! serialised.
 
 use dhl_storage::connectors::DockingConnector;
 use dhl_storage::wear::CartWear;
@@ -78,6 +80,14 @@ impl CartArena {
         *slot = location;
     }
 
+    /// Copies in every cart's location, recounting the carts at the library.
+    pub(crate) fn set_locations(&mut self, locations: &[CartLocation]) {
+        self.locations.clear();
+        self.locations.extend_from_slice(locations);
+        let home = locations.iter().filter(|&&l| l == CartLocation::Docked(0));
+        self.at_library = home.count();
+    }
+
     /// Whether every cart is docked at the library.
     pub(crate) fn all_at_library(&self) -> bool {
         self.at_library == self.locations.len()
@@ -112,9 +122,9 @@ mod tests {
         arena.set_location(1, CartLocation::Docked(0));
         assert!(arena.all_at_library());
 
-        // A rebuild sets each restored location on a fresh fleet.
+        // A rebuild copies the restored locations into a fresh fleet.
         arena = CartArena::with_fleet(2, None, None);
-        arena.set_location(1, CartLocation::Docked(2));
+        arena.set_locations(&[CartLocation::Docked(0), CartLocation::Docked(2)]);
         assert!(!arena.all_at_library());
         arena.set_location(1, CartLocation::Docked(0));
         assert!(arena.all_at_library());

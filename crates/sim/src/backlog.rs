@@ -59,12 +59,15 @@ impl Backlog {
     }
 
     /// A backlog over `endpoints` endpoints holding `fifo` in order.
-    /// Every movement's destination must be below `endpoints`.
-    pub(crate) fn from_fifo(endpoints: usize, fifo: impl IntoIterator<Item = Movement>) -> Self {
+    /// Every movement's destination must be below `endpoints`. Each group
+    /// is sized once, before its pushes.
+    pub(crate) fn from_fifo(endpoints: usize, fifo: &[Movement]) -> Self {
         let mut backlog = Self::new(endpoints);
-        for m in fifo {
-            backlog.push(m);
-        }
+        let mut sizes = vec![0; backlog.groups.len()];
+        fifo.iter().for_each(|m| sizes[group_of(m)] += 1);
+        let groups = backlog.groups.iter_mut().zip(sizes);
+        groups.for_each(|(group, size)| group.reserve_exact(size));
+        fifo.iter().for_each(|&m| backlog.push(m));
         backlog
     }
 
@@ -155,7 +158,7 @@ mod tests {
 
     /// A backlog holding `fifo` with every dock free.
     fn all_free(endpoints: usize, fifo: &[Movement]) -> Backlog {
-        let mut backlog = Backlog::from_fifo(endpoints, fifo.iter().copied());
+        let mut backlog = Backlog::from_fifo(endpoints, fifo);
         for ep in 0..endpoints {
             backlog.set_dock_free(ep, true);
         }
@@ -245,7 +248,7 @@ mod tests {
             }
             let pending: Vec<Movement> = fifo.iter().map(|&(_, m)| m).collect();
             assert_eq!(backlog.to_fifo(), pending);
-            let rebuilt = Backlog::from_fifo(endpoints, backlog.to_fifo());
+            let rebuilt = Backlog::from_fifo(endpoints, &backlog.to_fifo());
             assert_eq!(rebuilt.to_fifo(), pending);
             assert_eq!(rebuilt.len(), pending.len());
         });

@@ -15,15 +15,15 @@
 //! Keys are written in sorted byte order, so the text is canonical; the
 //! macros sort each type's keys at compile time with [`in_key_order`], and
 //! a read first matches the key canonical order puts next as one literal.
-//! An enum's `"t"` tag sorts among its fields (`{"endpoint":12,"t":"docked"}`),
+//! An enum's `"t"` tag sorts among its fields (`{"cart":3,"t":"arrived"}`),
 //! so a read steps over the members before the tag, holding a reader at
 //! each value ([`tag`]), and reads them once the tag names the variant.
-//! Reads take
-//! keys in any order: each field fills one slot, unknown keys are skipped,
-//! a field (or map key) given twice is refused, and a missing field is
-//! reported in declaration order. A syntax error anywhere outranks every shape error
-//! ([`read_document`]). The module lives here, not in `dhl_obs::json`,
-//! because of the orphan rule: it implements the trait for `dhl-units`.
+//! Reads take keys in any order: each field fills one slot, unknown keys
+//! are skipped, a field (or map key) given twice is refused, and a missing
+//! field is reported in declaration order. A syntax error anywhere
+//! outranks every shape error ([`read_document`]). The module lives here,
+//! not in `dhl_obs::json`, because of the orphan rule: it implements the
+//! trait for `dhl-units`.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -359,11 +359,9 @@ impl<T: Codec> Codec for Option<T> {
         }
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        if r.peek()? == Kind::Null {
-            r.null()?;
-            Ok(None)
-        } else {
-            T::read(r).map(Some)
+        match r.peek()? {
+            Kind::Null => Ok(r.null().map(|()| None)?),
+            _ => T::read(r).map(Some),
         }
     }
 }
@@ -388,6 +386,8 @@ impl<T: Codec> Codec for Vec<T> {
         r.begin_array()?;
         let mut items = Vec::new();
         while r.next_item()? {
+            // Room for a fleet column at once, rather than four items first.
+            items.reserve(if items.is_empty() { 64 } else { 0 });
             items.push(T::read(r)?);
         }
         Ok(items)
@@ -487,7 +487,7 @@ macro_rules! tuple_codec {
     )*};
 }
 
-tuple_codec!(2: (A 0, B 1), 3: (A 0, B 1, C 2));
+tuple_codec!(2: (A 0, B 1), 3: (A 0, B 1, C 2), 5: (A 0, B 1, C 2, D 3, E 4));
 
 /// Implements [`Codec`] for a struct with named fields, encoded as a JSON
 /// object keyed by field name. A field written `name: null => value` reads

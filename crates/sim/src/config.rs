@@ -669,6 +669,12 @@ impl SimConfig {
     pub fn launch_headway(&self) -> Seconds {
         self.dock_time.max(self.undock_time)
     }
+
+    /// Whether each headway is the undock time, and so ends at the same
+    /// f64 sum the last launch's `UndockDone` was booked at.
+    pub(crate) fn undock_ends_headway(&self) -> bool {
+        self.undock_time >= self.dock_time
+    }
 }
 
 impl Default for SimConfig {

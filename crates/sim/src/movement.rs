@@ -80,9 +80,11 @@ impl MovementCost {
     }
 }
 
-/// Precomputed per-hop movement costs for every ordered endpoint pair —
-/// the table the simulator's hot path reads instead of re-running the
-/// trapezoid per event.
+/// Precomputed per-hop movement costs for every hop the simulator makes:
+/// each starts or ends at the library (endpoint 0), so the table holds one
+/// entry per rack — the table the hot path reads instead of re-running the
+/// trapezoid per event. A hop's cost depends only on its length, so a
+/// rack's outbound and inbound hops share the entry.
 ///
 /// Two tiers mirror the two speeds a launch can happen at: `full` (the
 /// configured maximum) and `degraded` (the repressurisation cap, present
@@ -91,13 +93,10 @@ impl MovementCost {
 /// perturb a single bit of the physics.
 #[derive(Clone, Debug)]
 pub(crate) struct MovementTable {
-    /// Endpoint count; costs are indexed `from * n + to`.
-    n: usize,
-    /// Full-speed costs; `None` on the diagonal (a zero-length hop is a
-    /// scheduling bug, never a physical movement).
-    full: Vec<Option<MovementCost>>,
+    /// Full-speed costs; rack `r`'s hop is at index `r - 1`.
+    full: Vec<MovementCost>,
     /// Speed-capped costs for launches during a repressurisation window.
-    degraded: Option<Vec<Option<MovementCost>>>,
+    degraded: Option<Vec<MovementCost>>,
 }
 
 impl MovementTable {
@@ -105,33 +104,30 @@ impl MovementTable {
     /// repressurisation `speed_cap` applies.
     #[must_use]
     pub(crate) fn build(cfg: &SimConfig, degraded_cap: Option<MetresPerSecond>) -> Self {
-        let n = cfg.endpoints.len();
-        let tier = |cap: MetresPerSecond| -> Vec<Option<MovementCost>> {
-            (0..n * n)
-                .map(|i| {
-                    let (from, to) = (i / n, i % n);
-                    (from != to).then(|| {
-                        let d = (cfg.endpoints[to].position - cfg.endpoints[from].position).abs();
-                        MovementCost::for_distance_limited(cfg, d, cap)
-                    })
+        let library = cfg.endpoints[0].position;
+        let tier = |cap: MetresPerSecond| -> Vec<MovementCost> {
+            cfg.endpoints[1..]
+                .iter()
+                .map(|rack| {
+                    MovementCost::for_distance_limited(cfg, (rack.position - library).abs(), cap)
                 })
                 .collect()
         };
         Self {
-            n,
             full: tier(cfg.max_speed),
             degraded: degraded_cap.map(tier),
         }
     }
 
-    /// Full-speed cost of the `from → to` hop.
+    /// Full-speed cost of the `from → to` hop, one end of which is the
+    /// library.
     ///
     /// # Panics
     ///
-    /// Panics if `from == to` or either index is out of range.
+    /// Panics if both ends are the library or the other is out of range.
     #[must_use]
     pub(crate) fn cost(&self, from: usize, to: usize) -> MovementCost {
-        self.full[from * self.n + to].expect("movement between distinct endpoints")
+        self.full[from + to - 1]
     }
 
     /// Speed-capped cost of the `from → to` hop while the tube is
@@ -140,11 +136,10 @@ impl MovementTable {
     ///
     /// # Panics
     ///
-    /// Panics if `from == to` or either index is out of range.
+    /// As [`MovementTable::cost`].
     #[must_use]
     pub(crate) fn degraded_cost(&self, from: usize, to: usize) -> MovementCost {
-        self.degraded.as_ref().unwrap_or(&self.full)[from * self.n + to]
-            .expect("movement between distinct endpoints")
+        self.degraded.as_ref().unwrap_or(&self.full)[from + to - 1]
     }
 }
 
@@ -249,11 +244,8 @@ mod tests {
         ];
         let cap = MetresPerSecond::new(50.0);
         let table = MovementTable::build(&cfg, Some(cap));
-        for from in 0..3 {
-            for to in 0..3 {
-                if from == to {
-                    continue;
-                }
+        for rack in 1..3 {
+            for (from, to) in [(0, rack), (rack, 0)] {
                 let d = (cfg.endpoints[to].position - cfg.endpoints[from].position).abs();
                 assert_eq!(table.cost(from, to), MovementCost::for_distance(&cfg, d));
                 assert_eq!(

@@ -14,12 +14,15 @@
 //! Movements that cannot launch yet wait in a backlog, in FIFO order.
 //! After every event the launch rule lets go the oldest waiting movement
 //! whose destination has a free dock and whose track is free, and repeats
-//! until none can go; a movement held only by the same-direction headway
-//! books a wakeup for when the headway ends. The backlog is indexed by
-//! launch group — (direction, destination) — because every movement of a
-//! group passes or fails that test together, and choosing a launch reads
-//! only the oldest dock-free movement of each direction, however many racks
-//! (see the `backlog` module and `DhlSystem::try_launch` for the exact rule).
+//! until none can go. A movement held only by the same-direction headway
+//! waits for the headway to end: when the undock takes at least as long
+//! as the dock, the headway is the undock time, so the last launch's own
+//! `UndockDone` ends it; otherwise the rule books a wakeup for it. The
+//! backlog is indexed by launch group — (direction, destination) — because
+//! every movement of a group passes or fails that test together, and
+//! choosing a launch reads only the oldest dock-free movement of each
+//! direction, however many racks (see the `backlog` module and
+//! `DhlSystem::try_launch` for the exact rule).
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -551,12 +554,6 @@ impl DhlSystem {
         }
     }
 
-    /// Current location of a cart (for tests and live inspection).
-    #[must_use]
-    pub fn cart_location(&self, cart: CartId) -> Option<CartLocation> {
-        self.carts.locations.get(cart).copied()
-    }
-
     fn track_index(&self, dir: Direction) -> usize {
         if self.cfg.dual_track && dir == Direction::Inbound {
             1
@@ -606,10 +603,6 @@ impl DhlSystem {
         }
     }
 
-    fn movement_cost(&self, from: EndpointId, to: EndpointId) -> MovementCost {
-        self.costs.cost(from, to)
-    }
-
     /// Samples launch-time faults on track `idx` and returns the movement
     /// cost actually charged (speed-limited while the tube is repressurised)
     /// plus whether this cart stalls mid-tube.
@@ -625,7 +618,7 @@ impl DhlSystem {
         // whole spec per launch.
         let (repressurisation, cart_stall) = match self.cfg.faults.as_ref() {
             Some(faults) => (faults.repressurisation, faults.cart_stall),
-            None => return (self.movement_cost(from, to), false),
+            None => return (self.costs.cost(from, to), false),
         };
         let rng = self.fault_rng.as_mut().expect("fault rng exists with spec");
         if let Some(rep) = repressurisation {
@@ -721,7 +714,7 @@ impl DhlSystem {
 
     /// Launches every movement the launch rule lets go now, oldest first,
     /// and books a wakeup for the earliest headway expiry that could let
-    /// another go later.
+    /// another go later, unless an `UndockDone` already falls there.
     ///
     /// The rule is that of one FIFO scanned front to back: launch the
     /// first movement whose dock is free and whose track is `Free`, then
@@ -732,8 +725,10 @@ impl DhlSystem {
     /// older of the two on a `Free` track, and one on a `Headway` track
     /// asks for its wakeup only if it is older than that launch (the scan
     /// would have stopped before reaching it otherwise), or when nothing
-    /// launches.
+    /// launches. When the undock ends each headway, its `UndockDone` is
+    /// queued before any wakeup and runs this rule first: none is booked.
     fn try_launch(&mut self) {
+        let covered = self.cfg.undock_ends_headway();
         let now = self.queue.now().seconds();
         self.metrics
             .record(self.handles.queue_depth, self.backlog.len() as f64);
@@ -760,7 +755,7 @@ impl DhlSystem {
                 }
             }
             for (seq, at) in held.into_iter().flatten() {
-                if launch.is_none_or(|(launched, _)| seq < launched) {
+                if !covered && launch.is_none_or(|(launched, _)| seq < launched) {
                     wakeup = Some(wakeup.map_or(at, |w: f64| w.min(at)));
                 }
             }
@@ -1546,6 +1541,35 @@ mod tests {
             .unwrap()
     }
 
+    /// Whether a `TryLaunch` wakeup is ever pending, sampled every 0.5 s of
+    /// a 2 PB mission under `cfg`.
+    fn queues_wakeups(cfg: SimConfig) -> bool {
+        let mut sys = DhlSystem::new(cfg).unwrap();
+        sys.begin_bulk_transfer(Bytes::from_petabytes(2.0)).unwrap();
+        let mut t = 0.0;
+        loop {
+            let pending = sys.queue.pending_entries();
+            if pending.iter().any(|&(_, _, &ev)| ev == Ev::TryLaunch) {
+                return true;
+            }
+            t += 0.5;
+            if sys.run_until(Seconds::new(t)).unwrap() {
+                return false;
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_dock_slower_than_the_undock_books_headway_wakeups() {
+        let slow_dock = SimConfig {
+            dock_time: Seconds::new(5.0),
+            undock_time: Seconds::new(3.0),
+            ..SimConfig::paper_default()
+        };
+        assert!(queues_wakeups(slow_dock));
+        assert!(!queues_wakeups(SimConfig::paper_default()));
+    }
+
     #[test]
     fn serial_transfer_matches_analytical_doubling() {
         let report = run(SimConfig::paper_serial(), 29.0);
@@ -1619,7 +1643,7 @@ mod tests {
         let mut sys = DhlSystem::new(SimConfig::paper_default()).unwrap();
         sys.run_bulk_transfer(Bytes::from_petabytes(2.0)).unwrap();
         for cart in 0..sys.config().num_carts as usize {
-            assert_eq!(sys.cart_location(cart), Some(CartLocation::Docked(0)));
+            assert_eq!(sys.carts.locations[cart], CartLocation::Docked(0));
         }
     }
 

@@ -137,9 +137,9 @@ pub struct TraceEvent {
 /// A bounded, append-only event log.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
+    pub(crate) events: Vec<TraceEvent>,
+    pub(crate) capacity: usize,
+    pub(crate) dropped: u64,
 }
 
 /// Where the simulator's trace events go.

@@ -58,9 +58,9 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// Encode allocations allowed per checkpoint.
 const MAX_ENCODE_ALLOCATIONS: u64 = 8;
 /// Decode allocations allowed per checkpoint.
-const MAX_DECODE_ALLOCATIONS: u64 = 35;
+const MAX_DECODE_ALLOCATIONS: u64 = 25;
 /// Resume allocations allowed per checkpoint.
-const MAX_RESUME_ALLOCATIONS: u64 = 87;
+const MAX_RESUME_ALLOCATIONS: u64 = 72;
 
 /// A library and 16 racks 300 m apart, 128 carts and 64 PB owed per rack.
 fn campus() -> (SimConfig, Vec<(usize, Bytes)>) {
@@ -97,7 +97,7 @@ fn checkpoint_json_allocations_stay_bounded() {
     let (decoded, decode) = allocations(|| Checkpoint::from_json(&text));
     assert_eq!(decoded.expect("decode"), cp);
     assert!(
-        text.len() > 20_000,
+        text.len() > 8_000,
         "a {}-byte capture is too small to exercise the codec",
         text.len()
     );

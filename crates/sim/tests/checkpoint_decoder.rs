@@ -145,7 +145,7 @@ fn every_deleted_key_is_refused() {
     }
     // The capture must be rich enough to exercise the nested decoders:
     // carts in motion, trace events, histograms and fault counters.
-    assert!(deletions > 250, "only {deletions} keys deleted");
+    assert!(deletions > 200, "only {deletions} keys deleted");
 }
 
 #[test]
@@ -182,10 +182,10 @@ fn outcome(text: &str) -> String {
 const SUBSTITUTES: &[u8; 8] = b"09.e-x\"}";
 
 /// FNV-1a over the outcome of every damaged document of the sweep.
-const DAMAGE_SWEEP_HASH: u64 = 0xc584_3749_00bf_e427;
+const DAMAGE_SWEEP_HASH: u64 = 0xfdef_67dd_195e_223e;
 
 /// FNV-1a over the messages of the deleted-key and retyped-scalar refusals.
-const REFUSAL_MESSAGES_HASH: u64 = 0x494d_016d_6790_16e6;
+const REFUSAL_MESSAGES_HASH: u64 = 0x3269_480a_e913_f852;
 
 #[test]
 fn damage_sweep_outcomes_match_their_pinned_hash() {
@@ -380,7 +380,11 @@ fn deep_nesting_is_refused_without_exhausting_the_stack() {
 #[test]
 fn two_to_the_64_is_not_a_counter() {
     let text = rich_checkpoint().to_json_string();
-    let start = text.find("\"movements\":").expect("movements key") + "\"movements\":".len();
+    // The movement counter, not the fleet's column of that name.
+    let start = (text.match_indices("\"movements\":"))
+        .map(|(at, key)| at + key.len())
+        .find(|&at| text[at..].starts_with(|c: char| c.is_ascii_digit()))
+        .expect("movements counter");
     let end = start + text[start..].find(',').expect("next key");
     for wide in ["18446744073709551616", "1.8446744073709552e19"] {
         let damaged = format!("{}{wide}{}", &text[..start], &text[end..]);
@@ -397,19 +401,19 @@ fn two_to_the_64_is_not_a_counter() {
 #[test]
 fn many_members_before_a_tag_read_like_few() {
     let text = rich_checkpoint().to_json_string();
-    let at = text.find("\"location\":{").expect("a cart location") + "\"location\":{".len();
+    let at = text.find("\"kind\":{").expect("a trace event") + "\"kind\":{".len();
     let insert = |members: &str| format!("{}{members}{}", &text[..at], &text[at..]);
     let junk = "\"a\":0,\"b\":[1],\"c\":{},\"d\":null,\"e\":\"x\",";
     let cp = Checkpoint::from_json(&text).expect("decode");
     assert_eq!(Checkpoint::from_json(&insert(junk)).expect("decode"), cp);
     for (members, message) in [
         (
-            format!("{junk}\"t\":\"moving\","),
-            "`carts`: `location`: repeated key `t`",
+            format!("{junk}\"t\":\"docked\","),
+            "`trace`: `events`: `kind`: repeated key `t`",
         ),
         (
-            format!("{junk}\"endpoint\":\"x\","),
-            "`carts`: `location`: `endpoint`: not a u64",
+            format!("{junk}\"cart\":\"x\","),
+            "`trace`: `events`: `kind`: `cart`: not a u64",
         ),
     ] {
         match Checkpoint::from_json(&insert(&members)) {
@@ -429,7 +433,7 @@ fn repeated_keys_are_refused() {
     for (damaged, message) in [
         (insert("\"abandoned\"", "\"now\":1,"), "repeated key `now`"),
         (
-            insert("\"connector_cycles\"", "\"trips\":0,"),
+            insert("\"connector_cycles\"", "\"trips\":[],"),
             "`carts`: repeated key `trips`",
         ),
         (
@@ -566,7 +570,7 @@ type Edit = Box<dyn Fn(&mut BTreeMap<String, JsonValue>)>;
 
 /// FNV-1a over the outcomes of the enum-object, tuple and reordered-key
 /// damage in `enum_and_tuple_refusals_match_their_pinned_hash`.
-const READ_PATH_REFUSALS_HASH: u64 = 0x2f29_6621_d0c8_6151;
+const READ_PATH_REFUSALS_HASH: u64 = 0x0954_73e3_ec98_ff5a;
 
 #[test]
 fn enum_and_tuple_refusals_match_their_pinned_hash() {
@@ -581,10 +585,10 @@ fn enum_and_tuple_refusals_match_their_pinned_hash() {
         })
     };
     // The first enum object of each tag and key set, the first queue
-    // entry and the first histogram bucket.
+    // entry, the first histogram bucket and the first pending launch.
     let mut shapes = std::collections::BTreeSet::new();
     let mut enums = Vec::new();
-    let (mut entry, mut bucket) = (None, None);
+    let (mut entry, mut bucket, mut launch) = (None, None, None);
     for (path, _, _) in &paths {
         match (at(path), path.as_slice()) {
             (JsonValue::Object(map), _)
@@ -596,15 +600,18 @@ fn enum_and_tuple_refusals_match_their_pinned_hash() {
             (JsonValue::Array(_), [Step::Key(q), Step::Index(0)]) if q == "queue" => {
                 entry = Some(path.clone());
             }
+            (JsonValue::Array(_), [Step::Key(p), Step::Index(0)]) if p == "pending" => {
+                launch = Some(path.clone());
+            }
             (JsonValue::Array(_), [.., Step::Key(b), Step::Index(0)]) if b == "buckets" => {
                 bucket = bucket.or(Some(path.clone()));
             }
             _ => {}
         }
     }
-    let tuples: Vec<_> = entry.into_iter().chain(bucket).collect();
+    let tuples: Vec<_> = [entry, bucket, launch].into_iter().flatten().collect();
     assert!(
-        enums.len() >= 6 && tuples.len() == 2,
+        enums.len() >= 6 && tuples.len() == 3,
         "{enums:?} {tuples:?}"
     );
     let mut log = String::new();

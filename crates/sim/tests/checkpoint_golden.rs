@@ -41,13 +41,13 @@ const CONFIGS: [&str; 7] = [
 /// One row per entry of `CONFIGS`, one column per entry of `CAPTURE_AT`.
 #[rustfmt::skip]
 const GOLDEN: [[u64; 5]; 7] = [
-    [0x7f607647b82da7f7, 0xae16a660d6559f63, 0x63a35b484706aa3c, 0xe1f6517bc3413e27, 0x82fa949f45a25099],
-    [0x5ebbf11f77d6f1b3, 0x337035a1bf288a5c, 0xfc0d3913203c277a, 0x6a187fede7528544, 0xba7956294c9e6ae8],
-    [0x7e65ae55cd84535d, 0xd317198506f0bfa9, 0x0e5f8349a6d71fe9, 0x61fc83955e830a29, 0xf6b6be556111ad03],
-    [0xda8586f39ce7c2e0, 0x7fabb677382e4686, 0xc3eb9993314133e6, 0x6a4280aa4f47fe43, 0xe01841fe0c0ad168],
-    [0x7ce9f7ff24cf0db2, 0x9294a6411a18932b, 0x47d3f45598f22919, 0xc6eb6015beac5791, 0xe1a26fb9abe70135],
-    [0x64cb94d8571fea9d, 0x3b1abff82c70cf65, 0x9a46f613838e2a7d, 0xba9602c5366e6775, 0x31cb0954fa8ad91f],
-    [0x42c1a988b649300e, 0xe406bf0efc82080b, 0x4e7f5afa6b903989, 0x24ce13b87797a3a6, 0x71db50e0c0c25115],
+    [0x73ff4bab445891d5, 0x36920f2b62f50043, 0x22194f6dbc74d2f2, 0x81aa0b8e62c4ce86, 0xc81a6269ea47e4c6],
+    [0x4f36a880c8939892, 0xc50bf89a2836f373, 0x503091466afd95af, 0xf96add13d5fe5b14, 0xe57816a52e70e13e],
+    [0xe0585581d741423c, 0xfdf366f4fe314e45, 0xfa99256eb4ac6465, 0xccb9291d93268bd3, 0xdcb1389a230ee373],
+    [0x70bea4ae1411ab6c, 0xc7bd611754c5a197, 0x40e78261579707b4, 0xdaa8130da81b4342, 0xe4be66815ab959e4],
+    [0x122004bacafafcce, 0x5e23754fc7a8a761, 0x1784b0d3260ff5a5, 0xdf3c77ed335739bc, 0x0910331467a9ba8a],
+    [0xbfc97035770bd427, 0xa72e7a70215e9b17, 0x7689e452765d5faf, 0xd1eac2353547b7ec, 0x3da12656d3fa8810],
+    [0x200ad412b6ed94e4, 0x205f140d58780ebb, 0x126e687327aa8359, 0x455590d36cad66e4, 0xf6a872750beda005],
 ];
 
 /// Arrivals drawn before each `ArrivalState` capture.

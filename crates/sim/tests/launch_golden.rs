@@ -1,20 +1,24 @@
 //! Golden hashes for the simulator's launch order.
 //!
-//! Eleven configurations cover every way the launch rule can decide: one
+//! Thirteen configurations cover every way the launch rule can decide: one
 //! shared track and a dual track, one rack and a multi-stop track whose
-//! inbound and outbound headway wakeups interleave, single-dock racks,
+//! inbound and outbound headways interleave, single-dock racks,
 //! a 128-cart campus with a deep backlog, a 64-rack campus with many
 //! launch groups waiting at once, stalled carts blocking a track, a fixed
-//! processing dwell, and integrity reshipment. Each mission runs
-//! with a trace large enough to keep every event; the full trace (every
-//! `Launch` with its cart, origin, destination and time, plus every other
-//! transition) and the deterministic fields of the `BulkTransferReport`
-//! are hashed with FNV-1a. The same mission resumed from a JSON
-//! checkpoint taken at three instants must reproduce the same hash.
+//! processing dwell, integrity reshipment, and a dock slower than the
+//! undock (headway wakeups booked) and the reverse (none booked). Each
+//! mission runs with a trace large enough to keep every event; the full
+//! trace (every `Launch` with its cart, origin, destination and time, plus
+//! every other transition) and the deterministic fields of the
+//! `BulkTransferReport` are hashed with FNV-1a. The same mission resumed
+//! from a JSON checkpoint taken at three instants must reproduce the same
+//! hash.
 //!
-//! On a mismatch the test prints the freshly computed table; replace the
-//! golden table with it only when a change to the launch order is
-//! intended.
+//! Two tables pin the hashes. `PHYSICS` leaves out `events_processed`, so
+//! it moves only when a cart moves differently; `GOLDEN` includes it, so
+//! it also moves when the engine handles a different number of events for
+//! the same physics. On a mismatch the test prints the freshly computed
+//! table; replace a table with it only when that change is intended.
 
 use dhl_sim::{
     BulkTransferReport, Checkpoint, DhlSystem, EndpointKind, EndpointSpec, FaultSpec,
@@ -24,7 +28,7 @@ use dhl_storage::fnv1a_64;
 use dhl_storage::integrity::CorruptionModel;
 use dhl_units::{Bytes, Metres, Seconds};
 
-const CONFIGS: [&str; 11] = [
+const CONFIGS: [&str; 13] = [
     "paper-default",
     "paper-serial",
     "dual-track",
@@ -36,14 +40,26 @@ const CONFIGS: [&str; 11] = [
     "stress",
     "fixed-dwell",
     "reshipment",
+    "slow-dock",
+    "slow-undock",
 ];
 
-/// One entry per entry of `CONFIGS`.
+/// One entry per entry of `CONFIGS`: the trace and every hashed report
+/// field, `events_processed` included.
 #[rustfmt::skip]
-const GOLDEN: [u64; 11] = [
-    0xcdc5fb4a2fb9e209, 0x982bf16ee9a9baa4, 0x9c50ea74058e5ede, 0x310081dbebd28a82, 0x3b246e9ac304dc8e,
-    0xa54070554c115d98, 0xf787ef95b97d66f4, 0x67acd88765ac8f75, 0x0f8b034ef99d9cb8, 0xd6c740976c58b8cc,
-    0x88d6d45b6db1e221,
+const GOLDEN: [u64; 13] = [
+    0x272838d20c8cd2fa, 0x982bf16ee9a9baa4, 0xc4b408d4b3682a8e, 0xa04df5081009441d, 0xd36ce89a5af74982,
+    0xe15a9f8ff7830f72, 0xad64bee5529b8687, 0x25af7c2bf187826d, 0x2a560ad93d7ed17b, 0x96b6ce34804f2f0c,
+    0x3a22532891cde86f, 0xfd2cccf812fc3970, 0x70a543c74f0b9def,
+];
+
+/// One entry per entry of `CONFIGS`: as `GOLDEN`, without
+/// `events_processed`.
+#[rustfmt::skip]
+const PHYSICS: [u64; 13] = [
+    0x1a69f473266253db, 0x52470b4e344fd425, 0x7af5421802246e67, 0x60c8f9d30151454a, 0x3bb54781b0db9b59,
+    0x9d75a15d5491070d, 0x55cd5ecc14291931, 0xc5abec742e198fdc, 0x57307ffbfdf6dea0, 0xf2a83cd95808a037,
+    0xfea3fbac369f9686, 0x314a167216e68758, 0xd816876ed01e7c20,
 ];
 
 /// Checkpoint instants, as fractions of each mission's uninterrupted
@@ -125,6 +141,16 @@ fn config(name: &str) -> SimConfig {
             });
             cfg
         }
+        "slow-dock" => SimConfig {
+            dock_time: Seconds::new(5.0),
+            undock_time: Seconds::new(3.0),
+            ..campus(24, 4, 3)
+        },
+        "slow-undock" => SimConfig {
+            dock_time: Seconds::new(3.0),
+            undock_time: Seconds::new(5.0),
+            ..campus(24, 4, 3)
+        },
         other => panic!("unknown configuration {other}"),
     }
 }
@@ -160,8 +186,15 @@ fn begun(name: &str) -> DhlSystem {
     sys
 }
 
+/// The `GOLDEN` and `PHYSICS` hashes of one mission.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct Hashes {
+    golden: u64,
+    physics: u64,
+}
+
 /// Runs `sys` to completion and hashes its trace and report.
-fn finish_and_hash(mut sys: DhlSystem, name: &str) -> (u64, BulkTransferReport) {
+fn finish_and_hash(mut sys: DhlSystem, name: &str) -> (Hashes, BulkTransferReport) {
     sys.run_until(Seconds::new(f64::INFINITY)).expect("run");
     let report = sys.finish();
     let trace = sys.take_trace().expect("tracing enabled");
@@ -170,37 +203,43 @@ fn finish_and_hash(mut sys: DhlSystem, name: &str) -> (u64, BulkTransferReport) 
     for event in trace.events() {
         text.push_str(&format!("{event:?}\n"));
     }
-    text.push_str(&format!(
-        "{:?} {:?} {} {:?} {} {:?} {:?} {:?} {:?} {} {} {} {} {:?} {:?}",
-        report.completion_time,
-        report.delivered,
-        report.deliveries,
-        report.deliveries_by_endpoint,
-        report.movements,
-        report.total_energy,
-        report.average_power,
-        report.embodied_bandwidth,
-        report.track_busy_time,
-        report.max_carts_in_flight,
-        report.events_processed,
-        report.ssd_failures,
-        report.data_loss_events,
-        report.reliability,
-        report.integrity,
-    ));
-    (fnv1a_64(text.as_bytes()), report)
+    let report_text = |events: &str| {
+        format!(
+            "{:?} {:?} {} {:?} {} {:?} {:?} {:?} {:?} {}{events} {} {} {:?} {:?}",
+            report.completion_time,
+            report.delivered,
+            report.deliveries,
+            report.deliveries_by_endpoint,
+            report.movements,
+            report.total_energy,
+            report.average_power,
+            report.embodied_bandwidth,
+            report.track_busy_time,
+            report.max_carts_in_flight,
+            report.ssd_failures,
+            report.data_loss_events,
+            report.reliability,
+            report.integrity,
+        )
+    };
+    let hash = |events: &str| fnv1a_64(format!("{text}{}", report_text(events)).as_bytes());
+    let hashes = Hashes {
+        golden: hash(&format!(" {}", report.events_processed)),
+        physics: hash(""),
+    };
+    (hashes, report)
 }
 
-/// The uninterrupted hash of every configuration, each checked against
+/// The uninterrupted hashes of every configuration, each checked against
 /// the same mission resumed from JSON at every `RESUME_AT` instant.
-fn launch_hashes() -> Vec<u64> {
+fn launch_hashes() -> Vec<Hashes> {
     CONFIGS
         .iter()
         .map(|&name| {
             let mut probe = begun(name);
             probe.run_until(Seconds::new(f64::INFINITY)).expect("run");
             let completion = probe.now().seconds();
-            let (hash, _) = finish_and_hash(begun(name), name);
+            let (hashes, _) = finish_and_hash(begun(name), name);
             for &fraction in &RESUME_AT {
                 let mut sys = begun(name);
                 let _ = sys
@@ -209,30 +248,38 @@ fn launch_hashes() -> Vec<u64> {
                 let text = sys.checkpoint().to_json();
                 let cp = Checkpoint::from_json(&text).expect("decode");
                 let resumed = DhlSystem::resume(config(name), &cp).expect("resume");
-                let (resumed_hash, _) = finish_and_hash(resumed, name);
+                let (resumed_hashes, _) = finish_and_hash(resumed, name);
                 assert_eq!(
-                    resumed_hash, hash,
+                    resumed_hashes, hashes,
                     "{name}: resumed at {fraction} of completion diverged"
                 );
             }
-            hash
+            hashes
         })
         .collect()
+}
+
+/// Checks `fresh` against the `pinned` table called `table`.
+fn assert_table(table: &str, fresh: &[u64], pinned: &[u64]) {
+    let printed: Vec<String> = fresh.iter().map(|h| format!("0x{h:016x}")).collect();
+    for (i, &hash) in fresh.iter().enumerate() {
+        assert!(
+            hash == pinned[i],
+            "{}: hash 0x{hash:016x} != {table} 0x{:016x}\nfresh {table} table:\n[\n    {},\n]",
+            CONFIGS[i],
+            pinned[i],
+            printed.join(", "),
+        );
+    }
 }
 
 #[test]
 fn launch_order_matches_its_golden_hash() {
     let fresh = launch_hashes();
-    let printed: Vec<String> = fresh.iter().map(|h| format!("0x{h:016x}")).collect();
-    for (i, &hash) in fresh.iter().enumerate() {
-        assert!(
-            hash == GOLDEN[i],
-            "{}: hash 0x{hash:016x} != golden 0x{:016x}\nfresh table:\n[\n    {},\n]",
-            CONFIGS[i],
-            GOLDEN[i],
-            printed.join(", "),
-        );
-    }
+    let physics: Vec<u64> = fresh.iter().map(|h| h.physics).collect();
+    assert_table("PHYSICS", &physics, &PHYSICS);
+    let golden: Vec<u64> = fresh.iter().map(|h| h.golden).collect();
+    assert_table("GOLDEN", &golden, &GOLDEN);
 }
 
 /// Each configuration reaches the regime it is named for; otherwise its
@@ -288,8 +335,10 @@ fn every_configuration_exercises_its_regime() {
 
 #[test]
 fn golden_hashes_are_distinct() {
-    let mut all = GOLDEN.to_vec();
-    all.sort_unstable();
-    all.dedup();
-    assert_eq!(all.len(), CONFIGS.len());
+    for table in [GOLDEN, PHYSICS] {
+        let mut all = table.to_vec();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), CONFIGS.len());
+    }
 }

@@ -31,17 +31,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod background_traffic;
 pub mod components;
-pub mod energy_proportional;
 pub mod latency;
 pub mod route;
 pub mod topology;
 pub mod transfer;
 
-pub use background_traffic::{SharedNetwork, TrafficImpact};
 pub use components::{Nic, Switch, Transceiver};
-pub use energy_proportional::SleepCapableRoute;
 pub use latency::LatencyModel;
 pub use route::{Route, RouteId};
 pub use topology::{FatTree, NodeAddress};

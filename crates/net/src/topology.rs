@@ -73,32 +73,6 @@ impl FatTree {
         }
     }
 
-    /// A custom layout (all dimensions clamped to at least 1).
-    #[must_use]
-    pub fn new(aisles: u32, racks_per_aisle: u32, nodes_per_rack: u32) -> Self {
-        Self {
-            aisles: aisles.max(1),
-            racks_per_aisle: racks_per_aisle.max(1),
-            nodes_per_rack: nodes_per_rack.max(1),
-        }
-    }
-
-    /// Total node count.
-    #[must_use]
-    pub fn node_count(&self) -> u64 {
-        u64::from(self.aisles) * u64::from(self.racks_per_aisle) * u64::from(self.nodes_per_rack)
-    }
-
-    /// Total switch count: one ToR per rack, one aggregation per aisle, one
-    /// core (when there are ≥ 2 aisles).
-    #[must_use]
-    pub fn switch_count(&self) -> u64 {
-        let tors = u64::from(self.aisles) * u64::from(self.racks_per_aisle);
-        let aggs = u64::from(self.aisles);
-        let cores = u64::from(self.aisles >= 2);
-        tors + aggs + cores
-    }
-
     fn contains(&self, a: NodeAddress) -> bool {
         a.aisle < self.aisles && a.rack < self.racks_per_aisle && a.node < self.nodes_per_rack
     }
@@ -214,20 +188,5 @@ mod tests {
         assert!(t.route_between(outside, inside).is_err());
         let msg = format!("{}", t.switches_between(inside, outside).unwrap_err());
         assert!(msg.contains("outside the topology"));
-    }
-
-    #[test]
-    fn counts() {
-        let t = FatTree::figure_2();
-        assert_eq!(t.node_count(), 32);
-        assert_eq!(t.switch_count(), 8 + 2 + 1);
-        let single = FatTree::new(1, 2, 2);
-        assert_eq!(single.switch_count(), 2 + 1); // no core switch
-    }
-
-    #[test]
-    fn dimensions_clamped_to_one() {
-        let t = FatTree::new(0, 0, 0);
-        assert_eq!(t.node_count(), 1);
     }
 }

@@ -11,7 +11,7 @@
 //!   ([`Reader::next_key_is`]). The per-token readers are `#[inline]` and
 //!   build their errors out of line, so they inline into a caller's loop.
 //! - **The DOM:** [`parse`] builds a [`JsonValue`] tree over a [`Reader`],
-//!   for tools that want random access (the bench regression checker).
+//!   for callers that want random access (the checkpoint decoder tests).
 //!
 //! There is one grammar, the full JSON grammar, read strictly: malformed
 //! input, trailing characters and nesting deeper than [`MAX_DEPTH`] are

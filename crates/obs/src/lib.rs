@@ -17,9 +17,8 @@
 //!   Slots are recorded in registration order but exported sorted by name,
 //!   so snapshots are byte-identical to the retired BTreeMap registry's
 //!   (pinned by [`reference_registry`] and the differential suite).
-//! - [`json`] — the minimal JSON writer, pull reader and DOM parser the
-//!   exporters, the checkpoint codec and the bench regression checker
-//!   share.
+//! - [`json`] — the minimal JSON writer and pull reader the exporters and
+//!   the checkpoint codec share, and a DOM parser the tests use.
 //!
 //! # Example
 //!

@@ -5,13 +5,11 @@
 //! every counter bump, gauge set, and histogram observation, and
 //! [`crate::Histogram`] bucketed through `value.log2().floor()`. This module
 //! preserves that implementation exactly — map storage, float-log bucketing,
-//! NaN-storing gauges and all — for two consumers:
-//!
-//! - the `registry_equivalence` differential suite, which drives randomized
-//!   record interleavings through both registries and asserts byte-identical
-//!   [`MetricsSnapshot`] JSON;
-//! - the `obs/record_throughput` bench family, which measures the dense-slot
-//!   hot path against this pin so the speedup is a number, not folklore.
+//! NaN-storing gauges and all — for the `registry_equivalence` differential
+//! suite, which drives randomized record interleavings through both
+//! registries and asserts byte-identical [`MetricsSnapshot`] JSON. That the
+//! record path walks no names is its handle-only signature, and
+//! `tests/record_allocs.rs` gates that it allocates nothing.
 //!
 //! Do not "fix" or modernise this code: its value is that it does not move.
 

@@ -23,7 +23,7 @@
 //! Two further modules back the serving hot path: [`service_queue`] (the
 //! indexed, arena-backed pending structure the scheduler serves from) and
 //! [`reference_service`] (the retired O(n) scan, pinned verbatim for
-//! differential tests and benchmarks).
+//! differential tests).
 //!
 //! # Example
 //!

@@ -6,15 +6,14 @@
 //! by a shifting `Vec::remove` — O(n) per service decision and O(n) per
 //! shed, O(n²) across a drain. This module preserves that implementation
 //! **bit for bit** (the scan bodies below are the exact functions the
-//! scheduler used, including their `partial_cmp` tie-breaking) so that:
+//! scheduler used, including their `partial_cmp` tie-breaking) so that the
+//! differential suite (`tests/service_equivalence.rs`) and the scheduler's
+//! unit tests can assert the indexed structure pops and sheds in *exactly*
+//! the retired order. That the indexed structure does not scan is a work
+//! count in `service_queue`'s unit tests, not a timing against this pin.
 //!
-//! - the differential suite (`tests/service_equivalence.rs`) can assert the
-//!   indexed structure pops and sheds in *exactly* the retired order, and
-//! - the `sched/requests_per_sec` benchmarks can measure the speedup live
-//!   on every run instead of claiming it from a historical number.
-//!
-//! Nothing in the serving path calls this module; it exists for tests and
-//! benches only.
+//! Nothing in the serving path calls this module; it exists for tests
+//! only.
 
 use crate::scheduler::{Policy, Priority, RequestId, TransferRequest};
 

@@ -2460,4 +2460,48 @@ mod admission_tests {
         let out = sched.try_run().expect("valid requests");
         assert!(out.admission.is_none());
     }
+
+    /// Entries walked by the exact backlog sum, and the arrivals admitted
+    /// and refused for a full queue, in a saturating open-loop run whose
+    /// every arrival carries a deadline, with the pending set capped at
+    /// `cap`.
+    fn deadline_walks(cap: usize) -> (u64, u64, u64) {
+        use crate::service_queue::WALKED;
+        use dhl_sim::{ArrivalGenerator, ArrivalSpec};
+        let (sched, small, _) = setup();
+        let mut sched = sched.with_admission(AdmissionSpec {
+            max_pending_global: cap,
+            max_pending_per_tenant: cap,
+            policy: OverloadPolicy::Reject,
+            deadline_aware: true,
+            ..AdmissionSpec::default()
+        });
+        sched.set_metrics_enabled(false);
+        // 4x the track's saturation rate keeps the queue at its cap; the
+        // deadline clears any backlog the cap allows, so every arrival
+        // runs the deadline check and none is refused by it.
+        let spec = ArrivalSpec::poisson(4.0 / 17.2, Seconds::new(1e15), 7).with_tenants(64);
+        for (i, arrival) in ArrivalGenerator::new(&spec).take(16_384).enumerate() {
+            let priority = [Priority::Background, Priority::Normal, Priority::Urgent][i % 3];
+            sched.submit(
+                TransferRequest::new(small, 1, priority, arrival.at)
+                    .with_tenant(TenantId(arrival.tenant))
+                    .with_deadline(arrival.at + Seconds::new(1e7)),
+            );
+        }
+        WALKED.with(|n| n.set(0));
+        let report = sched.try_run().unwrap().admission.unwrap();
+        assert_eq!(report.rejected_deadline, 0, "the deadline never binds");
+        let walked = WALKED.with(std::cell::Cell::get);
+        (walked, report.admitted, report.rejected_queue_full)
+    }
+
+    /// The running backlog's bracket decides every deadline check at both
+    /// depths, so no arrival walks the pending set. Both queues sit at
+    /// their caps: three quarters and half of the arrivals find them full.
+    #[test]
+    fn deadline_admission_does_not_walk_the_backlog() {
+        assert_eq!(deadline_walks(64), (0, 4_182, 12_202));
+        assert_eq!(deadline_walks(4_096), (0, 8_214, 8_170));
+    }
 }

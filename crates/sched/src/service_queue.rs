@@ -169,6 +169,20 @@ impl<T: PartialEq> PartialEq for IdTable<T> {
 /// Ends every slot list.
 const NIL: u32 = u32::MAX;
 
+#[cfg(test)]
+thread_local! {
+    /// Class heads, tree entries and arena slots examined by this thread's
+    /// queues: the unit tests' per-operation work count.
+    static EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Entries walked by [`ServiceQueue::backlog_service_s`] on this thread.
+    pub(crate) static WALKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn count(counter: &'static std::thread::LocalKey<std::cell::Cell<u64>>, n: usize) {
+    counter.with(|c| c.set(c.get() + n as u64));
+}
+
 /// An arena slot: a pending entry, its admission sequence number, and its
 /// links in its class's FIFO list. A freed slot's `next` links the free list.
 #[derive(Copy, Clone, Debug)]
@@ -370,6 +384,8 @@ impl ServiceQueue {
     #[must_use]
     #[inline(never)]
     pub fn backlog_service_s(&self) -> f64 {
+        #[cfg(test)]
+        count(&WALKED, self.len());
         self.admission_order()
             .map(|slot| self.arena.slots[slot].entry.service_s)
             .sum()
@@ -441,6 +457,9 @@ impl ServiceQueue {
         match &mut self.index {
             ServiceIndex::Fifo { ends } => {
                 let (head, tail) = &mut ends[class];
+                // The new slot, its class's ends and the old tail.
+                #[cfg(test)]
+                count(&EXAMINED, 3);
                 slots[slot as usize].prev = *tail;
                 match *tail {
                     NIL => *head = slot,
@@ -449,6 +468,9 @@ impl ServiceQueue {
                 *tail = slot;
             }
             ServiceIndex::Sjf { by_size, by_seq } => {
+                // The new slot and its two tree entries.
+                #[cfg(test)]
+                count(&EXAMINED, 3);
                 by_size[class].insert((entry.carts, entry.id.0), slot);
                 by_seq[class].insert(slots[slot as usize].seq, slot);
             }
@@ -469,6 +491,10 @@ impl ServiceQueue {
             next,
         } = slots[slot as usize];
         let class = class_of(req.priority);
+        // The slot, and its two neighbours or class ends, or its two tree
+        // entries.
+        #[cfg(test)]
+        count(&EXAMINED, 3);
         match &mut self.index {
             ServiceIndex::Fifo { ends } => {
                 match prev {
@@ -504,6 +530,9 @@ impl ServiceQueue {
                 .rev()
                 .find_map(|m| m.values().next().copied())?,
         };
+        // The class heads from the top down to the one served.
+        #[cfg(test)]
+        count(&EXAMINED, CLASSES - self.class_at(slot));
         Some(self.detach(slot))
     }
 
@@ -517,11 +546,21 @@ impl ServiceQueue {
                 .iter()
                 .find_map(|m| m.values().next_back().copied())?,
         };
+        // The class tails from the bottom up to the victim's, and its slot.
+        #[cfg(test)]
+        count(&EXAMINED, self.class_at(slot) + 2);
         if self.arena.slots[slot as usize].entry.req.priority < incoming {
             Some(self.detach(slot))
         } else {
             None
         }
+    }
+}
+
+#[cfg(test)]
+impl ServiceQueue {
+    fn class_at(&self, slot: u32) -> usize {
+        class_of(self.arena.slots[slot as usize].entry.req.priority)
     }
 }
 
@@ -852,5 +891,52 @@ mod tests {
             Some((1, docks)),
             "exactly one slot claimed"
         );
+    }
+
+    /// Class heads, tree entries and arena slots examined by a hold model
+    /// `held` deep. It is seeded with a mix of the three classes and 1–36
+    /// carts; each round then serves an urgent entry and sheds a background
+    /// one for an urgent arrival, and admits one of each in their place,
+    /// so the depth and the class mix stay put. Arrivals never go back.
+    fn examined_holding(policy: Policy, held: u64) -> u64 {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (rng >> 11) % bound
+        };
+        let mut arrival = 0.0;
+        let mut entry = |id: u64, class: u64| {
+            arrival += next(1000) as f64 * 0.017;
+            let priority = [Priority::Background, Priority::Normal, Priority::Urgent];
+            let mut e = entry(id, priority[class as usize], arrival, 1 + next(36) as usize);
+            e.req.tenant = TenantId(next(64) as u32);
+            e
+        };
+        let mut q = ServiceQueue::new(policy);
+        (0..held).for_each(|id| q.push(entry(id, id % 3)));
+        EXAMINED.with(|n| n.set(0));
+        for id in (held..).step_by(2).take(4_096) {
+            let served = q.pop_next().expect("a served entry");
+            assert_eq!(served.req.priority, Priority::Urgent);
+            q.push(entry(id, 2));
+            let shed = q.shed_victim(Priority::Urgent).expect("a shed entry");
+            assert_eq!(shed.req.priority, Priority::Background);
+            q.push(entry(id + 1, 0));
+        }
+        assert_eq!(q.len() as u64, held);
+        EXAMINED.with(std::cell::Cell::get)
+    }
+
+    /// Serving, shedding and admitting examine the same entries whatever
+    /// the depth, 15 a round under either policy: no operation scans the
+    /// pending set.
+    #[test]
+    fn pop_push_and_shed_do_not_grow_with_the_pending_set() {
+        for policy in [Policy::PriorityFifo, Policy::ShortestJobFirst] {
+            let counts = [1_024, 65_536].map(|held| examined_holding(policy, held));
+            assert_eq!(counts, [61_440; 2], "{policy:?}");
+        }
     }
 }

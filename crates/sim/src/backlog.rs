@@ -39,6 +39,18 @@ pub(crate) struct Backlog {
     len: usize,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Tree nodes and group entries this thread's backlogs have read or
+    /// written: the unit tests' per-event work count.
+    static TOUCHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn touch(entries: u64) {
+    TOUCHED.with(|n| n.set(n.get() + entries));
+}
+
 fn group_of(m: &Movement) -> usize {
     let inbound = DhlSystem::direction_of(m.from, m.to) == Direction::Inbound;
     2 * m.to + usize::from(inbound)
@@ -88,9 +100,13 @@ impl Backlog {
         let tree = &mut self.trees[group % 2];
         let mut i = tree.len() / 2 + to;
         tree[i] = (head.filter(|_| self.dock_free[to]).unwrap_or(u64::MAX), to);
+        #[cfg(test)]
+        touch(1);
         while i > 1 {
             i /= 2;
             tree[i] = tree[2 * i].min(tree[2 * i + 1]);
+            #[cfg(test)]
+            touch(1);
         }
     }
 
@@ -117,6 +133,8 @@ impl Backlog {
     /// The sequence number and destination of the oldest movement bound in
     /// direction `d` to an endpoint with a free dock.
     pub(crate) fn oldest(&self, d: Direction) -> Option<(u64, EndpointId)> {
+        #[cfg(test)]
+        touch(1);
         Some(self.trees[d as usize][1]).filter(|&(seq, _)| seq != u64::MAX)
     }
 
@@ -141,8 +159,9 @@ impl Backlog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EndpointKind, EndpointSpec, SimConfig};
     use dhl_rng::check::forall;
-    use dhl_units::Bytes;
+    use dhl_units::{Bytes, Metres, Seconds};
 
     const DIRECTIONS: [Direction; 2] = [Direction::Outbound, Direction::Inbound];
 
@@ -252,5 +271,79 @@ mod tests {
             assert_eq!(rebuilt.to_fifo(), pending);
             assert_eq!(rebuilt.len(), pending.len());
         });
+    }
+
+    /// A campus and the data owed to each of its racks.
+    type Campus = (SimConfig, Vec<(EndpointId, Bytes)>);
+
+    /// A library and `racks` racks of 4 docks 300 m apart, with `carts`
+    /// carts and `petabytes` owed to each rack.
+    fn campus(racks: usize, carts: u32, petabytes: f64) -> Campus {
+        let mut cfg = SimConfig::paper_default();
+        cfg.num_carts = carts;
+        cfg.endpoints = vec![EndpointSpec {
+            position: Metres::ZERO,
+            docks: carts,
+            kind: EndpointKind::Library,
+        }];
+        for rack in 1..=racks {
+            cfg.endpoints.push(EndpointSpec {
+                position: Metres::new(300.0 * rack as f64),
+                docks: 4,
+                kind: EndpointKind::Rack,
+            });
+        }
+        let demands = (1..=racks)
+            .map(|rack| (rack, Bytes::from_petabytes(petabytes)))
+            .collect();
+        (cfg, demands)
+    }
+
+    /// `(entries touched, events)` over one whole campus mission.
+    fn touched_and_events((cfg, demands): &Campus) -> (u64, u64) {
+        TOUCHED.with(|n| n.set(0));
+        let mut sys = DhlSystem::new(cfg.clone()).expect("valid campus");
+        sys.begin_multi_rack(demands).expect("mission accepted");
+        sys.run_until(Seconds::new(f64::INFINITY)).expect("runs");
+        let events = sys.finish().events_processed;
+        (TOUCHED.with(std::cell::Cell::get), events)
+    }
+
+    /// Per DES event, the larger campus touches at most `bound` times the
+    /// entries the smaller one touches.
+    fn assert_per_event_within(small: (u64, u64), large: (u64, u64), bound: f64) {
+        let per_event = |(touched, events): (u64, u64)| touched as f64 / events as f64;
+        let ratio = per_event(large) / per_event(small);
+        assert!(
+            ratio < bound,
+            "{large:?} vs {small:?}: {ratio:.3}x (bound {bound}x)"
+        );
+    }
+
+    /// Choosing a launch reads two roots, and a push, pop or dock change
+    /// refreshes a leaf and its ancestors, whatever the number of carts
+    /// waiting. A full
+    /// 128-cart fleet toggles its racks' docks more often than 32 carts
+    /// do, so it touches 1.07x as much per event; a scan of the backlog
+    /// grows with the carts waiting in it.
+    #[test]
+    fn choosing_a_launch_does_not_grow_with_the_backlog() {
+        let small = touched_and_events(&campus(16, 32, 16.0));
+        let large = touched_and_events(&campus(16, 128, 16.0));
+        assert_per_event_within(small, large, 1.1);
+        assert_eq!(small, (32_450, 7_056));
+        assert_eq!(large, (34_754, 7_056));
+    }
+
+    /// Eight times the racks deepen each tree from 5 to 8 levels, so the
+    /// count grows as their logarithm; a scan of the groups grows with
+    /// their number.
+    #[test]
+    fn choosing_a_launch_grows_as_the_log_of_the_racks() {
+        let small = touched_and_events(&campus(8, 64, 32.0));
+        let large = touched_and_events(&campus(64, 512, 32.0));
+        assert_per_event_within(small, large, 2.0);
+        assert_eq!(small, (31_882, 7_000));
+        assert_eq!(large, (322_306, 56_000));
     }
 }

@@ -30,12 +30,12 @@
 //! [`EventQueue::from_entries`]) carry that sorted logical view, never the
 //! storage layout, so a restored queue has an identical future.
 //!
-//! Up to [`RUN_MAX`] slots sit in a `Vec` sorted latest-first: a pop is
+//! Up to `RUN_MAX` (64) slots sit in a `Vec` sorted latest-first: a pop is
 //! `Vec::pop`, and a push scans back from the earliest end and inserts. No
 //! perfbench run holds more than 25 (9 on `clean`, 25 on `faulty`, 10 on
 //! `large`), so the simulator stays in this form. A deeper queue moves to a
-//! [`BinaryHeap`] and back once a pop leaves [`HEAP_MIN`]; the gap keeps a
-//! queue near the limit from converting on every push.
+//! [`BinaryHeap`] and back once a pop leaves `HEAP_MIN` (16); the gap keeps
+//! a queue near the limit from converting on every push.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
@@ -47,6 +47,14 @@ use dhl_units::Seconds;
 /// down to `HEAP_MIN` turns back into a run.
 const RUN_MAX: usize = 64;
 const HEAP_MIN: usize = 16;
+
+#[cfg(test)]
+thread_local! {
+    /// Form conversions made and run slots shifted by this thread's
+    /// queues: the unit tests' work counts.
+    static CONVERSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static SHIFTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// A pending event: fires at `time`, FIFO within equal times.
 struct Slot<E> {
@@ -304,6 +312,8 @@ impl<E> EventQueue<E> {
             // The new slot has the largest `seq`, so it pops after every
             // slot at its time.
             let before = self.run.iter().rev().take_while(|s| s.time <= time).count();
+            #[cfg(test)]
+            SHIFTED.with(|n| n.set(n.get() + before as u64));
             self.run.insert(self.run.len() - before, slot);
             if self.run.len() > RUN_MAX {
                 self.switch_to_heap();
@@ -315,11 +325,15 @@ impl<E> EventQueue<E> {
 
     #[cold]
     fn switch_to_heap(&mut self) {
+        #[cfg(test)]
+        CONVERSIONS.with(|n| n.set(n.get() + 1));
         self.heap = BinaryHeap::from(std::mem::take(&mut self.run));
     }
 
     #[cold]
     fn switch_to_run(&mut self) {
+        #[cfg(test)]
+        CONVERSIONS.with(|n| n.set(n.get() + 1));
         self.run = std::mem::take(&mut self.heap).into_sorted_vec();
     }
 }
@@ -338,6 +352,43 @@ impl<E> core::fmt::Debug for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    /// `(conversions, run slots shifted)` made by `f` on this thread.
+    fn work(f: impl FnOnce()) -> (u64, u64) {
+        let counts = || (CONVERSIONS.with(Cell::get), SHIFTED.with(Cell::get));
+        let before = counts();
+        f();
+        let after = counts();
+        (after.0 - before.0, after.1 - before.1)
+    }
+
+    /// A hold model far deeper than any simulation: every operation pops
+    /// the head and schedules a replacement at a pseudo-random delay. The
+    /// queue converts to a heap once, while it is seeded, and then stays
+    /// one: no conversion and no run slot shifted per push.
+    #[test]
+    fn a_deep_hold_model_stays_a_heap() {
+        const PENDING: u32 = 4_096;
+        fn delay(x: &mut u64) -> Seconds {
+            *x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            Seconds::new(((*x >> 11) as f64) / (1u64 << 53) as f64)
+        }
+        let mut q = EventQueue::new();
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let seeding = work(|| (0..PENDING).for_each(|i| q.schedule(delay(&mut seed), i)));
+        assert_eq!(seeding, (1, 1_051));
+        let hold = work(|| {
+            for _ in 0..4 * PENDING {
+                let (_, id) = q.pop().expect("hold model never drains");
+                q.schedule(delay(&mut seed), id);
+            }
+        });
+        assert_eq!(hold, (0, 0));
+        assert_eq!(q.pending(), PENDING as usize);
+    }
 
     #[test]
     fn pops_in_time_order() {

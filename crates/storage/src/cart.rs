@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dhl_units::{Bytes, BytesPerSecond, Kilograms, Seconds};
+use dhl_units::{Bytes, BytesPerSecond};
 
 use crate::devices::StorageDevice;
 
@@ -67,18 +67,6 @@ impl PcieLink {
         Self { generation, lanes }
     }
 
-    /// The link's generation.
-    #[must_use]
-    pub fn generation(&self) -> PcieGeneration {
-        self.generation
-    }
-
-    /// The number of lanes.
-    #[must_use]
-    pub fn lanes(&self) -> u32 {
-        self.lanes
-    }
-
     /// Effective payload rate in gigabits per second.
     #[must_use]
     pub fn gigabits_per_second(&self) -> f64 {
@@ -124,12 +112,6 @@ impl CartStorage {
         Self::new(StorageDevice::sabrent_rocket_4_plus(), 32)
     }
 
-    /// The paper's small configuration: 16 SSDs (128 TB).
-    #[must_use]
-    pub fn paper_small() -> Self {
-        Self::new(StorageDevice::sabrent_rocket_4_plus(), 16)
-    }
-
     /// The paper's large configuration: 64 SSDs (512 TB).
     #[must_use]
     pub fn paper_large() -> Self {
@@ -160,12 +142,6 @@ impl CartStorage {
         self.device.capacity * u64::from(self.ssd_count)
     }
 
-    /// Total SSD payload mass.
-    #[must_use]
-    pub fn payload_mass(&self) -> Kilograms {
-        self.device.mass * f64::from(self.ssd_count)
-    }
-
     /// Aggregate sequential read bandwidth with all SSDs active in parallel.
     #[must_use]
     pub fn aggregate_read_bandwidth(&self) -> BytesPerSecond {
@@ -183,13 +159,6 @@ impl CartStorage {
     #[must_use]
     pub fn docked_read_bandwidth(&self, link: PcieLink) -> BytesPerSecond {
         self.aggregate_read_bandwidth().min(link.bandwidth())
-    }
-
-    /// Time to read the full cart through a docking station.
-    #[must_use]
-    pub fn full_read_time(&self, link: PcieLink) -> Seconds {
-        self.docked_read_bandwidth(link)
-            .transfer_time(self.capacity())
     }
 
     /// Aggregate active power with all SSDs under load (feeds the thermal
@@ -212,17 +181,8 @@ mod tests {
 
     #[test]
     fn paper_cart_capacities() {
-        assert_eq!(CartStorage::paper_small().capacity().terabytes(), 128.0);
         assert_eq!(CartStorage::paper_default().capacity().terabytes(), 256.0);
         assert_eq!(CartStorage::paper_large().capacity().terabytes(), 512.0);
-    }
-
-    #[test]
-    fn payload_masses_match_section_iv_a() {
-        // §IV-A: 91/180/363 g for 16/32/64 SSDs (rounded).
-        assert!((CartStorage::paper_small().payload_mass().grams() - 90.72).abs() < 0.01);
-        assert!((CartStorage::paper_default().payload_mass().grams() - 181.44).abs() < 0.01);
-        assert!((CartStorage::paper_large().payload_mass().grams() - 362.88).abs() < 0.01);
     }
 
     #[test]
@@ -252,15 +212,6 @@ mod tests {
             cart.docked_read_bandwidth(wide),
             cart.aggregate_read_bandwidth()
         );
-    }
-
-    #[test]
-    fn full_read_time_is_plausible() {
-        // 256 TB at 227.2 GB/s ≈ 1127 s — this is why the paper pipelines
-        // cart deliveries behind SSD reads.
-        let t =
-            CartStorage::paper_default().full_read_time(PcieLink::new(PcieGeneration::Gen6, 64));
-        assert!((t.seconds() - 1126.7).abs() < 1.0);
     }
 
     #[test]

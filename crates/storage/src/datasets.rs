@@ -1,4 +1,4 @@
-//! Emerging-dataset and ML-model catalog (Tables I and IV).
+//! Emerging-dataset catalog (Table I).
 //!
 //! These descriptors parameterise the workload generators: the DHL use cases
 //! all revolve around moving a known number of bytes, so a dataset here is a
@@ -69,27 +69,6 @@ pub fn laion_5b() -> Dataset {
     }
 }
 
-/// YouTube-8M: 350 k hours of video ≈ 350 k GiB with the paper's 1 h ≈ 1 GiB
-/// conversion (Table I footnote).
-#[must_use]
-pub fn youtube_8m() -> Dataset {
-    Dataset {
-        name: "YouTube-8M".into(),
-        size: Bytes::from_gibibytes(350_000.0),
-        kind: DatasetKind::Videos,
-    }
-}
-
-/// MassiveText: 10.25 TB of text (Table I).
-#[must_use]
-pub fn massive_text() -> Dataset {
-    Dataset {
-        name: "MassiveText".into(),
-        size: Bytes::from_terabytes(10.25),
-        kind: DatasetKind::Nlp,
-    }
-}
-
 /// Common Crawl: > 9 PB of web crawl (Table I).
 #[must_use]
 pub fn common_crawl() -> Dataset {
@@ -108,19 +87,6 @@ pub fn meta_dlrm_29pb() -> Dataset {
         size: Bytes::from_petabytes(29.0),
         kind: DatasetKind::MachineLearning,
     }
-}
-
-/// Meta's smaller published ML datasets: 3 PB and 13 PB variants (Table I).
-#[must_use]
-pub fn meta_ml_datasets() -> Vec<Dataset> {
-    [3.0, 13.0, 29.0]
-        .into_iter()
-        .map(|pb| Dataset {
-            name: "Meta ML".into(),
-            size: Bytes::from_petabytes(pb),
-            kind: DatasetKind::MachineLearning,
-        })
-        .collect()
 }
 
 /// NIH "All of Us" + GSA genomics: 17 PB (Table I).
@@ -145,70 +111,6 @@ pub fn meta_daily_ingest() -> Bytes {
     Bytes::from_petabytes(4.0)
 }
 
-/// YouTube's daily new video: 0.7–1.44 PB/day (Table I); returns the range.
-#[must_use]
-pub fn youtube_daily_ingest_range() -> (Bytes, Bytes) {
-    (Bytes::from_petabytes(0.7), Bytes::from_petabytes(1.44))
-}
-
-/// A large ML model with its parameter count and storage footprint
-/// (Table IV; sizes use the paper's 32-bit-per-parameter convention).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct MlModel {
-    /// Published name.
-    pub name: std::borrow::Cow<'static, str>,
-    /// Parameter count.
-    pub parameters: u64,
-    /// Publication year.
-    pub year: u16,
-}
-
-impl MlModel {
-    /// Storage footprint at 32 bits (4 bytes) per parameter — the paper's
-    /// Table IV conversion.
-    #[must_use]
-    pub fn size(&self) -> Bytes {
-        Bytes::new(self.parameters * 4)
-    }
-}
-
-/// The Table IV model catalog.
-#[must_use]
-pub fn table_iv_models() -> Vec<MlModel> {
-    vec![
-        MlModel {
-            name: "GPT-3".into(),
-            parameters: 175_000_000_000,
-            year: 2020,
-        },
-        MlModel {
-            name: "Jurassic-1".into(),
-            parameters: 178_000_000_000,
-            year: 2021,
-        },
-        MlModel {
-            name: "Gopher".into(),
-            parameters: 280_000_000_000,
-            year: 2021,
-        },
-        MlModel {
-            name: "M6-10T".into(),
-            parameters: 10_000_000_000_000,
-            year: 2021,
-        },
-        MlModel {
-            name: "Megatron-Turing NLG".into(),
-            parameters: 1_000_000_000_000,
-            year: 2022,
-        },
-        MlModel {
-            name: "DLRM 2022".into(),
-            parameters: 12_000_000_000_000,
-            year: 2022,
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,24 +123,6 @@ mod tests {
         assert!(common_crawl().size.petabytes() >= 9.0);
         assert_eq!(lhc_cms_rate().terabytes_per_second(), 150.0);
         assert_eq!(meta_daily_ingest().petabytes(), 4.0);
-        let (lo, hi) = youtube_daily_ingest_range();
-        assert!(lo < hi);
-    }
-
-    #[test]
-    fn table_iv_sizes_match_paper() {
-        let models = table_iv_models();
-        let by_name = |n: &str| models.iter().find(|m| m.name == n).unwrap();
-        // GPT-3: 175B × 4 B = 700 GB.
-        assert_eq!(by_name("GPT-3").size().gigabytes(), 700.0);
-        // Gopher: 280B → 1.12 TB.
-        assert!((by_name("Gopher").size().terabytes() - 1.12).abs() < 1e-9);
-        // M6-10T: 10T → 40 TB.
-        assert_eq!(by_name("M6-10T").size().terabytes(), 40.0);
-        // DLRM 2022: 12T → 48 TB (paper prints 44 TB; 12e12 × 4 B = 48 TB,
-        // their table uses a slightly different parameter count).
-        assert!((by_name("DLRM 2022").size().terabytes() - 48.0).abs() < 1e-9);
-        assert_eq!(models.len(), 6);
     }
 
     #[test]
@@ -269,14 +153,5 @@ mod tests {
     #[should_panic(expected = "shard size must be non-zero")]
     fn zero_shard_panics() {
         let _ = laion_5b().shards(Bytes::ZERO).count();
-    }
-
-    #[test]
-    fn meta_dataset_family() {
-        let sizes: Vec<f64> = meta_ml_datasets()
-            .iter()
-            .map(|d| d.size.petabytes())
-            .collect();
-        assert_eq!(sizes, vec![3.0, 13.0, 29.0]);
     }
 }

@@ -1,4 +1,4 @@
-//! Storage-device catalog (Table II) and density metrics (§II-A).
+//! The storage device a cart carries (Table II).
 
 use serde::{Deserialize, Serialize};
 
@@ -24,10 +24,9 @@ pub enum FormFactor {
 /// use dhl_storage::devices::StorageDevice;
 ///
 /// let m2 = StorageDevice::sabrent_rocket_4_plus();
-/// let exadrive = StorageDevice::nimbus_exadrive();
-/// // §II-A: the 8 TB M.2 is almost 100× lighter for just 12.5× less capacity.
-/// assert!(exadrive.mass.value() / m2.mass.value() > 90.0);
-/// assert!((exadrive.capacity.as_f64() / m2.capacity.as_f64() - 12.5).abs() < 1e-9);
+/// // §II-A: 8 TB in under 6 g.
+/// assert_eq!(m2.capacity.terabytes(), 8.0);
+/// assert!(m2.mass.grams() < 6.0);
 /// ```
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct StorageDevice {
@@ -48,49 +47,6 @@ pub struct StorageDevice {
 }
 
 impl StorageDevice {
-    /// WD Gold 24 TB 3.5″ enterprise HDD (Table II).
-    #[must_use]
-    pub fn wd_gold() -> Self {
-        Self {
-            name: "WD Gold".into(),
-            capacity: Bytes::from_terabytes(24.0),
-            form_factor: FormFactor::ThreePointFiveInch,
-            mass: Kilograms::from_grams(670.0),
-            read_bandwidth: BytesPerSecond::from_megabytes_per_second(291.0),
-            write_bandwidth: BytesPerSecond::from_megabytes_per_second(291.0),
-            active_power_watts: 7.0,
-        }
-    }
-
-    /// A 22 TB 3.5″ HDD — the drive the paper's §II-C "move the disks by
-    /// hand" estimate uses (29 PB requires 1319 of them).
-    #[must_use]
-    pub fn hdd_22tb() -> Self {
-        Self {
-            name: "22 TB HDD".into(),
-            capacity: Bytes::from_terabytes(22.0),
-            form_factor: FormFactor::ThreePointFiveInch,
-            mass: Kilograms::from_grams(670.0),
-            read_bandwidth: BytesPerSecond::from_megabytes_per_second(291.0),
-            write_bandwidth: BytesPerSecond::from_megabytes_per_second(291.0),
-            active_power_watts: 7.0,
-        }
-    }
-
-    /// Nimbus ExaDrive 100 TB 3.5″ SSD (Table II).
-    #[must_use]
-    pub fn nimbus_exadrive() -> Self {
-        Self {
-            name: "Nimbus ExaDrive".into(),
-            capacity: Bytes::from_terabytes(100.0),
-            form_factor: FormFactor::ThreePointFiveInch,
-            mass: Kilograms::from_grams(538.0),
-            read_bandwidth: BytesPerSecond::from_megabytes_per_second(500.0),
-            write_bandwidth: BytesPerSecond::from_megabytes_per_second(460.0),
-            active_power_watts: 16.0,
-        }
-    }
-
     /// Sabrent Rocket 4 Plus 8 TB M.2 SSD (Table II) — the paper's cart
     /// payload. 5.67 g, 7100/6000 MB/s sequential, up to 10 W under load
     /// (§VI).
@@ -106,35 +62,6 @@ impl StorageDevice {
             active_power_watts: 10.0,
         }
     }
-
-    /// The full Table II catalog.
-    #[must_use]
-    pub fn table_ii_catalog() -> Vec<Self> {
-        vec![
-            Self::wd_gold(),
-            Self::nimbus_exadrive(),
-            Self::sabrent_rocket_4_plus(),
-        ]
-    }
-
-    /// Storage density in terabytes per gram — the quietly skyrocketing
-    /// metric the paper's insight rests on.
-    #[must_use]
-    pub fn terabytes_per_gram(&self) -> f64 {
-        self.capacity.terabytes() / self.mass.grams()
-    }
-
-    /// How many of this device are needed to hold `data`.
-    #[must_use]
-    pub fn devices_for(&self, data: Bytes) -> u64 {
-        data.div_ceil(self.capacity)
-    }
-
-    /// Total mass of enough devices to hold `data`.
-    #[must_use]
-    pub fn mass_for(&self, data: Bytes) -> Kilograms {
-        self.mass * self.devices_for(data) as f64
-    }
 }
 
 #[cfg(test)]
@@ -143,56 +70,9 @@ mod tests {
 
     #[test]
     fn table_ii_values() {
-        let wd = StorageDevice::wd_gold();
-        assert_eq!(wd.capacity.terabytes(), 24.0);
-        assert!((wd.mass.grams() - 670.0).abs() < 1e-9);
-        let nim = StorageDevice::nimbus_exadrive();
-        assert_eq!(nim.capacity.terabytes(), 100.0);
-        assert!((nim.read_bandwidth.value() - 500e6).abs() < 1.0);
         let m2 = StorageDevice::sabrent_rocket_4_plus();
         assert_eq!(m2.capacity.terabytes(), 8.0);
         assert!((m2.mass.grams() - 5.67).abs() < 1e-9);
         assert_eq!(m2.form_factor, FormFactor::M2);
-    }
-
-    #[test]
-    fn m2_density_dominates() {
-        // §II-A: per-gram, the M.2 is the clear winner.
-        let m2 = StorageDevice::sabrent_rocket_4_plus();
-        let nim = StorageDevice::nimbus_exadrive();
-        let wd = StorageDevice::wd_gold();
-        assert!(m2.terabytes_per_gram() > nim.terabytes_per_gram());
-        assert!(nim.terabytes_per_gram() > wd.terabytes_per_gram());
-        // "almost 100× lighter ... for just 12.5× less capacity".
-        assert!((nim.mass.value() / m2.mass.value() - 94.9).abs() < 0.1);
-        assert!((nim.capacity.as_f64() / m2.capacity.as_f64() - 12.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exadrive_beats_largest_hdd_by_about_5x() {
-        // §II-A: "100TB SSDs ... beat the largest regular HDD in capacity by ~5×".
-        let ratio = StorageDevice::nimbus_exadrive().capacity.as_f64()
-            / StorageDevice::wd_gold().capacity.as_f64();
-        assert!(ratio > 4.0 && ratio < 5.0);
-    }
-
-    #[test]
-    fn moving_29pb_by_hand_is_impractical() {
-        // §II-C: 29 PB requires 1319 22 TB HDDs or 290 100 TB SSDs.
-        let dataset = Bytes::from_petabytes(29.0);
-        assert_eq!(StorageDevice::hdd_22tb().devices_for(dataset), 1319);
-        assert_eq!(StorageDevice::nimbus_exadrive().devices_for(dataset), 290);
-        // nearly a tonne of HDDs:
-        assert!(StorageDevice::hdd_22tb().mass_for(dataset).value() > 800.0);
-    }
-
-    #[test]
-    fn catalog_contains_three_devices() {
-        assert_eq!(StorageDevice::table_ii_catalog().len(), 3);
-    }
-
-    #[test]
-    fn devices_for_zero_data_is_zero() {
-        assert_eq!(StorageDevice::wd_gold().devices_for(Bytes::ZERO), 0);
     }
 }

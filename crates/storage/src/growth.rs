@@ -41,41 +41,11 @@ impl GrowthModel {
         }
     }
 
-    /// A custom process.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `annual_factor` is finite and positive.
-    #[must_use]
-    pub fn new(initial: Bytes, annual_factor: f64) -> Self {
-        assert!(
-            annual_factor.is_finite() && annual_factor > 0.0,
-            "growth factor must be positive and finite"
-        );
-        Self {
-            initial,
-            annual_factor,
-        }
-    }
-
     /// Projected size after `years` (fractional years allowed).
     #[must_use]
     pub fn size_after(&self, years: f64) -> Bytes {
         let projected = self.initial.as_f64() * self.annual_factor.powf(years);
         Bytes::new(projected.min(u64::MAX as f64) as u64)
-    }
-
-    /// Years until the process reaches `target` (0 if already there;
-    /// +∞ if shrinking or static below the target).
-    #[must_use]
-    pub fn years_until(&self, target: Bytes) -> f64 {
-        if self.initial >= target {
-            return 0.0;
-        }
-        if self.annual_factor <= 1.0 {
-            return f64::INFINITY;
-        }
-        (target.as_f64() / self.initial.as_f64()).ln() / self.annual_factor.ln()
     }
 }
 
@@ -113,19 +83,19 @@ impl FleetProjection {
 mod tests {
     use super::*;
 
-    #[test]
-    fn projection_math() {
-        let g = GrowthModel::new(Bytes::from_petabytes(29.0), 2.0);
-        assert_eq!(g.size_after(0.0), Bytes::from_petabytes(29.0));
-        assert_eq!(g.size_after(1.0), Bytes::from_petabytes(58.0));
-        assert!((g.years_until(Bytes::from_petabytes(116.0)) - 2.0).abs() < 1e-9);
-        assert_eq!(g.years_until(Bytes::from_petabytes(1.0)), 0.0);
+    fn growth(initial: Bytes, annual_factor: f64) -> GrowthModel {
+        GrowthModel {
+            initial,
+            annual_factor,
+        }
     }
 
     #[test]
-    fn static_growth_never_reaches_target() {
-        let g = GrowthModel::new(Bytes::from_petabytes(1.0), 1.0);
-        assert!(g.years_until(Bytes::from_petabytes(2.0)).is_infinite());
+    fn projection_math() {
+        let g = growth(Bytes::from_petabytes(29.0), 2.0);
+        assert_eq!(g.size_after(0.0), Bytes::from_petabytes(29.0));
+        assert_eq!(g.size_after(1.0), Bytes::from_petabytes(58.0));
+        assert_eq!(g.size_after(2.0), Bytes::from_petabytes(116.0));
     }
 
     #[test]
@@ -154,21 +124,15 @@ mod tests {
         // At Meta's observed 3×/year the fleet balloons within a few years
         // even with NAND scaling — a real adoption risk worth surfacing.
         let p = FleetProjection {
-            dataset: GrowthModel::new(Bytes::from_petabytes(29.0), 3.0),
+            dataset: growth(Bytes::from_petabytes(29.0), 3.0),
             cart_capacity: GrowthModel::nand_density_default(Bytes::from_terabytes(256.0)),
         };
         assert!(p.carts_needed_after(3.0) > 1_000);
     }
 
     #[test]
-    #[should_panic(expected = "growth factor must be positive")]
-    fn bad_factor_rejected() {
-        let _ = GrowthModel::new(Bytes::new(1), 0.0);
-    }
-
-    #[test]
     fn fractional_years() {
-        let g = GrowthModel::new(Bytes::from_petabytes(4.0), 4.0);
+        let g = growth(Bytes::from_petabytes(4.0), 4.0);
         assert_eq!(g.size_after(0.5), Bytes::from_petabytes(8.0));
     }
 }

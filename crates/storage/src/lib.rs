@@ -44,7 +44,7 @@ pub mod wear;
 
 pub use cart::{CartStorage, PcieGeneration, PcieLink};
 pub use connectors::{ConnectorKind, DockingConnector};
-pub use datasets::{Dataset, DatasetKind, MlModel};
+pub use datasets::{Dataset, DatasetKind};
 pub use devices::{FormFactor, StorageDevice};
 pub use failure::{FailureModel, RaidConfig};
 pub use growth::{FleetProjection, GrowthModel};

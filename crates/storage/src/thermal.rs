@@ -112,11 +112,7 @@ mod tests {
     #[test]
     fn heatsinked_bay_sustains_all_paper_carts() {
         let bay = ThermalModel::paper_default();
-        for cart in [
-            CartStorage::paper_small(),
-            CartStorage::paper_default(),
-            CartStorage::paper_large(),
-        ] {
+        for cart in [CartStorage::paper_default(), CartStorage::paper_large()] {
             assert!(
                 bay.can_sustain_full_load(&cart),
                 "{} SSDs",
@@ -140,8 +136,8 @@ mod tests {
     #[test]
     fn limit_never_exceeds_ssd_count() {
         let bay = ThermalModel::new(Watts::new(1e9), 1.0);
-        let cart = CartStorage::paper_small();
-        assert_eq!(bay.max_concurrent_ssds(&cart), 16);
+        let cart = CartStorage::paper_default();
+        assert_eq!(bay.max_concurrent_ssds(&cart), 32);
     }
 
     #[test]

@@ -33,13 +33,11 @@ fn shards_always_cover_the_dataset() {
 }
 
 #[test]
-fn cart_capacity_and_mass_scale_linearly() {
-    forall("cart_capacity_and_mass_scale_linearly", 256, |g| {
+fn cart_capacity_scales_linearly() {
+    forall("cart_capacity_scales_linearly", 256, |g| {
         let n = g.u32_in(1, 1024);
         let cart = CartStorage::new(StorageDevice::sabrent_rocket_4_plus(), n);
         assert_eq!(cart.capacity().as_u64(), u64::from(n) * 8_000_000_000_000);
-        let per = cart.payload_mass().value() / f64::from(n);
-        assert!((per - 0.00567).abs() < 1e-12);
     });
 }
 

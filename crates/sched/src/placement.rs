@@ -234,10 +234,20 @@ pub struct ParityPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dhl_storage::datasets;
+    use dhl_storage::datasets::{self, Dataset, DatasetKind};
 
     fn placement() -> Placement {
         Placement::new(Bytes::from_terabytes(256.0))
+    }
+
+    /// MassiveText (Table I): 10.25 TB of text, one cart, and a name and
+    /// size distinct from LAION-5B's.
+    fn massive_text() -> Dataset {
+        Dataset {
+            name: "MassiveText".into(),
+            size: Bytes::from_terabytes(10.25),
+            kind: DatasetKind::Nlp,
+        }
     }
 
     #[test]
@@ -268,7 +278,7 @@ mod tests {
         assert!(!p.evict(a), "double evict is a no-op");
         assert_eq!(p.occupied_carts(), 36);
         // Storing again reuses the freed slot before growing.
-        let c = p.store(datasets::laion_5b()); // 1 cart
+        let c = p.store(massive_text()); // 1 cart
         assert_eq!(p.cart_count(), 37);
         assert!(p.carts_of(b).is_some());
         assert!(p.carts_of(c).is_some());
@@ -298,7 +308,7 @@ mod tests {
         let mut p = placement();
         let a = p.store(datasets::laion_5b());
         let b = p.store(datasets::common_crawl());
-        let c = p.store(datasets::laion_5b());
+        let c = p.store(massive_text());
         assert!(p.evict(b));
         for id in [b, DatasetId(3), DatasetId(u64::MAX)] {
             assert!(p.carts_of(id).is_none(), "{id:?}");
@@ -308,7 +318,7 @@ mod tests {
             assert!(!p.evict(id), "{id:?}");
         }
         // The survivors keep their rows, and one lookup gives both stats.
-        assert_eq!(p.name_of(c), Some("LAION-5B"));
+        assert_eq!(p.name_of(c), Some("MassiveText"));
         assert_eq!(p.carts_of(a).map(<[usize]>::len), Some(1));
         let laion = datasets::laion_5b().size;
         assert_eq!(p.size_of(a), Some(laion));
@@ -323,7 +333,7 @@ mod tests {
         assert!(p.evict(ids[0]));
         assert!(p.evict(ids[3]));
         // A new dataset reuses a freed cart but never a freed id.
-        let fresh = p.store(datasets::laion_5b());
+        let fresh = p.store(massive_text());
         assert_eq!(fresh, DatasetId(5));
         assert_eq!(p.cart_count(), 5);
         let expected = [ids[1], ids[2], ids[4], fresh];

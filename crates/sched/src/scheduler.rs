@@ -2461,12 +2461,11 @@ mod admission_tests {
         assert!(out.admission.is_none());
     }
 
-    /// Entries walked by the exact backlog sum, and the arrivals admitted
-    /// and refused for a full queue, in a saturating open-loop run whose
-    /// every arrival carries a deadline, with the pending set capped at
-    /// `cap`.
+    /// Pending-set entries examined, and the arrivals admitted and refused
+    /// for a full queue, in a saturating open-loop run whose every arrival
+    /// carries a deadline, with the pending set capped at `cap`.
     fn deadline_walks(cap: usize) -> (u64, u64, u64) {
-        use crate::service_queue::WALKED;
+        use crate::service_queue::EXAMINED;
         use dhl_sim::{ArrivalGenerator, ArrivalSpec};
         let (sched, small, _) = setup();
         let mut sched = sched.with_admission(AdmissionSpec {
@@ -2489,19 +2488,28 @@ mod admission_tests {
                     .with_deadline(arrival.at + Seconds::new(1e7)),
             );
         }
-        WALKED.with(|n| n.set(0));
+        EXAMINED.with(|n| n.set(0));
         let report = sched.try_run().unwrap().admission.unwrap();
         assert_eq!(report.rejected_deadline, 0, "the deadline never binds");
-        let walked = WALKED.with(std::cell::Cell::get);
-        (walked, report.admitted, report.rejected_queue_full)
+        let examined = EXAMINED.with(std::cell::Cell::get);
+        (examined, report.admitted, report.rejected_queue_full)
     }
 
     /// The running backlog's bracket decides every deadline check at both
-    /// depths, so no arrival walks the pending set. Both queues sit at
-    /// their caps: three quarters and half of the arrivals find them full.
+    /// depths, so no arrival walks the pending set: each admitted entry
+    /// costs the same 10.4 examined (its push, its pop) at either cap, and
+    /// a refused arrival examines none. A walk per arrival would add the
+    /// cap to each. Both queues sit at their caps: three quarters and half
+    /// of the arrivals find them full.
     #[test]
     fn deadline_admission_does_not_walk_the_backlog() {
-        assert_eq!(deadline_walks(64), (0, 4_182, 12_202));
-        assert_eq!(deadline_walks(4_096), (0, 8_214, 8_170));
+        let small = deadline_walks(64);
+        let large = deadline_walks(4_096);
+        assert_eq!(small, (43_479, 4_182, 12_202));
+        assert_eq!(large, (85_691, 8_214, 8_170));
+        let per_admitted =
+            |(examined, admitted, _): (u64, u64, u64)| examined as f64 / admitted as f64;
+        let ratio = per_admitted(large) / per_admitted(small);
+        assert!(ratio < 1.1, "{large:?} vs {small:?}: {ratio:.3}x");
     }
 }

@@ -1,7 +1,5 @@
 //! Bulk-transfer comparison vs optical networking (Table VI, right half).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_net::route::{Route, RouteId};
 use dhl_units::{Bytes, Joules, Seconds};
 
@@ -20,7 +18,7 @@ pub fn paper_dataset() -> Bytes {
 /// docking capacity forces every cart back to the library, **doubling** the
 /// movement count (the paper's conservative accounting — see
 /// `dhl-sim` for what pipelining and dual tracks recover).
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct BulkTransfer {
     /// One-way cart deliveries required.
     pub deliveries: u64,
@@ -54,7 +52,7 @@ impl BulkTransfer {
 
 /// One comparison row: DHL vs every optical route for a fixed dataset
 /// (Table VI's right half).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct BulkComparison {
     /// The DHL transfer being compared.
     pub dhl: BulkTransfer,

@@ -7,12 +7,10 @@
 //! models into CO₂-equivalent emissions and electricity cost, so the
 //! DHL-vs-network comparison can be stated in tonnes and dollars per year.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Joules, Usd};
 
 /// Grid carbon intensity and electricity price.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct GridModel {
     /// kg CO₂e emitted per kWh drawn.
     pub kg_co2e_per_kwh: f64,
@@ -28,24 +26,6 @@ impl GridModel {
         Self {
             kg_co2e_per_kwh: 0.39,
             usd_per_kwh: 0.083,
-        }
-    }
-
-    /// A low-carbon grid (hydro/nuclear heavy, e.g. Quebec or Norway).
-    #[must_use]
-    pub fn low_carbon() -> Self {
-        Self {
-            kg_co2e_per_kwh: 0.03,
-            usd_per_kwh: 0.05,
-        }
-    }
-
-    /// A coal-heavy grid.
-    #[must_use]
-    pub fn coal_heavy() -> Self {
-        Self {
-            kg_co2e_per_kwh: 0.82,
-            usd_per_kwh: 0.09,
         }
     }
 
@@ -69,7 +49,7 @@ impl Default for GridModel {
 }
 
 /// Annualised comparison of two communication substrates.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct AnnualFootprint {
     /// Yearly energy of the baseline (network).
     pub baseline_energy: Joules,
@@ -137,8 +117,17 @@ mod tests {
         let baseline = Joules::from_megajoules(100.0);
         let dhl = Joules::from_megajoules(1.0);
         let us = annualise(&GridModel::us_average(), baseline, dhl, 1.0);
-        let coal = annualise(&GridModel::coal_heavy(), baseline, dhl, 1.0);
-        let clean = annualise(&GridModel::low_carbon(), baseline, dhl, 1.0);
+        // A coal-heavy grid, and a hydro/nuclear-heavy one.
+        let coal_heavy = GridModel {
+            kg_co2e_per_kwh: 0.82,
+            usd_per_kwh: 0.09,
+        };
+        let low_carbon = GridModel {
+            kg_co2e_per_kwh: 0.03,
+            usd_per_kwh: 0.05,
+        };
+        let coal = annualise(&coal_heavy, baseline, dhl, 1.0);
+        let clean = annualise(&low_carbon, baseline, dhl, 1.0);
         assert_eq!(us.baseline_energy, coal.baseline_energy);
         assert!(coal.kg_co2e_saved > us.kg_co2e_saved);
         assert!(us.kg_co2e_saved > clean.kg_co2e_saved);

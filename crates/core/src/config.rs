@@ -1,7 +1,5 @@
 //! The DHL model configuration (Table V).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_physics::{CartMassModel, LinearInductionMotor, PhysicsError, TimeModel};
 use dhl_storage::devices::StorageDevice;
 use dhl_units::{Bytes, Kilograms, Metres, MetresPerSecond, Seconds};
@@ -20,7 +18,7 @@ use dhl_units::{Bytes, Kilograms, Metres, MetresPerSecond, Seconds};
 /// assert!((cfg.cart_mass.grams() - 281.92).abs() < 0.01);
 /// assert_eq!(cfg.lim_length().value(), 20.0);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct DhlConfig {
     /// Maximum cart speed (Table V: 100 / **200** / 300 m/s).
     pub max_speed: MetresPerSecond,

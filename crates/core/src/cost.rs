@@ -1,7 +1,5 @@
 //! Commodity cost model (§V-D, Table VIII; May 2023 prices).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Metres, MetresPerSecond, Usd};
 
 /// Unit prices and per-unit masses behind Table VIII.
@@ -16,7 +14,7 @@ use dhl_units::{Metres, MetresPerSecond, Usd};
 /// let total = model.total_cost(Metres::new(500.0), MetresPerSecond::new(200.0));
 /// assert_eq!(total.display_dollars(), "$14,569"); // Table VIII (c)
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct CostModel {
     /// Aluminium price, USD/kg.
     pub aluminium_usd_per_kg: f64,
@@ -41,7 +39,7 @@ pub struct CostModel {
 }
 
 /// Itemised rail cost (Table VIII (a)).
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct RailCost {
     /// Aluminium levitation rings.
     pub aluminium: Usd,
@@ -60,7 +58,7 @@ impl RailCost {
 }
 
 /// Itemised accelerator/decelerator cost (Table VIII (b)).
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct LimCost {
     /// Current-carrying copper coils.
     pub copper: Usd,

@@ -6,8 +6,6 @@
 //! — the same time a single A0 optical link needs for 360 GB — while using
 //! a minuscule amount of energy vs the link's ≈ 144–173 J.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_net::route::Route;
 use dhl_units::{Bytes, Joules, Kilograms, Metres, MetresPerSecond, Seconds};
 
@@ -28,7 +26,7 @@ pub fn paper_minimal_dhl() -> DhlConfig {
 }
 
 /// Result of comparing a minimal DHL against a single optical link.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct CrossoverPoint {
     /// One-way DHL transfer time for the cart.
     pub dhl_time: Seconds,

@@ -1,7 +1,5 @@
 //! Design-space exploration driver (§V-A, Table VI).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Bytes, Metres, MetresPerSecond};
 
 use crate::bulk::{paper_dataset, BulkComparison};
@@ -10,7 +8,7 @@ use crate::launch::LaunchMetrics;
 
 /// One evaluated design point: parameters, single-launch metrics, and the
 /// bulk-transfer comparison.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct DsePoint {
     /// The design point's parameters.
     pub config: DhlConfig,

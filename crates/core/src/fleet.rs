@@ -6,8 +6,6 @@
 //! whole system, answering the practical question Table VIII stops short
 //! of: *dollars per sustained TB/s*.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Bytes, BytesPerSecond, Seconds, Usd};
 
 use crate::config::DhlConfig;
@@ -15,7 +13,7 @@ use crate::cost::CostModel;
 use crate::launch::LaunchMetrics;
 
 /// How the track is operated, which sets the sustained per-track rate.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum PipelineModel {
     /// The paper's conservative accounting: one cart at a time, out and
     /// back — rate = capacity / (2 × trip time).
@@ -29,7 +27,7 @@ pub enum PipelineModel {
 }
 
 /// Prices not covered by Table VIII: the carts themselves.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct CartCostModel {
     /// SSD price per decimal terabyte (May 2023 street price of the 8 TB
     /// Rocket 4 Plus ≈ $900 ⇒ ≈ $110/TB; we round to $100/TB).
@@ -56,7 +54,7 @@ impl CartCostModel {
 }
 
 /// A sized and priced deployment.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FleetPlan {
     /// Parallel tracks required.
     pub tracks: u32,

@@ -1,7 +1,5 @@
 //! Single-launch metrics (Table VI, left half).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_physics::TripKinematics;
 use dhl_units::{BytesPerSecond, GigabytesPerJoule, Joules, Seconds, Watts};
 
@@ -23,7 +21,7 @@ use crate::config::DhlConfig;
 /// assert!((m.bandwidth.terabytes_per_second() - 29.8).abs() < 0.1); // table: 30
 /// assert!((m.peak_power.kilowatts() - 75.2).abs() < 0.1);  // table: 75
 /// ```
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct LaunchMetrics {
     /// Energy to launch **and** decelerate the cart (both LIM-costed).
     pub energy: Joules,

@@ -46,6 +46,4 @@ pub use crossover::{crossover, paper_minimal_dhl, CrossoverPoint};
 pub use dse::{paper_table_vi, sweep, DsePoint, TABLE_VI_ROWS};
 pub use fleet::{per_track_rate, plan_for_bandwidth, CartCostModel, FleetPlan, PipelineModel};
 pub use launch::LaunchMetrics;
-pub use sensitivity::{
-    acceleration_for_peak_power, acceleration_sweep, density_scaling, docking_time_sweep,
-};
+pub use sensitivity::{acceleration_sweep, density_scaling, docking_time_sweep};

@@ -13,16 +13,14 @@
 //!   achieve higher embodied data transmission rates. We only need to
 //!   upgrade the carts' SSDs and not the hyperloop itself" (§II-A).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_physics::LinearInductionMotor;
-use dhl_units::{Bytes, Metres, MetresPerSecondSquared, Seconds, Watts};
+use dhl_units::{Bytes, Metres, MetresPerSecondSquared, Seconds};
 
 use crate::config::DhlConfig;
 use crate::launch::LaunchMetrics;
 
 /// One row of the docking-time sweep.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct DockingSensitivityRow {
     /// Dock (= undock) time assumed.
     pub dock_time: Seconds,
@@ -52,7 +50,7 @@ pub fn docking_time_sweep(base: &DhlConfig, times: &[Seconds]) -> Vec<DockingSen
 }
 
 /// One row of the acceleration sweep.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct AccelerationSensitivityRow {
     /// Acceleration rate assumed.
     pub acceleration: MetresPerSecondSquared,
@@ -88,7 +86,7 @@ pub fn acceleration_sweep(
 }
 
 /// One row of the SSD-density scaling projection.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct DensityScalingRow {
     /// Capacity multiplier relative to today's 8 TB M.2 at the same mass.
     pub density_factor: f64,
@@ -116,16 +114,6 @@ pub fn density_scaling(base: &DhlConfig, factors: &[f64]) -> Vec<DensityScalingR
             }
         })
         .collect()
-}
-
-/// The §V-A peak-power observation quantified: the acceleration rate that
-/// caps peak power at `limit` for a configuration (exact, from
-/// `P = M·a·v/η`).
-#[must_use]
-pub fn acceleration_for_peak_power(cfg: &DhlConfig, limit: Watts) -> MetresPerSecondSquared {
-    MetresPerSecondSquared::new(
-        limit.value() * cfg.lim.efficiency() / (cfg.cart_mass.value() * cfg.max_speed.value()),
-    )
 }
 
 #[cfg(test)]
@@ -169,20 +157,6 @@ mod tests {
         assert!(half.metrics.trip_time.seconds() - full.metrics.trip_time.seconds() < 0.2);
         // ...and identical energy.
         assert_eq!(half.metrics.energy, full.metrics.energy);
-    }
-
-    #[test]
-    fn acceleration_for_peak_power_inverts_the_model() {
-        let cfg = DhlConfig::paper_default();
-        // Cap at half the default peak power → exactly half the rate.
-        let limit = LaunchMetrics::evaluate(&cfg).peak_power * 0.5;
-        let a = acceleration_for_peak_power(&cfg, limit);
-        assert!((a.value() - 500.0).abs() < 1e-9, "{a:?}");
-        let mut capped = cfg.clone();
-        capped.lim = LinearInductionMotor::new(0.75, a).unwrap();
-        let m = LaunchMetrics::evaluate(&capped);
-        assert!((m.peak_power.value() - limit.value()).abs() < 1e-6);
-        let _ = Watts::from_kilowatts(37.6);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! The §V-C experiments: Fig. 6's iso-power sweep and Table VII's
 //! iso-power / iso-time comparisons.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_core::DhlConfig;
 use dhl_net::route::{Route, RouteId};
 use dhl_units::{Seconds, Watts};
@@ -11,7 +9,7 @@ use crate::fabric::{CommFabric, DhlFabric, OpticalFabric};
 use crate::workload::DlrmWorkload;
 
 /// One scheme's result at a fixed operating point.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SchemeResult {
     /// Scheme label ("DHL", "A0", …).
     pub scheme: String,
@@ -25,7 +23,7 @@ pub struct SchemeResult {
 }
 
 /// Table VII(a): every scheme at a fixed power budget.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct IsoPowerTable {
     /// The shared power budget.
     pub budget: Watts,
@@ -34,7 +32,7 @@ pub struct IsoPowerTable {
 }
 
 /// Table VII(b): every scheme at the DHL's iteration time.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct IsoTimeTable {
     /// The shared iteration time (the DHL's).
     pub target_time: Seconds,
@@ -114,7 +112,7 @@ pub fn iso_time(workload: &DlrmWorkload, dhl: &DhlConfig) -> IsoTimeTable {
 }
 
 /// One curve of Fig. 6: a scheme's iteration time across power budgets.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Fig6Series {
     /// Curve label.
     pub scheme: String,

@@ -12,15 +12,13 @@
 //! local-disk rate. The communication fabric therefore pays `models`
 //! deliveries, not `models × iterations`.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Bytes, BytesPerSecond, Joules, Seconds, Watts};
 
 use crate::fabric::CommFabric;
 use crate::workload::DlrmWorkload;
 
 /// A campaign of independent model trainings over one shared dataset.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct TrainingCampaign {
     /// Number of independent models trained on the dataset.
     pub models: u32,
@@ -34,7 +32,7 @@ pub struct TrainingCampaign {
 }
 
 /// Cost of running a campaign over one fabric.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct CampaignCost {
     /// Fabric used, by name.
     pub fabric: String,
@@ -104,12 +102,6 @@ impl TrainingCampaign {
             local_time: per_model_local * f64::from(self.models),
         }
     }
-
-    /// Communication-energy saving of `a` over `b` for this campaign.
-    #[must_use]
-    pub fn energy_saving<A: CommFabric, B: CommFabric>(&self, a: &A, b: &B) -> f64 {
-        self.evaluate(b).comm_energy.value() / self.evaluate(a).comm_energy.value()
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +152,8 @@ mod tests {
     fn dhl_saves_energy_over_optical_for_every_campaign_shape() {
         for (models, iters) in [(1, 1), (5, 10), (20, 100)] {
             let campaign = TrainingCampaign::paper_default(models, iters);
-            let saving = campaign.energy_saving(&dhl(), &optical());
+            let saving = campaign.evaluate(&optical()).comm_energy.value()
+                / campaign.evaluate(&dhl()).comm_energy.value();
             assert!(saving > 5.0, "{models}x{iters}: saving {saving}");
         }
     }

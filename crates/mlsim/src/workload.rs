@@ -18,13 +18,11 @@
 //! (A0 7680 s … C 159 000 s at 1.75 kW). The fit reproduces those five
 //! points within 0.5 %; every DHL number is then *derived*, not fitted.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Bytes, Seconds};
 
 /// A distributed-training workload whose iteration time is dominated by
 /// ingesting a fixed dataset plus fixed per-iteration work.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct DlrmWorkload {
     /// Training data ingested per iteration.
     pub dataset: Bytes,

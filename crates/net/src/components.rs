@@ -6,12 +6,10 @@
 //! (direct-attach copper, the low end of the datasheet range) or active
 //! (optics, the high end).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{GigabitsPerSecond, Watts};
 
 /// An optical transceiver module.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Transceiver {
     /// Product name.
     pub name: std::borrow::Cow<'static, str>,
@@ -35,7 +33,7 @@ impl Transceiver {
 }
 
 /// A network interface card.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Nic {
     /// Product name.
     pub name: std::borrow::Cow<'static, str>,
@@ -90,7 +88,7 @@ impl Nic {
 }
 
 /// A data-centre switch with per-port power accounting.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Switch {
     /// Product name.
     pub name: std::borrow::Cow<'static, str>,

@@ -7,14 +7,12 @@
 //! seconds-scale "first byte" latency can be contrasted with the network's
 //! microseconds.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Bytes, Metres, Seconds};
 
 use crate::route::Route;
 
 /// Latency parameters of an electrically switched optical fabric.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct LatencyModel {
     /// Per-switch store-and-forward/arbitration latency.
     pub switch_latency: Seconds,

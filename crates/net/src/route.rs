@@ -8,14 +8,12 @@
 //! | B  | different racks, 3 switches | 2 NICs + 2 passive + 4 active ports |
 //! | C  | different aisles, 5 switches | 2 NICs + 2 passive + 8 active ports |
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Bytes, GigabitsPerSecond, Joules, Seconds, Watts};
 
 use crate::components::{Nic, Switch, Transceiver};
 
 /// Identifier of one of the paper's five routes.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum RouteId {
     /// Transceivers only.
     A0,
@@ -67,7 +65,7 @@ impl core::fmt::Display for RouteId {
 /// assert!((b.transfer_time(data).seconds() - 580_000.0).abs() < 1.0);
 /// assert!((b.transfer_energy(data).megajoules() - 174.75).abs() < 0.01);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Route {
     id: RouteId,
     line_rate: GigabitsPerSecond,

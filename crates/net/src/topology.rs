@@ -12,12 +12,10 @@
 //! This module derives those counts (and hence the Fig. 2 route powers) from
 //! node placement, cross-validating the hand-built [`Route`] table.
 
-use serde::{Deserialize, Serialize};
-
 use crate::route::{Route, RouteId};
 
 /// Location of a node in the fat tree.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct NodeAddress {
     /// Aisle index.
     pub aisle: u32,
@@ -36,7 +34,7 @@ impl NodeAddress {
 }
 
 /// The fat-tree topology of Fig. 2.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct FatTree {
     aisles: u32,
     racks_per_aisle: u32,

@@ -5,8 +5,6 @@
 //! experiments fix a power budget and use the maximum (continuous, not
 //! quantised — per the paper's simplification) number of links affordable.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Bytes, BytesPerSecond, Joules, Seconds, Watts};
 
 use crate::route::Route;
@@ -27,7 +25,7 @@ use crate::route::Route;
 /// let bundle = ParallelLinks::max_for_power(Route::a0(), Watts::new(1750.0)).unwrap();
 /// assert!((bundle.link_count() - 72.9).abs() < 0.05);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ParallelLinks {
     route: Route,
     count: f64,

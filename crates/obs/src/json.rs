@@ -10,146 +10,16 @@
 //!   A caller that knows which key comes next matches it as one literal
 //!   ([`Reader::next_key_is`]). The per-token readers are `#[inline]` and
 //!   build their errors out of line, so they inline into a caller's loop.
-//! - **The DOM:** [`parse`] builds a [`JsonValue`] tree over a [`Reader`],
-//!   for callers that want random access (the checkpoint decoder tests).
 //!
 //! There is one grammar, the full JSON grammar, read strictly: malformed
 //! input, trailing characters and nesting deeper than [`MAX_DEPTH`] are
 //! refused with a [`JsonError`] giving the byte offset.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// How deeply arrays and objects may nest before input is refused.
 pub const MAX_DEPTH: usize = 128;
-
-/// A parsed JSON value.
-#[derive(Clone, PartialEq, Debug)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A JSON number with a fractional part, an exponent, or a sign.
-    Number(f64),
-    /// A non-negative integer-syntax number that fits `u64`, kept exact.
-    ///
-    /// `u64` counters (up to `u64::MAX`) exceed `f64`'s 53-bit integer
-    /// range, so the parser keeps plain unsigned integers in this lossless
-    /// variant; [`JsonValue::as_f64`] still covers it for callers that only
-    /// need an approximate number.
-    UInt(u64),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<JsonValue>),
-    /// An object; keys are sorted (BTreeMap), duplicates keep the last value.
-    Object(BTreeMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    /// The value as a number, if it is one (`UInt` rounds to the nearest
-    /// representable `f64`).
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        self.as_number().map(Number::as_f64)
-    }
-
-    /// The value as an exact unsigned integer, if it is one. Accepts
-    /// `Number`s that are integral and in range, so callers reading counters
-    /// do not care which variant the writer produced.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        self.as_number().and_then(Number::as_u64)
-    }
-
-    fn as_number(&self) -> Option<Number> {
-        match self {
-            Self::Number(n) => Some(Number::Float(*n)),
-            Self::UInt(n) => Some(Number::UInt(*n)),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is one.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Self::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array, if it is one.
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            Self::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// The value as an object, if it is one.
-    #[must_use]
-    pub fn as_object(&self) -> Option<&BTreeMap<String, JsonValue>> {
-        match self {
-            Self::Object(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    /// Member lookup on an object (`None` for non-objects/missing keys).
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        self.as_object().and_then(|o| o.get(key))
-    }
-
-    /// Appends this value as compact JSON to `out` (object keys in sorted
-    /// order, so output is deterministic).
-    pub fn write_to(&self, out: &mut String) {
-        match self {
-            Self::Null => out.push_str("null"),
-            Self::Bool(true) => out.push_str("true"),
-            Self::Bool(false) => out.push_str("false"),
-            Self::Number(n) => write_f64(out, *n),
-            Self::UInt(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Self::String(s) => write_escaped(out, s),
-            Self::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_to(out);
-                }
-                out.push(']');
-            }
-            Self::Object(map) => {
-                out.push('{');
-                for (i, (key, value)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, key);
-                    out.push(':');
-                    value.write_to(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// This value as a compact JSON document.
-    #[must_use]
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::new();
-        self.write_to(&mut out);
-        out
-    }
-}
 
 /// A number as [`Reader::number`] read it.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -203,48 +73,6 @@ impl core::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses a complete JSON document into a [`JsonValue`] tree, refusing
-/// what a [`Reader`] refuses.
-pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut r = Reader::new(input);
-    let v = tree(&mut r)?;
-    r.finish()?;
-    Ok(v)
-}
-
-/// The next value of `r` as a tree.
-fn tree(r: &mut Reader<'_>) -> Result<JsonValue, JsonError> {
-    Ok(match r.peek()? {
-        Kind::Null => {
-            r.null()?;
-            JsonValue::Null
-        }
-        Kind::Bool => JsonValue::Bool(r.bool()?),
-        Kind::Number => match r.number()? {
-            Number::UInt(n) => JsonValue::UInt(n),
-            Number::Float(n) => JsonValue::Number(n),
-        },
-        Kind::String => JsonValue::String(r.string()?.into_owned()),
-        Kind::Array => {
-            r.begin_array()?;
-            let mut items = Vec::new();
-            while r.next_item()? {
-                items.push(tree(r)?);
-            }
-            JsonValue::Array(items)
-        }
-        Kind::Object => {
-            r.begin_object()?;
-            let mut map = BTreeMap::new();
-            while let Some(key) = r.next_key()? {
-                let value = tree(r)?;
-                map.insert(key.into_owned(), value);
-            }
-            JsonValue::Object(map)
-        }
-    })
-}
-
 /// What kind of value comes next, from its first byte.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Kind {
@@ -272,8 +100,7 @@ pub enum Kind {
 /// is a saved position to look ahead from.
 ///
 /// Every method returns a [`JsonError`] when the text is not JSON at that
-/// point. A document read through a `Reader` is refused exactly when
-/// [`parse`] refuses it, at the same offset, with the same message.
+/// point.
 #[derive(Clone, Copy, Debug)]
 pub struct Reader<'a> {
     text: &'a str,
@@ -613,32 +440,67 @@ pub fn write_f64(out: &mut String, v: f64) {
 mod tests {
     use super::*;
 
+    /// `text` read as one complete document holding a number.
+    fn number(text: &str) -> Result<Number, JsonError> {
+        let mut r = Reader::new(text);
+        let n = r.number()?;
+        r.finish()?;
+        Ok(n)
+    }
+
+    /// `text` read as one complete document holding a string.
+    fn string(text: &str) -> Result<String, JsonError> {
+        let mut r = Reader::new(text);
+        let s = r.string()?.into_owned();
+        r.finish()?;
+        Ok(s)
+    }
+
+    /// Whether `text` is one complete JSON document, by a skipping walk.
+    fn check(text: &str) -> Result<(), JsonError> {
+        let mut r = Reader::new(text);
+        r.skip_value()?;
+        r.finish()
+    }
+
     #[test]
     fn parses_scalars() {
-        assert_eq!(parse("null").unwrap(), JsonValue::Null);
-        assert_eq!(parse("true").unwrap(), JsonValue::Bool(true));
-        assert_eq!(parse(" false ").unwrap(), JsonValue::Bool(false));
-        assert_eq!(parse("-1.5e3").unwrap(), JsonValue::Number(-1500.0));
-        assert_eq!(
-            parse(r#""a\"b\nA""#).unwrap(),
-            JsonValue::String("a\"b\nA".into())
-        );
+        let mut r = Reader::new("null");
+        assert_eq!((r.null(), r.finish()), (Ok(()), Ok(())));
+        let mut r = Reader::new("true");
+        assert_eq!((r.bool(), r.finish()), (Ok(true), Ok(())));
+        let mut r = Reader::new(" false ");
+        assert_eq!((r.bool(), r.finish()), (Ok(false), Ok(())));
+        assert_eq!(number("-1.5e3").unwrap(), Number::Float(-1500.0));
+        assert_eq!(string(r#""a\"b\nA""#).unwrap(), "a\"b\nA");
     }
 
     #[test]
     fn parses_nested_structures() {
-        let v = parse(r#"{"a": [1, 2, {"b": null}], "c": "x"}"#).unwrap();
-        assert_eq!(v.get("c").and_then(JsonValue::as_str), Some("x"));
-        let a = v.get("a").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(a.len(), 3);
-        assert_eq!(a[0].as_f64(), Some(1.0));
-        assert_eq!(a[2].get("b"), Some(&JsonValue::Null));
+        let mut r = Reader::new(r#"{"a": [1, 2, {"b": null}], "c": "x"}"#);
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("a"));
+        r.begin_array().unwrap();
+        for n in [1, 2] {
+            assert!(r.next_item().unwrap());
+            assert_eq!(r.number().unwrap(), Number::UInt(n));
+        }
+        assert!(r.next_item().unwrap());
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("b"));
+        r.null().unwrap();
+        assert_eq!(r.next_key().unwrap(), None);
+        assert!(!r.next_item().unwrap());
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("c"));
+        assert_eq!(r.string().unwrap(), "x");
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
     }
 
     #[test]
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,", "{\"a\"}", "tru", "1 2", "\"unterminated"] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
+            assert!(check(bad).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -646,61 +508,45 @@ mod tests {
     fn escaping_round_trips() {
         let mut out = String::new();
         write_escaped(&mut out, "a\"b\\c\nd\te\u{1}");
-        let back = parse(&out).unwrap();
-        assert_eq!(back.as_str(), Some("a\"b\\c\nd\te\u{1}"));
+        assert_eq!(string(&out).unwrap(), "a\"b\\c\nd\te\u{1}");
     }
 
     #[test]
     fn floats_render_round_trippably() {
         let mut out = String::new();
         write_f64(&mut out, 123.456e-7);
-        assert_eq!(parse(&out).unwrap().as_f64(), Some(123.456e-7));
+        assert_eq!(number(&out).unwrap(), Number::Float(123.456e-7));
         out.clear();
         write_f64(&mut out, f64::NAN);
         assert_eq!(out, "null");
     }
 
     #[test]
-    fn serialiser_round_trips_through_the_parser() {
-        let src = r#"{"b":[1,false,null,"x\ny"],"a":{"nested":-2.5}}"#;
-        let v = parse(src).unwrap();
-        let out = v.to_json_string();
-        assert_eq!(parse(&out).unwrap(), v);
-        // Keys come back sorted (BTreeMap order).
-        assert!(out.starts_with("{\"a\""), "{out}");
-    }
-
-    #[test]
     fn unicode_passes_through() {
-        let v = parse("\"héllo ✓\"").unwrap();
-        assert_eq!(v.as_str(), Some("héllo ✓"));
+        assert_eq!(string("\"héllo ✓\"").unwrap(), "héllo ✓");
     }
 
     #[test]
     fn u64_max_round_trips_losslessly() {
         // u64::MAX is not representable in f64; the UInt variant keeps it.
-        let src = u64::MAX.to_string();
-        let v = parse(&src).unwrap();
-        assert_eq!(v, JsonValue::UInt(u64::MAX));
-        assert_eq!(v.as_u64(), Some(u64::MAX));
-        assert_eq!(v.to_json_string(), src);
+        let n = number(&u64::MAX.to_string()).unwrap();
+        assert_eq!(n, Number::UInt(u64::MAX));
+        assert_eq!(n.as_u64(), Some(u64::MAX));
         // One past 2^53: f64 would collapse it onto a neighbour.
         let n = (1u64 << 53) + 1;
-        let v = parse(&n.to_string()).unwrap();
-        assert_eq!(v.as_u64(), Some(n));
-        assert_eq!(parse(&v.to_json_string()).unwrap(), v);
+        assert_eq!(number(&n.to_string()).unwrap().as_u64(), Some(n));
     }
 
     #[test]
     fn uint_still_reads_as_f64_and_number_as_u64() {
-        assert_eq!(parse("7").unwrap().as_f64(), Some(7.0));
-        assert_eq!(JsonValue::Number(7.0).as_u64(), Some(7));
-        assert_eq!(JsonValue::Number(7.5).as_u64(), None);
-        assert_eq!(JsonValue::Number(-1.0).as_u64(), None);
+        assert_eq!(number("7").unwrap().as_f64(), 7.0);
+        assert_eq!(Number::Float(7.0).as_u64(), Some(7));
+        assert_eq!(Number::Float(7.5).as_u64(), None);
+        assert_eq!(Number::Float(-1.0).as_u64(), None);
         // Negative and fractional syntax stays in the f64 variant.
-        assert_eq!(parse("-7").unwrap(), JsonValue::Number(-7.0));
-        assert_eq!(parse("7.0").unwrap(), JsonValue::Number(7.0));
-        assert_eq!(parse("7e0").unwrap(), JsonValue::Number(7.0));
+        assert_eq!(number("-7").unwrap(), Number::Float(-7.0));
+        assert_eq!(number("7.0").unwrap(), Number::Float(7.0));
+        assert_eq!(number("7e0").unwrap(), Number::Float(7.0));
     }
 
     #[test]
@@ -717,27 +563,26 @@ mod tests {
             let _ = write!(out, "[{slot},{count}]");
         }
         out.push(']');
-        let v = parse(&out).unwrap();
-        let arr = v.as_array().unwrap();
-        let back: Vec<(u32, u64)> = arr
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_array().unwrap();
-                (
-                    u32::try_from(pair[0].as_u64().unwrap()).unwrap(),
-                    pair[1].as_u64().unwrap(),
-                )
-            })
-            .collect();
+        let mut r = Reader::new(&out);
+        let mut back: Vec<(u32, u64)> = Vec::new();
+        r.begin_array().unwrap();
+        while r.next_item().unwrap() {
+            r.begin_array().unwrap();
+            assert!(r.next_item().unwrap());
+            let slot = u32::try_from(r.number().unwrap().as_u64().unwrap()).unwrap();
+            assert!(r.next_item().unwrap());
+            back.push((slot, r.number().unwrap().as_u64().unwrap()));
+            assert!(!r.next_item().unwrap());
+        }
+        r.finish().unwrap();
         assert_eq!(back, buckets);
-        assert_eq!(parse(&v.to_json_string()).unwrap(), v);
     }
 
     #[test]
     fn digit_strings_wider_than_u64_fall_back_to_f64() {
-        let v = parse("99999999999999999999999999").unwrap();
-        assert!(matches!(v, JsonValue::Number(_)));
-        assert!(v.as_f64().unwrap() > 9.9e25);
+        let n = number("99999999999999999999999999").unwrap();
+        assert!(matches!(n, Number::Float(_)));
+        assert!(n.as_f64() > 9.9e25);
     }
 
     #[test]
@@ -763,44 +608,17 @@ mod tests {
     }
 
     #[test]
-    fn skipping_refuses_exactly_what_parse_refuses() {
-        for text in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\"}",
-            "tru",
-            "1 2",
-            "\"unterminated",
-            "[1,]",
-            "{,}",
-            "{\"a\":1,}",
-            "[1 2]",
-            "{\"a\" 1}",
-            "-",
-            "1e",
-            "\"\\q\"",
-            "\"\\u12\"",
-            "nul",
-        ] {
-            let mut r = Reader::new(text);
-            let skipped = r.skip_value().and_then(|()| r.finish());
-            assert_eq!(skipped.unwrap_err(), parse(text).unwrap_err(), "{text:?}");
-        }
-    }
-
-    #[test]
     fn nesting_deeper_than_the_limit_is_refused() {
         let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
-        assert!(parse(&ok).is_ok());
+        assert!(check(&ok).is_ok());
         let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
-        let err = parse(&deep).unwrap_err();
+        let err = check(&deep).unwrap_err();
         assert_eq!(err.offset, MAX_DEPTH);
         // Far deeper input is refused at the same point, not by
         // overflowing the stack.
-        assert_eq!(parse(&"[".repeat(100_000)).unwrap_err(), err);
+        assert_eq!(check(&"[".repeat(100_000)).unwrap_err(), err);
         assert_eq!(
-            parse(&"{\"a\":".repeat(100_000)).unwrap_err().offset,
+            check(&"{\"a\":".repeat(100_000)).unwrap_err().offset,
             5 * MAX_DEPTH
         );
     }
@@ -809,18 +627,12 @@ mod tests {
     fn two_to_the_64_is_not_a_u64() {
         // `u64::MAX as f64` rounds up to 2^64, which no u64 holds.
         for text in ["18446744073709551616", "1.8446744073709552e19"] {
-            assert_eq!(parse(text).unwrap().as_u64(), None, "{text}");
+            assert_eq!(number(text).unwrap().as_u64(), None, "{text}");
         }
         // The largest f64 below 2^64 is still exact.
         assert_eq!(
-            parse("18446744073709549568.0").unwrap().as_u64(),
+            number("18446744073709549568.0").unwrap().as_u64(),
             Some(18_446_744_073_709_549_568)
         );
-    }
-
-    #[test]
-    fn parse_keeps_the_last_of_repeated_keys() {
-        let v = parse(r#"{"a": 1, "a": 2}"#).unwrap();
-        assert_eq!(v.get("a").and_then(JsonValue::as_u64), Some(2));
     }
 }

@@ -16,9 +16,9 @@
 //!   registry, exportable as JSON or NDJSON and comparable across runs.
 //!   Slots are recorded in registration order but exported sorted by name,
 //!   so snapshots are byte-identical to the retired BTreeMap registry's
-//!   (pinned by [`reference_registry`] and the differential suite).
+//!   (pinned by the `registry_equivalence` differential suite).
 //! - [`json`] — the minimal JSON writer and pull reader the exporters and
-//!   the checkpoint codec share, and a DOM parser the tests use.
+//!   the checkpoint codec share.
 //!
 //! # Example
 //!
@@ -46,7 +46,6 @@
 
 pub mod histogram;
 pub mod json;
-pub mod reference_registry;
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -785,22 +784,31 @@ mod tests {
         reg.add(n, 7);
         reg.set(g, 2.5);
         reg.record(h, 1.0);
-        let snap = reg.snapshot();
-        let v = json::parse(&snap.to_json()).unwrap();
-        assert_eq!(
-            v.get("counters")
-                .and_then(|c| c.get("n \"quoted\""))
-                .and_then(json::JsonValue::as_f64),
-            Some(7.0)
-        );
-        assert_eq!(
-            v.get("gauges")
-                .and_then(|g| g.get("g"))
-                .and_then(json::JsonValue::as_f64),
-            Some(2.5)
-        );
-        let h = v.get("histograms").and_then(|h| h.get("h")).unwrap();
-        assert_eq!(h.get("count").and_then(json::JsonValue::as_f64), Some(1.0));
+        let text = reg.snapshot().to_json();
+        let mut r = json::Reader::new(&text);
+        let key = |r: &mut json::Reader<'_>| r.next_key().unwrap().map(|k| k.into_owned());
+        r.begin_object().unwrap();
+        assert_eq!(key(&mut r).as_deref(), Some("counters"));
+        r.begin_object().unwrap();
+        assert_eq!(key(&mut r).as_deref(), Some("n \"quoted\""));
+        assert_eq!(r.number().unwrap(), json::Number::UInt(7));
+        assert_eq!(key(&mut r), None);
+        assert_eq!(key(&mut r).as_deref(), Some("gauges"));
+        r.begin_object().unwrap();
+        assert_eq!(key(&mut r).as_deref(), Some("g"));
+        assert_eq!(r.number().unwrap(), json::Number::Float(2.5));
+        assert_eq!(key(&mut r), None);
+        assert_eq!(key(&mut r).as_deref(), Some("histograms"));
+        r.begin_object().unwrap();
+        assert_eq!(key(&mut r).as_deref(), Some("h"));
+        r.begin_object().unwrap();
+        assert_eq!(key(&mut r).as_deref(), Some("count"));
+        assert_eq!(r.number().unwrap(), json::Number::UInt(1));
+        while key(&mut r).is_some() {
+            r.skip_value().unwrap();
+        }
+        assert_eq!((key(&mut r), key(&mut r)), (None, None));
+        r.finish().unwrap();
     }
 
     #[test]
@@ -817,10 +825,17 @@ mod tests {
         let nd = reg.snapshot().to_ndjson();
         let lines: Vec<_> = nd.lines().collect();
         assert_eq!(lines.len(), 3);
-        for line in lines {
-            let v = json::parse(line).unwrap();
-            assert!(v.get("metric").is_some());
-            assert!(v.get("type").is_some());
+        for (line, kind) in lines.into_iter().zip(["counter", "gauge", "histogram"]) {
+            let mut r = json::Reader::new(line);
+            r.begin_object().unwrap();
+            assert_eq!(r.next_key().unwrap().as_deref(), Some("metric"));
+            r.string().unwrap();
+            assert_eq!(r.next_key().unwrap().as_deref(), Some("type"));
+            assert_eq!(r.string().unwrap(), kind);
+            while r.next_key().unwrap().is_some() {
+                r.skip_value().unwrap();
+            }
+            r.finish().unwrap();
         }
     }
 

@@ -1,9 +1,9 @@
 //! The retired map-walk registry, pinned verbatim.
 //!
-//! Before the handle rework, [`crate::MetricsRegistry`] kept its metrics in
+//! Before the handle rework, [`dhl_obs::MetricsRegistry`] kept its metrics in
 //! `BTreeMap<&'static str, _>`s and paid an O(log n) string-compare walk on
 //! every counter bump, gauge set, and histogram observation, and
-//! [`crate::Histogram`] bucketed through `value.log2().floor()`. This module
+//! [`dhl_obs::Histogram`] bucketed through `value.log2().floor()`. This module
 //! preserves that implementation exactly — map storage, float-log bucketing,
 //! NaN-storing gauges and all — for the `registry_equivalence` differential
 //! suite, which drives randomized record interleavings through both
@@ -15,8 +15,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::histogram::{BUCKETS, MIN_EXP};
-use crate::{Histogram, HistogramSummary, MetricsSnapshot};
+use dhl_obs::histogram::{BUCKETS, MIN_EXP};
+use dhl_obs::{Histogram, HistogramSummary, MetricsSnapshot};
 
 /// The pre-handle log₂ histogram, bucketing through a float `log2()` call.
 ///

@@ -1,20 +1,20 @@
 //! Differential suite: the dense-slot handle registry, driven only through
 //! `register_*` and handle operations, vs the pinned name-keyed map-walk
-//! [`reference_registry`], following the `queue_equivalence` /
-//! `service_equivalence` convention — drive both implementations through
-//! randomized operation interleavings and assert byte-identical
-//! [`MetricsSnapshot`] JSON at every checkpoint.
+//! `reference_registry` (a module of this test), following the
+//! `queue_equivalence` / `service_equivalence` convention — drive both
+//! implementations through randomized operation interleavings and assert
+//! byte-identical [`MetricsSnapshot`] JSON at every checkpoint.
 //!
 //! The generators draw finite values from an RNG, where the two bucket-index
 //! computations (exponent-bit extraction vs the retired float log₂) agree;
 //! the one input class where they deliberately differ — values half an ULP
 //! below a power of two, which the float path misbuckets — is covered by a
 //! dedicated unit test in `histogram.rs`, not fuzzed here.
-//!
-//! [`reference_registry`]: dhl_obs::reference_registry
 
-use dhl_obs::reference_registry::{ReferenceHistogram, ReferenceRegistry};
+mod reference_registry;
+
 use dhl_obs::{Histogram, MetricsRegistry};
+use reference_registry::{ReferenceHistogram, ReferenceRegistry};
 
 /// splitmix64 — the repo's stock tiny deterministic generator.
 struct Rng(u64);

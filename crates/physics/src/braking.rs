@@ -6,8 +6,6 @@
 //! layout) and regenerative braking recovering 16–70 % of the kinetic
 //! energy.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{kinetic_energy, Joules, Kilograms, MetresPerSecond};
 
 use crate::{LinearInductionMotor, PhysicsError};
@@ -16,7 +14,7 @@ use crate::{LinearInductionMotor, PhysicsError};
 pub const REGEN_RECOVERY_RANGE: core::ops::RangeInclusive<f64> = 0.16..=0.70;
 
 /// How the cart is decelerated at the end of a trip.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 #[non_exhaustive]
 pub enum BrakingSystem {
     /// Reverse-driving the endpoint LIM; costs as much electrical energy as

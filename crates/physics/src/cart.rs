@@ -5,8 +5,6 @@
 //! for LIM propulsion (15 % of total mass). Given the payload and frame mass,
 //! total mass follows from `M = (m_ssds + m_frame) / (1 - f_magnets - f_fin)`.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::Kilograms;
 
 use crate::PhysicsError;
@@ -24,7 +22,7 @@ use crate::PhysicsError;
 /// assert!((model.budget(32).total.grams() - 281.92).abs() < 0.01);
 /// assert!((model.budget(64).total.grams() - 523.84).abs() < 0.01);
 /// ```
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct CartMassModel {
     ssd_mass: Kilograms,
     frame_mass: Kilograms,
@@ -33,7 +31,7 @@ pub struct CartMassModel {
 }
 
 /// The mass of every cart component, produced by [`CartMassModel::budget`].
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct CartMassBudget {
     /// Neodymium Halbach arrays plus correcting magnets.
     pub magnets: Kilograms,

@@ -17,8 +17,6 @@
 //! where `B_r` is the magnet remanence, `d` the array thickness, `λ` the
 //! array wavelength, and `M` the segments per wavelength.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Kilograms, Metres, Newtons, STANDARD_GRAVITY};
 
 use crate::PhysicsError;
@@ -41,7 +39,7 @@ const MU_0: f64 = 4.0e-7 * core::f64::consts::PI;
 /// let magnets = Kilograms::from_grams(28.2);
 /// assert!(array.can_levitate(cart, magnets, Metres::from_millimetres(10.0)));
 /// ```
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct HalbachArray {
     remanence_tesla: f64,
     wavelength: Metres,

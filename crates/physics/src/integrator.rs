@@ -8,14 +8,12 @@
 //! against "ground truth" physics (see the `closed_form_is_accurate` test:
 //! they agree to well under 1 %).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Joules, Kilograms, Metres, MetresPerSecond, Newtons, Seconds};
 
 use crate::{LevitationModel, LinearInductionMotor, PhysicsError, VacuumTube};
 
 /// A sampled point on the cart's trajectory.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct TrajectoryPoint {
     /// Time since launch.
     pub time: Seconds,
@@ -26,7 +24,7 @@ pub struct TrajectoryPoint {
 }
 
 /// Result of integrating one trip.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Trajectory {
     /// Sampled points, from launch to arrival.
     pub points: Vec<TrajectoryPoint>,

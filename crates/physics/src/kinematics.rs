@@ -1,7 +1,5 @@
 //! Trip kinematics: velocity profiles over the track (§IV-A, Table VI).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Metres, MetresPerSecond, MetresPerSecondSquared, Seconds};
 
 use crate::PhysicsError;
@@ -14,7 +12,7 @@ use crate::PhysicsError;
 /// gives `T = L/v + v/a`; the deceleration ramp's overhead is presumably
 /// absorbed into the generous 3 s docking allowance. Both are provided; the
 /// paper-matching variant is the default.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum TimeModel {
     /// `T_motion = L/v + v/(2a)` — matches every row of Table VI.
     #[default]
@@ -39,7 +37,7 @@ pub enum TimeModel {
 /// // Table VI row 2: motion takes 2.6 s (8.6 s including 6 s of docking).
 /// assert!((kin.motion_time(TimeModel::PaperSingleRamp).seconds() - 2.6).abs() < 1e-12);
 /// ```
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct TripKinematics {
     track_length: Metres,
     cruise_speed: MetresPerSecond,
@@ -48,7 +46,7 @@ pub struct TripKinematics {
 
 /// Per-phase breakdown of a full trapezoidal trip, from
 /// [`TripKinematics::phases`].
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct MotionPhases {
     /// Time on the acceleration ramp (`v/a`).
     pub accel_time: Seconds,

@@ -8,8 +8,6 @@
 //! is the downward acceleration contributed by the upper (guidance) Halbach
 //! array.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{
     Joules, Kilograms, Metres, MetresPerSecond, MetresPerSecondSquared, Newtons, STANDARD_GRAVITY,
 };
@@ -22,7 +20,7 @@ use crate::PhysicsError;
 /// (an inductrack cannot levitate a stationary cart), approaching the
 /// asymptotic ratio at high speed — the qualitative shape from Murai &
 /// Hasegawa cited by the paper.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct LiftDragCurve {
     asymptotic_ratio: f64,
     half_speed: MetresPerSecond,
@@ -83,7 +81,7 @@ impl LiftDragCurve {
 }
 
 /// The complete levitation model for a cart on the rail.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct LevitationModel {
     lift_drag: LiftDragCurve,
     guidance_accel: MetresPerSecondSquared,

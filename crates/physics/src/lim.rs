@@ -1,7 +1,5 @@
 //! Linear induction motor model (§III-B.3, §IV-A.1).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{
     kinetic_energy, Joules, Kilograms, Metres, MetresPerSecond, MetresPerSecondSquared, Newtons,
     Seconds, Watts,
@@ -27,7 +25,7 @@ use crate::PhysicsError;
 /// assert_eq!(lim.length_for(MetresPerSecond::new(200.0)).value(), 20.0);
 /// assert_eq!(lim.length_for(MetresPerSecond::new(300.0)).value(), 45.0);
 /// ```
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct LinearInductionMotor {
     efficiency: f64,
     acceleration: MetresPerSecondSquared,

@@ -5,8 +5,6 @@
 //! paper cites [46] for minimal power usage. We model it as a small constant
 //! power per cart while in motion.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Joules, Seconds, Watts};
 
 use crate::PhysicsError;
@@ -24,7 +22,7 @@ use crate::PhysicsError;
 /// let e = stab.energy(Seconds::new(2.6));
 /// assert!(e.value() < 20.0);
 /// ```
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ActiveStabilisation {
     hold_power: Watts,
 }

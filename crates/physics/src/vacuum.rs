@@ -4,8 +4,6 @@
 //! drag negligible and can be maintained with minimal pumping power thanks to
 //! the tube's small cross-section.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Joules, Metres, MetresPerSecond, Newtons, Seconds, Watts};
 
 use crate::PhysicsError;
@@ -29,7 +27,7 @@ pub const ATMOSPHERIC_PRESSURE_MILLIBAR: f64 = 1013.25;
 /// let drag = tube.aero_drag(MetresPerSecond::new(200.0));
 /// assert!(drag.value() < 1.0);
 /// ```
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct VacuumTube {
     pressure_millibar: f64,
     frontal_area: f64,

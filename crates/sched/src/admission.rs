@@ -28,19 +28,16 @@
 use dhl_obs::SloSummary;
 use dhl_rng::{DeterministicRng, Rng};
 use dhl_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 use crate::scheduler::RequestId;
 
 /// Tenant identity for multi-tenant accounting and fairness bounds.
-#[derive(
-    Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct TenantId(pub u32);
 
 /// What to do with a new arrival when the system is overloaded (pending
 /// queue full or docking stations past the backpressure watermark).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum OverloadPolicy {
     /// Turn the arrival away.
     #[default]
@@ -60,7 +57,7 @@ pub enum OverloadPolicy {
 
 /// Retry budget: bounded attempts with deterministic exponential backoff +
 /// jitter, drawn against a per-tenant token bucket.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct RetryBudgetSpec {
     /// Attempts per cart (first try included). Clamped to ≥ 1.
     pub max_attempts_per_request: u32,
@@ -94,7 +91,7 @@ impl Default for RetryBudgetSpec {
 
 /// Configuration for open-loop admission control. Off by default: a
 /// scheduler without one behaves exactly as before this layer existed.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct AdmissionSpec {
     /// Global bound on admitted-but-unserved requests. Clamped to ≥ 1.
     pub max_pending_global: usize,
@@ -217,7 +214,7 @@ pub fn retry_backoff(
 }
 
 /// Per-tenant SLO accounting from one open-loop run.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct TenantSlo {
     /// The tenant.
     pub tenant: TenantId,
@@ -263,7 +260,7 @@ impl TenantSlo {
 
 /// Run-level admission/SLO report, attached to `ScheduleOutcome::admission`
 /// when open-loop serving is enabled.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct AdmissionReport {
     /// Total arrivals offered to the admission controller.
     pub offered: u64,

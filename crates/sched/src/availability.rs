@@ -4,8 +4,6 @@
 //! inaccessible during transit." The tracker records every transit window
 //! per dataset so clients can ask whether (and when) data is readable.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::Seconds;
 
 use crate::placement::DatasetId;
@@ -13,7 +11,7 @@ use crate::recycle;
 use crate::service_queue::IdTable;
 
 /// Whether a dataset's bytes are reachable at an instant.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum DataState {
     /// Docked somewhere — readable at local bandwidth.
     AtRest,
@@ -25,7 +23,7 @@ pub enum DataState {
 /// the track itself was out of service and nothing could move) and
 /// per-endpoint dock downtime windows (periods a rack's docking stations
 /// spent recovering a crashed controller).
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct AvailabilityTracker {
     windows: IdTable<Vec<(f64, f64)>>,
     downtime: Vec<(f64, f64)>,

@@ -20,10 +20,8 @@
 //!   backpressure, and per-tenant retry budgets with deterministic
 //!   exponential backoff.
 //!
-//! Two further modules back the serving hot path: [`service_queue`] (the
-//! indexed, arena-backed pending structure the scheduler serves from) and
-//! [`reference_service`] (the retired O(n) scan, pinned verbatim for
-//! differential tests).
+//! A fifth module backs the serving hot path: [`service_queue`], the
+//! indexed, arena-backed pending structure the scheduler serves from.
 //!
 //! # Example
 //!
@@ -54,7 +52,6 @@ pub mod availability;
 pub(crate) mod metrics;
 pub mod placement;
 mod recycle;
-pub mod reference_service;
 pub mod scheduler;
 pub mod service_queue;
 
@@ -64,7 +61,6 @@ pub use admission::{
 };
 pub use availability::{AvailabilityTracker, DataState};
 pub use placement::{CartContents, DatasetId, ParityPlan, Placement};
-pub use reference_service::{ReferencePending, ReferenceServiceQueue};
 pub use scheduler::{
     DockRecoveryAwareness, FaultAwareness, IntegrityAwareness, Policy, Priority, RequestId,
     RequestOutcome, ScheduleOutcome, Scheduler, SchedulerError, TransferRequest,

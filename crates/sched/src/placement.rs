@@ -6,18 +6,16 @@
 //! cart belongs to at most one dataset at a time (the paper's carts dock
 //! with their SSDs "as a single unit").
 
-use serde::{Deserialize, Serialize};
-
 use dhl_storage::datasets::Dataset;
 use dhl_storage::failure::RaidConfig;
 use dhl_units::Bytes;
 
 /// Opaque handle for a stored dataset.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct DatasetId(pub u64);
 
 /// What one cart currently holds.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct CartContents {
     /// Owning dataset.
     pub dataset: DatasetId,
@@ -28,7 +26,7 @@ pub struct CartContents {
 }
 
 /// The library's dataset → cart map.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Placement {
     cart_capacity: Bytes,
     /// Cart id → contents (None = empty cart).
@@ -37,9 +35,8 @@ pub struct Placement {
     datasets: Vec<Option<StoredDataset>>,
 }
 
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 struct StoredDataset {
-    name: String,
     size: Bytes,
     cart_ids: Vec<usize>,
 }
@@ -81,7 +78,6 @@ impl Placement {
             cart_ids.push(cart_id);
         }
         self.datasets.push(Some(StoredDataset {
-            name: dataset.name.into_owned(),
             size: dataset.size,
             cart_ids,
         }));
@@ -121,12 +117,6 @@ impl Placement {
     #[must_use]
     pub fn carts_of(&self, id: DatasetId) -> Option<&[usize]> {
         self.stored(id).map(|d| d.cart_ids.as_slice())
-    }
-
-    /// Stored name of a dataset.
-    #[must_use]
-    pub fn name_of(&self, id: DatasetId) -> Option<&str> {
-        self.stored(id).map(|d| d.name.as_str())
     }
 
     /// Stored size of a dataset.
@@ -218,7 +208,7 @@ impl Placement {
 }
 
 /// A parity/capacity trade-off chosen by [`Placement::plan_parity`].
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ParityPlan {
     /// The chosen per-cart RAID layout.
     pub raid: RaidConfig,
@@ -240,8 +230,8 @@ mod tests {
         Placement::new(Bytes::from_terabytes(256.0))
     }
 
-    /// MassiveText (Table I): 10.25 TB of text, one cart, and a name and
-    /// size distinct from LAION-5B's.
+    /// MassiveText (Table I): 10.25 TB of text, one cart, and a size
+    /// distinct from LAION-5B's.
     fn massive_text() -> Dataset {
         Dataset {
             name: "MassiveText".into(),
@@ -291,7 +281,6 @@ mod tests {
         let b = p.store(datasets::laion_5b());
         assert_ne!(a, b);
         assert_eq!(p.dataset_ids(), vec![a, b]);
-        assert_eq!(p.name_of(a), Some("LAION-5B"));
         assert_eq!(p.size_of(a), Some(Bytes::from_terabytes(250.0)));
     }
 
@@ -300,7 +289,6 @@ mod tests {
         let p = placement();
         assert!(p.carts_of(DatasetId(99)).is_none());
         assert!(p.contents_of(5).is_none());
-        assert!(p.name_of(DatasetId(0)).is_none());
     }
 
     #[test]
@@ -313,12 +301,11 @@ mod tests {
         for id in [b, DatasetId(3), DatasetId(u64::MAX)] {
             assert!(p.carts_of(id).is_none(), "{id:?}");
             assert!(p.size_of(id).is_none(), "{id:?}");
-            assert!(p.name_of(id).is_none(), "{id:?}");
             assert!(p.extent_of(id).is_none(), "{id:?}");
             assert!(!p.evict(id), "{id:?}");
         }
         // The survivors keep their rows, and one lookup gives both stats.
-        assert_eq!(p.name_of(c), Some("MassiveText"));
+        assert_eq!(p.size_of(c), Some(Bytes::from_terabytes(10.25)));
         assert_eq!(p.carts_of(a).map(<[usize]>::len), Some(1));
         let laion = datasets::laion_5b().size;
         assert_eq!(p.size_of(a), Some(laion));

@@ -11,7 +11,6 @@ use std::cmp::Ordering;
 
 use dhl_obs::{Histogram, MetricsRegistry, MetricsSnapshot, SloSummary, Stopwatch};
 use dhl_rng::{DeterministicRng, Rng};
-use serde::{Deserialize, Serialize};
 
 use dhl_sim::{ConfigError, DockControllerFaultSpec, EndpointKind, SimConfig};
 use dhl_units::{Bytes, Joules, Seconds};
@@ -26,7 +25,7 @@ use crate::recycle;
 use crate::service_queue::{DockBank, IdTable, ServiceEntry, ServiceQueue, TripCache};
 
 /// Request priority classes.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Priority {
     /// Background work (bulk backups).
     Background,
@@ -37,7 +36,7 @@ pub enum Priority {
 }
 
 /// Ordering discipline within a priority class.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Policy {
     /// First come, first served (the default).
     #[default]
@@ -49,7 +48,7 @@ pub enum Policy {
 }
 
 /// Opaque handle for a submitted request.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct RequestId(pub u64);
 
 /// A client's request to materialise a dataset at a rack endpoint.
@@ -57,7 +56,7 @@ pub struct RequestId(pub u64);
 /// All fields are plain values, so the request is `Copy`: the serving path
 /// moves requests through its queues by bitwise copy instead of `clone()`
 /// calls that used to allocate per admission.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct TransferRequest {
     /// The dataset to move.
     pub dataset: DatasetId,
@@ -123,7 +122,7 @@ impl TransferRequest {
 /// Scheduler-level fault awareness: a per-trip loss probability (lost carts
 /// re-enter the queue at their original priority and retry), plus known
 /// track downtime windows departures must not overlap.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FaultAwareness {
     /// Probability that a loaded delivery is lost in transit and must be
     /// re-run (clamped into `[0, 1]` at sampling time).
@@ -137,26 +136,13 @@ pub struct FaultAwareness {
     pub downtime: Vec<(Seconds, Seconds)>,
 }
 
-impl FaultAwareness {
-    /// Loss-free awareness that only routes around downtime windows.
-    #[must_use]
-    pub fn downtime_only(downtime: Vec<(Seconds, Seconds)>) -> Self {
-        Self {
-            loss_probability: 0.0,
-            max_attempts: 1,
-            seed: 0,
-            downtime,
-        }
-    }
-}
-
 /// Scheduler-level integrity awareness: verify-on-dock dock time plus a
 /// per-delivery probability that the scrub rejects the payload and the cart
 /// must re-ship it. Rejected deliveries re-enter the queue at their original
 /// priority (like in-transit losses), and every extra round trip is recorded
 /// in the [`AvailabilityTracker`], so reshipment load is visible to clients
 /// asking when their data is at rest.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct IntegrityAwareness {
     /// Probability that verify-on-dock finds corruption beyond the RAID
     /// tolerance and the delivery must be re-shipped (clamped into `[0, 1]`
@@ -191,7 +177,7 @@ impl IntegrityAwareness {
 /// feed the [`AvailabilityTracker`] as per-endpoint dock downtime, so
 /// clients see exactly when a rack's docks were recovering rather than
 /// serving payload.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct DockRecoveryAwareness {
     /// Probability that any single loaded docking crashes the controller
     /// (clamped into `[0, 1]` at sampling time).
@@ -220,7 +206,7 @@ impl DockRecoveryAwareness {
 }
 
 /// Per-request outcome.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct RequestOutcome {
     /// The request's handle.
     pub id: RequestId,
@@ -250,7 +236,7 @@ pub struct RequestOutcome {
 ///
 /// Equality compares the *schedule* only: [`ScheduleOutcome::metrics`]
 /// carries wall-clock observability data and is excluded from `PartialEq`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScheduleOutcome {
     /// Outcomes in completion order.
     pub completed: Vec<RequestOutcome>,
@@ -1403,7 +1389,6 @@ mod tests {
 
     #[test]
     fn deadlines_inside_the_backlog_bracket_match_the_exact_walk() {
-        use crate::reference_service::{ReferencePending, ReferenceServiceQueue};
         // A is in service while B and C wait; D's deadline is set at the
         // retired estimate (bit for bit) or one ULP below it.
         let run = |deadline: f64| {
@@ -1433,7 +1418,6 @@ mod tests {
         let service_s = 1.0 * per_cart;
         let est = |backlog: f64| 3.0f64.max(track_free) + backlog + 0.0 * per_cart + trip + 0.0;
 
-        let mut reference = ReferenceServiceQueue::new();
         let mut mirror = ServiceQueue::new(Policy::PriorityFifo);
         let (_, small, _) = setup();
         let waiting = |id: u64| ServiceEntry {
@@ -1446,15 +1430,10 @@ mod tests {
         let _ = mirror.pop_next();
         for id in 1..3 {
             mirror.push(waiting(id));
-            let e = waiting(id);
-            reference.push(ReferencePending {
-                id: e.id,
-                req: e.req,
-                carts: e.carts,
-                service_s,
-            });
         }
-        let exact = est(reference.backlog_service_s());
+        // The exact walk: B's and C's service times summed in admission
+        // order.
+        let exact = est(service_s + service_s);
         let (lo, hi) = mirror.backlog_bounds().unwrap();
         for (deadline, admit) in [(exact, true), (exact.next_down(), false)] {
             assert!(
@@ -1502,10 +1481,12 @@ mod tests {
         let small = placement.store(datasets::laion_5b());
         let mut sched = Scheduler::new(SimConfig::paper_default(), placement)
             .unwrap()
-            .with_faults(FaultAwareness::downtime_only(vec![(
-                Seconds::ZERO,
-                Seconds::new(100.0),
-            )]));
+            .with_faults(FaultAwareness {
+                loss_probability: 0.0,
+                max_attempts: 1,
+                seed: 0,
+                downtime: vec![(Seconds::ZERO, Seconds::new(100.0))],
+            });
         sched.submit(TransferRequest::new(
             small,
             1,
@@ -1541,7 +1522,12 @@ mod tests {
                 let downtime = vec![(s(0.0), s(10.0)), (from, to)];
                 let mut sched = Scheduler::new(SimConfig::paper_default(), placement)
                     .unwrap()
-                    .with_faults(FaultAwareness::downtime_only(downtime));
+                    .with_faults(FaultAwareness {
+                        loss_probability: 0.0,
+                        max_attempts: 1,
+                        seed: 0,
+                        downtime,
+                    });
                 if open {
                     sched = sched.with_admission(AdmissionSpec::default());
                 }
@@ -1709,10 +1695,12 @@ mod metrics_tests {
     #[test]
     fn downtime_gauge_tracks_the_availability_tracker() {
         let (sched, small) = setup();
-        let mut sched = sched.with_faults(FaultAwareness::downtime_only(vec![(
-            Seconds::ZERO,
-            Seconds::new(100.0),
-        )]));
+        let mut sched = sched.with_faults(FaultAwareness {
+            loss_probability: 0.0,
+            max_attempts: 1,
+            seed: 0,
+            downtime: vec![(Seconds::ZERO, Seconds::new(100.0))],
+        });
         sched.submit(TransferRequest::new(
             small,
             1,

@@ -31,8 +31,8 @@
 //! ShortestJobFirst scan ordered by `(cart count, id)` within a class
 //! (arrival never broke ties), which the per-class B-tree keys replicate
 //! directly. `tests/service_equivalence.rs` asserts all of this against
-//! the verbatim reference pin
-//! ([`reference_service`](crate::reference_service)).
+//! the verbatim pin of the retired scan, which lives with it in the test
+//! tree.
 //!
 //! The deadline check's backlog is the admission-order sum of pending
 //! service times (float addition is not associative, so any other order
@@ -814,9 +814,7 @@ mod tests {
 
     #[test]
     fn sparse_tenant_ids_share_one_bounded_table() {
-        use crate::reference_service::{ReferencePending, ReferenceServiceQueue};
         let mut q = ServiceQueue::new(Policy::PriorityFifo);
-        let mut reference = ReferenceServiceQueue::new();
         let tenants = [
             TenantId(0),
             TenantId(u32::MAX),
@@ -827,26 +825,13 @@ mod tests {
             let mut e = entry(i, Priority::Normal, i as f64, 1);
             e.req.tenant = tenants[i as usize % tenants.len()];
             q.push(e);
-            reference.push(ReferencePending {
-                id: e.id,
-                req: e.req,
-                carts: e.carts,
-                service_s: e.service_s,
-            });
             if i % 3 == 2 {
-                assert_eq!(
-                    q.pop_next().map(|e| e.id),
-                    reference.pop_next(Policy::PriorityFifo).map(|e| e.id)
-                );
-            }
-            for t in tenants
-                .into_iter()
-                .chain([TenantId(1), TenantId(u32::MAX - 2)])
-            {
-                assert_eq!(q.tenant_pending(t), reference.tenant_pending(t), "{t:?}");
+                q.pop_next();
             }
         }
         // One row per tenant seen, not one slot per id below the largest.
+        // The counts themselves are checked against the retired scan by
+        // `service_equivalence` with these same sparse ids.
         let table = &q.tenant_pending;
         assert_eq!((table.dense.len(), table.sparse.len()), (8, 2));
     }

@@ -1,21 +1,21 @@
 //! The retired O(n) service-selection code, pinned verbatim.
 //!
-//! Before the indexed [`ServiceQueue`](crate::service_queue::ServiceQueue)
+//! Before the indexed [`ServiceQueue`](dhl_sched::service_queue::ServiceQueue)
 //! existed, the open-loop serving path kept its admitted-but-unserved
 //! requests in a plain `Vec` and selected work with a linear scan (`pick_next`) followed
 //! by a shifting `Vec::remove` — O(n) per service decision and O(n) per
 //! shed, O(n²) across a drain. This module preserves that implementation
 //! **bit for bit** (the scan bodies below are the exact functions the
 //! scheduler used, including their `partial_cmp` tie-breaking) so that the
-//! differential suite (`tests/service_equivalence.rs`) and the scheduler's
-//! unit tests can assert the indexed structure pops and sheds in *exactly*
-//! the retired order. That the indexed structure does not scan is a work
-//! count in `service_queue`'s unit tests, not a timing against this pin.
+//! differential suite (`service_equivalence.rs`) can assert the indexed
+//! structure pops and sheds in *exactly* the retired order. That the
+//! indexed structure does not scan is a work count in `service_queue`'s
+//! unit tests, not a timing against this pin.
 //!
-//! Nothing in the serving path calls this module; it exists for tests
-//! only.
+//! It lives in the test tree, outside the shipped crate: nothing in the
+//! serving path calls it.
 
-use crate::scheduler::{Policy, Priority, RequestId, TransferRequest};
+use dhl_sched::scheduler::{Policy, Priority, RequestId, TransferRequest};
 
 /// One admitted-but-unserved request, exactly as the retired serving loop
 /// carried it.
@@ -95,8 +95,8 @@ pub fn pick_next(pending: &[ReferencePending], policy: Policy) -> usize {
 
 /// The retired pending queue as a driveable structure: a `Vec` plus the
 /// pinned scan functions, wearing the same API as the indexed
-/// [`ServiceQueue`](crate::service_queue::ServiceQueue) so tests and
-/// benches can run both in lock-step.
+/// [`ServiceQueue`](dhl_sched::service_queue::ServiceQueue) so tests can
+/// run both in lock-step.
 #[derive(Clone, Debug, Default)]
 pub struct ReferenceServiceQueue {
     pending: Vec<ReferencePending>,
@@ -128,12 +128,6 @@ impl ReferenceServiceQueue {
         shed_victim(&mut self.pending, incoming)
     }
 
-    /// Pending entries, in admission order (the retired backlog iteration).
-    #[must_use]
-    pub fn entries(&self) -> &[ReferencePending] {
-        &self.pending
-    }
-
     /// Pending service-time backlog, summed in admission order exactly as
     /// the retired deadline-feasibility check did.
     #[must_use]
@@ -143,7 +137,7 @@ impl ReferenceServiceQueue {
 
     /// Pending entries owned by `tenant` (the retired O(n) filter count).
     #[must_use]
-    pub fn tenant_pending(&self, tenant: crate::admission::TenantId) -> usize {
+    pub fn tenant_pending(&self, tenant: dhl_sched::admission::TenantId) -> usize {
         self.pending
             .iter()
             .filter(|p| p.req.tenant == tenant)

@@ -1,6 +1,7 @@
 //! Differential suite: the indexed [`ServiceQueue`] must pop, shed, and
 //! account **bit-identically** to the retired O(n) scan pinned in
-//! [`dhl_sched::reference_service`], for both policies, across randomised
+//! `reference_service` (a module of this test), for both policies, across
+//! randomised
 //! workloads that exercise every interleaving the open-loop serving path
 //! can produce: monotone-arrival admission bursts (with equal-arrival id
 //! ties), degrade-to-background pushes, shed-lowest-priority evictions
@@ -12,12 +13,14 @@
 //! must match to the last bit because deadline admission decisions hang off
 //! it).
 
+mod reference_service;
+
 use dhl_sched::admission::TenantId;
 use dhl_sched::placement::DatasetId;
-use dhl_sched::reference_service::{ReferencePending, ReferenceServiceQueue};
 use dhl_sched::scheduler::{Policy, Priority, RequestId, TransferRequest};
 use dhl_sched::service_queue::{ServiceEntry, ServiceQueue};
 use dhl_units::Seconds;
+use reference_service::{ReferencePending, ReferenceServiceQueue};
 
 /// Deterministic xorshift driver for workload shape decisions.
 fn xorshift(state: &mut u64) -> u64 {
@@ -42,7 +45,12 @@ fn priority_of(v: u64) -> Priority {
 /// retired scan resolved by id), cart counts span 1..=40 so SJF keys
 /// collide and split, and a slice of pushes is degraded to Background the
 /// way `DegradeToBestEffort` admission does.
-fn next_entry(rng: &mut u64, next_id: &mut u64, arrival: &mut f64, tenants: u64) -> ServiceEntry {
+fn next_entry(
+    rng: &mut u64,
+    next_id: &mut u64,
+    arrival: &mut f64,
+    tenants: &[TenantId],
+) -> ServiceEntry {
     let id = RequestId(*next_id);
     *next_id += 1;
     // ~40% of arrivals share the previous instant.
@@ -65,12 +73,22 @@ fn next_entry(rng: &mut u64, next_id: &mut u64, arrival: &mut f64, tenants: u64)
             priority,
             arrival: Seconds::new(*arrival),
             dwell: Seconds::new(dwell),
-            tenant: TenantId((xorshift(rng) % tenants) as u32),
+            tenant: pick(rng, tenants),
             deadline: None,
         },
         carts,
         service_s,
     }
+}
+
+/// One of `tenants`, drawn uniformly.
+fn pick(rng: &mut u64, tenants: &[TenantId]) -> TenantId {
+    tenants[(xorshift(rng) % tenants.len() as u64) as usize]
+}
+
+/// Tenants `0..n`.
+fn dense(n: u32) -> Vec<TenantId> {
+    (0..n).map(TenantId).collect()
 }
 
 fn to_reference(e: ServiceEntry) -> ReferencePending {
@@ -116,7 +134,13 @@ fn assert_brackets(indexed: &ServiceQueue, reference: &ReferenceServiceQueue, ct
 /// every observable after each one. `snapshot_at` injects a mid-drain
 /// entries()/from_entries round-trip of the indexed queue, modelling the
 /// checkpoint path.
-fn run_lockstep(policy: Policy, seed: u64, steps: usize, tenants: u64, snapshot_at: Option<usize>) {
+fn run_lockstep(
+    policy: Policy,
+    seed: u64,
+    steps: usize,
+    tenants: &[TenantId],
+    snapshot_at: Option<usize>,
+) {
     let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
     let mut indexed = ServiceQueue::new(policy);
     let mut reference = ReferenceServiceQueue::new();
@@ -168,12 +192,20 @@ fn run_lockstep(policy: Policy, seed: u64, steps: usize, tenants: u64, snapshot_
             assert_brackets(&indexed, &reference, &format!("step {step} seed {seed}")),
             "finite backlogs always certify (step {step} seed {seed})"
         );
-        let probe = TenantId((xorshift(&mut rng) % tenants) as u32);
+        let probe = pick(&mut rng, tenants);
         assert_eq!(
             indexed.tenant_pending(probe),
             reference.tenant_pending(probe),
             "tenant_pending step {step}"
         );
+        // Ids next to the sparse ones, which no sparse case draws.
+        for absent in [TenantId(1), TenantId(u32::MAX - 2)] {
+            assert_eq!(
+                indexed.tenant_pending(absent),
+                reference.tenant_pending(absent),
+                "tenant_pending({absent:?}) step {step}"
+            );
+        }
     }
 
     // Full drain: the tail order must match too.
@@ -191,21 +223,25 @@ fn run_lockstep(policy: Policy, seed: u64, steps: usize, tenants: u64, snapshot_
 #[test]
 fn fifo_matches_reference_across_seeds() {
     for seed in 0..12 {
-        run_lockstep(Policy::PriorityFifo, seed, 2_000, 4, None);
+        run_lockstep(Policy::PriorityFifo, seed, 2_000, &dense(4), None);
     }
 }
 
 #[test]
 fn sjf_matches_reference_across_seeds() {
     for seed in 0..12 {
-        run_lockstep(Policy::ShortestJobFirst, seed, 2_000, 4, None);
+        run_lockstep(Policy::ShortestJobFirst, seed, 2_000, &dense(4), None);
     }
 }
 
 #[test]
 fn high_tenant_count_matches_reference() {
+    // Ids at both ends of `u32`: the pending-count table keys the large
+    // ones sparsely, and must still count like the retired filter.
+    let sparse = [0, u32::MAX, 7, u32::MAX - 1].map(TenantId);
     for &policy in &[Policy::PriorityFifo, Policy::ShortestJobFirst] {
-        run_lockstep(policy, 99, 3_000, 64, None);
+        run_lockstep(policy, 99, 3_000, &dense(64), None);
+        run_lockstep(policy, 99, 3_000, &sparse, None);
     }
 }
 
@@ -213,7 +249,7 @@ fn high_tenant_count_matches_reference() {
 fn mid_drain_snapshot_rebuild_keeps_matching() {
     for &policy in &[Policy::PriorityFifo, Policy::ShortestJobFirst] {
         for seed in 0..6 {
-            run_lockstep(policy, seed, 1_500, 4, Some(700 + seed as usize));
+            run_lockstep(policy, seed, 1_500, &dense(4), Some(700 + seed as usize));
         }
     }
 }
@@ -244,6 +280,7 @@ fn backlog_bracket_holds_for_adversarial_magnitudes() {
             let mut indexed = ServiceQueue::new(policy);
             let mut reference = ReferenceServiceQueue::new();
             let (mut next_id, mut arrival) = (0u64, 0.0f64);
+            let tenants = dense(4);
             // A non-finite service time was pushed since the queue last
             // emptied: the only state allowed to be uncertified.
             let mut tainted = false;
@@ -252,7 +289,7 @@ fn backlog_bracket_holds_for_adversarial_magnitudes() {
                 // Pops outpace pushes, so the queue keeps emptying.
                 match xorshift(&mut rng) % 8 {
                     0..=2 => {
-                        let mut entry = next_entry(&mut rng, &mut next_id, &mut arrival, 4);
+                        let mut entry = next_entry(&mut rng, &mut next_id, &mut arrival, &tenants);
                         let pick = xorshift(&mut rng) as usize % (MAGNITUDES.len() * 16);
                         // Infinity is rare, so certified stretches dominate.
                         entry.service_s = match MAGNITUDES.get(pick) {
@@ -302,12 +339,13 @@ fn backlog_bracket_stays_tight_over_a_million_operation_churn() {
     let mut q = ServiceQueue::new(Policy::PriorityFifo);
     let mut rng = 0x2545_f491_4f6c_dd1du64;
     let (mut next_id, mut arrival) = (0u64, 0.0f64);
+    let tenants = dense(64);
     for _ in 0..256 {
-        q.push(next_entry(&mut rng, &mut next_id, &mut arrival, 64));
+        q.push(next_entry(&mut rng, &mut next_id, &mut arrival, &tenants));
     }
     for op in 1..=1_000_000u32 {
         q.pop_next().expect("held backlog");
-        q.push(next_entry(&mut rng, &mut next_id, &mut arrival, 64));
+        q.push(next_entry(&mut rng, &mut next_id, &mut arrival, &tenants));
         if op % 4096 == 0 || op == 1_000_000 {
             let exact = q.backlog_service_s();
             let (lo, hi) = q.backlog_bounds().expect("finite backlog");

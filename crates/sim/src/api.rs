@@ -183,12 +183,6 @@ impl DhlApi {
         self.energy
     }
 
-    /// Where a cart currently sits.
-    #[must_use]
-    pub fn cart_endpoint(&self, cart: CartId) -> Option<EndpointId> {
-        self.carts.get(cart).map(|c| c.endpoint)
-    }
-
     fn movement(&self, from: EndpointId, to: EndpointId) -> MovementCost {
         let d = (self.cfg.endpoints[to].position - self.cfg.endpoints[from].position).abs();
         MovementCost::for_distance(&self.cfg, d)
@@ -339,14 +333,14 @@ mod tests {
     fn open_read_close_round_trip() {
         let mut api = api();
         let cart = api.open(1).unwrap();
-        assert_eq!(api.cart_endpoint(cart), Some(1));
+        assert_eq!(api.carts[cart].endpoint, 1);
         assert!((api.now().seconds() - 8.6).abs() < 1e-9);
 
         let t = api.read(cart, Bytes::from_terabytes(256.0)).unwrap();
         assert!((t.seconds() - 256e12 / 227.2e9).abs() < 1e-6);
 
         api.close(cart).unwrap();
-        assert_eq!(api.cart_endpoint(cart), Some(0));
+        assert_eq!(api.carts[cart].endpoint, 0);
         assert!((api.now().seconds() - (17.2 + t.seconds())).abs() < 1e-6);
         // Two movements ≈ 2 × 15.2 kJ.
         assert!((api.energy_used().kilojoules() - 30.4).abs() < 0.5);

@@ -34,12 +34,11 @@
 
 use dhl_rng::{DeterministicRng, Rng};
 use dhl_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{codec_struct, read_document, Codec};
 
 /// The stochastic process driving inter-arrival times.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub enum ArrivalProcess {
     /// Memoryless arrivals at `rate_per_second`.
     Poisson {
@@ -66,7 +65,7 @@ pub enum ArrivalProcess {
 /// Off-by-default in the sense of the PR-3/PR-6 convention: nothing in the
 /// simulator consumes arrivals unless a caller explicitly builds a
 /// generator and feeds the emitted requests into a scheduler.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ArrivalSpec {
     /// The inter-arrival process.
     pub process: ArrivalProcess,
@@ -179,7 +178,7 @@ impl ArrivalSpec {
 }
 
 /// One emitted request arrival.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct Arrival {
     /// Tenant the request belongs to, in `0..spec.tenants`.
     pub tenant: u32,
@@ -191,7 +190,7 @@ pub struct Arrival {
 
 /// Checkpointable generator state (PR-6 machinery): everything needed to
 /// resume a generator to a bit-identical suffix.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ArrivalState {
     /// The RNG stream's word state.
     pub rng: [u64; 4],

@@ -109,7 +109,7 @@ struct MetricsState {
 /// A point-in-time capture of a running [`DhlSystem`].
 ///
 /// Obtained from [`DhlSystem::checkpoint`]; turned back into a live system
-/// by [`DhlSystem::resume`]. Serializes losslessly to JSON via
+/// by [`DhlSystem::resume`]. Round-trips losslessly through JSON via
 /// [`Checkpoint::to_json`] / [`Checkpoint::from_json`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct Checkpoint {
@@ -639,7 +639,7 @@ impl From<JsonError> for CheckpointError {
 }
 
 impl Checkpoint {
-    /// Serializes the checkpoint to a deterministic JSON string.
+    /// Writes the checkpoint as a deterministic JSON string.
     ///
     /// Keys are emitted in sorted order and every number takes the codec's
     /// lossless path, so equal checkpoints produce byte-equal JSON.

@@ -1,7 +1,5 @@
 //! Simulation configuration (Table V parameters + system layout).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_physics::{
     ActiveStabilisation, BrakingSystem, CartMassModel, LevitationModel, LinearInductionMotor,
     PhysicsError, TimeModel, VacuumTube,
@@ -15,7 +13,7 @@ use dhl_units::{Bytes, Kilograms, Metres, MetresPerSecond, Seconds, Watts};
 /// Stochastic SSD-failure injection for the system simulator (§III-D:
 /// "if an SSD fails in-flight, the endpoint's DHL API will report the
 /// error, and RAID and backups can ameliorate the issue").
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ReliabilitySpec {
     /// Per-SSD failure model.
     pub failure: FailureModel,
@@ -51,7 +49,7 @@ impl ReliabilitySpec {
 /// corruption triggers a re-shipment through the PR-1 retry machinery
 /// (bounded by `FaultSpec::max_delivery_attempts` when faults are on, one
 /// attempt otherwise).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct IntegritySpec {
     /// Silent-corruption hazard model (wear, connector, and thermal terms).
     pub corruption: CorruptionModel,
@@ -138,7 +136,7 @@ impl IntegritySpec {
 
 /// A cart mechanical fault: the cart stalls in-tube and blocks its track
 /// direction until a repair crew frees it.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct CartStallSpec {
     /// Probability that any single movement stalls mid-tube.
     pub probability_per_movement: f64,
@@ -149,7 +147,7 @@ pub struct CartStallSpec {
 /// A docking-connector fault, driven by the `dhl-storage::connectors` wear
 /// model: every dock mates the cart's connector; once its rated cycles are
 /// spent, docking takes an extra replacement window.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ConnectorFaultSpec {
     /// Connector family fitted to every cart.
     pub kind: ConnectorKind,
@@ -160,7 +158,7 @@ pub struct ConnectorFaultSpec {
 /// A tube-section repressurisation event: the track stays usable, but air
 /// density (and therefore drag) rises, so carts are speed-limited until the
 /// pumps recover the rough vacuum.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct RepressurisationSpec {
     /// Probability that any single movement triggers a leak event.
     pub probability_per_movement: f64,
@@ -205,7 +203,7 @@ impl RepressurisationSpec {
 /// How a crashed dock-station controller gets back into service. Each
 /// policy charges a different recovery latency (and dock-side energy) to
 /// the docking that triggered the crash.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum DockRecoveryPolicy {
     /// Replay the controller's write-ahead journal: a fixed, payload-size
     /// independent latency ([`DockControllerFaultSpec::journal_replay_time`]).
@@ -221,7 +219,7 @@ pub enum DockRecoveryPolicy {
 /// is docking at a rack; the docking stalls for the policy's recovery
 /// latency, the recovery draws [`DockControllerFaultSpec::recovery_power`],
 /// and the downtime is charged against the rack's availability.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct DockControllerFaultSpec {
     /// Probability that any single loaded rack docking crashes the
     /// controller.
@@ -284,7 +282,7 @@ impl DockControllerFaultSpec {
 /// (bounded by [`FaultSpec::max_delivery_attempts`]), stalled carts block
 /// and later release their track, worn connectors cost replacement time,
 /// and repressurised sections speed-limit traffic.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct FaultSpec {
     /// Cart mechanical stalls (None disables the fault class).
     pub cart_stall: Option<CartStallSpec>,
@@ -409,7 +407,7 @@ impl Default for FaultSpec {
 }
 
 /// What an endpoint is for.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum EndpointKind {
     /// The cart library: cold storage at one end of the track (§III-B.6).
     Library,
@@ -418,7 +416,7 @@ pub enum EndpointKind {
 }
 
 /// One endpoint along the track.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct EndpointSpec {
     /// Position along the track, measured from the library.
     pub position: Metres,
@@ -477,7 +475,7 @@ impl From<PhysicsError> for ConfigError {
 }
 
 /// How long a cart spends docked at a rack before it may return.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 #[non_exhaustive]
 pub enum ProcessingModel {
     /// Released immediately after docking — the pure-transfer accounting of
@@ -494,7 +492,7 @@ pub enum ProcessingModel {
 }
 
 /// Full configuration of a DHL system simulation.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct SimConfig {
     /// Endpoints in track order; `endpoints[0]` must be the library at 0 m.
     pub endpoints: Vec<EndpointSpec>,

@@ -1,7 +1,5 @@
 //! Per-movement physics: time, energy, and speed for one cart hop.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Joules, Metres, MetresPerSecond, Seconds};
 
 use crate::config::SimConfig;
@@ -10,7 +8,7 @@ use crate::config::SimConfig;
 ///
 /// Shared by the event-driven simulator and the synchronous API facade so
 /// both account movements identically.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct MovementCost {
     /// Cruise speed actually reachable on this hop (≤ configured max; short
     /// hops cannot fit the full ramps).

@@ -25,7 +25,6 @@
 //! the merged [`ReplicaReport`] is unchanged by crashes.
 
 use dhl_obs::MetricsSnapshot;
-use serde::{Deserialize, Serialize};
 
 use dhl_units::{Bytes, Seconds};
 
@@ -70,7 +69,7 @@ pub fn replica_config(mut cfg: SimConfig, index: u64) -> SimConfig {
 /// Percentiles are nearest-rank over the sorted replica samples; `ci95` is
 /// the half-width of the normal-approximation 95 % confidence interval on
 /// the mean (`1.96 · s / √n`, sample standard deviation; 0 when `n < 2`).
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct ReplicaStats {
     /// Sample mean.
     pub mean: f64,
@@ -119,7 +118,7 @@ impl ReplicaStats {
 }
 
 /// Merged outcome of a replica set.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ReplicaReport {
     /// Per-replica reports, in replica (seed) order.
     pub reports: Vec<BulkTransferReport>,

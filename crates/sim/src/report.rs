@@ -1,7 +1,6 @@
 //! Simulation result reports.
 
 use dhl_obs::MetricsSnapshot;
-use serde::{Deserialize, Serialize};
 
 use dhl_units::{Bytes, BytesPerSecond, Joules, Seconds, Watts};
 
@@ -14,7 +13,7 @@ use dhl_units::{Bytes, BytesPerSecond, Joules, Seconds, Watts};
 /// excluded from `PartialEq`.
 ///
 /// [`metrics`]: BulkTransferReport::metrics
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BulkTransferReport {
     /// Time until every shard was delivered and every cart was home.
     pub completion_time: Seconds,
@@ -80,7 +79,7 @@ impl PartialEq for BulkTransferReport {
 
 /// End-to-end integrity accounting for a bulk transfer with verify-on-dock
 /// enabled.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct IntegrityReport {
     /// Shards checksummed at rack docks.
     pub shards_scanned: u64,
@@ -103,7 +102,7 @@ pub struct IntegrityReport {
 }
 
 /// Recovery-path accounting for a bulk transfer under fault injection.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct ReliabilityReport {
     /// Shards re-dispatched after a RAID-uncovered in-flight loss.
     pub redeliveries: u64,

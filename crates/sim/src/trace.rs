@@ -6,14 +6,12 @@
 //! `tests/trace_invariants.rs` replay traces to prove no-passing and
 //! dock-capacity invariants).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::Seconds;
 
 use crate::system::{CartId, EndpointId};
 
 /// One state transition in the simulated system.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub enum TraceEventKind {
     /// A cart began undocking for a movement.
     Launch {
@@ -126,7 +124,7 @@ pub enum TraceEventKind {
 }
 
 /// A timestamped trace event.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct TraceEvent {
     /// Simulation time of the transition.
     pub time: Seconds,
@@ -135,7 +133,7 @@ pub struct TraceEvent {
 }
 
 /// A bounded, append-only event log.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Trace {
     pub(crate) events: Vec<TraceEvent>,
     pub(crate) capacity: usize,
@@ -149,7 +147,7 @@ pub struct Trace {
 /// read, no allocation. The buffered variant appends into a [`Trace`] whose
 /// backing storage is preallocated up front, so steady-state recording
 /// never reallocates.
-#[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub enum TraceSink {
     /// Tracing off: every record is a branch and an immediate return.
     #[default]

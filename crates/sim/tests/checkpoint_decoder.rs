@@ -21,14 +21,17 @@
 //! mutation of a stressed capture and runs it to the end: each must be
 //! refused with a typed error or complete, never panic.
 
+mod json_dom;
+
 use std::collections::BTreeMap;
 
-use dhl_obs::json::{self, JsonValue};
+use dhl_obs::json;
 use dhl_sim::{
     Checkpoint, CheckpointError, DhlSystem, FaultSpec, IntegritySpec, ReliabilitySpec, SimConfig,
 };
 use dhl_storage::fnv1a_64;
 use dhl_units::{Bytes, Seconds};
+use json_dom::JsonValue;
 
 fn rich_checkpoint() -> JsonValue {
     let mut cfg = SimConfig::paper_default();
@@ -46,7 +49,7 @@ fn rich_checkpoint() -> JsonValue {
     // so the sweeps damage `ActiveMovement`s, their `MovementCost`s and
     // `[from, to]` locations as well as pending verifies.
     let _ = sys.run_until(Seconds::new(12.0)).expect("run");
-    let doc = json::parse(&sys.checkpoint().to_json()).expect("checkpoint JSON parses");
+    let doc = json_dom::parse(&sys.checkpoint().to_json()).expect("checkpoint JSON parses");
     let carts = doc.get("carts").expect("carts");
     let in_flight = |column: &str| {
         let column = carts.get(column).and_then(JsonValue::as_array);
@@ -675,7 +678,7 @@ fn enum_and_tuple_refusals_match_their_pinned_hash() {
         for raw in damaged_tuples(&items) {
             record(&splice(&doc, path, &raw));
             let mut damaged = doc.clone();
-            *at_mut(&mut damaged, path) = json::parse(&raw).expect("well-formed tuple");
+            *at_mut(&mut damaged, path) = json_dom::parse(&raw).expect("well-formed tuple");
             let mut text = String::new();
             write_reordered(&damaged, &mut text);
             record(&text);
@@ -693,4 +696,55 @@ fn enum_and_tuple_refusals_match_their_pinned_hash() {
         count("json"),
         count("shape"),
     );
+}
+
+// The DOM these sweeps damage documents through: it writes back what it
+// read, and refuses exactly what a `Reader` walk refuses.
+
+#[test]
+fn serialiser_round_trips_through_the_parser() {
+    let src = r#"{"b":[1,false,null,"x\ny",18446744073709551615],"a":{"nested":-2.5}}"#;
+    let v = json_dom::parse(src).unwrap();
+    let out = v.to_json_string();
+    assert_eq!(json_dom::parse(&out).unwrap(), v);
+    // Keys come back sorted (BTreeMap order), and u64::MAX exact.
+    assert!(out.starts_with("{\"a\""), "{out}");
+    assert!(out.contains(",18446744073709551615]"), "{out}");
+}
+
+#[test]
+fn skipping_refuses_exactly_what_parse_refuses() {
+    for text in [
+        "",
+        "{",
+        "[1,",
+        "{\"a\"}",
+        "tru",
+        "1 2",
+        "\"unterminated",
+        "[1,]",
+        "{,}",
+        "{\"a\":1,}",
+        "[1 2]",
+        "{\"a\" 1}",
+        "-",
+        "1e",
+        "\"\\q\"",
+        "\"\\u12\"",
+        "nul",
+    ] {
+        let mut r = json::Reader::new(text);
+        let skipped = r.skip_value().and_then(|()| r.finish());
+        assert_eq!(
+            skipped.unwrap_err(),
+            json_dom::parse(text).unwrap_err(),
+            "{text:?}"
+        );
+    }
+}
+
+#[test]
+fn parse_keeps_the_last_of_repeated_keys() {
+    let v = json_dom::parse(r#"{"a": 1, "a": 2}"#).unwrap();
+    assert_eq!(v.get("a"), Some(&JsonValue::UInt(2)));
 }

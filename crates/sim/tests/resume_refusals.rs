@@ -4,13 +4,15 @@
 //! refused by its version, and a resume refuses a hop that does not touch
 //! the library: the simulator's movement table holds only library hops.
 
+mod json_dom;
+
 use std::collections::BTreeMap;
 
-use dhl_obs::json::{self, JsonValue};
 use dhl_sim::{
     Checkpoint, CheckpointError, DhlSystem, EndpointKind, EndpointSpec, SimConfig, SimError,
 };
 use dhl_units::{Bytes, Metres, Seconds};
+use json_dom::JsonValue;
 
 /// A library and two racks, 5 s into a mission: carts are on their way
 /// out and more wait to launch.
@@ -42,7 +44,7 @@ fn object(members: &[(&str, JsonValue)]) -> JsonValue {
 /// `text` rewritten in the version-2 layout: each cart and each pending
 /// launch an object, and a location an enum object.
 fn as_version_2(text: &str) -> String {
-    let JsonValue::Object(mut doc) = json::parse(text).expect("parses") else {
+    let JsonValue::Object(mut doc) = json_dom::parse(text).expect("parses") else {
         panic!("a checkpoint is an object");
     };
     let carts = doc["carts"].clone();
@@ -139,7 +141,7 @@ fn refusal(cfg: &SimConfig, doc: &JsonValue) -> (String, String) {
 #[test]
 fn a_hop_that_skips_the_library_is_refused() {
     let (cfg, text) = two_rack_capture();
-    let clean = json::parse(&text).expect("parses");
+    let clean = json_dom::parse(&text).expect("parses");
     let reason = "1 to 2 is not a hop to or from the library".to_string();
 
     let mut doc = clean.clone();

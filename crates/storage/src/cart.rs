@@ -1,14 +1,12 @@
 //! Cart storage configuration and docking-station PCIe bandwidth
 //! (§III-B.1, §III-B.5, Table V).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Bytes, BytesPerSecond};
 
 use crate::devices::StorageDevice;
 
 /// PCI Express generations relevant to docking stations.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 #[non_exhaustive]
 pub enum PcieGeneration {
     /// PCIe 4.0 — 16 GT/s per lane.
@@ -54,7 +52,7 @@ impl PcieGeneration {
 /// let link = PcieLink::new(PcieGeneration::Gen6, 64);
 /// assert!(link.gigabits_per_second() >= 3_800.0);
 /// ```
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct PcieLink {
     generation: PcieGeneration,
     lanes: u32,
@@ -99,7 +97,7 @@ impl PcieLink {
 /// // Local read bandwidth across all SSDs in parallel: 32 × 7.1 GB/s.
 /// assert!((cart.aggregate_read_bandwidth().terabytes_per_second() - 0.2272).abs() < 1e-4);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct CartStorage {
     device: StorageDevice,
     ssd_count: u32,

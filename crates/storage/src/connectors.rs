@@ -5,10 +5,8 @@
 //! choice for repeated docking. This module tracks connector wear so the
 //! simulator can schedule maintenance.
 
-use serde::{Deserialize, Serialize};
-
 /// Connector family used between the cart and the docking station.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 #[non_exhaustive]
 pub enum ConnectorKind {
     /// A bare M.2 edge connector: rated for ~250 cycles ("100s of cycles").
@@ -41,7 +39,7 @@ impl ConnectorKind {
 /// assert!(conn.mate().is_ok());       // 10 000th and last rated cycle
 /// assert!(conn.mate().is_err());      // now worn out
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct DockingConnector {
     kind: ConnectorKind,
     cycles_used: u32,

@@ -5,12 +5,10 @@
 //! name, a size and a category — plus a sharding helper that splits it into
 //! cart-sized pieces.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Bytes, BytesPerSecond};
 
 /// Category of a large dataset (Table I's "Type" column).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 #[non_exhaustive]
 pub enum DatasetKind {
     /// Image corpora (LAION-5B).
@@ -32,7 +30,7 @@ pub enum DatasetKind {
 }
 
 /// A named dataset with its published size.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Dataset {
     /// Published name.
     pub name: std::borrow::Cow<'static, str>,

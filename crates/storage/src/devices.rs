@@ -1,11 +1,9 @@
 //! The storage device a cart carries (Table II).
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Bytes, BytesPerSecond, Kilograms};
 
 /// Physical packaging of a storage device.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 #[non_exhaustive]
 pub enum FormFactor {
     /// A 3.5-inch drive bay unit.
@@ -28,7 +26,7 @@ pub enum FormFactor {
 /// assert_eq!(m2.capacity.terabytes(), 8.0);
 /// assert!(m2.mass.grams() < 6.0);
 /// ```
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct StorageDevice {
     /// Marketing name.
     pub name: std::borrow::Cow<'static, str>,

@@ -6,7 +6,6 @@
 //! that decides whether a cart's data survived.
 
 use dhl_rng::Rng;
-use serde::{Deserialize, Serialize};
 
 use dhl_units::Seconds;
 
@@ -23,7 +22,7 @@ use dhl_units::Seconds;
 /// let p = model.failure_probability(Seconds::new(8.6));
 /// assert!(p > 0.0 && p < 1e-8); // one trip is essentially risk-free
 /// ```
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct FailureModel {
     annual_failure_rate: f64,
 }
@@ -114,7 +113,7 @@ impl FailureModel {
 /// let usable = raid.usable_capacity(Bytes::from_terabytes(256.0));
 /// assert_eq!(usable.terabytes(), 224.0);
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct RaidConfig {
     data_drives: u32,
     parity_drives: u32,

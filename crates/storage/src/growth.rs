@@ -6,12 +6,10 @@
 //! ask when a dataset outgrows a cart fleet, and whether NAND scaling keeps
 //! pace.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::Bytes;
 
 /// An exponential growth process with a fixed annual rate.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct GrowthModel {
     /// Size at year zero.
     pub initial: Bytes,
@@ -51,7 +49,7 @@ impl GrowthModel {
 
 /// Whether a cart fleet keeps up with a growing dataset: compares the
 /// number of carts a dataset needs over time under both exponentials.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct FleetProjection {
     /// The dataset's growth.
     pub dataset: GrowthModel,

@@ -18,7 +18,6 @@
 //! no-new-crates discipline as `dhl-obs`'s JSON writer.
 
 use dhl_rng::Rng;
-use serde::{Deserialize, Serialize};
 
 use dhl_units::{Bytes, Seconds};
 
@@ -51,7 +50,7 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 }
 
 /// An incremental FNV-1a 64-bit checksum, for data that arrives in chunks.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct Checksum64 {
     state: u64,
 }
@@ -93,7 +92,7 @@ impl core::fmt::Write for Checksum64 {
 }
 
 /// The recorded checksum of one shard of a cart payload.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct ShardChecksum {
     /// Shard index within the payload.
     pub shard_index: u64,
@@ -105,7 +104,7 @@ pub struct ShardChecksum {
 
 /// A per-cart manifest of shard checksums, written when the payload is
 /// staged in the library and re-verified on dock.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ShardManifest {
     shards: Vec<ShardChecksum>,
 }
@@ -218,7 +217,7 @@ impl ShardManifest {
 /// assert!(fresh < worn);
 /// assert!((0.0..=1.0).contains(&worn));
 /// ```
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct CorruptionModel {
     /// Baseline per-shard bit-rot hazard (per second of exposure) on fresh
     /// NAND.

@@ -6,8 +6,6 @@
 //! with a finite heat-dissipation capacity and compute how many SSDs can run
 //! concurrently.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::Watts;
 
 use crate::cart::CartStorage;
@@ -24,7 +22,7 @@ use crate::cart::CartStorage;
 /// // With heat sinks, the default 32-SSD cart can run fully active.
 /// assert!(bay.can_sustain_full_load(&CartStorage::paper_default()));
 /// ```
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ThermalModel {
     dissipation_capacity: Watts,
     ambient_headroom: f64,

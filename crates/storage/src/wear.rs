@@ -6,14 +6,12 @@
 //! arithmetic so deployments can budget cart replacement alongside §VI's
 //! connector replacement.
 
-use serde::{Deserialize, Serialize};
-
 use dhl_units::{Bytes, Seconds};
 
 use crate::devices::StorageDevice;
 
 /// Endurance rating of a drive.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct EnduranceModel {
     /// Total bytes the drive may absorb before wear-out (its TBW rating).
     pub rated_writes: Bytes,
@@ -71,7 +69,7 @@ impl EnduranceModel {
 }
 
 /// Wear accounting for a whole cart in DHL service.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct CartWear {
     endurance: EnduranceModel,
     cart_capacity: Bytes,

@@ -1,10 +1,8 @@
-//! Exact byte counts with decimal and binary constructors.
+//! Exact byte counts with decimal constructors.
 
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
-
-use serde::{Deserialize, Serialize};
 
 /// One decimal kilobyte (10³ bytes).
 pub const KILOBYTE: u64 = 1_000;
@@ -16,18 +14,6 @@ pub const GIGABYTE: u64 = 1_000_000_000;
 pub const TERABYTE: u64 = 1_000_000_000_000;
 /// One decimal petabyte (10¹⁵ bytes) — the paper's dataset unit.
 pub const PETABYTE: u64 = 1_000_000_000_000_000;
-/// One decimal exabyte (10¹⁸ bytes).
-pub const EXABYTE: u64 = 1_000_000_000_000_000_000;
-/// One kibibyte (2¹⁰ bytes).
-pub const KIBIBYTE: u64 = 1 << 10;
-/// One mebibyte (2²⁰ bytes).
-pub const MEBIBYTE: u64 = 1 << 20;
-/// One gibibyte (2³⁰ bytes).
-pub const GIBIBYTE: u64 = 1 << 30;
-/// One tebibyte (2⁴⁰ bytes).
-pub const TEBIBYTE: u64 = 1 << 40;
-/// One pebibyte (2⁵⁰ bytes).
-pub const PEBIBYTE: u64 = 1 << 50;
 
 /// An exact count of bytes.
 ///
@@ -49,10 +35,7 @@ pub const PEBIBYTE: u64 = 1 << 50;
 /// let dataset = Bytes::from_petabytes(29.0);
 /// assert_eq!(dataset.div_ceil(cart), 114);
 /// ```
-#[derive(
-    Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Bytes(u64);
 
 impl Bytes {
@@ -65,45 +48,26 @@ impl Bytes {
         Self(bytes)
     }
 
-    /// Constructs from decimal kilobytes.
+    /// Constructs from decimal gigabytes.
     ///
     /// # Panics
     ///
-    /// Panics if `kb` is negative, NaN, or larger than `u64::MAX` bytes.
-    #[must_use]
-    pub fn from_kilobytes(kb: f64) -> Self {
-        Self::from_f64_unit(kb, KILOBYTE)
-    }
-
-    /// Constructs from decimal megabytes. See [`Bytes::from_kilobytes`] for panics.
-    #[must_use]
-    pub fn from_megabytes(mb: f64) -> Self {
-        Self::from_f64_unit(mb, MEGABYTE)
-    }
-
-    /// Constructs from decimal gigabytes. See [`Bytes::from_kilobytes`] for panics.
+    /// Panics if `gb` is negative, NaN, or larger than `u64::MAX` bytes.
     #[must_use]
     pub fn from_gigabytes(gb: f64) -> Self {
         Self::from_f64_unit(gb, GIGABYTE)
     }
 
-    /// Constructs from decimal terabytes. See [`Bytes::from_kilobytes`] for panics.
+    /// Constructs from decimal terabytes. See [`Bytes::from_gigabytes`] for panics.
     #[must_use]
     pub fn from_terabytes(tb: f64) -> Self {
         Self::from_f64_unit(tb, TERABYTE)
     }
 
-    /// Constructs from decimal petabytes. See [`Bytes::from_kilobytes`] for panics.
+    /// Constructs from decimal petabytes. See [`Bytes::from_gigabytes`] for panics.
     #[must_use]
     pub fn from_petabytes(pb: f64) -> Self {
         Self::from_f64_unit(pb, PETABYTE)
-    }
-
-    /// Constructs from gibibytes (2³⁰ B), e.g. the paper's 1 GiB ≈ 1 hour of
-    /// video conversion for the YouTube ingest estimate.
-    #[must_use]
-    pub fn from_gibibytes(gib: f64) -> Self {
-        Self::from_f64_unit(gib, GIBIBYTE)
     }
 
     fn from_f64_unit(value: f64, unit: u64) -> Self {
@@ -346,14 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_constants_are_powers_of_two() {
-        assert_eq!(KIBIBYTE, 1024);
-        assert_eq!(MEBIBYTE, 1024 * 1024);
-        assert_eq!(GIBIBYTE, 1024 * 1024 * 1024);
-        assert_eq!(PEBIBYTE, TEBIBYTE * 1024);
-    }
-
-    #[test]
     fn trips_for_paper_cart_sizes() {
         let dataset = Bytes::from_petabytes(29.0);
         assert_eq!(dataset.div_ceil(Bytes::from_terabytes(128.0)), 227);
@@ -401,7 +357,7 @@ mod tests {
         assert_eq!(format!("{}", Bytes::new(12)), "12 B");
         assert_eq!(format!("{}", Bytes::from_terabytes(256.0)), "256.000 TB");
         assert_eq!(format!("{}", Bytes::from_petabytes(29.0)), "29.000 PB");
-        assert_eq!(format!("{}", Bytes::from_megabytes(1.5)), "1.500 MB");
+        assert_eq!(format!("{}", Bytes::new(1_500_000)), "1.500 MB");
     }
 
     #[test]

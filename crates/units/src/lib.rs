@@ -6,9 +6,9 @@
 //!
 //! The two families of types are:
 //!
-//! - [`Bytes`]: an exact, integer byte count with decimal (`KB`..`PB`) and
-//!   binary (`KiB`..`PiB`) constructors. The paper uses decimal units
-//!   throughout (1 TB = 10¹² B), and so do we.
+//! - [`Bytes`]: an exact, integer byte count with decimal (`GB`..`PB`)
+//!   constructors. The paper uses decimal units throughout
+//!   (1 TB = 10¹² B), and so do we.
 //! - `f64`-backed scalar quantities ([`Seconds`], [`Metres`], [`Joules`],
 //!   [`Watts`], [`Kilograms`], [`Newtons`], [`MetresPerSecond`],
 //!   [`MetresPerSecondSquared`], [`BytesPerSecond`], [`GigabitsPerSecond`],
@@ -44,10 +44,7 @@ mod money;
 mod power;
 
 pub use bandwidth::{BytesPerSecond, GigabitsPerSecond, GigabytesPerJoule};
-pub use bytes::{
-    Bytes, EXABYTE, GIBIBYTE, GIGABYTE, KIBIBYTE, KILOBYTE, MEBIBYTE, MEGABYTE, PEBIBYTE, PETABYTE,
-    TEBIBYTE, TERABYTE,
-};
+pub use bytes::{Bytes, GIGABYTE, KILOBYTE, MEGABYTE, PETABYTE, TERABYTE};
 pub use kinematics::{
     kinetic_energy, Kilograms, Metres, MetresPerSecond, MetresPerSecondSquared, Newtons,
 };

@@ -5,7 +5,7 @@
 ///
 /// Generates:
 /// - `Copy`, `Clone`, `PartialEq`, `PartialOrd`, `Debug`, `Default`,
-///   `Display` (value + unit suffix), serde `Serialize`/`Deserialize`;
+///   `Display` (value + unit suffix);
 /// - a `const fn new(f64)` constructor and a `const fn value(self) -> f64`
 ///   accessor;
 /// - same-type `Add`/`Sub`/`AddAssign`/`SubAssign`, scaling by `f64`
@@ -16,17 +16,7 @@
 macro_rules! scalar_quantity {
     ($(#[$meta:meta])* $name:ident, $unit:literal) => {
         $(#[$meta])*
-        #[derive(
-            Copy,
-            Clone,
-            PartialEq,
-            PartialOrd,
-            Debug,
-            Default,
-            serde::Serialize,
-            serde::Deserialize,
-        )]
-        #[serde(transparent)]
+        #[derive(Copy, Clone, PartialEq, PartialOrd, Debug, Default)]
         pub struct $name(f64);
 
         impl $name {

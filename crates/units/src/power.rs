@@ -46,12 +46,6 @@ impl Seconds {
         self.value()
     }
 
-    /// Constructs from minutes.
-    #[must_use]
-    pub const fn from_minutes(minutes: f64) -> Self {
-        Self::new(minutes * 60.0)
-    }
-
     /// Constructs from hours.
     #[must_use]
     pub const fn from_hours(hours: f64) -> Self {
@@ -166,7 +160,6 @@ mod tests {
 
     #[test]
     fn duration_conversions() {
-        assert_eq!(Seconds::from_minutes(2.0).seconds(), 120.0);
         assert_eq!(Seconds::from_hours(1.0).seconds(), 3600.0);
         assert_eq!(Seconds::from_days(1.0).seconds(), 86_400.0);
         // The paper's 6.71 day baseline.

@@ -203,7 +203,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // CI snapshot: the kill-and-resume job runs this example once in
     // `complete` mode and once in `resume` mode and diffs the files — any
-    // divergence means checkpoint/restore broke bit-identity.
+    // divergence means checkpoint/restore broke bit-identity. The
+    // `complete` file is also diffed against
+    // tests/golden/crash_recovery_audit_complete.json.
     if let Ok(path) = std::env::var("DHL_CRASH_AUDIT_JSON") {
         let mode = std::env::var("DHL_CRASH_AUDIT_MODE").unwrap_or_else(|_| "resume".into());
         let report = match mode.as_str() {

@@ -262,8 +262,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         burst_point.goodput_gb_s
     );
 
-    // CI determinism hook: DHL_OVERLOAD_AUDIT_JSON=<path> writes the
-    // deterministic sweep (no wall-clock gauges) so two runs diff cleanly.
+    // CI snapshot: DHL_OVERLOAD_AUDIT_JSON=<path> writes the deterministic
+    // sweep (no wall-clock gauges), which CI diffs against
+    // tests/golden/overload_audit_fast.json in fast mode.
     if let Ok(path) = std::env::var("DHL_OVERLOAD_AUDIT_JSON") {
         let mut json = String::from("{\n  \"sweep\": [\n");
         let rows: Vec<String> = points

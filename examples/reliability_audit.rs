@@ -221,10 +221,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         audit.delivered
     );
 
-    // CI determinism hook: DHL_AUDIT_METRICS_JSON=<path> writes the
-    // deterministic portion of the audit (simulation outcome, integrity
-    // accounting, and counters — no wall-clock gauges) as JSON, so two
-    // same-seed runs can be diffed byte for byte.
+    // CI snapshot: DHL_AUDIT_METRICS_JSON=<path> writes the deterministic
+    // portion of the audit (simulation outcome, integrity accounting, and
+    // counters — no wall-clock gauges) as JSON, which CI diffs byte for
+    // byte against tests/golden/reliability_audit_metrics.json.
     if let Ok(path) = std::env::var("DHL_AUDIT_METRICS_JSON") {
         let mut json = String::from("{\n");
         json.push_str(&format!(

@@ -67,22 +67,3 @@ fn full_user_story_train_on_a_cartload() {
     assert_eq!(report.deliveries, 114);
     assert!(report.total_energy.megajoules() < 5.0);
 }
-
-#[test]
-fn serde_round_trips_for_key_types() {
-    let cfg = DhlConfig::paper_default();
-    let json = serde_json_like(&cfg);
-    assert!(json.contains("max_speed"));
-
-    let sim = SimConfig::paper_default();
-    let json = serde_json_like(&sim);
-    assert!(json.contains("endpoints"));
-}
-
-/// Poor-man's serde check without a json dependency: the types implement
-/// `Serialize`, so serialising into the `serde` data model must succeed.
-/// We use `format!("{:?}")` for content assertions and a no-op serializer
-/// via `serde::Serialize` bound for the compile-time guarantee.
-fn serde_json_like<T: serde::Serialize + std::fmt::Debug>(value: &T) -> String {
-    format!("{value:?}")
-}

@@ -88,8 +88,9 @@ impl DhlConfig {
         }
     }
 
-    /// Validates physical sanity: positive speed/length/mass/capacity and a
-    /// track long enough for the ramps.
+    /// Validates physical sanity: positive, finite speed/length/mass/capacity,
+    /// finite, non-negative dock and undock times, and a track long enough
+    /// for the ramps.
     ///
     /// # Errors
     ///
@@ -103,6 +104,19 @@ impl DhlConfig {
         ] {
             if value.is_nan() || value <= 0.0 {
                 return Err(PhysicsError::NonPositive { what, value });
+            }
+            if value.is_infinite() {
+                let range = "finite";
+                return Err(PhysicsError::OutOfRange { what, value, range });
+            }
+        }
+        for (what, value) in [
+            ("dock time", self.dock_time.seconds()),
+            ("undock time", self.undock_time.seconds()),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                let range = "finite and non-negative";
+                return Err(PhysicsError::OutOfRange { what, value, range });
             }
         }
         // The trip must fit acceleration and braking ramps.

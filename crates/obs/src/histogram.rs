@@ -182,22 +182,6 @@ impl Histogram {
             .collect()
     }
 
-    /// Estimated quantile over `(slot, count)` buckets with a known
-    /// observation `count` and *raw* `min`/`max` (see
-    /// [`Histogram::raw_min`]) — the exact walk [`Histogram::quantile`]
-    /// performs, exposed for merged summaries that no longer hold the full
-    /// histogram. Buckets must be in slot order.
-    #[must_use]
-    pub fn quantile_from_buckets(
-        buckets: &[(u32, u64)],
-        count: u64,
-        min: f64,
-        max: f64,
-        q: f64,
-    ) -> f64 {
-        Self::quantiles_in(buckets.iter().copied(), count, min, max, [q])[0]
-    }
-
     /// Every quantile estimate's walk: the bucket where the `q`-th
     /// observation falls gives its geometric midpoint (or the observed
     /// extreme for underflow and overflow), clamped to `[min, max]`. Each
@@ -452,16 +436,9 @@ mod tests {
         assert!(sparse.iter().all(|&(_, c)| c > 0));
         assert_eq!(sparse.iter().map(|&(_, c)| c).sum::<u64>(), h.count());
         for q in [0.0, 0.25, 0.5, 0.95, 1.0] {
-            assert_eq!(
-                Histogram::quantile_from_buckets(&sparse, h.count(), h.min(), h.max(), q),
-                h.quantile(q)
-            );
+            let rebuilt = Histogram::from_parts(h.count(), h.sum(), h.min(), h.max(), &sparse);
+            assert_eq!(rebuilt.quantile(q), h.quantile(q));
         }
-    }
-
-    #[test]
-    fn quantile_from_buckets_of_empty_is_zero() {
-        assert_eq!(Histogram::quantile_from_buckets(&[], 0, 0.0, 0.0, 0.5), 0.0);
     }
 
     #[test]

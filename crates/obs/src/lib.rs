@@ -13,7 +13,7 @@
 //! - [`Stopwatch`] — a detached wall-clock timer whose elapsed seconds a
 //!   caller records into a histogram or gauge.
 //! - [`MetricsSnapshot`] — a deterministic, ordered, plain-data view of a
-//!   registry, exportable as JSON or NDJSON and comparable across runs.
+//!   registry, exportable as NDJSON and comparable across runs.
 //!   Slots are recorded in registration order but exported sorted by name,
 //!   so snapshots are byte-identical to the retired BTreeMap registry's
 //!   (pinned by the `registry_equivalence` differential suite).
@@ -38,7 +38,7 @@
 //! reg.record(setup, watch.elapsed_secs());
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.counter("events"), Some(3));
-//! assert!(snap.to_json().contains("transit_s"));
+//! assert!(snap.to_ndjson().contains("transit_s"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -371,7 +371,7 @@ impl Stopwatch {
 /// nonzero log₂ buckets and running sum, which is exactly enough state to
 /// [`merge`](HistogramSummary::merge) two summaries and re-estimate the
 /// combined quantiles — replica aggregation never needs the live
-/// [`Histogram`]. The JSON/NDJSON exports carry only the headline fields.
+/// [`Histogram`]. The NDJSON export carries only the headline fields.
 #[derive(Clone, PartialEq, Debug)]
 pub struct HistogramSummary {
     /// Metric name.
@@ -477,7 +477,7 @@ impl SloSummary {
 }
 
 /// A plain-data, deterministic view of a registry: sorted by metric name,
-/// comparable across runs, exportable as JSON or NDJSON.
+/// comparable across runs, exportable as NDJSON.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` counters, sorted by name.
@@ -557,55 +557,6 @@ impl MetricsSnapshot {
                 Err(i) => self.histograms.insert(i, h.clone()),
             }
         }
-    }
-
-    /// Renders the snapshot as one JSON object:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_escaped(&mut out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_escaped(&mut out, name);
-            out.push(':');
-            json::write_f64(&mut out, *v);
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_escaped(&mut out, &h.name);
-            out.push_str(":{\"count\":");
-            out.push_str(&h.count.to_string());
-            for (key, value) in [
-                ("min", h.min),
-                ("max", h.max),
-                ("mean", h.mean),
-                ("p50", h.p50),
-                ("p95", h.p95),
-            ] {
-                out.push_str(",\"");
-                out.push_str(key);
-                out.push_str("\":");
-                json::write_f64(&mut out, value);
-            }
-            out.push('}');
-        }
-        out.push_str("}}");
-        out
     }
 
     /// Renders the snapshot as NDJSON: one `{"metric": ..., "type": ...}`
@@ -764,7 +715,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.counters[0].0, "alpha");
         assert_eq!(a.counters[1].0, "zeta");
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.to_ndjson(), b.to_ndjson());
     }
 
     #[test]
@@ -776,62 +727,33 @@ mod tests {
     }
 
     #[test]
-    fn json_export_parses_back() {
-        let mut reg = MetricsRegistry::enabled();
-        let n = reg.register_counter("n \"quoted\"");
-        let g = reg.register_gauge("g");
-        let h = reg.register_histogram("h");
-        reg.add(n, 7);
-        reg.set(g, 2.5);
-        reg.record(h, 1.0);
-        let text = reg.snapshot().to_json();
-        let mut r = json::Reader::new(&text);
-        let key = |r: &mut json::Reader<'_>| r.next_key().unwrap().map(|k| k.into_owned());
-        r.begin_object().unwrap();
-        assert_eq!(key(&mut r).as_deref(), Some("counters"));
-        r.begin_object().unwrap();
-        assert_eq!(key(&mut r).as_deref(), Some("n \"quoted\""));
-        assert_eq!(r.number().unwrap(), json::Number::UInt(7));
-        assert_eq!(key(&mut r), None);
-        assert_eq!(key(&mut r).as_deref(), Some("gauges"));
-        r.begin_object().unwrap();
-        assert_eq!(key(&mut r).as_deref(), Some("g"));
-        assert_eq!(r.number().unwrap(), json::Number::Float(2.5));
-        assert_eq!(key(&mut r), None);
-        assert_eq!(key(&mut r).as_deref(), Some("histograms"));
-        r.begin_object().unwrap();
-        assert_eq!(key(&mut r).as_deref(), Some("h"));
-        r.begin_object().unwrap();
-        assert_eq!(key(&mut r).as_deref(), Some("count"));
-        assert_eq!(r.number().unwrap(), json::Number::UInt(1));
-        while key(&mut r).is_some() {
-            r.skip_value().unwrap();
-        }
-        assert_eq!((key(&mut r), key(&mut r)), (None, None));
-        r.finish().unwrap();
-    }
-
-    #[test]
     fn ndjson_is_one_valid_object_per_line() {
         let mut reg = MetricsRegistry::enabled();
         let (a, b, c) = (
-            reg.register_counter("a"),
+            reg.register_counter("a \"quoted\""),
             reg.register_gauge("b"),
             reg.register_histogram("c"),
         );
-        reg.add(a, 1);
-        reg.set(b, 2.0);
-        reg.record(c, 3.0);
+        reg.add(a, 7);
+        reg.set(b, 2.5);
+        reg.record(c, 1.0);
         let nd = reg.snapshot().to_ndjson();
         let lines: Vec<_> = nd.lines().collect();
         assert_eq!(lines.len(), 3);
-        for (line, kind) in lines.into_iter().zip(["counter", "gauge", "histogram"]) {
+        let expected = [
+            ("a \"quoted\"", "counter", "value", json::Number::UInt(7)),
+            ("b", "gauge", "value", json::Number::Float(2.5)),
+            ("c", "histogram", "count", json::Number::UInt(1)),
+        ];
+        for (line, (name, kind, key, value)) in lines.into_iter().zip(expected) {
             let mut r = json::Reader::new(line);
             r.begin_object().unwrap();
             assert_eq!(r.next_key().unwrap().as_deref(), Some("metric"));
-            r.string().unwrap();
+            assert_eq!(r.string().unwrap(), name);
             assert_eq!(r.next_key().unwrap().as_deref(), Some("type"));
             assert_eq!(r.string().unwrap(), kind);
+            assert_eq!(r.next_key().unwrap().as_deref(), Some(key));
+            assert_eq!(r.number().unwrap(), value);
             while r.next_key().unwrap().is_some() {
                 r.skip_value().unwrap();
             }

@@ -1,57 +1,18 @@
 //! Allocation gate for the record path.
 //!
-//! A counting global allocator tallies the heap allocations each thread
-//! makes, so the numbers below are exact and do not depend on what other
-//! tests in this binary are doing. Recording takes only the handles that
+//! The workspace's counting global allocator tallies the heap allocations
+//! each thread makes, so the numbers below are exact and do not depend on
+//! what other tests in this binary are doing. Recording takes only the handles that
 //! registration hands out, so a record reaches its slot without a name
 //! lookup, a hash or a string; histograms own their buckets from
 //! registration on. Every `add`, `store`, `set` and `record` must therefore
 //! allocate nothing, on an enabled registry and on a disabled one.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use dhl_obs::MetricsRegistry;
 
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a const-initialised thread-local, which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Heap allocations (including reallocations) `f` makes on this thread.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 /// Metric names as the simulator and scheduler register them.
 const NAMES: [&str; 8] = [
@@ -96,11 +57,11 @@ fn assert_records_allocate_nothing(mut registry: MetricsRegistry) {
     let histograms = NAMES.map(|n| registry.register_histogram(n));
     let enabled = registry.is_enabled();
     let pick = |i: usize| i % NAMES.len();
-    let adds = allocations(|| (0..OPS).for_each(|i| registry.add(counters[pick(i)], 3)));
-    let stores = allocations(|| (0..OPS).for_each(|i| registry.store(counters[pick(i)], 7)));
-    let sets = allocations(|| (0..OPS).for_each(|i| registry.set(gauges[pick(i)], value(i))));
+    let adds = allocations(|| (0..OPS).for_each(|i| registry.add(counters[pick(i)], 3))).1;
+    let stores = allocations(|| (0..OPS).for_each(|i| registry.store(counters[pick(i)], 7))).1;
+    let sets = allocations(|| (0..OPS).for_each(|i| registry.set(gauges[pick(i)], value(i)))).1;
     let records =
-        allocations(|| (0..OPS).for_each(|i| registry.record(histograms[pick(i)], value(i))));
+        allocations(|| (0..OPS).for_each(|i| registry.record(histograms[pick(i)], value(i)))).1;
     assert_eq!(
         [adds, stores, sets, records],
         [0; 4],

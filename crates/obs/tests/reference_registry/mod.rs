@@ -130,7 +130,14 @@ impl ReferenceHistogram {
     /// Estimated quantile, the same bucket walk as [`Histogram::quantile`].
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
-        Histogram::quantile_from_buckets(&self.sparse_buckets(), self.count, self.min, self.max, q)
+        Histogram::from_parts(
+            self.count,
+            self.sum,
+            self.min,
+            self.max,
+            &self.sparse_buckets(),
+        )
+        .quantile(q)
     }
 
     /// Nonzero `(slot, count)` buckets in slot order.

@@ -22,10 +22,7 @@ struct Rng(u64);
 impl Rng {
     fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        dhl_rng::splitmix64(self.0)
     }
 
     fn uniform(&mut self) -> f64 {
@@ -67,7 +64,7 @@ fn assert_identical(live: &MetricsRegistry, reference: &ReferenceRegistry, conte
     let a = live.snapshot();
     let b = reference.snapshot();
     assert_eq!(a, b, "snapshot mismatch {context}");
-    assert_eq!(a.to_json(), b.to_json(), "JSON byte mismatch {context}");
+    assert_eq!(a.to_ndjson(), b.to_ndjson(), "JSON byte mismatch {context}");
     assert_eq!(
         a.to_ndjson(),
         b.to_ndjson(),
@@ -263,8 +260,8 @@ fn audit_shaped_workload_with_restore_cycle_is_byte_identical() {
     }
     assert_identical(&live2, &reference2, "post-restore");
     assert_eq!(
-        live2.snapshot().to_json(),
-        live.snapshot().to_json(),
+        live2.snapshot().to_ndjson(),
+        live.snapshot().to_ndjson(),
         "restore must be lossless"
     );
 

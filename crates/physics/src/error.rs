@@ -21,6 +21,16 @@ pub enum PhysicsError {
         /// The rejected value.
         value: f64,
     },
+    /// A quantity fell outside the range it must lie in (an infinite speed
+    /// or mass, a negative or non-finite duration).
+    OutOfRange {
+        /// Which parameter was rejected.
+        what: &'static str,
+        /// The rejected value.
+        value: f64,
+        /// The range it must lie in, in words.
+        range: &'static str,
+    },
     /// Mass fractions (magnets + fin) must sum to less than 1 so the payload
     /// and frame have non-zero budget.
     MassFractionsTooLarge {
@@ -51,6 +61,9 @@ impl fmt::Display for PhysicsError {
             }
             Self::NonPositive { what, value } => {
                 write!(f, "{what} must be strictly positive, got {value}")
+            }
+            Self::OutOfRange { what, value, range } => {
+                write!(f, "{what} must be {range}, got {value}")
             }
             Self::MassFractionsTooLarge { sum } => {
                 write!(f, "magnet + fin mass fractions must sum below 1, got {sum}")

@@ -77,6 +77,15 @@ pub trait Rng {
     }
 }
 
+/// The SplitMix64 finaliser: a cheap, well-mixed permutation of 64-bit
+/// values, for deriving independent seeds from related ones.
+#[must_use]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// The workspace's deterministic generator: xoshiro256++ seeded via
 /// SplitMix64. Streams are stable across platforms and releases.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -92,10 +101,7 @@ impl DeterministicRng {
         let mut sm = seed;
         let mut next = || {
             sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            splitmix64(sm)
         };
         Self {
             s: [next(), next(), next(), next()],

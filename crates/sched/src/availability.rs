@@ -72,11 +72,8 @@ impl AvailabilityTracker {
     }
 
     /// Records that part of `dataset` is in transit during `[from, to)`.
-    ///
-    /// # Panics
-    ///
     /// Panics if `to < from` or either bound is non-finite.
-    pub fn record_transit(&mut self, dataset: DatasetId, from: Seconds, to: Seconds) {
+    pub(crate) fn record_transit(&mut self, dataset: DatasetId, from: Seconds, to: Seconds) {
         assert!(
             from.is_finite() && to.is_finite() && to.seconds() >= from.seconds(),
             "transit window must be a finite, ordered interval"
@@ -122,11 +119,8 @@ impl AvailabilityTracker {
     }
 
     /// Records that the track was out of service during `[from, to)`.
-    ///
-    /// # Panics
-    ///
     /// Panics if `to < from` or either bound is non-finite.
-    pub fn record_track_downtime(&mut self, from: Seconds, to: Seconds) {
+    pub(crate) fn record_track_downtime(&mut self, from: Seconds, to: Seconds) {
         assert!(
             from.is_finite() && to.is_finite() && to.seconds() >= from.seconds(),
             "downtime window must be a finite, ordered interval"
@@ -149,11 +143,8 @@ impl AvailabilityTracker {
     /// Records that `endpoint`'s docking stations spent `[from, to)`
     /// recovering a crashed dock controller (the cart stays mated but no
     /// payload moves, so the rack's data is effectively unreachable).
-    ///
-    /// # Panics
-    ///
     /// Panics if `to < from` or either bound is non-finite.
-    pub fn record_dock_downtime(&mut self, endpoint: usize, from: Seconds, to: Seconds) {
+    pub(crate) fn record_dock_downtime(&mut self, endpoint: usize, from: Seconds, to: Seconds) {
         assert!(
             from.is_finite() && to.is_finite() && to.seconds() >= from.seconds(),
             "dock downtime window must be a finite, ordered interval"

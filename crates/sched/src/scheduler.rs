@@ -12,6 +12,7 @@ use std::cmp::Ordering;
 use dhl_obs::{Histogram, MetricsRegistry, MetricsSnapshot, SloSummary, Stopwatch};
 use dhl_rng::{DeterministicRng, Rng};
 
+use dhl_sim::movement::MovementTable;
 use dhl_sim::{ConfigError, DockControllerFaultSpec, EndpointKind, SimConfig};
 use dhl_units::{Bytes, Joules, Seconds};
 
@@ -22,7 +23,7 @@ use crate::availability::AvailabilityTracker;
 use crate::metrics::SchedMetrics;
 use crate::placement::{DatasetId, Placement};
 use crate::recycle;
-use crate::service_queue::{DockBank, IdTable, ServiceEntry, ServiceQueue, TripCache};
+use crate::service_queue::{DockBank, IdTable, ServiceEntry, ServiceQueue};
 
 /// Request priority classes.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -652,7 +653,7 @@ impl Scheduler {
         let mut track_busy = 0.0f64;
         // Destination docks: earliest-free times per endpoint, flat.
         let mut dock_free = DockBank::new(cfg);
-        let mut trips = TripCache::new(cfg);
+        let trips = MovementTable::build(cfg, None);
         let mut outcomes = Vec::with_capacity(queue.len());
         let mut total_energy = Joules::ZERO;
 
@@ -712,7 +713,7 @@ impl Scheduler {
                     // docking.
                     if spec.deadline_aware {
                         if let Some(deadline) = req.deadline {
-                            let trip = trips.cost(cfg, req.destination).total_time.seconds();
+                            let trip = trips.cost(0, req.destination).total_time.seconds();
                             let per_cart = 2.0 * trip + verify_s + req.dwell.seconds();
                             let deliver_est = |backlog: f64| {
                                 arrival_s.max(track_free)
@@ -804,7 +805,7 @@ impl Scheduler {
                     report.admitted += 1;
                     metrics.add(handles.admitted, 1);
                 }
-                let trip = trips.cost(cfg, req.destination).total_time.seconds();
+                let trip = trips.cost(0, req.destination).total_time.seconds();
                 let service_s = carts_len as f64 * (2.0 * trip + verify_s + req.dwell.seconds());
                 pending.push(ServiceEntry {
                     id,
@@ -824,7 +825,7 @@ impl Scheduler {
             let carts = placement
                 .carts_of(req.dataset)
                 .ok_or(SchedulerError::CorruptPlacement(req.dataset))?;
-            let cost = trips.cost(cfg, req.destination);
+            let cost = trips.cost(0, req.destination);
 
             let mut started = f64::INFINITY;
             let mut delivered = 0.0f64;
@@ -1413,7 +1414,10 @@ mod tests {
         };
         let track_free = run(f64::INFINITY).completed[0].completed.seconds();
         let cfg = SimConfig::paper_default();
-        let trip = TripCache::new(&cfg).cost(&cfg, 1).total_time.seconds();
+        let trip = MovementTable::build(&cfg, None)
+            .cost(0, 1)
+            .total_time
+            .seconds();
         let per_cart = 2.0 * trip + 0.0 + 0.0;
         let service_s = 1.0 * per_cart;
         let est = |backlog: f64| 3.0f64.max(track_free) + backlog + 0.0 * per_cart + trip + 0.0;

@@ -43,7 +43,8 @@
 
 use std::collections::BTreeMap;
 
-use dhl_sim::{MovementCost, SimConfig};
+use dhl_rng::check::{Counted, Tally};
+use dhl_sim::SimConfig;
 
 use crate::admission::TenantId;
 use crate::recycle;
@@ -172,107 +173,31 @@ const NIL: u32 = u32::MAX;
 /// Counted access to the queue's storage.
 ///
 /// The arena's slots, the FIFO class ends and the SJF class trees sit
-/// behind [`Examined`](examined::Examined), whose contents the rest of this
-/// file cannot reach: each slot, class end or tree entry read or written
-/// through it adds one to `EXAMINED` in unit tests. A scan over the pending set or the
-/// classes is therefore counted without opting in. Release builds compile
-/// the accessors to plain indexing.
-mod examined {
-    use std::collections::BTreeMap;
-    use std::ops::{Index, IndexMut};
+/// behind [`Examined`], whose contents the rest of this file cannot reach:
+/// each slot, class end or tree entry read or written through it adds one
+/// to `EXAMINED` in unit tests. A scan over the pending set or the classes
+/// is therefore counted without opting in. Release builds compile the
+/// accessors to plain indexing.
+type Examined<C> = Counted<C, Examine>;
 
-    #[cfg(test)]
-    thread_local! {
-        /// Arena slots, class ends and tree entries this thread's queues
-        /// have reached: the unit tests' work count.
-        pub(crate) static EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    }
+/// The [`Tally`] behind [`Examined`].
+#[derive(Clone, Debug, Default)]
+struct Examine;
 
+#[cfg(test)]
+thread_local! {
+    /// Arena slots, class ends and tree entries this thread's queues have
+    /// reached: the unit tests' work count.
+    pub(crate) static EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl Tally for Examine {
     #[inline(always)]
-    fn examine() {
+    fn count() {
         #[cfg(test)]
         EXAMINED.with(|n| n.set(n.get() + 1));
     }
-
-    /// A collection whose every element access counts as one examined.
-    #[derive(Clone, Debug, Default)]
-    pub(crate) struct Examined<C>(C);
-
-    impl<C> Examined<C> {
-        pub(crate) fn new(inner: C) -> Self {
-            Self(inner)
-        }
-
-        pub(crate) fn into_inner(self) -> C {
-            self.0
-        }
-
-        /// The elements in order, each counted as the iterator reaches it.
-        pub(crate) fn iter<'a>(
-            &'a self,
-        ) -> impl DoubleEndedIterator<Item = <&'a C as IntoIterator>::Item>
-        where
-            &'a C: IntoIterator<IntoIter: DoubleEndedIterator>,
-        {
-            (&self.0).into_iter().inspect(|_| examine())
-        }
-    }
-
-    impl<C: Index<usize>> Index<usize> for Examined<C> {
-        type Output = C::Output;
-
-        #[inline(always)]
-        fn index(&self, i: usize) -> &C::Output {
-            examine();
-            &self.0[i]
-        }
-    }
-
-    impl<C: IndexMut<usize>> IndexMut<usize> for Examined<C> {
-        #[inline(always)]
-        fn index_mut(&mut self, i: usize) -> &mut C::Output {
-            examine();
-            &mut self.0[i]
-        }
-    }
-
-    impl<T> Examined<Vec<T>> {
-        pub(crate) fn len(&self) -> usize {
-            self.0.len()
-        }
-
-        pub(crate) fn push(&mut self, value: T) {
-            examine();
-            self.0.push(value);
-        }
-    }
-
-    impl<K: Ord, V: Copy> Examined<BTreeMap<K, V>> {
-        pub(crate) fn insert(&mut self, key: K, value: V) {
-            examine();
-            self.0.insert(key, value);
-        }
-
-        pub(crate) fn remove(&mut self, key: &K) {
-            examine();
-            self.0.remove(key);
-        }
-
-        /// The value under the least key.
-        pub(crate) fn first(&self) -> Option<V> {
-            self.iter().next().map(|(_, &v)| v)
-        }
-
-        /// The value under the greatest key.
-        pub(crate) fn last(&self) -> Option<V> {
-            self.iter().next_back().map(|(_, &v)| v)
-        }
-    }
 }
-
-use examined::Examined;
-#[cfg(test)]
-pub(crate) use examined::EXAMINED;
 
 /// An arena slot: a pending entry, its admission sequence number, and its
 /// links in its class's FIFO list. A freed slot's `next` links the free list.
@@ -708,30 +633,6 @@ impl DockBank {
         }
         let busy = self.free[lo..hi].iter().filter(|&&f| f > at).count();
         Some((busy, hi - lo))
-    }
-}
-
-/// Per-endpoint [`MovementCost`] cache: the library→endpoint trip cost is a
-/// pure function of the topology, so computing it once per endpoint (rather
-/// than once per arrival *and* once per service) removes a few hundred
-/// flops from every admission decision.
-#[derive(Clone, Debug)]
-pub(crate) struct TripCache {
-    costs: Vec<Option<MovementCost>>,
-}
-
-impl TripCache {
-    pub(crate) fn new(cfg: &SimConfig) -> Self {
-        Self {
-            costs: vec![None; cfg.endpoints.len()],
-        }
-    }
-
-    pub(crate) fn cost(&mut self, cfg: &SimConfig, destination: usize) -> MovementCost {
-        *self.costs[destination].get_or_insert_with(|| {
-            let distance = cfg.endpoints[destination].position - cfg.endpoints[0].position;
-            MovementCost::for_distance(cfg, distance)
-        })
     }
 }
 

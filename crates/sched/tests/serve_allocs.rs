@@ -1,16 +1,14 @@
 //! Allocation gate for serving.
 //!
-//! A counting global allocator tallies the heap allocations each thread
-//! makes and the bytes they claim (a reallocation claims only its growth),
-//! so the numbers below are exact and do not depend on what other tests in
-//! this binary are doing. The gate serves one open-loop, 4,096-tenant run
+//! The workspace's counting global allocator tallies the heap allocations
+//! each thread makes and the bytes they claim (a reallocation claims only
+//! its growth), so the numbers below are exact and do not depend on what
+//! other tests in this binary are doing. The gate serves one open-loop, 4,096-tenant run
 //! twice on one thread. The first run fills the scheduler's per-thread
 //! pools of working storage; the second must then allocate only what it
 //! returns, plus a fixed slack that does not grow with the number of
 //! arrivals.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::mem::size_of;
 
 use dhl_sched::admission::{AdmissionSpec, OverloadPolicy, RetryBudgetSpec, TenantId};
@@ -22,48 +20,9 @@ use dhl_sim::{ArrivalGenerator, ArrivalSpec, SimConfig};
 use dhl_storage::datasets::{Dataset, DatasetKind};
 use dhl_units::{Bytes, Seconds};
 
-struct Counting;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
-}
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counters are const-initialised thread-locals, which never allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size.saturating_sub(layout.size()));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// `(allocations, bytes)` that `f` makes on this thread.
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
-    let out = f();
-    let after = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
-    (out, after.0 - before.0, after.1 - before.1)
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 const TENANTS: u32 = 4_096;
 

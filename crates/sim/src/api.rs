@@ -14,7 +14,7 @@ use dhl_units::{Bytes, BytesPerSecond, Joules, Seconds};
 use dhl_storage::connectors::{ConnectorKind, DockingConnector};
 
 use crate::config::{EndpointKind, SimConfig};
-use crate::movement::MovementCost;
+use crate::movement::MovementTable;
 use crate::system::{CartId, EndpointId};
 
 /// Errors surfaced by the DHL API.
@@ -123,6 +123,7 @@ struct ApiCart {
 #[derive(Debug)]
 pub struct DhlApi {
     cfg: SimConfig,
+    costs: MovementTable,
     read_bandwidth: BytesPerSecond,
     write_bandwidth: BytesPerSecond,
     clock: Seconds,
@@ -160,6 +161,7 @@ impl DhlApi {
             .as_ref()
             .map(|r| DeterministicRng::seed_from_u64(r.seed));
         Ok(Self {
+            costs: MovementTable::build(&cfg, None),
             cfg,
             read_bandwidth,
             write_bandwidth,
@@ -181,11 +183,6 @@ impl DhlApi {
     #[must_use]
     pub fn energy_used(&self) -> Joules {
         self.energy
-    }
-
-    fn movement(&self, from: EndpointId, to: EndpointId) -> MovementCost {
-        let d = (self.cfg.endpoints[to].position - self.cfg.endpoints[from].position).abs();
-        MovementCost::for_distance(&self.cfg, d)
     }
 
     /// **Open**: requests a cart from the library; if one is present it is
@@ -217,7 +214,7 @@ impl DhlApi {
             .position(|c| c.endpoint == 0)
             .ok_or(ApiError::NoCartAvailable)?;
 
-        let cost = self.movement(0, endpoint);
+        let cost = self.costs.cost(0, endpoint);
         self.clock += cost.total_time;
         self.energy += cost.energy;
         self.dock_used[0] -= 1;
@@ -238,7 +235,7 @@ impl DhlApi {
     /// [`ApiError::CartNotDocked`] if the cart is not at a rack.
     pub fn close(&mut self, cart: CartId) -> Result<(), ApiError> {
         let ep = self.rack_of(cart)?;
-        let cost = self.movement(ep, 0);
+        let cost = self.costs.cost(ep, 0);
         self.clock += cost.total_time;
         self.energy += cost.energy;
         self.dock_used[ep] -= 1;

@@ -21,8 +21,9 @@
 
 use std::collections::VecDeque;
 
+use dhl_rng::check::{Counted, Tally};
+
 use crate::system::{DhlSystem, Direction, EndpointId, Movement};
-use touched::Touched;
 
 /// Pending launches, one FIFO per (direction, destination) group.
 pub(crate) struct Backlog {
@@ -46,97 +47,31 @@ type Group = Touched<VecDeque<(u64, Movement)>>;
 /// Counted access to the backlog's storage.
 ///
 /// The groups, their entries, the tree nodes and the dock flags sit behind
-/// [`Touched`](touched::Touched), whose contents the rest of this file
-/// cannot reach: each element read or written through it adds one to
-/// `TOUCHED` in unit tests. A scan over the groups or the pending
-/// movements is therefore counted without opting in. Release builds
-/// compile the accessors to plain indexing.
-mod touched {
-    use std::collections::VecDeque;
-    use std::ops::{Index, IndexMut};
+/// [`Touched`], whose contents the rest of this file cannot reach: each
+/// element read or written through it adds one to `TOUCHED` in unit tests.
+/// A scan over the groups or the pending movements is therefore counted
+/// without opting in. Release builds compile the accessors to plain
+/// indexing.
+type Touched<C> = Counted<C, Touch>;
 
-    #[cfg(test)]
-    thread_local! {
-        /// Groups, group entries, tree nodes and dock flags this thread's
-        /// backlogs have reached: the unit tests' per-event work count.
-        pub(crate) static TOUCHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    }
+/// The [`Tally`] behind [`Touched`].
+#[derive(Clone, Default)]
+struct Touch;
 
+#[cfg(test)]
+thread_local! {
+    /// Groups, group entries, tree nodes and dock flags this thread's
+    /// backlogs have reached: the unit tests' per-event work count.
+    static TOUCHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl Tally for Touch {
     #[inline(always)]
-    fn touch() {
+    fn count() {
         #[cfg(test)]
         TOUCHED.with(|n| n.set(n.get() + 1));
     }
-
-    /// A collection whose every element access counts as one touched.
-    #[derive(Clone, Default)]
-    pub(crate) struct Touched<C>(C);
-
-    impl<C> Touched<C> {
-        pub(crate) fn new(inner: C) -> Self {
-            Self(inner)
-        }
-
-        /// The elements in order, each counted as the iterator reaches it.
-        pub(crate) fn iter<'a>(&'a self) -> impl Iterator<Item = <&'a C as IntoIterator>::Item>
-        where
-            &'a C: IntoIterator,
-        {
-            (&self.0).into_iter().inspect(|_| touch())
-        }
-    }
-
-    impl<C: Index<usize>> Index<usize> for Touched<C> {
-        type Output = C::Output;
-
-        #[inline(always)]
-        fn index(&self, i: usize) -> &C::Output {
-            touch();
-            &self.0[i]
-        }
-    }
-
-    impl<C: IndexMut<usize>> IndexMut<usize> for Touched<C> {
-        #[inline(always)]
-        fn index_mut(&mut self, i: usize) -> &mut C::Output {
-            touch();
-            &mut self.0[i]
-        }
-    }
-
-    impl<T> Touched<Vec<T>> {
-        pub(crate) fn len(&self) -> usize {
-            self.0.len()
-        }
-    }
-
-    impl<T> Touched<VecDeque<T>> {
-        pub(crate) fn len(&self) -> usize {
-            self.0.len()
-        }
-
-        pub(crate) fn reserve_exact(&mut self, additional: usize) {
-            self.0.reserve_exact(additional);
-        }
-
-        pub(crate) fn front(&self) -> Option<&T> {
-            self.iter().next()
-        }
-
-        pub(crate) fn push_back(&mut self, value: T) {
-            touch();
-            self.0.push_back(value);
-        }
-
-        pub(crate) fn pop_front(&mut self) -> Option<T> {
-            touch();
-            self.0.pop_front()
-        }
-    }
 }
-
-#[cfg(test)]
-use touched::TOUCHED;
 
 fn group_of(m: &Movement) -> usize {
     let inbound = DhlSystem::direction_of(m.from, m.to) == Direction::Inbound;

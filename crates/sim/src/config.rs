@@ -625,22 +625,27 @@ impl SimConfig {
                 ));
             }
         }
-        if self.max_speed.value().is_nan() || self.max_speed.value() <= 0.0 {
-            return Err(ConfigError::Physics(PhysicsError::NonPositive {
-                what: "max speed",
-                value: self.max_speed.value(),
-            }));
+        for (what, value) in [
+            ("max speed", self.max_speed.value()),
+            ("cart mass", self.cart_mass.value()),
+            ("cart capacity", self.cart_capacity.as_f64()),
+        ] {
+            if value.is_nan() || value <= 0.0 {
+                return Err(PhysicsError::NonPositive { what, value }.into());
+            }
+            if value.is_infinite() {
+                let range = "finite";
+                return Err(PhysicsError::OutOfRange { what, value, range }.into());
+            }
         }
-        if self.dock_time.seconds() < 0.0 || self.undock_time.seconds() < 0.0 {
-            return Err(ConfigError::BadEndpoints(
-                "dock/undock times must be non-negative".into(),
-            ));
-        }
-        if self.cart_mass.value().is_nan() || self.cart_mass.value() <= 0.0 {
-            return Err(ConfigError::Physics(PhysicsError::NonPositive {
-                what: "cart mass",
-                value: self.cart_mass.value(),
-            }));
+        for (what, value) in [
+            ("dock time", self.dock_time.seconds()),
+            ("undock time", self.undock_time.seconds()),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                let range = "finite and non-negative";
+                return Err(PhysicsError::OutOfRange { what, value, range }.into());
+            }
         }
         if let Some(faults) = &self.faults {
             faults.validate()?;
@@ -743,6 +748,38 @@ mod tests {
         let mut cfg = SimConfig::paper_default();
         cfg.endpoints[1].docks = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_or_out_of_range_physics() {
+        type Set = fn(&mut SimConfig, f64);
+        let fields: [(&str, Set); 4] = [
+            ("max speed", |c, v| c.max_speed = MetresPerSecond::new(v)),
+            ("cart mass", |c, v| c.cart_mass = Kilograms::new(v)),
+            ("dock time", |c, v| c.dock_time = Seconds::new(v)),
+            ("undock time", |c, v| c.undock_time = Seconds::new(v)),
+        ];
+        for (field, set) in fields {
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+                let mut cfg = SimConfig::paper_default();
+                set(&mut cfg, value);
+                match cfg.validate() {
+                    Err(ConfigError::Physics(e)) => {
+                        assert!(e.to_string().starts_with(field), "{field} = {value}: {e}");
+                    }
+                    other => panic!("{field} = {value}: {other:?}"),
+                }
+            }
+        }
+        let mut cfg = SimConfig::paper_default();
+        cfg.cart_capacity = Bytes::ZERO;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::Physics(PhysicsError::NonPositive {
+                what: "cart capacity",
+                value: 0.0
+            }))
+        );
     }
 
     #[test]

@@ -78,11 +78,12 @@ impl MovementCost {
     }
 }
 
-/// Precomputed per-hop movement costs for every hop the simulator makes:
-/// each starts or ends at the library (endpoint 0), so the table holds one
-/// entry per rack — the table the hot path reads instead of re-running the
-/// trapezoid per event. A hop's cost depends only on its length, so a
-/// rack's outbound and inbound hops share the entry.
+/// Precomputed per-hop movement costs for every hop the simulator, the
+/// serving scheduler and [`crate::api::DhlApi`] make: each starts or ends
+/// at the library (endpoint 0), so the table holds one entry per rack — the
+/// table the hot paths read instead of re-running the trapezoid per event,
+/// arrival or command. A hop's cost depends only on its length, so a rack's
+/// outbound and inbound hops share the entry.
 ///
 /// Two tiers mirror the two speeds a launch can happen at: `full` (the
 /// configured maximum) and `degraded` (the repressurisation cap, present
@@ -90,7 +91,7 @@ impl MovementCost {
 /// [`MovementCost::for_distance_limited`] call, so the table cannot
 /// perturb a single bit of the physics.
 #[derive(Clone, Debug)]
-pub(crate) struct MovementTable {
+pub struct MovementTable {
     /// Full-speed costs; rack `r`'s hop is at index `r - 1`.
     full: Vec<MovementCost>,
     /// Speed-capped costs for launches during a repressurisation window.
@@ -100,8 +101,13 @@ pub(crate) struct MovementTable {
 impl MovementTable {
     /// Builds the table for `cfg`'s endpoints, with a degraded tier when a
     /// repressurisation `speed_cap` applies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has no endpoints or a rack's distance from the
+    /// library is not strictly positive (zero or NaN).
     #[must_use]
-    pub(crate) fn build(cfg: &SimConfig, degraded_cap: Option<MetresPerSecond>) -> Self {
+    pub fn build(cfg: &SimConfig, degraded_cap: Option<MetresPerSecond>) -> Self {
         let library = cfg.endpoints[0].position;
         let tier = |cap: MetresPerSecond| -> Vec<MovementCost> {
             cfg.endpoints[1..]
@@ -124,7 +130,7 @@ impl MovementTable {
     ///
     /// Panics if both ends are the library or the other is out of range.
     #[must_use]
-    pub(crate) fn cost(&self, from: usize, to: usize) -> MovementCost {
+    pub fn cost(&self, from: usize, to: usize) -> MovementCost {
         self.full[from + to - 1]
     }
 

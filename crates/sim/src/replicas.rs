@@ -25,19 +25,13 @@
 //! the merged [`ReplicaReport`] is unchanged by crashes.
 
 use dhl_obs::MetricsSnapshot;
+use dhl_rng::splitmix64;
 
 use dhl_units::{Bytes, Seconds};
 
 use crate::config::SimConfig;
 use crate::report::BulkTransferReport;
 use crate::system::{DhlSystem, SimError};
-
-/// The splitmix64 finaliser — a cheap, well-mixed 64-bit permutation.
-fn splitmix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Derives replica `index`'s seed from a base seed: independent,
 /// deterministic streams per replica.

@@ -43,7 +43,7 @@ fn run_replicas_is_bit_identical_to_the_serial_loop() {
     assert_eq!(driven.reports, serial.reports);
     // The merged snapshot — counters, wall-free gauges, histograms — down
     // to the exact JSON bytes.
-    assert_eq!(driven.metrics.to_json(), serial.metrics.to_json());
+    assert_eq!(driven.metrics.to_ndjson(), serial.metrics.to_ndjson());
     // And the full merged report, aggregates included.
     assert_eq!(driven, serial);
 }
@@ -57,7 +57,7 @@ fn randomised_workloads_match_the_serial_loop() {
         let serial = serial_reference(&cfg, dataset, replicas);
         let driven = run_replicas(&cfg, dataset, replicas, None).unwrap();
         assert_eq!(driven, serial, "replicas = {replicas}");
-        assert_eq!(driven.metrics.to_json(), serial.metrics.to_json());
+        assert_eq!(driven.metrics.to_ndjson(), serial.metrics.to_ndjson());
     });
 }
 

@@ -96,29 +96,18 @@ impl DhlConfig {
     ///
     /// The first violated [`PhysicsError`].
     pub fn validate(&self) -> Result<(), PhysicsError> {
-        for (what, value) in [
-            ("max speed", self.max_speed.value()),
-            ("track length", self.track_length.value()),
-            ("cart mass", self.cart_mass.value()),
-            ("cart capacity", self.cart_capacity.as_f64()),
-        ] {
-            if value.is_nan() || value <= 0.0 {
-                return Err(PhysicsError::NonPositive { what, value });
-            }
-            if value.is_infinite() {
-                let range = "finite";
-                return Err(PhysicsError::OutOfRange { what, value, range });
-            }
-        }
-        for (what, value) in [
-            ("dock time", self.dock_time.seconds()),
-            ("undock time", self.undock_time.seconds()),
-        ] {
-            if !(value.is_finite() && value >= 0.0) {
-                let range = "finite and non-negative";
-                return Err(PhysicsError::OutOfRange { what, value, range });
-            }
-        }
+        PhysicsError::check_finite(
+            &[
+                ("max speed", self.max_speed.value()),
+                ("track length", self.track_length.value()),
+                ("cart mass", self.cart_mass.value()),
+                ("cart capacity", self.cart_capacity.as_f64()),
+            ],
+            &[
+                ("dock time", self.dock_time.seconds()),
+                ("undock time", self.undock_time.seconds()),
+            ],
+        )?;
         // The trip must fit acceleration and braking ramps.
         dhl_physics::TripKinematics::new(self.track_length, self.max_speed, self.lim.acceleration())
             .map(|_| ())

@@ -203,6 +203,13 @@ impl MetricsRegistry {
         self.histogram_index.get(name).copied().map(HistogramId)
     }
 
+    /// The counter behind `id`; `None` until recorded (even by zero).
+    #[must_use]
+    pub fn counter(&self, id: CounterId) -> Option<u64> {
+        let cell = self.counters.get(id.0 as usize)?;
+        cell.touched.then_some(cell.value)
+    }
+
     /// Increments the counter behind `id` by `by` — one branch and one
     /// bounds-checked slot write.
     ///

@@ -82,6 +82,37 @@ impl fmt::Display for PhysicsError {
 
 impl std::error::Error for PhysicsError {}
 
+impl PhysicsError {
+    /// Checks quantities that must be finite: each of `positive` strictly
+    /// positive, then each of `non_negative` non-negative.
+    ///
+    /// # Errors
+    ///
+    /// The first failure, as [`PhysicsError::NonPositive`] or
+    /// [`PhysicsError::OutOfRange`].
+    pub fn check_finite(
+        positive: &[(&'static str, f64)],
+        non_negative: &[(&'static str, f64)],
+    ) -> Result<(), Self> {
+        for &(what, value) in positive {
+            if value.is_nan() || value <= 0.0 {
+                return Err(Self::NonPositive { what, value });
+            }
+            if value.is_infinite() {
+                let range = "finite";
+                return Err(Self::OutOfRange { what, value, range });
+            }
+        }
+        for &(what, value) in non_negative {
+            if !(value.is_finite() && value >= 0.0) {
+                let range = "finite and non-negative";
+                return Err(Self::OutOfRange { what, value, range });
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

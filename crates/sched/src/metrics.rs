@@ -1,34 +1,47 @@
-//! Pre-interned metric handles for the scheduler's serve loop.
-//!
-//! The serve loop records per-request metrics; [`SchedMetrics`] interns
-//! every name once so it records through dense `Copy` ids instead of paying
-//! a name lookup per request. Re-register the bundle whenever the registry is
-//! replaced (`set_metrics_enabled`) — registration is idempotent.
+//! Pre-interned metric handles for the scheduler's serve loop, which
+//! records through dense `Copy` ids instead of a name lookup per request.
+//! Re-register the bundle whenever the registry is replaced
+//! (`set_metrics_enabled`) — registration is idempotent.
 
 use dhl_obs::{CounterId, GaugeId, HistogramId, MetricsRegistry};
+
+use crate::admission::AdmissionReport;
+use crate::scheduler::RequestOutcome;
+
+type Count<T> = fn(&T) -> u64;
+
+/// The admission counters, kept once as report fields: `serve` adds each
+/// that is non-zero when the run ends.
+pub(crate) const ADMISSION: [(&str, Count<AdmissionReport>); 11] = [
+    ("sched.offered", |r| r.offered),
+    ("sched.rejected_deadline", |r| r.rejected_deadline),
+    ("sched.shed", |r| r.shed),
+    ("sched.rejected_queue_full", |r| r.rejected_queue_full),
+    ("sched.rejected_backpressure", |r| r.rejected_backpressure),
+    ("sched.degraded", |r| r.degraded),
+    ("sched.admitted", |r| r.admitted),
+    ("sched.retry_tokens_exhausted", |r| r.retry_tokens_exhausted),
+    ("sched.retries", |r| r.retries),
+    ("sched.deadline_hits", |r| r.deadline_hits),
+    ("sched.deadline_misses", |r| r.deadline_misses),
+];
+
+/// The per-request counters, each with what one served request adds: `serve`
+/// adds every sum when the run ends, once it served a request.
+pub(crate) const PER_REQUEST: [(&str, Count<RequestOutcome>); 6] = [
+    ("sched.requests", |_| 1),
+    ("sched.deliveries", |o| o.deliveries),
+    ("sched.redeliveries", |o| o.redeliveries),
+    ("sched.reshipments", |o| o.reshipments),
+    ("sched.abandoned", |o| o.abandoned),
+    ("sched.dock_crashes", |o| o.dock_crashes),
+];
 
 /// Handles for every metric the scheduler records.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct SchedMetrics {
-    // Per-request counters (every run).
-    pub requests: CounterId,
-    pub deliveries: CounterId,
-    pub redeliveries: CounterId,
-    pub reshipments: CounterId,
-    pub abandoned: CounterId,
-    pub dock_crashes: CounterId,
-    // Admission-control counters (only with an `AdmissionSpec`).
-    pub offered: CounterId,
-    pub rejected_deadline: CounterId,
-    pub shed: CounterId,
-    pub rejected_queue_full: CounterId,
-    pub rejected_backpressure: CounterId,
-    pub degraded: CounterId,
-    pub admitted: CounterId,
-    pub retry_tokens_exhausted: CounterId,
-    pub retries: CounterId,
-    pub deadline_hits: CounterId,
-    pub deadline_misses: CounterId,
+    pub admission: [CounterId; ADMISSION.len()],
+    pub per_request: [CounterId; PER_REQUEST.len()],
     // Latency histograms.
     pub placement_latency_s: HistogramId,
     pub delivery_latency_s: HistogramId,
@@ -47,23 +60,8 @@ impl SchedMetrics {
     /// bundle.
     pub fn register(registry: &mut MetricsRegistry) -> Self {
         Self {
-            requests: registry.register_counter("sched.requests"),
-            deliveries: registry.register_counter("sched.deliveries"),
-            redeliveries: registry.register_counter("sched.redeliveries"),
-            reshipments: registry.register_counter("sched.reshipments"),
-            abandoned: registry.register_counter("sched.abandoned"),
-            dock_crashes: registry.register_counter("sched.dock_crashes"),
-            offered: registry.register_counter("sched.offered"),
-            rejected_deadline: registry.register_counter("sched.rejected_deadline"),
-            shed: registry.register_counter("sched.shed"),
-            rejected_queue_full: registry.register_counter("sched.rejected_queue_full"),
-            rejected_backpressure: registry.register_counter("sched.rejected_backpressure"),
-            degraded: registry.register_counter("sched.degraded"),
-            admitted: registry.register_counter("sched.admitted"),
-            retry_tokens_exhausted: registry.register_counter("sched.retry_tokens_exhausted"),
-            retries: registry.register_counter("sched.retries"),
-            deadline_hits: registry.register_counter("sched.deadline_hits"),
-            deadline_misses: registry.register_counter("sched.deadline_misses"),
+            admission: ADMISSION.map(|(name, _)| registry.register_counter(name)),
+            per_request: PER_REQUEST.map(|(name, _)| registry.register_counter(name)),
             placement_latency_s: registry.register_histogram("sched.placement_latency_s"),
             delivery_latency_s: registry.register_histogram("sched.delivery_latency_s"),
             retry_backoff_s: registry.register_histogram("sched.retry_backoff_s"),
@@ -86,7 +84,8 @@ mod tests {
         let mut reg = MetricsRegistry::enabled();
         let a = SchedMetrics::register(&mut reg);
         let b = SchedMetrics::register(&mut reg);
-        assert_eq!(a.requests, b.requests);
+        assert_eq!(a.admission, b.admission);
+        assert_eq!(a.per_request, b.per_request);
         assert_eq!(a.placement_latency_s, b.placement_latency_s);
         assert_eq!(a.goodput_bytes_per_s, b.goodput_bytes_per_s);
         assert!(reg.snapshot().is_empty());

@@ -20,7 +20,7 @@ use crate::admission::{
     retry_backoff, AdmissionReport, AdmissionSpec, OverloadPolicy, TenantId, TenantSlo,
 };
 use crate::availability::AvailabilityTracker;
-use crate::metrics::SchedMetrics;
+use crate::metrics::{SchedMetrics, ADMISSION, PER_REQUEST};
 use crate::placement::{DatasetId, Placement};
 use crate::recycle;
 use crate::service_queue::{DockBank, IdTable, ServiceEntry, ServiceQueue};
@@ -703,7 +703,6 @@ impl Scheduler {
                         ..TenantRow::default()
                     });
                     report.offered += 1;
-                    metrics.add(handles.offered, 1);
                     report.offered_bytes += bytes;
 
                     let mut degrade = false;
@@ -737,7 +736,6 @@ impl Scheduler {
                                         report.rejected_deadline += 1;
                                         report.rejected_ids.push(id);
                                         row.rejected += 1;
-                                        metrics.add(handles.rejected_deadline, 1);
                                         continue;
                                     }
                                 }
@@ -763,7 +761,6 @@ impl Scheduler {
                             if let Some(victim) = pending.shed_victim(req.priority) {
                                 report.shed += 1;
                                 report.shed_ids.push(victim.id);
-                                metrics.add(handles.shed, 1);
                                 if let Some(victim) =
                                     tenants.get_mut(u64::from(victim.req.tenant.0))
                                 {
@@ -783,10 +780,8 @@ impl Scheduler {
                             report.rejected_ids.push(id);
                             if queue_full {
                                 report.rejected_queue_full += 1;
-                                metrics.add(handles.rejected_queue_full, 1);
                             } else {
                                 report.rejected_backpressure += 1;
-                                metrics.add(handles.rejected_backpressure, 1);
                             }
                             continue;
                         }
@@ -799,11 +794,9 @@ impl Scheduler {
                         req.priority = Priority::Background;
                         req.deadline = None;
                         report.degraded += 1;
-                        metrics.add(handles.degraded, 1);
                         tenants.get_mut(tenant).expect("inserted above").degraded += 1;
                     }
                     report.admitted += 1;
-                    metrics.add(handles.admitted, 1);
                 }
                 let trip = trips.cost(0, req.destination).total_time.seconds();
                 let service_s = carts_len as f64 * (2.0 * trip + verify_s + req.dwell.seconds());
@@ -959,7 +952,6 @@ impl Scheduler {
                         if *tokens == 0 {
                             abandoned += 1;
                             report.retry_tokens_exhausted += 1;
-                            metrics.add(handles.retry_tokens_exhausted, 1);
                             break;
                         }
                         *tokens -= 1;
@@ -972,7 +964,6 @@ impl Scheduler {
                     }
                     if OPEN {
                         report.retries += 1;
-                        metrics.add(handles.retries, 1);
                         let backoff = retry_backoff(&spec.retry, spec.seed, id, attempt);
                         metrics.record(handles.retry_backoff_s, backoff.seconds());
                         not_before = home + backoff.seconds();
@@ -981,12 +972,6 @@ impl Scheduler {
             }
 
             total_energy += energy;
-            metrics.add(handles.requests, 1);
-            metrics.add(handles.deliveries, deliveries);
-            metrics.add(handles.redeliveries, redeliveries);
-            metrics.add(handles.reshipments, reshipments);
-            metrics.add(handles.abandoned, abandoned);
-            metrics.add(handles.dock_crashes, dock_crashes);
             // Queueing latency until the first cart could depart: the
             // placement-latency figure a client of the scheduler feels.
             metrics.record(handles.placement_latency_s, started - req.arrival.seconds());
@@ -1011,14 +996,8 @@ impl Scheduler {
                     .deadline
                     .map(|deadline| fully_delivered && delivered <= deadline.seconds());
                 match met_deadline {
-                    Some(true) => {
-                        report.deadline_hits += 1;
-                        metrics.add(handles.deadline_hits, 1);
-                    }
-                    Some(false) => {
-                        report.deadline_misses += 1;
-                        metrics.add(handles.deadline_misses, 1);
-                    }
+                    Some(true) => report.deadline_hits += 1,
+                    Some(false) => report.deadline_misses += 1,
                     None => {}
                 }
                 let latency = delivered - req.arrival.seconds();
@@ -1084,6 +1063,19 @@ impl Scheduler {
             .sum();
         metrics.set(handles.dock_downtime_s, dock_downtime_s);
         recycle::give(&recycle::LOGS, log);
+        for (id, (_, count)) in handles.admission.into_iter().zip(ADMISSION) {
+            if count(&report) > 0 {
+                metrics.add(id, count(&report));
+            }
+        }
+        if !outcomes.is_empty() {
+            let totals = outcomes.iter().fold([0; PER_REQUEST.len()], |totals, o| {
+                std::array::from_fn(|i| totals[i] + (PER_REQUEST[i].1)(o))
+            });
+            for (id, total) in handles.per_request.into_iter().zip(totals) {
+                metrics.add(id, total);
+            }
+        }
         metrics.set(handles.wall_time_s, watch.elapsed_secs());
         Ok(ScheduleOutcome {
             track_utilisation,

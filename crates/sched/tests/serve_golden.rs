@@ -411,3 +411,39 @@ fn golden_hashes_are_distinct() {
         assert_eq!(all.len(), 96);
     }
 }
+
+/// FNV-1a over the NDJSON export of each snapshot two back-to-back runs of
+/// one scheduler return, less the wall-clock `sched.wall_time_s` gauge: the
+/// second run's snapshot holds both runs' counts, because the registry
+/// accumulates across runs. One lossy, overloaded, deadline-aware
+/// open-loop scheduler, then one closed-loop scheduler under every hazard.
+const METRICS_GOLDEN: [[u64; 2]; 2] = [
+    [0x5d9703ec7c6578d1, 0x42509e95f9c3b063],
+    [0x52faacbd8bf89f85, 0x1b2beca24b45ba81],
+];
+
+#[test]
+fn metrics_exports_match_their_golden_hashes() {
+    let fresh: Vec<[u64; 2]> = ["degrade+deadlines", "all-hazards"]
+        .iter()
+        .map(|mix| {
+            let (placement, requests) = workload(3);
+            let mut sched = scheduler(3, Policy::PriorityFifo, mix, placement);
+            [(); 2].map(|()| {
+                for r in requests.clone() {
+                    sched.submit(r);
+                }
+                let mut metrics = sched.try_run().unwrap().metrics;
+                metrics
+                    .gauges
+                    .retain(|(name, _)| name != "sched.wall_time_s");
+                fnv1a_64(metrics.to_ndjson().as_bytes())
+            })
+        })
+        .collect();
+    let table: Vec<String> = fresh
+        .iter()
+        .map(|[a, b]| format!("    [0x{a:016x}, 0x{b:016x}],"))
+        .collect();
+    assert_eq!(fresh, METRICS_GOLDEN, "fresh table:\n{}", table.join("\n"));
+}

@@ -50,6 +50,7 @@ use crate::backlog::Backlog;
 use crate::codec::{self, codec_enum, codec_struct, Codec};
 use crate::config::SimConfig;
 use crate::engine::EventQueue;
+use crate::metrics::PUBLISHED;
 use crate::movement::MovementCost;
 use crate::system::{
     Abandoned, ActiveMovement, CartId, CartLocation, Counters, DhlSystem, Direction, EndpointId,
@@ -226,10 +227,11 @@ impl DhlSystem {
             watch_running: self.run_watch.is_some(),
             metrics: if self.metrics.is_enabled() {
                 Some(MetricsState {
-                    counters: self
-                        .metrics
-                        .counters()
-                        .map(|(n, v)| (n.to_string(), v))
+                    counters: (self.metrics.counters())
+                        .filter(|&(n, _)| !PUBLISHED.iter().any(|&(p, _)| p == n))
+                        .map(|(n, v)| (n, Some(v)))
+                        .chain(self.published())
+                        .filter_map(|(n, v)| Some((n.to_string(), v?)))
                         .collect(),
                     gauges: self
                         .metrics
@@ -362,7 +364,10 @@ impl DhlSystem {
         if let Some(m) = &cp.metrics {
             let reg = &mut sys.metrics;
             let unknown = |name: &String| SimError::UnknownMetric { name: name.clone() };
-            for (name, &value) in &m.counters {
+            // The published counters come from the tallies alone, so a
+            // capture's copies of them cannot change the resumed run.
+            let published = |name: &str| PUBLISHED.iter().any(|&(p, _)| p == name);
+            for (name, &value) in m.counters.iter().filter(|(n, _)| !published(n)) {
                 let id = reg.counter_id(name).ok_or_else(|| unknown(name))?;
                 reg.store(id, value);
             }
@@ -1257,6 +1262,54 @@ mod tests {
         match DhlSystem::resume(cfg, &cp) {
             Err(SimError::UnknownMetric { name }) => assert_eq!(name, "sim.carts_flung"),
             other => panic!("expected UnknownMetric, got {other:?}"),
+        }
+    }
+
+    /// A capture's copies of the published counters are never read back:
+    /// raising one, dropping one that shows at 0, or adding one that does
+    /// not show yet leaves the resumed run's report and snapshot as they
+    /// were.
+    #[test]
+    fn published_counter_copies_cannot_change_a_resumed_run() {
+        let cfg = faulty_config();
+        let mut sys = DhlSystem::new(cfg.clone()).expect("valid config");
+        sys.begin_bulk_transfer(Bytes::from_petabytes(PB2))
+            .expect("begin");
+        let _ = sys.run_until(Seconds::new(100.0)).expect("run");
+        let cp = sys.checkpoint();
+        let published = &cp.metrics.as_ref().expect("metrics on").counters;
+        assert!(published["sim.carts_launched"] > 0);
+        assert_eq!(published.get("sim.ssd_failures"), Some(&0));
+        assert_eq!(published.get("sim.cart_stalls"), None);
+        let complete = |cp: &Checkpoint| {
+            let mut sys = DhlSystem::resume(cfg.clone(), cp).expect("resume");
+            assert!(sys.run_until(Seconds::new(f64::INFINITY)).expect("run"));
+            sys.finish()
+        };
+        let clean = complete(&cp);
+        assert_eq!(clean.metrics.counter("sim.cart_stalls"), None);
+        fn counters(cp: &mut Checkpoint) -> &mut BTreeMap<String, u64> {
+            &mut cp.metrics.as_mut().expect("metrics on").counters
+        }
+        let mutations: [fn(&mut Checkpoint); 3] = [
+            |cp| *counters(cp).get_mut("sim.carts_launched").unwrap() += 1,
+            |cp| {
+                counters(cp).remove("sim.ssd_failures");
+            },
+            |cp| {
+                counters(cp).insert("sim.cart_stalls".into(), 0);
+            },
+        ];
+        for mutate in mutations {
+            let mut copy = cp.clone();
+            mutate(&mut copy);
+            assert_ne!(copy, cp);
+            let report = complete(&copy);
+            assert_eq!(report, clean);
+            assert_eq!(
+                deterministic_metrics(&report),
+                deterministic_metrics(&clean)
+            );
         }
     }
 

@@ -603,6 +603,7 @@ impl SimConfig {
             ));
         }
         for pair in self.endpoints.windows(2) {
+            PhysicsError::check_finite(&[("endpoint position", pair[1].position.value())], &[])?;
             if pair[1].position.value() <= pair[0].position.value() {
                 return Err(ConfigError::NonMonotonicPositions);
             }
@@ -625,28 +626,17 @@ impl SimConfig {
                 ));
             }
         }
-        for (what, value) in [
-            ("max speed", self.max_speed.value()),
-            ("cart mass", self.cart_mass.value()),
-            ("cart capacity", self.cart_capacity.as_f64()),
-        ] {
-            if value.is_nan() || value <= 0.0 {
-                return Err(PhysicsError::NonPositive { what, value }.into());
-            }
-            if value.is_infinite() {
-                let range = "finite";
-                return Err(PhysicsError::OutOfRange { what, value, range }.into());
-            }
-        }
-        for (what, value) in [
-            ("dock time", self.dock_time.seconds()),
-            ("undock time", self.undock_time.seconds()),
-        ] {
-            if !(value.is_finite() && value >= 0.0) {
-                let range = "finite and non-negative";
-                return Err(PhysicsError::OutOfRange { what, value, range }.into());
-            }
-        }
+        PhysicsError::check_finite(
+            &[
+                ("max speed", self.max_speed.value()),
+                ("cart mass", self.cart_mass.value()),
+                ("cart capacity", self.cart_capacity.as_f64()),
+            ],
+            &[
+                ("dock time", self.dock_time.seconds()),
+                ("undock time", self.undock_time.seconds()),
+            ],
+        )?;
         if let Some(faults) = &self.faults {
             faults.validate()?;
         }
@@ -753,11 +743,14 @@ mod tests {
     #[test]
     fn rejects_non_finite_or_out_of_range_physics() {
         type Set = fn(&mut SimConfig, f64);
-        let fields: [(&str, Set); 4] = [
+        let fields: [(&str, Set); 5] = [
             ("max speed", |c, v| c.max_speed = MetresPerSecond::new(v)),
             ("cart mass", |c, v| c.cart_mass = Kilograms::new(v)),
             ("dock time", |c, v| c.dock_time = Seconds::new(v)),
             ("undock time", |c, v| c.undock_time = Seconds::new(v)),
+            ("endpoint position", |c, v| {
+                c.endpoints[1].position = Metres::new(v)
+            }),
         ];
         for (field, set) in fields {
             for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {

@@ -1,34 +1,41 @@
-//! Pre-interned metric handles for the simulator's hot paths.
-//!
-//! Every metric [`crate::system::DhlSystem`] records is registered once,
-//! up front, into a [`SimMetrics`] bundle of `Copy` ids; hot-path recording
-//! is then a dense-slot write through [`MetricsRegistry::add`] /
-//! [`MetricsRegistry::record`] instead of a name lookup per event. The
-//! bundle must be re-registered whenever the registry itself is replaced
-//! (`set_metrics_enabled`, checkpoint resume) — registration is idempotent,
-//! so ids stay stable across re-registration against the same registry.
+//! Pre-interned metric handles for the simulator's hot paths: every metric
+//! [`crate::system::DhlSystem`] records is registered once into a
+//! [`SimMetrics`] bundle of `Copy` ids, so recording is a dense-slot write
+//! instead of a name lookup per event. The event loop records none of the
+//! [`PUBLISHED`] counters: it bumps only their report tallies.
 
 use dhl_obs::{CounterId, GaugeId, HistogramId, MetricsRegistry};
+
+use crate::system::DhlSystem;
+
+type Tally = fn(&DhlSystem) -> u64;
+
+/// The counters kept once, as report tallies the event loop bumps:
+/// `finish` and `checkpoint` publish them.
+#[rustfmt::skip]
+pub(crate) const PUBLISHED: [(&str, Tally); 13] = [
+    ("sim.carts_launched", |s| s.movements),
+    ("sim.repressurisations", |s| s.counters.repressurisations),
+    ("sim.cart_stalls", |s| s.counters.cart_stalls),
+    ("sim.connector_replacements", |s| s.counters.connector_replacements),
+    ("sim.dock_controller_crashes", |s| s.counters.dock_crashes),
+    ("sim.ssd_failures", |s| s.counters.ssd_failures),
+    ("sim.data_loss_events", |s| s.counters.data_loss_events),
+    ("sim.redeliveries", |s| s.counters.redeliveries),
+    ("sim.shards_scanned", |s| s.counters.shards_scanned),
+    ("sim.deliveries_verified", |s| s.counters.deliveries_verified),
+    ("sim.shards_corrupted", |s| s.counters.shards_corrupted),
+    ("sim.shards_reconstructed", |s| s.counters.shards_reconstructed),
+    ("sim.deliveries_reshipped", |s| s.counters.deliveries_reshipped),
+];
 
 /// Handles for every metric the simulator records.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct SimMetrics {
+    pub published: [CounterId; PUBLISHED.len()],
     // Counters bumped inside the event loop.
-    pub repressurisations: CounterId,
-    pub cart_stalls: CounterId,
-    pub carts_launched: CounterId,
-    pub connector_replacements: CounterId,
     pub deliveries: CounterId,
-    pub dock_controller_crashes: CounterId,
-    pub ssd_failures: CounterId,
-    pub data_loss_events: CounterId,
     pub delivery_failures: CounterId,
-    pub redeliveries: CounterId,
-    pub shards_scanned: CounterId,
-    pub deliveries_verified: CounterId,
-    pub shards_corrupted: CounterId,
-    pub shards_reconstructed: CounterId,
-    pub deliveries_reshipped: CounterId,
     // End-of-run accounting counters.
     pub events: CounterId,
     pub events_processed: CounterId,
@@ -52,21 +59,9 @@ impl SimMetrics {
     /// only valid for the registry (or clones of it) that issued them.
     pub fn register(registry: &mut MetricsRegistry) -> Self {
         Self {
-            repressurisations: registry.register_counter("sim.repressurisations"),
-            cart_stalls: registry.register_counter("sim.cart_stalls"),
-            carts_launched: registry.register_counter("sim.carts_launched"),
-            connector_replacements: registry.register_counter("sim.connector_replacements"),
+            published: PUBLISHED.map(|(name, _)| registry.register_counter(name)),
             deliveries: registry.register_counter("sim.deliveries"),
-            dock_controller_crashes: registry.register_counter("sim.dock_controller_crashes"),
-            ssd_failures: registry.register_counter("sim.ssd_failures"),
-            data_loss_events: registry.register_counter("sim.data_loss_events"),
             delivery_failures: registry.register_counter("sim.delivery_failures"),
-            redeliveries: registry.register_counter("sim.redeliveries"),
-            shards_scanned: registry.register_counter("sim.shards_scanned"),
-            deliveries_verified: registry.register_counter("sim.deliveries_verified"),
-            shards_corrupted: registry.register_counter("sim.shards_corrupted"),
-            shards_reconstructed: registry.register_counter("sim.shards_reconstructed"),
-            deliveries_reshipped: registry.register_counter("sim.deliveries_reshipped"),
             events: registry.register_counter("sim.events"),
             events_processed: registry.register_counter("engine.events_processed"),
             events_clamped: registry.register_counter("sim.events_clamped"),
@@ -92,6 +87,7 @@ mod tests {
         let mut reg = MetricsRegistry::enabled();
         let a = SimMetrics::register(&mut reg);
         let b = SimMetrics::register(&mut reg);
+        assert_eq!(a.published, b.published);
         assert_eq!(a.deliveries, b.deliveries);
         assert_eq!(a.transit_s, b.transit_s);
         assert_eq!(a.wall_time_s, b.wall_time_s);

@@ -23,24 +23,15 @@ pub struct MovementCost {
 }
 
 impl MovementCost {
-    /// Computes the cost of one hop of `distance` under `cfg`.
+    /// Computes the cost of one hop of `distance` under `cfg`, cruising no
+    /// faster than `speed_cap`: `cfg.max_speed` for a normal launch, or a
+    /// lower cap while a tube section is repressurised and drag limits the
+    /// safe cruise.
     ///
     /// # Panics
     ///
-    /// Panics if `distance` is not strictly positive (a zero-length hop is a
-    /// scheduling bug, not a physical movement).
-    #[must_use]
-    pub fn for_distance(cfg: &SimConfig, distance: Metres) -> Self {
-        Self::for_distance_limited(cfg, distance, cfg.max_speed)
-    }
-
-    /// Like [`MovementCost::for_distance`], but with an additional speed cap
-    /// below the configured maximum — used when a tube section is
-    /// repressurised and drag limits the safe cruise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `distance` or `speed_cap` is not strictly positive.
+    /// Panics if `distance` or `speed_cap` is not strictly positive (a
+    /// zero-length hop is a scheduling bug, not a physical movement).
     #[must_use]
     pub fn for_distance_limited(
         cfg: &SimConfig,
@@ -152,10 +143,14 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
 
+    fn full_speed(cfg: &SimConfig, metres: f64) -> MovementCost {
+        MovementCost::for_distance_limited(cfg, Metres::new(metres), cfg.max_speed)
+    }
+
     #[test]
     fn default_hop_matches_paper_numbers() {
         let cfg = SimConfig::paper_default();
-        let cost = MovementCost::for_distance(&cfg, Metres::new(500.0));
+        let cost = full_speed(&cfg, 500.0);
         assert_eq!(cost.speed.value(), 200.0);
         assert!((cost.total_time.seconds() - 8.6).abs() < 1e-9);
         assert!((cost.motion_time.seconds() - 2.6).abs() < 1e-9);
@@ -169,18 +164,18 @@ mod tests {
     fn short_hops_cap_the_speed() {
         let cfg = SimConfig::paper_default();
         // 10 m hop: √(1000·10) = 100 m/s < 200 m/s.
-        let cost = MovementCost::for_distance(&cfg, Metres::new(10.0));
+        let cost = full_speed(&cfg, 10.0);
         assert!((cost.speed.value() - 100.0).abs() < 1e-9);
         // Slower hop costs less energy.
-        let full = MovementCost::for_distance(&cfg, Metres::new(500.0));
+        let full = full_speed(&cfg, 500.0);
         assert!(cost.energy < full.energy);
     }
 
     #[test]
     fn longer_distance_same_speed_same_launch_energy() {
         let cfg = SimConfig::paper_default();
-        let e500 = MovementCost::for_distance(&cfg, Metres::new(500.0));
-        let e1000 = MovementCost::for_distance(&cfg, Metres::new(1000.0));
+        let e500 = full_speed(&cfg, 500.0);
+        let e1000 = full_speed(&cfg, 1000.0);
         // Energy barely grows (drag + stabilisation only)...
         assert!(e1000.energy.value() > e500.energy.value());
         assert!(e1000.energy.value() - e500.energy.value() < 300.0);
@@ -191,13 +186,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "movement distance must be positive")]
     fn zero_distance_panics() {
-        let _ = MovementCost::for_distance(&SimConfig::paper_default(), Metres::ZERO);
+        let _ = full_speed(&SimConfig::paper_default(), 0.0);
     }
 
     #[test]
     fn speed_cap_slows_and_cheapens_the_hop() {
         let cfg = SimConfig::paper_default();
-        let full = MovementCost::for_distance(&cfg, Metres::new(500.0));
+        let full = full_speed(&cfg, 500.0);
         let capped = MovementCost::for_distance_limited(
             &cfg,
             Metres::new(500.0),
@@ -251,7 +246,10 @@ mod tests {
         for rack in 1..3 {
             for (from, to) in [(0, rack), (rack, 0)] {
                 let d = (cfg.endpoints[to].position - cfg.endpoints[from].position).abs();
-                assert_eq!(table.cost(from, to), MovementCost::for_distance(&cfg, d));
+                assert_eq!(
+                    table.cost(from, to),
+                    MovementCost::for_distance_limited(&cfg, d, cfg.max_speed)
+                );
                 assert_eq!(
                     table.degraded_cost(from, to),
                     MovementCost::for_distance_limited(&cfg, d, cap)

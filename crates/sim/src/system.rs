@@ -37,7 +37,7 @@ use crate::arena::CartArena;
 use crate::backlog::Backlog;
 use crate::config::{ConfigError, EndpointKind, ProcessingModel, SimConfig};
 use crate::engine::EventQueue;
-use crate::metrics::SimMetrics;
+use crate::metrics::{SimMetrics, PUBLISHED};
 use crate::movement::{MovementCost, MovementTable};
 use crate::report::{BulkTransferReport, IntegrityReport, ReliabilityReport};
 use crate::trace::{Trace, TraceEventKind, TraceSink};
@@ -510,10 +510,23 @@ impl DhlSystem {
         }
     }
 
-    /// The observability registry (metrics accumulate across runs).
+    /// The observability registry (metrics accumulate across runs). Mid-run,
+    /// the published counters read as of this system's last `finish`.
     #[must_use]
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
+    }
+
+    /// Each published counter's tally, once non-zero, or at 0 for SSD
+    /// failures once a loaded docking sampled them (`sim.deliveries` shows).
+    pub(crate) fn published(&self) -> [(&'static str, Option<u64>); PUBLISHED.len()] {
+        let sampled = self.cfg.reliability.is_some()
+            && self.metrics.counter(self.handles.deliveries).is_some();
+        PUBLISHED.map(|(name, tally)| {
+            let tally = tally(self);
+            let shown = tally > 0 || (sampled && name == "sim.ssd_failures");
+            (name, shown.then_some(tally))
+        })
     }
 
     /// Enables or disables metric recording (clears recorded metrics).
@@ -624,7 +637,6 @@ impl DhlSystem {
         if let Some(rep) = repressurisation {
             if rng.random_bool(rep.probability_per_movement) {
                 self.counters.repressurisations += 1;
-                self.metrics.add(self.handles.repressurisations, 1);
                 let until = now + rep.duration.seconds();
                 let track = &mut self.tracks[idx];
                 track.degraded_until = track.degraded_until.max(until);
@@ -663,7 +675,6 @@ impl DhlSystem {
             // The stalled cart blocks everything behind it on this track
             // from the moment it departs; carts already ahead are unaffected.
             self.counters.cart_stalls += 1;
-            self.metrics.add(self.handles.cart_stalls, 1);
             track.blocked_by = Some(m.cart);
             track.blocked_since = now;
         }
@@ -671,7 +682,6 @@ impl DhlSystem {
 
         self.total_energy += cost.energy;
         self.movements += 1;
-        self.metrics.add(self.handles.carts_launched, 1);
         self.metrics
             .record(self.handles.transit_s, cost.total_time.seconds());
 
@@ -867,7 +877,6 @@ impl DhlSystem {
                         conn.replace();
                         let _ = conn.mate();
                         self.counters.connector_replacements += 1;
-                        self.metrics.add(self.handles.connector_replacements, 1);
                         dock += replacement;
                     }
                 }
@@ -974,7 +983,6 @@ impl DhlSystem {
         self.counters.dock_recovery_time_s += downtime.seconds();
         self.counters.dock_downtime[m.to] += downtime.seconds();
         self.total_energy += spec.recovery_power * downtime;
-        self.metrics.add(self.handles.dock_controller_crashes, 1);
         self.metrics
             .record(self.handles.dock_recovery_s, downtime.seconds());
         Some(downtime)
@@ -999,11 +1007,8 @@ impl DhlSystem {
         let rng = self.reliability_rng.as_mut().expect("rng exists with spec");
         let failed = failure.sample_failures(rng, ssds_per_cart, exposure);
         self.counters.ssd_failures += u64::from(failed);
-        self.metrics
-            .add(self.handles.ssd_failures, u64::from(failed));
         if !raid.tolerates(failed) {
             self.counters.data_loss_events += 1;
-            self.metrics.add(self.handles.data_loss_events, 1);
             return true;
         }
         false
@@ -1058,7 +1063,6 @@ impl DhlSystem {
         let requeued = attempt < max_attempts;
         if requeued {
             self.counters.redeliveries += 1;
-            self.metrics.add(self.handles.redeliveries, 1);
             self.mission.total_deliveries += 1;
             self.redelivery_queue.push_back(Redelivery {
                 endpoint: to,
@@ -1129,7 +1133,6 @@ impl DhlSystem {
         self.counters.verification_energy_j += energy.value();
         self.counters.verification_time_s += verify_time.seconds();
         self.counters.shards_scanned += shards;
-        self.metrics.add(self.handles.shards_scanned, shards);
         self.metrics
             .record(self.handles.verify_s, verify_time.seconds());
         self.record(TraceEventKind::VerifyStarted {
@@ -1174,7 +1177,6 @@ impl DhlSystem {
 
         if corrupted == 0 {
             self.counters.deliveries_verified += 1;
-            self.metrics.add(self.handles.deliveries_verified, 1);
             self.record(TraceEventKind::PayloadVerified {
                 cart,
                 endpoint: pv.to,
@@ -1185,7 +1187,6 @@ impl DhlSystem {
         }
 
         self.counters.shards_corrupted += corrupted;
-        self.metrics.add(self.handles.shards_corrupted, corrupted);
         self.record(TraceEventKind::PayloadCorrupted {
             cart,
             endpoint: pv.to,
@@ -1207,9 +1208,6 @@ impl DhlSystem {
             self.counters.reconstruction_time_s += rebuild_time.seconds();
             self.counters.deliveries_verified += 1;
             self.metrics
-                .add(self.handles.shards_reconstructed, corrupted);
-            self.metrics.add(self.handles.deliveries_verified, 1);
-            self.metrics
                 .record(self.handles.reconstruction_s, rebuild_time.seconds());
             self.record(TraceEventKind::ShardsReconstructed {
                 cart,
@@ -1220,10 +1218,8 @@ impl DhlSystem {
             // Beyond parity: the payload is unrecoverable at the dock and
             // re-enters the PR-1 bounded-retry machinery.
             self.counters.data_loss_events += 1;
-            self.metrics.add(self.handles.data_loss_events, 1);
             if self.fail_delivery(cart, pv.to, pv.payload, pv.attempt, pv.trip_time) {
                 self.counters.deliveries_reshipped += 1;
-                self.metrics.add(self.handles.deliveries_reshipped, 1);
             }
         }
     }
@@ -1424,6 +1420,10 @@ impl DhlSystem {
         let events_this_run = self.queue.events_processed() - self.events_at_mission_start;
         let wall = self.run_watch.take().map_or(0.0, |w| w.elapsed_secs());
         self.metrics.add(self.handles.events, events_this_run);
+        let published = self.published().into_iter().zip(self.handles.published);
+        for (tally, id) in published.filter_map(|((_, tally), id)| Some((tally?, id))) {
+            self.metrics.store(id, tally);
+        }
         // Engine-level throughput accounting: the lifetime pop count (the
         // counter survives checkpoint/resume with the queue) plus the
         // events/sec the snapshot derives from it — see
@@ -1856,24 +1856,89 @@ mod metrics_tests {
         assert_eq!(report.deliveries, 4);
     }
 
+    /// Every counter the simulator keeps a report tally for reads that
+    /// tally in the snapshot. One cart with M.2 connectors (250 rated
+    /// matings) makes ~180 round trips with every fault at 20 % per event,
+    /// unprotected SSDs that lose ~17 % of payloads in flight and
+    /// intermittent corruption behind 28+4 parity; a shard then runs out
+    /// of its 3 attempts, so the losses outnumber the redeliveries by one.
+    /// The seed is one where all 13 tallies differ, so a counter that
+    /// publishes another's tally fails too.
     #[test]
     fn fault_metrics_mirror_reliability_counters() {
-        let mut cfg = SimConfig::paper_default();
+        use crate::config::{
+            CartStallSpec, ConnectorFaultSpec, DockControllerFaultSpec, IntegritySpec,
+            ReliabilitySpec, RepressurisationSpec,
+        };
+        use dhl_storage::connectors::ConnectorKind;
+        use dhl_storage::failure::{FailureModel, RaidConfig};
+        use dhl_storage::integrity::CorruptionModel;
+
+        let seed = 63;
+        let mut cfg = SimConfig::paper_serial();
+        cfg.dock_time = Seconds::new(80_000.0);
+        cfg.reliability = Some(ReliabilitySpec {
+            failure: FailureModel::new(0.9),
+            raid: RaidConfig::none(32),
+            ssds_per_cart: 32,
+            seed,
+        });
         cfg.faults = Some(FaultSpec {
-            cart_stall: Some(crate::config::CartStallSpec {
+            cart_stall: Some(CartStallSpec {
                 probability_per_movement: 0.2,
                 repair_time: Seconds::new(120.0),
             }),
-            ..FaultSpec::recovery_only()
+            docking_connector: Some(ConnectorFaultSpec {
+                kind: ConnectorKind::M2,
+                replacement_time: Seconds::new(60.0),
+            }),
+            repressurisation: Some(RepressurisationSpec {
+                probability_per_movement: 0.2,
+                duration: Seconds::new(120.0),
+                degraded_pressure_millibar: 100.0,
+            }),
+            dock_controller: Some(DockControllerFaultSpec {
+                crash_probability_per_docking: 0.2,
+                ..DockControllerFaultSpec::journal_replay()
+            }),
+            max_delivery_attempts: 3,
         });
-        let report = DhlSystem::new(cfg)
-            .unwrap()
-            .run_bulk_transfer(Bytes::from_petabytes(4.0))
-            .unwrap();
-        assert_eq!(
-            report.metrics.counter("sim.cart_stalls"),
-            Some(report.reliability.cart_stalls)
-        );
+        cfg.integrity = Some(IntegritySpec {
+            corruption: CorruptionModel {
+                mating_error_per_cycle: 0.02,
+                ..CorruptionModel::paper_default()
+            },
+            seed: seed ^ 0x1D7,
+            ..IntegritySpec::typical()
+        });
+        let mut sys = DhlSystem::new(cfg).unwrap();
+        let err = sys.run_bulk_transfer(Bytes::from_petabytes(40.0));
+        assert!(matches!(err, Err(SimError::DeliveryAbandoned { .. })));
+        let report = sys.finish();
+        let (rel, int) = (&report.reliability, &report.integrity);
+        let tallies = [
+            ("sim.carts_launched", report.movements),
+            ("sim.repressurisations", rel.repressurisations),
+            ("sim.cart_stalls", rel.cart_stalls),
+            ("sim.connector_replacements", rel.connector_replacements),
+            ("sim.dock_controller_crashes", rel.dock_controller_crashes),
+            ("sim.ssd_failures", report.ssd_failures),
+            ("sim.data_loss_events", report.data_loss_events),
+            ("sim.redeliveries", rel.redeliveries),
+            ("sim.shards_scanned", int.shards_scanned),
+            ("sim.deliveries_verified", int.deliveries_verified),
+            ("sim.shards_corrupted", int.shards_corrupted),
+            ("sim.shards_reconstructed", int.shards_reconstructed),
+            ("sim.deliveries_reshipped", int.deliveries_reshipped),
+        ];
+        let mut distinct: Vec<u64> = tallies.iter().map(|&(_, tally)| tally).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), tallies.len(), "{tallies:?}");
+        for (name, tally) in tallies {
+            assert!(tally > 0, "{name} never fired");
+            assert_eq!(report.metrics.counter(name), Some(tally), "{name}");
+        }
     }
 }
 

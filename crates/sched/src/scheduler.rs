@@ -605,10 +605,12 @@ impl Scheduler {
         self.queue
             .sort_unstable_by(|a, b| key(a).partial_cmp(&key(b)).unwrap_or(Ordering::Equal));
 
-        // Register known downtime windows so departures (and clients asking
-        // the tracker) can route around them.
-        for &(from, to) in downtime {
-            self.availability.record_track_downtime(from, to);
+        // Register the known downtime windows once, so departures (and
+        // clients asking the tracker) can route around them.
+        if self.availability.downtime_windows().is_empty() {
+            for &(from, to) in downtime {
+                self.availability.record_track_downtime(from, to);
+            }
         }
         let policy = self.policy;
         let Self {
@@ -759,7 +761,6 @@ impl Scheduler {
                         let admitted_via_shed = if spec.policy == OverloadPolicy::ShedLowestPriority
                         {
                             if let Some(victim) = pending.shed_victim(req.priority) {
-                                report.shed += 1;
                                 report.shed_ids.push(victim.id);
                                 if let Some(victim) =
                                     tenants.get_mut(u64::from(victim.req.tenant.0))
@@ -1046,6 +1047,7 @@ impl Scheduler {
         metrics.set(handles.makespan_s, makespan.seconds());
         metrics.set(handles.track_utilisation, track_utilisation);
         if OPEN {
+            report.shed = report.shed_ids.len() as u64;
             report.goodput_bytes_per_s = if makespan.seconds() > 0.0 {
                 report.delivered_bytes / makespan.seconds()
             } else {
@@ -1502,6 +1504,24 @@ mod tests {
             sched.availability().total_track_downtime(),
             Seconds::new(100.0)
         );
+    }
+
+    #[test]
+    fn downtime_windows_are_recorded_once_over_many_runs() {
+        let placement = Placement::new(Bytes::from_terabytes(256.0));
+        let mut sched = Scheduler::new(SimConfig::paper_default(), placement)
+            .unwrap()
+            .with_faults(FaultAwareness {
+                loss_probability: 0.0,
+                max_attempts: 1,
+                seed: 0,
+                downtime: vec![(Seconds::ZERO, Seconds::new(50.0))],
+            });
+        for _ in 0..3 {
+            sched.try_run().expect("nothing to refuse");
+        }
+        let windows = sched.availability().downtime_windows();
+        assert_eq!(windows, [(0.0, 50.0)]);
     }
 
     #[test]

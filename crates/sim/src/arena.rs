@@ -33,7 +33,6 @@ pub(crate) struct CartArena {
     at_library: usize,
     /// In-flight movement (valid while moving).
     pub(crate) movements: Vec<Option<ActiveMovement>>,
-    pub(crate) trips: Vec<u64>,
     /// The cart's docking connector, tracked when connector faults are on.
     pub(crate) connectors: Vec<Option<DockingConnector>>,
     /// NAND wear from restaging writes, tracked when integrity is on.
@@ -58,7 +57,6 @@ impl CartArena {
             locations: vec![CartLocation::Docked(0); count],
             at_library: count,
             movements: vec![None; count],
-            trips: vec![0; count],
             connectors: vec![connector; count],
             wear: vec![wear; count],
             matings: vec![0; count],
@@ -107,7 +105,6 @@ mod tests {
             .iter()
             .all(|l| *l == CartLocation::Docked(0)));
         assert!(arena.movements.iter().all(Option::is_none));
-        assert_eq!(arena.trips, vec![0, 0, 0]);
         assert!(arena.all_at_library());
     }
 

@@ -491,11 +491,11 @@ tuple_codec!(2: (A 0, B 1), 3: (A 0, B 1, C 2), 5: (A 0, B 1, C 2, D 3, E 4));
 
 /// Implements [`Codec`] for a struct with named fields, encoded as a JSON
 /// object keyed by field name. A field written `name: null => value` reads
-/// a JSON `null` as `value`: an `f64` field's infinities travel as `null`,
-/// since JSON has none. Reading builds `Self { .. }` from the list, so a
-/// field left out does not compile.
+/// a JSON `null` as `value` (an `f64`'s infinities; JSON has none). Fields
+/// in a trailing `derived { .. }` list are never written and read as their
+/// `Default`. Reading builds `Self { .. }`, so a field left out fails to compile.
 macro_rules! codec_struct {
-    ($ty:ty { $($field:ident $(: null => $null:expr)?),* $(,)? }) => {
+    ($ty:ty { $($field:ident $(: null => $null:expr)?),* $(,)? } $(derived { $($derived:ident),* })?) => {
         impl $crate::codec::Codec for $ty {
             fn write(&self, out: &mut String) {
                 $crate::codec::write_object!(
@@ -515,7 +515,7 @@ macro_rules! codec_struct {
                     r,
                     (&[], false),
                     [$($field $(: null => $null)?),*],
-                    Self { $($field),* }
+                    Self { $($field,)* $($($derived: Default::default(),)*)? }
                 )
             }
         }

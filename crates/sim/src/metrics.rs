@@ -11,7 +11,7 @@ use crate::system::DhlSystem;
 type Tally = fn(&DhlSystem) -> u64;
 
 /// The counters kept once, as report tallies the event loop bumps:
-/// `finish` and `checkpoint` publish them.
+/// `finish` publishes them, and a checkpoint leaves them out.
 #[rustfmt::skip]
 pub(crate) const PUBLISHED: [(&str, Tally); 13] = [
     ("sim.carts_launched", |s| s.movements),
@@ -28,6 +28,11 @@ pub(crate) const PUBLISHED: [(&str, Tally); 13] = [
     ("sim.shards_reconstructed", |s| s.counters.shards_reconstructed),
     ("sim.deliveries_reshipped", |s| s.counters.deliveries_reshipped),
 ];
+
+/// Whether `name` is one of the [`PUBLISHED`] counters.
+pub(crate) fn is_published(name: &str) -> bool {
+    PUBLISHED.iter().any(|&(p, _)| p == name)
+}
 
 /// Handles for every metric the simulator records.
 #[derive(Copy, Clone, Debug)]

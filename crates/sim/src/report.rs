@@ -46,11 +46,7 @@ pub struct BulkTransferReport {
     /// `SimConfig::faults` is `None`).
     pub reliability: ReliabilityReport,
     /// Verify-on-dock and reconstruction accounting (all zeros when
-    /// `SimConfig::integrity` is `None`). Excluded from `PartialEq`, same
-    /// pattern as [`metrics`]: the simulation outcome fields above already
-    /// capture everything integrity changes about the run.
-    ///
-    /// [`metrics`]: BulkTransferReport::metrics
+    /// `SimConfig::integrity` is `None`).
     pub integrity: IntegrityReport,
     /// Observability snapshot from the simulator's [`dhl_obs`] registry:
     /// deterministic event/launch/retry counters plus wall-clock pacing
@@ -74,6 +70,7 @@ impl PartialEq for BulkTransferReport {
             && self.ssd_failures == other.ssd_failures
             && self.data_loss_events == other.data_loss_events
             && self.reliability == other.reliability
+            && self.integrity == other.integrity
     }
 }
 
@@ -208,15 +205,14 @@ mod tests {
     }
 
     #[test]
-    fn integrity_is_excluded_from_report_equality() {
+    fn integrity_is_part_of_report_equality() {
         let a = sample();
         let mut b = sample();
         b.integrity.shards_scanned = 128;
-        b.integrity.verification_time = Seconds::new(4_000.0);
-        assert_eq!(
-            a, b,
-            "integrity accounting must not affect outcome equality"
-        );
+        assert_ne!(a, b, "a lost verify counter must show");
+        let mut c = sample();
+        c.integrity.verification_time = Seconds::new(4_000.0);
+        assert_ne!(a, c);
     }
 
     #[test]

@@ -47,6 +47,9 @@ pub type CartId = usize;
 /// Index of an endpoint along the track.
 pub type EndpointId = usize;
 
+/// Events a run may process before it is deemed a runaway.
+const EVENT_BUDGET: u64 = 50_000_000;
+
 /// Travel direction relative to the library.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Direction {
@@ -116,16 +119,19 @@ pub(crate) struct PendingVerify {
     pub(crate) shards: u64,
 }
 
-#[derive(Clone, PartialEq, Debug, Default)]
+/// One track's state. `direction`, `in_flight` and `blocked_by` say what
+/// the carts moving on it say, so a checkpoint leaves them out and a resume
+/// counts them from the fleet.
+#[derive(Copy, Clone, PartialEq, Debug, Default)]
 pub(crate) struct TrackState {
     pub(crate) direction: Option<Direction>,
     pub(crate) in_flight: u32,
     pub(crate) last_launch: f64,
     pub(crate) busy_accum: f64,
     pub(crate) last_update: f64,
-    /// Cart currently stalled on this track, blocking further launches.
+    /// Cart currently stalled on this track, blocking further launches
+    /// since `last_launch`: no launch leaves a blocked track.
     pub(crate) blocked_by: Option<CartId>,
-    pub(crate) blocked_since: f64,
     pub(crate) downtime_accum: f64,
     /// Repressurisation: launches before this time are speed-limited.
     pub(crate) degraded_until: f64,
@@ -385,11 +391,11 @@ pub struct DhlSystem {
     /// fresh demand so retries keep their place in the mission.
     pub(crate) redelivery_queue: VecDeque<Redelivery>,
     pub(crate) mission: Mission,
+    /// Whether an `Ev::TryLaunch` is pending.
     pub(crate) wakeup_scheduled: bool,
     pub(crate) total_energy: Joules,
     pub(crate) movements: u64,
     pub(crate) max_in_flight: u32,
-    pub(crate) event_budget: u64,
     pub(crate) trace: TraceSink,
     pub(crate) reliability_rng: Option<DeterministicRng>,
     /// Independent stream for physical fault sampling (stalls, leaks), so
@@ -492,7 +498,6 @@ impl DhlSystem {
             total_energy: Joules::ZERO,
             movements: 0,
             max_in_flight: 0,
-            event_budget: 50_000_000,
             reliability_rng,
             fault_rng,
             integrity_rng,
@@ -515,18 +520,6 @@ impl DhlSystem {
     #[must_use]
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Each published counter's tally, once non-zero, or at 0 for SSD
-    /// failures once a loaded docking sampled them (`sim.deliveries` shows).
-    pub(crate) fn published(&self) -> [(&'static str, Option<u64>); PUBLISHED.len()] {
-        let sampled = self.cfg.reliability.is_some()
-            && self.metrics.counter(self.handles.deliveries).is_some();
-        PUBLISHED.map(|(name, tally)| {
-            let tally = tally(self);
-            let shown = tally > 0 || (sampled && name == "sim.ssd_failures");
-            (name, shown.then_some(tally))
-        })
     }
 
     /// Enables or disables metric recording (clears recorded metrics).
@@ -676,7 +669,6 @@ impl DhlSystem {
             // from the moment it departs; carts already ahead are unaffected.
             self.counters.cart_stalls += 1;
             track.blocked_by = Some(m.cart);
-            track.blocked_since = now;
         }
         self.max_in_flight = self.max_in_flight.max(self.total_in_flight());
 
@@ -707,7 +699,6 @@ impl DhlSystem {
             cost,
             stalled,
         });
-        self.carts.trips[m.cart] += 1;
 
         self.queue
             .schedule(self.cfg.undock_time, Ev::UndockDone { cart: m.cart });
@@ -905,9 +896,9 @@ impl DhlSystem {
                 if track.in_flight == 0 {
                     track.direction = None;
                 }
-                if m.stalled && track.blocked_by == Some(cart) {
+                if m.stalled {
                     track.blocked_by = None;
-                    track.downtime_accum += now - track.blocked_since;
+                    track.downtime_accum += now - track.last_launch;
                     self.record(TraceEventKind::TrackRestored { track: idx });
                 }
                 self.carts.set_location(cart, CartLocation::Docked(m.to));
@@ -1402,7 +1393,7 @@ impl DhlSystem {
             if let Some(Abandoned { endpoint, attempts }) = self.abandoned {
                 return Err(SimError::DeliveryAbandoned { endpoint, attempts });
             }
-            if self.queue.events_processed() > self.event_budget {
+            if self.queue.events_processed() > EVENT_BUDGET {
                 return Err(SimError::EventBudgetExhausted {
                     events: self.queue.events_processed(),
                 });
@@ -1420,9 +1411,15 @@ impl DhlSystem {
         let events_this_run = self.queue.events_processed() - self.events_at_mission_start;
         let wall = self.run_watch.take().map_or(0.0, |w| w.elapsed_secs());
         self.metrics.add(self.handles.events, events_this_run);
-        let published = self.published().into_iter().zip(self.handles.published);
-        for (tally, id) in published.filter_map(|((_, tally), id)| Some((tally?, id))) {
-            self.metrics.store(id, tally);
+        // Each published counter shows its tally once non-zero, or at 0 for
+        // SSD failures once a loaded docking sampled them.
+        let sampled = self.cfg.reliability.is_some()
+            && self.metrics.counter(self.handles.deliveries).is_some();
+        for ((name, tally), id) in PUBLISHED.into_iter().zip(self.handles.published) {
+            let tally = tally(self);
+            if tally > 0 || (sampled && name == "sim.ssd_failures") {
+                self.metrics.store(id, tally);
+            }
         }
         // Engine-level throughput accounting: the lifetime pop count (the
         // counter survives checkpoint/resume with the queue) plus the
@@ -2642,5 +2639,148 @@ mod integrity_tests {
         );
         assert_eq!(base.ssd_failures, verified.ssd_failures);
         assert_eq!(base.deliveries, verified.deliveries);
+    }
+}
+
+/// Resume at every event: a mission is checkpointed after each event it
+/// processes, and every capture, round-tripped through JSON and resumed,
+/// must run to the report, trace and deterministic metrics of the
+/// uninterrupted run. Right after the resume, the state a checkpoint
+/// leaves out must equal the live state it was captured from.
+#[cfg(test)]
+mod resume_at_every_event {
+    use super::*;
+    use crate::checkpoint::Checkpoint;
+    use crate::config::{
+        CartStallSpec, DockControllerFaultSpec, FaultSpec, IntegritySpec, ReliabilitySpec,
+    };
+
+    /// Counters, gauges that do not read the wall clock, and histograms.
+    type Deterministic = (
+        Vec<(String, u64)>,
+        Vec<(String, f64)>,
+        Vec<dhl_obs::HistogramSummary>,
+    );
+
+    fn deterministic(r: &BulkTransferReport) -> Deterministic {
+        let m = &r.metrics;
+        let gauges = m.gauges.iter().filter(|(n, _)| !n.contains("wall"));
+        (
+            m.counters.clone(),
+            gauges.cloned().collect(),
+            m.histograms.clone(),
+        )
+    }
+
+    fn finish(sys: &mut DhlSystem) -> (BulkTransferReport, Option<Trace>, Deterministic) {
+        assert!(sys.run_until(Seconds::new(f64::INFINITY)).expect("run"));
+        let report = sys.finish();
+        let metrics = deterministic(&report);
+        (report, sys.take_trace(), metrics)
+    }
+
+    /// Stalls at 0.1 per movement and dock-controller crashes at 0.2 per
+    /// docking, with reliability and integrity on.
+    fn stressed(dual_track: bool) -> SimConfig {
+        let faults = FaultSpec::stress();
+        SimConfig {
+            dual_track,
+            reliability: Some(ReliabilitySpec {
+                seed: 7,
+                ..ReliabilitySpec::typical()
+            }),
+            faults: Some(FaultSpec {
+                cart_stall: Some(CartStallSpec {
+                    probability_per_movement: 0.1,
+                    ..faults.cart_stall.expect("stress stalls carts")
+                }),
+                dock_controller: Some(DockControllerFaultSpec {
+                    crash_probability_per_docking: 0.2,
+                    ..DockControllerFaultSpec::journal_replay()
+                }),
+                ..faults
+            }),
+            integrity: Some(IntegritySpec::typical()),
+            ..SimConfig::paper_default()
+        }
+    }
+
+    /// Runs `cfg` over `pb` petabytes, checkpointing after every event;
+    /// returns the number of events and of stalls.
+    fn resume_after_every_event(cfg: &SimConfig, pb: f64) -> (u64, u64) {
+        let begun = || {
+            let mut sys = DhlSystem::new(cfg.clone()).expect("valid configuration");
+            sys.enable_trace(1 << 12);
+            sys.begin_bulk_transfer(Bytes::from_petabytes(pb))
+                .expect("begin");
+            sys
+        };
+        let clean = finish(&mut begun());
+        let mut sys = begun();
+        loop {
+            let text = sys.checkpoint().to_json();
+            let cp = Checkpoint::from_json(&text).expect("decode");
+            let mut resumed = DhlSystem::resume(cfg.clone(), &cp).expect("resume");
+            let at = sys.queue.events_processed();
+            assert_eq!(resumed.tracks, sys.tracks, "tracks after event {at}");
+            assert_eq!(resumed.dock_used, sys.dock_used, "docks after event {at}");
+            assert_eq!(
+                resumed.wakeup_scheduled, sys.wakeup_scheduled,
+                "wakeup after event {at}"
+            );
+            assert!(finish(&mut resumed) == clean, "resumed after event {at}");
+            let Some((_, ev)) = sys.queue.pop_at_or_before(Seconds::new(f64::INFINITY)) else {
+                break;
+            };
+            sys.handle(ev);
+            assert!(sys.abandoned.is_none());
+        }
+        (sys.queue.events_processed(), sys.counters.cart_stalls)
+    }
+
+    #[test]
+    fn paper_default() {
+        let (events, _) = resume_after_every_event(&SimConfig::paper_default(), 8.0);
+        assert!(events > 200, "{events} events");
+    }
+
+    #[test]
+    fn paper_serial() {
+        let (events, _) = resume_after_every_event(&SimConfig::paper_serial(), 4.0);
+        assert!(events > 100, "{events} events");
+    }
+
+    #[test]
+    fn dual_track() {
+        let cfg = SimConfig {
+            dual_track: true,
+            ..SimConfig::paper_default()
+        };
+        let (events, _) = resume_after_every_event(&cfg, 8.0);
+        assert!(events > 200, "{events} events");
+    }
+
+    #[test]
+    fn stressed_single_track() {
+        let (_, stalls) = resume_after_every_event(&stressed(false), 12.0);
+        assert!(stalls > 0, "no cart stalled");
+    }
+
+    #[test]
+    fn stressed_dual_track() {
+        let (_, stalls) = resume_after_every_event(&stressed(true), 12.0);
+        assert!(stalls > 0, "no cart stalled");
+    }
+
+    #[test]
+    fn dock_slower_than_the_undock() {
+        let cfg = SimConfig {
+            dock_time: Seconds::new(5.0),
+            undock_time: Seconds::new(3.0),
+            ..SimConfig::paper_default()
+        };
+        assert!(!cfg.undock_ends_headway());
+        let (events, _) = resume_after_every_event(&cfg, 8.0);
+        assert!(events > 200, "{events} events");
     }
 }

@@ -19,9 +19,9 @@ use counting_alloc::allocations;
 /// Encode allocations allowed per checkpoint.
 const MAX_ENCODE_ALLOCATIONS: u64 = 8;
 /// Decode allocations allowed per checkpoint.
-const MAX_DECODE_ALLOCATIONS: u64 = 25;
+const MAX_DECODE_ALLOCATIONS: u64 = 21;
 /// Resume allocations allowed per checkpoint.
-const MAX_RESUME_ALLOCATIONS: u64 = 72;
+const MAX_RESUME_ALLOCATIONS: u64 = 70;
 
 /// A library and 16 racks 300 m apart, 128 carts and 64 PB owed per rack.
 fn campus() -> (SimConfig, Vec<(usize, Bytes)>) {

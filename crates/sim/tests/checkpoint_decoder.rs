@@ -18,8 +18,9 @@
 //! syntax error with its offset and message, or a shape error with its
 //! message) is hashed, as are the messages of the deleted-key and
 //! retyped-scalar refusals. The mutation sweep resumes every single-digit
-//! mutation of a stressed capture and runs it to the end: each must be
-//! refused with a typed error or complete, never panic.
+//! mutation of two stressed captures, one with carts in motion, and runs it
+//! to the end: each must be refused with a typed error or complete, never
+//! panic.
 
 mod json_dom;
 
@@ -160,7 +161,7 @@ fn every_deleted_key_is_refused() {
     }
     // The capture must be rich enough to exercise the nested decoders:
     // carts in motion, trace events, histograms and fault counters.
-    assert!(deletions > 200, "only {deletions} keys deleted");
+    assert!(deletions > 192, "only {deletions} keys deleted");
 }
 
 #[test]
@@ -178,7 +179,7 @@ fn every_retyped_scalar_is_refused() {
         assert_refused(&damaged, &format!("retyping {path:?}"));
         retypes += 1;
     }
-    assert!(retypes > 250, "only {retypes} scalars retyped");
+    assert!(retypes > 231, "only {retypes} scalars retyped");
 }
 
 /// What `Checkpoint::from_json` made of `text`, as one line.
@@ -197,10 +198,10 @@ fn outcome(text: &str) -> String {
 const SUBSTITUTES: &[u8; 8] = b"09.e-x\"}";
 
 /// FNV-1a over the outcome of every damaged document of the sweep.
-const DAMAGE_SWEEP_HASH: u64 = 0x9ddc_0f10_b97a_6ef7;
+const DAMAGE_SWEEP_HASH: u64 = 0x2b3d_e290_a229_f7c1;
 
 /// FNV-1a over the messages of the deleted-key and retyped-scalar refusals.
-const REFUSAL_MESSAGES_HASH: u64 = 0x47e7_e4a7_baed_ce1a;
+const REFUSAL_MESSAGES_HASH: u64 = 0x1c6d_f41c_f4bb_1043;
 
 #[test]
 fn damage_sweep_outcomes_match_their_pinned_hash() {
@@ -312,9 +313,10 @@ fn reordered_keys_and_whitespace_decode_to_an_equal_checkpoint() {
     assert_eq!(cp.to_json(), text);
 }
 
-/// The stressed capture the mutation sweep damages: reliability, fault
-/// injection, integrity verification and a trace, 30 s into the mission.
-fn stressed_capture() -> (SimConfig, String) {
+/// A stressed capture the mutation sweep damages: reliability, fault
+/// injection, integrity verification and a trace, `at` seconds into the
+/// mission.
+fn stressed_capture(at: f64) -> (SimConfig, String) {
     let mut cfg = SimConfig::paper_default();
     cfg.reliability = Some(ReliabilitySpec {
         seed: 7,
@@ -326,7 +328,7 @@ fn stressed_capture() -> (SimConfig, String) {
     sys.enable_trace(64);
     sys.begin_bulk_transfer(Bytes::from_petabytes(2.0))
         .expect("begin");
-    let _ = sys.run_until(Seconds::new(30.0)).expect("run");
+    let _ = sys.run_until(Seconds::new(at)).expect("run");
     (cfg, sys.checkpoint().to_json())
 }
 
@@ -348,9 +350,21 @@ fn resume_to_the_end(cfg: &SimConfig, text: &str) -> bool {
     }
 }
 
+/// At 30 s every cart is docked; at 12 s two are in motion.
 #[test]
 fn every_digit_mutation_is_refused_or_runs_to_the_end() {
-    let (cfg, text) = stressed_capture();
+    for (at, moving) in [(30.0, 0), (12.0, 2)] {
+        sweep_digit_mutations(at, moving);
+    }
+}
+
+fn sweep_digit_mutations(at: f64, moving: usize) {
+    let (cfg, text) = stressed_capture(at);
+    let doc = json_dom::parse(&text).expect("checkpoint JSON parses");
+    let movements = doc.get("carts").and_then(|c| c.get("movements"));
+    let entries = movements.and_then(JsonValue::as_array).expect("column");
+    let in_motion = entries.iter().filter(|m| **m != JsonValue::Null).count();
+    assert_eq!(in_motion, moving, "carts in motion at {at} s");
     let (mut completed, mut refused, mut panicked) = (0, 0, Vec::new());
     let mut bytes = text.clone().into_bytes();
     for i in 0..bytes.len() {
@@ -372,11 +386,11 @@ fn every_digit_mutation_is_refused_or_runs_to_the_end() {
     let mutations = completed + refused + panicked.len();
     assert!(
         panicked.is_empty(),
-        "{mutations} mutations: {completed} completed, {refused} refused, \
+        "{mutations} mutations at {at} s: {completed} completed, {refused} refused, \
          panics at (byte offset, digit) {panicked:?}"
     );
     assert!(mutations > 2_000, "only {mutations} digits mutated");
-    eprintln!("{mutations} mutations: {completed} completed, {refused} refused");
+    eprintln!("{mutations} mutations at {at} s: {completed} completed, {refused} refused");
 }
 
 #[test]
@@ -448,8 +462,8 @@ fn repeated_keys_are_refused() {
     for (damaged, message) in [
         (insert("\"abandoned\"", "\"now\":1,"), "repeated key `now`"),
         (
-            insert("\"connector_cycles\"", "\"trips\":[],"),
-            "`carts`: repeated key `trips`",
+            insert("\"connector_cycles\"", "\"matings\":[],"),
+            "`carts`: repeated key `matings`",
         ),
         (
             insert("\"cart\":0,\"t\":\"verify_done\"", "\"t\":\"arrived\","),

@@ -41,13 +41,13 @@ const CONFIGS: [&str; 7] = [
 /// One row per entry of `CONFIGS`, one column per entry of `CAPTURE_AT`.
 #[rustfmt::skip]
 const GOLDEN: [[u64; 5]; 7] = [
-    [0x73ff4bab445891d5, 0x36920f2b62f50043, 0x22194f6dbc74d2f2, 0x81aa0b8e62c4ce86, 0xc81a6269ea47e4c6],
-    [0x4f36a880c8939892, 0xc50bf89a2836f373, 0x503091466afd95af, 0xf96add13d5fe5b14, 0xe57816a52e70e13e],
-    [0xe0585581d741423c, 0xfdf366f4fe314e45, 0xfa99256eb4ac6465, 0xccb9291d93268bd3, 0xdcb1389a230ee373],
-    [0x70bea4ae1411ab6c, 0xc7bd611754c5a197, 0x40e78261579707b4, 0xdaa8130da81b4342, 0xe4be66815ab959e4],
-    [0x122004bacafafcce, 0x5e23754fc7a8a761, 0x1784b0d3260ff5a5, 0xdf3c77ed335739bc, 0x0910331467a9ba8a],
-    [0xbfc97035770bd427, 0xa72e7a70215e9b17, 0x7689e452765d5faf, 0xd1eac2353547b7ec, 0x3da12656d3fa8810],
-    [0x200ad412b6ed94e4, 0x205f140d58780ebb, 0x126e687327aa8359, 0x455590d36cad66e4, 0xf6a872750beda005],
+    [0x9b645f0bbda338a0, 0x0fb0a3cdafc219d6, 0xb87c05e45a123405, 0x370644b0529a17a9, 0x54fc4cd80fcd46e9],
+    [0xd7a3898905254101, 0x5f826480fca351d7, 0x69aa31f05ba7af47, 0x35cce489e94b71be, 0xe6d6d255be890f94],
+    [0x23a858741c5dc1e5, 0x04e6b81ff76a1f39, 0xb27c0b918838503e, 0x29199e4622c7f2a0, 0x1d7ce6cd826bed73],
+    [0x4cb8a60a0023916f, 0x4a082e8f43e12109, 0x0bc98c4f55445472, 0x26ddb11b20bbf5dd, 0x23dd2f5d60b05c9a],
+    [0x39e3bac40fb7a213, 0xb424ad843a265318, 0x8ea48a7694f56db5, 0xce5d21eb023743f7, 0x48fdd068e00ddfbf],
+    [0xba2d3fa968b77f56, 0xce40f49e86cf0de0, 0xd91bb1f116d30a3c, 0xf5f20ef0b96f90d3, 0xde90c1c3ab04b14f],
+    [0xc244a412ea8a836d, 0x7370f6de8de56893, 0x471bb7b30dd84122, 0x03db996736bccf41, 0xe2755fe2653feab3],
 ];
 
 /// Arrivals drawn before each `ArrivalState` capture.

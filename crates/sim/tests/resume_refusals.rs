@@ -1,8 +1,9 @@
-//! Refusals of the version-3 checkpoint layout.
+//! Refusals of the version-4 checkpoint layout.
 //!
-//! A version-2 document (one object per cart and per pending launch) is
-//! refused by its version, and a resume refuses a hop that does not touch
-//! the library: the simulator's movement table holds only library hops.
+//! A version-2 document (one object per cart and per pending launch) and a
+//! version-3 one are refused by their version, and a resume refuses a hop
+//! that does not touch the library: the simulator's movement table holds
+//! only library hops.
 
 mod json_dom;
 
@@ -74,7 +75,6 @@ fn as_version_2(text: &str) -> String {
                 ("location", location),
                 ("matings", column("matings", i)),
                 ("movement", column("movements", i)),
-                ("trips", column("trips", i)),
                 ("verify", column("verify", i)),
                 ("wear_written", column("wear_written", i)),
             ])
@@ -109,11 +109,13 @@ fn a_version_2_document_is_refused_by_its_version() {
     let old = as_version_2(&text);
     assert!(old.contains("\"location\":{\"endpoint\":0,\"t\":\"docked\"}"));
     assert!(old.contains("\"pending\":[{\"attempt\":1,\"cart\":"));
-    let relabelled = text.replace("\"version\":3", "\"version\":2");
-    for doc in [old, relabelled] {
+    let relabelled =
+        |version: u64| text.replace("\"version\":4", &format!("\"version\":{version}"));
+    for (doc, version) in [(old, 2), (relabelled(2), 2), (relabelled(3), 3)] {
         match Checkpoint::from_json(&doc) {
             Err(CheckpointError::Shape(msg)) => {
-                assert_eq!(msg, "unsupported checkpoint version 2 (expected 3)");
+                let expected = format!("unsupported checkpoint version {version} (expected 4)");
+                assert_eq!(msg, expected);
             }
             other => panic!("expected a version refusal, got {other:?}"),
         }

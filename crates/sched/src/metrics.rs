@@ -59,6 +59,8 @@ impl SchedMetrics {
     /// Interns every scheduler metric in `registry` and returns the handle
     /// bundle.
     pub fn register(registry: &mut MetricsRegistry) -> Self {
+        // The counters, gauges and histograms listed below.
+        registry.reserve(ADMISSION.len() + PER_REQUEST.len(), 6, 3);
         Self {
             admission: ADMISSION.map(|(name, _)| registry.register_counter(name)),
             per_request: PER_REQUEST.map(|(name, _)| registry.register_counter(name)),

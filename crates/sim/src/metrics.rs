@@ -63,6 +63,8 @@ impl SimMetrics {
     /// bundle. Call again after swapping the registry out — handles are
     /// only valid for the registry (or clones of it) that issued them.
     pub fn register(registry: &mut MetricsRegistry) -> Self {
+        // The counters, gauges and histograms listed below.
+        registry.reserve(PUBLISHED.len() + 5, 4, 5);
         Self {
             published: PUBLISHED.map(|(name, _)| registry.register_counter(name)),
             deliveries: registry.register_counter("sim.deliveries"),

@@ -10,7 +10,8 @@
 //!
 //! [`Counted`] wraps a collection so that every element access is reported
 //! to a [`Tally`]: a crate keeps its hot storage behind it and counts, in
-//! its own unit tests, the elements a whole run reaches.
+//! its own unit tests, the elements a whole run reaches. [`CountedRng`]
+//! does the same for the words a sampler draws from a generator.
 //!
 //! # Examples
 //!
@@ -256,6 +257,33 @@ impl<K: Ord, V: Copy, T: Tally> Counted<BTreeMap<K, V>, T> {
     #[inline]
     pub fn last(&self) -> Option<V> {
         self.iter().next_back().map(|(_, &v)| v)
+    }
+}
+
+/// A generator that counts the 64-bit words drawn through it, so a test
+/// can pin exactly how much randomness a sampler reads.
+#[derive(Clone, Debug)]
+pub struct CountedRng<R> {
+    inner: R,
+    words: u64,
+}
+
+impl<R: Rng> CountedRng<R> {
+    /// Wraps `inner`, with no words drawn yet.
+    pub fn new(inner: R) -> Self {
+        Self { inner, words: 0 }
+    }
+
+    /// The words drawn so far.
+    pub fn words(&self) -> u64 {
+        self.words
+    }
+}
+
+impl<R: Rng> Rng for CountedRng<R> {
+    fn next_u64(&mut self) -> u64 {
+        self.words += 1;
+        self.inner.next_u64()
     }
 }
 

@@ -59,7 +59,7 @@ use crate::metrics::is_published;
 use crate::movement::MovementCost;
 use crate::system::{
     Abandoned, ActiveMovement, CartId, CartLocation, Counters, DhlSystem, Direction, EndpointId,
-    Ev, Mission, Movement, PendingVerify, RackDemand, Redelivery, SimError, TrackState,
+    Ev, Mission, Movement, PendingVerify, RackDemand, Redelivery, RunState, SimError, TrackState,
 };
 use crate::trace::{Trace, TraceEvent, TraceEventKind, TraceSink};
 
@@ -331,16 +331,24 @@ impl DhlSystem {
             None => MetricsRegistry::disabled(),
             Some(_) => MetricsRegistry::enabled(),
         };
-        let mut sys = Self::assemble(cfg, carts, dock_used, &cp.pending, metrics);
-        sys.fingerprint = OnceLock::from(actual);
-        sys.queue = EventQueue::from_entries(
+        let mut queue = EventQueue::from_entries(
             Seconds::new(cp.now),
             cp.next_seq,
             cp.events_processed,
             cp.queue.iter().map(|&(t, s, e)| (Seconds::new(t), s, e)),
         );
-        sys.queue.set_clamped(cp.events_clamped);
-        sys.tracks = tracks;
+        queue.set_clamped(cp.events_clamped);
+        let state = RunState {
+            carts,
+            dock_used,
+            queue,
+            tracks,
+            counters: cp.counters.clone(),
+            streams: [cp.reliability_rng, cp.fault_rng, cp.integrity_rng]
+                .map(|s| s.map(DeterministicRng::from_state)),
+        };
+        let mut sys = Self::assemble(cfg, state, &cp.pending, metrics);
+        sys.fingerprint = OnceLock::from(actual);
         sys.redelivery_queue = cp.redelivery_queue.iter().copied().collect();
         sys.mission = cp.mission.clone();
         sys.wakeup_scheduled = wakeup_scheduled;
@@ -353,10 +361,6 @@ impl DhlSystem {
                 TraceSink::Buffered(Trace::from_parts(t.events.clone(), t.capacity, t.dropped))
             }
         };
-        sys.reliability_rng = cp.reliability_rng.map(DeterministicRng::from_state);
-        sys.fault_rng = cp.fault_rng.map(DeterministicRng::from_state);
-        sys.integrity_rng = cp.integrity_rng.map(DeterministicRng::from_state);
-        sys.counters = cp.counters.clone();
         sys.abandoned = cp.abandoned;
         sys.events_at_mission_start = cp.events_at_mission_start;
         sys.run_watch = cp.watch_running.then(Stopwatch::start);

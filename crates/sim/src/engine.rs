@@ -281,10 +281,14 @@ impl<E> EventQueue<E> {
         } else {
             0.0
         };
-        let mut queue = Self::new();
-        queue.now = now_s;
-        queue.seq = seq;
-        queue.processed = processed;
+        let entries = entries.into_iter();
+        let mut queue = Self {
+            run: Vec::with_capacity(entries.size_hint().0),
+            now: now_s,
+            seq,
+            processed,
+            ..Self::new()
+        };
         for (time, entry_seq, event) in entries {
             let time = queue.clamp(time);
             queue.run.push(Slot {

@@ -344,10 +344,16 @@ impl From<ConfigError> for SimError {
     }
 }
 
-fn cfg_reliability_rng(cfg: &SimConfig) -> Option<DeterministicRng> {
-    cfg.reliability
-        .as_ref()
-        .map(|r| DeterministicRng::seed_from_u64(r.seed))
+/// The run state that [`DhlSystem::assemble`] takes as given: fresh from
+/// [`DhlSystem::new`], or restored from a checkpoint by `resume`.
+pub(crate) struct RunState {
+    pub(crate) carts: CartArena,
+    pub(crate) dock_used: Vec<u32>,
+    pub(crate) queue: EventQueue<Ev>,
+    pub(crate) tracks: Vec<TrackState>,
+    pub(crate) counters: Counters,
+    /// The reliability, fault and integrity streams.
+    pub(crate) streams: [Option<DeterministicRng>; 3],
 }
 
 /// Whether endpoint `ep`, with `used` of its docks taken, has one free.
@@ -446,56 +452,65 @@ impl DhlSystem {
             .integrity
             .as_ref()
             .map(|i| CartWear::new(i.endurance.clone(), cfg.cart_capacity));
-        let carts = CartArena::with_fleet(cfg.num_carts as usize, connector, wear);
         // The fleet starts docked at the library.
         let mut dock_used = vec![0u32; cfg.endpoints.len()];
         dock_used[0] = cfg.num_carts;
-        let metrics = MetricsRegistry::enabled();
-        Ok(Self::assemble(cfg, carts, dock_used, &[], metrics))
+        let reliability_seed = cfg.reliability.as_ref().map(|r| r.seed);
+        let state = RunState {
+            carts: CartArena::with_fleet(cfg.num_carts as usize, connector, wear),
+            dock_used,
+            queue: EventQueue::new(),
+            tracks: vec![TrackState::default(); if cfg.dual_track { 2 } else { 1 }],
+            counters: Counters {
+                dock_downtime: vec![0.0; cfg.endpoints.len()],
+                ..Counters::default()
+            },
+            streams: [
+                reliability_seed.map(DeterministicRng::seed_from_u64),
+                // The fault stream is seeded independently from (but
+                // deterministically related to) the reliability seed, so
+                // fault injection never perturbs SSD-failure sampling.
+                cfg.faults.as_ref().map(|_| {
+                    let seed = reliability_seed.unwrap_or(0);
+                    DeterministicRng::seed_from_u64(seed ^ 0xFA17_1A7E_D051_C0DE)
+                }),
+                (cfg.integrity.as_ref()).map(|i| DeterministicRng::seed_from_u64(i.seed)),
+            ],
+        };
+        Ok(Self::assemble(cfg, state, &[], MetricsRegistry::enabled()))
     }
 
-    /// A system at time zero over a validated `cfg`, around the fleet, dock
-    /// occupancy, pending launches and registry that [`DhlSystem::new`] or
+    /// A system over a validated `cfg`, around the run state, pending
+    /// launches and registry that [`DhlSystem::new`] or
     /// [`DhlSystem::resume`] built for it.
     pub(crate) fn assemble(
         cfg: SimConfig,
-        carts: CartArena,
-        dock_used: Vec<u32>,
+        state: RunState,
         pending: &[Movement],
         mut metrics: MetricsRegistry,
     ) -> Self {
+        let RunState {
+            carts,
+            dock_used,
+            queue,
+            tracks,
+            counters,
+            streams: [reliability_rng, fault_rng, integrity_rng],
+        } = state;
         let dock_free = (dock_used.iter().zip(&cfg.endpoints))
             .map(|(&used, ep)| has_free_dock(ep, used))
             .collect();
         let backlog = Backlog::from_fifo(dock_free, pending);
-        let tracks = if cfg.dual_track {
-            vec![TrackState::default(), TrackState::default()]
-        } else {
-            vec![TrackState::default()]
-        };
-        let reliability_rng = cfg_reliability_rng(&cfg);
-        // The fault stream is seeded independently from (but deterministically
-        // related to) the reliability seed, so fault injection never perturbs
-        // SSD-failure sampling.
-        let fault_rng = cfg.faults.as_ref().map(|_| {
-            let seed = cfg.reliability.as_ref().map_or(0, |r| r.seed);
-            DeterministicRng::seed_from_u64(seed ^ 0xFA17_1A7E_D051_C0DE)
-        });
         let degraded_cap = cfg
             .faults
             .as_ref()
             .and_then(|f| f.repressurisation.as_ref())
             .map(|r| r.degraded_speed(cfg.max_speed, cfg.track_length()));
-        let integrity_rng = cfg
-            .integrity
-            .as_ref()
-            .map(|i| DeterministicRng::seed_from_u64(i.seed));
-        let dock_downtime = vec![0.0; cfg.endpoints.len()];
         let costs = MovementTable::build(&cfg, degraded_cap);
         let handles = SimMetrics::register(&mut metrics);
         Self {
             cfg,
-            queue: EventQueue::new(),
+            queue,
             carts,
             costs,
             dock_used,
@@ -511,10 +526,7 @@ impl DhlSystem {
             fault_rng,
             integrity_rng,
             trace: TraceSink::Disabled,
-            counters: Counters {
-                dock_downtime,
-                ..Counters::default()
-            },
+            counters,
             abandoned: None,
             events_at_mission_start: 0,
             run_watch: None,
@@ -1872,7 +1884,7 @@ mod metrics_tests {
         use dhl_storage::failure::{FailureModel, RaidConfig};
         use dhl_storage::integrity::CorruptionModel;
 
-        let seed = 63;
+        let seed = 804;
         let mut cfg = SimConfig::paper_serial();
         cfg.dock_time = Seconds::new(80_000.0);
         cfg.reliability = Some(ReliabilitySpec {
@@ -1964,8 +1976,8 @@ mod reliability_tests {
     fn hostile_reliability_reports_losses() {
         let mut cfg = SimConfig::paper_serial();
         // ~10 M s of exposure per loaded trip: at AFR 0.9 each SSD fails
-        // with p ≈ 0.52, so 64 draws make zero failures astronomically
-        // unlikely.
+        // with p ≈ 0.52, so zero failures over 2 loaded trips of 32 SSDs
+        // is astronomically unlikely.
         cfg.dock_time = Seconds::new(5_000_000.0);
         cfg.reliability = Some(ReliabilitySpec {
             failure: FailureModel::new(0.9),
@@ -2043,6 +2055,65 @@ mod reliability_tests {
         // All 4 SSDs on both loaded trips fail; the 2 empty returns add none.
         assert_eq!(report.ssd_failures, 8);
         assert_eq!(report.data_loss_events, 2);
+    }
+
+    /// Words `now` has drawn since `start`, by replaying the stream.
+    fn words_drawn(start: &DeterministicRng, now: &DeterministicRng) -> u64 {
+        let mut replay = start.clone();
+        let mut words = 0;
+        while replay != *now {
+            replay.next_u64();
+            words += 1;
+            assert!(words < 1 << 24, "the streams never meet");
+        }
+        words
+    }
+
+    /// The SSD and shard counts of a cart are each one binomial draw: over
+    /// a fault-injected mission with losses, redeliveries and corruption,
+    /// the reliability stream reads one word per loaded trip and the
+    /// integrity stream one per scrub.
+    #[test]
+    fn each_cart_draws_one_word_for_its_ssds_and_one_for_its_shards() {
+        use crate::config::{FaultSpec, IntegritySpec};
+        use dhl_storage::integrity::CorruptionModel;
+        let mut cfg = SimConfig::paper_default();
+        cfg.dock_time = Seconds::new(200_000.0);
+        cfg.reliability = Some(ReliabilitySpec {
+            failure: FailureModel::new(0.5),
+            raid: RaidConfig::none(32),
+            ssds_per_cart: 32,
+            seed: 5,
+        });
+        cfg.faults = Some(FaultSpec {
+            max_delivery_attempts: 16,
+            ..FaultSpec::stress()
+        });
+        cfg.integrity = Some(IntegritySpec {
+            corruption: CorruptionModel {
+                mating_error_per_cycle: 0.02,
+                ..CorruptionModel::paper_default()
+            },
+            ..IntegritySpec::typical()
+        });
+        let start = DhlSystem::new(cfg.clone()).unwrap();
+        let mut sys = DhlSystem::new(cfg).unwrap();
+        let report = sys.run_bulk_transfer(Bytes::from_petabytes(8.0)).unwrap();
+        let streams =
+            |s: &DhlSystem| [&s.reliability_rng, &s.integrity_rng].map(|r| r.clone().unwrap());
+        let [rel_start, int_start] = streams(&start);
+        let [rel_now, int_now] = streams(&sys);
+        let drawn = (
+            words_drawn(&rel_start, &rel_now),
+            words_drawn(&int_start, &int_now),
+        );
+        // 44 loaded trips (12 lost and redelivered) and 32 scrubs: one
+        // word each, where a draw per SSD and per shard read 32 × 44 and
+        // 1,000 (the shards scanned).
+        assert_eq!(drawn, (44, 32));
+        assert_eq!(drawn.0, report.deliveries);
+        assert_eq!(report.data_loss_events, 12);
+        assert_eq!(report.integrity.shards_scanned, 1_000);
     }
 }
 

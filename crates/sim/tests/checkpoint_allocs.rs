@@ -21,9 +21,10 @@ const MAX_ENCODE_ALLOCATIONS: u64 = 1;
 /// Decode allocations allowed per checkpoint.
 const MAX_DECODE_ALLOCATIONS: u64 = 21;
 /// Resume allocations allowed per checkpoint. The metrics registry
-/// reserves each kind's slots once, with no name index, and the dock
-/// occupancy the checkpoint gives is kept rather than copied.
-const MAX_RESUME_ALLOCATIONS: u64 = 51;
+/// reserves each kind's slots once, with no name index; the dock
+/// occupancy, tracks and counters the checkpoint gives are kept rather
+/// than built and replaced, and the event queue is sized once.
+const MAX_RESUME_ALLOCATIONS: u64 = 47;
 
 /// A library and 16 racks 300 m apart, 128 carts and 64 PB owed per rack.
 fn campus() -> (SimConfig, Vec<(usize, Bytes)>) {

@@ -42,12 +42,12 @@ const CONFIGS: [&str; 7] = [
 #[rustfmt::skip]
 const GOLDEN: [[u64; 5]; 7] = [
     [0x9b645f0bbda338a0, 0x0fb0a3cdafc219d6, 0xb87c05e45a123405, 0x370644b0529a17a9, 0x54fc4cd80fcd46e9],
-    [0xd7a3898905254101, 0x5f826480fca351d7, 0x69aa31f05ba7af47, 0x35cce489e94b71be, 0xe6d6d255be890f94],
-    [0x23a858741c5dc1e5, 0x04e6b81ff76a1f39, 0xb27c0b918838503e, 0x29199e4622c7f2a0, 0x1d7ce6cd826bed73],
-    [0x4cb8a60a0023916f, 0x4a082e8f43e12109, 0x0bc98c4f55445472, 0x26ddb11b20bbf5dd, 0x23dd2f5d60b05c9a],
+    [0xd7a3898905254101, 0xec8e97f75698861f, 0xb12d5bc360e23bd3, 0x76f6cbfcd9113454, 0x8eda97c48384acb6],
+    [0x23a858741c5dc1e5, 0x08604d3a46c1e539, 0xeffbfba0dbc33254, 0xd3637cfb4aee96ab, 0x03ae8f3f6b3decd8],
+    [0x4cb8a60a0023916f, 0x5375be6a1aab0562, 0xdd126e4bee1b497d, 0x9564f827122d90fc, 0xc9f99b98f8575062],
     [0x39e3bac40fb7a213, 0xb424ad843a265318, 0x8ea48a7694f56db5, 0xce5d21eb023743f7, 0x48fdd068e00ddfbf],
     [0xba2d3fa968b77f56, 0xce40f49e86cf0de0, 0xd91bb1f116d30a3c, 0xf5f20ef0b96f90d3, 0xde90c1c3ab04b14f],
-    [0xc244a412ea8a836d, 0x7370f6de8de56893, 0x471bb7b30dd84122, 0x03db996736bccf41, 0xe2755fe2653feab3],
+    [0xc244a412ea8a836d, 0x5439e1409a100c7e, 0x969979a43b529686, 0x6b15454d67f56bd0, 0xe1acdee887fa80a7],
 ];
 
 /// Arrivals drawn before each `ArrivalState` capture.

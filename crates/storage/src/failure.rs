@@ -85,7 +85,8 @@ impl FailureModel {
     }
 
     /// Samples how many of `ssd_count` independent SSDs fail within
-    /// `duration`.
+    /// `duration`: one binomial draw, one word of `rng` for up to
+    /// [`dhl_rng::BINOMIAL_CHUNK`] SSDs.
     pub fn sample_failures<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -93,7 +94,8 @@ impl FailureModel {
         duration: Seconds,
     ) -> u32 {
         let p = self.failure_probability(duration);
-        (0..ssd_count).filter(|_| rng.random_bool(p)).count() as u32
+        // At most `ssd_count`, so the narrowing is exact.
+        rng.random_binomial(u64::from(ssd_count), p) as u32
     }
 }
 
@@ -323,6 +325,16 @@ mod tests {
         }
         let rate = f64::from(total) / f64::from(trials);
         assert!((rate - 0.5).abs() < 0.05, "got {rate}");
+    }
+
+    #[test]
+    fn a_cart_of_ssds_is_sampled_with_one_word() {
+        let mut rng = dhl_rng::check::CountedRng::new(DeterministicRng::seed_from_u64(3));
+        let m = FailureModel::typical_enterprise_ssd();
+        for _ in 0..10 {
+            m.sample_failures(&mut rng, 32, Seconds::new(8.6));
+        }
+        assert_eq!(rng.words(), 10);
     }
 
     #[test]

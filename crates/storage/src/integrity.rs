@@ -343,7 +343,9 @@ impl CorruptionModel {
         (combined * self.thermal_multiplier).clamp(0.0, 1.0)
     }
 
-    /// Samples how many of `shard_count` shards corrupt over one trip.
+    /// Samples how many of `shard_count` shards corrupt over one trip: one
+    /// binomial draw, one word of `rng` for up to
+    /// [`dhl_rng::BINOMIAL_CHUNK`] shards.
     pub fn sample_corrupted_shards<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -356,7 +358,7 @@ impl CorruptionModel {
             return 0;
         }
         let p = self.shard_corruption_probability(exposure, wear_fraction, connector_wear);
-        (0..shard_count).filter(|_| rng.random_bool(p)).count() as u64
+        rng.random_binomial(shard_count, p)
     }
 }
 
@@ -498,6 +500,16 @@ mod tests {
             1.0,
         );
         assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn a_cart_of_shards_is_sampled_with_one_word() {
+        let mut rng = dhl_rng::check::CountedRng::new(DeterministicRng::seed_from_u64(4));
+        let model = CorruptionModel::paper_default();
+        for _ in 0..10 {
+            model.sample_corrupted_shards(&mut rng, 32, Seconds::new(8.6), 0.5, 0.5);
+        }
+        assert_eq!(rng.words(), 10);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use admission::{
 pub use availability::{AvailabilityTracker, DataState};
 pub use placement::{CartContents, DatasetId, ParityPlan, Placement};
 pub use scheduler::{
-    DockRecoveryAwareness, FaultAwareness, IntegrityAwareness, Policy, Priority, RequestId,
-    RequestOutcome, ScheduleOutcome, Scheduler, SchedulerError, TransferRequest,
+    FaultAwareness, Policy, Priority, RequestId, RequestOutcome, ScheduleOutcome, Scheduler,
+    SchedulerError, TransferRequest,
 };
 pub use service_queue::{DockBank, ServiceEntry, ServiceQueue};

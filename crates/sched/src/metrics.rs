@@ -46,6 +46,7 @@ pub(crate) struct SchedMetrics {
     pub placement_latency_s: HistogramId,
     pub delivery_latency_s: HistogramId,
     pub retry_backoff_s: HistogramId,
+    pub reconstruction_s: HistogramId,
     // End-of-run gauges.
     pub makespan_s: GaugeId,
     pub track_utilisation: GaugeId,
@@ -60,13 +61,14 @@ impl SchedMetrics {
     /// bundle.
     pub fn register(registry: &mut MetricsRegistry) -> Self {
         // The counters, gauges and histograms listed below.
-        registry.reserve(ADMISSION.len() + PER_REQUEST.len(), 6, 3);
+        registry.reserve(ADMISSION.len() + PER_REQUEST.len(), 6, 4);
         Self {
             admission: ADMISSION.map(|(name, _)| registry.register_counter(name)),
             per_request: PER_REQUEST.map(|(name, _)| registry.register_counter(name)),
             placement_latency_s: registry.register_histogram("sched.placement_latency_s"),
             delivery_latency_s: registry.register_histogram("sched.delivery_latency_s"),
             retry_backoff_s: registry.register_histogram("sched.retry_backoff_s"),
+            reconstruction_s: registry.register_histogram("sched.reconstruction_s"),
             makespan_s: registry.register_gauge("sched.makespan_s"),
             track_utilisation: registry.register_gauge("sched.track_utilisation"),
             track_downtime_s: registry.register_gauge("sched.track_downtime_s"),

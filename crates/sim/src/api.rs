@@ -14,6 +14,7 @@ use dhl_units::{Bytes, BytesPerSecond, Joules, Seconds};
 use dhl_storage::connectors::{ConnectorKind, DockingConnector};
 
 use crate::config::{EndpointKind, SimConfig};
+use crate::hazard::HazardStreams;
 use crate::movement::MovementTable;
 use crate::system::{CartId, EndpointId};
 
@@ -139,9 +140,7 @@ impl DhlApi {
     ///
     /// # Errors
     ///
-    /// [`ApiError::InvalidEndpoint`] is never returned here; configuration
-    /// errors surface as `Err(config_error_message)` via
-    /// [`crate::config::ConfigError`] stringification.
+    /// The [`crate::config::ConfigError`] of an invalid configuration.
     pub fn new(
         cfg: SimConfig,
         read_bandwidth: BytesPerSecond,
@@ -156,10 +155,7 @@ impl DhlApi {
             .collect();
         let mut dock_used = vec![0u32; cfg.endpoints.len()];
         dock_used[0] = cfg.num_carts;
-        let reliability_rng = cfg
-            .reliability
-            .as_ref()
-            .map(|r| DeterministicRng::seed_from_u64(r.seed));
+        let reliability_rng = HazardStreams::new(&cfg).reliability;
         Ok(Self {
             costs: MovementTable::build(&cfg, None),
             cfg,
@@ -297,10 +293,8 @@ impl DhlApi {
 
     fn inject_failures(&mut self, cart: CartId, duration: Seconds) -> Result<(), ApiError> {
         if let (Some(rel), Some(rng)) = (&self.cfg.reliability, self.reliability_rng.as_mut()) {
-            let failed = rel
-                .failure
-                .sample_failures(rng, rel.ssds_per_cart, duration);
-            if !rel.raid.tolerates(failed) {
+            let (failed, lost) = rel.sample_in_flight(rng, duration);
+            if lost {
                 return Err(ApiError::DataLoss {
                     cart,
                     failed_ssds: failed,

@@ -55,6 +55,7 @@ use crate::arena::CartArena;
 use crate::codec::{self, codec_enum, codec_struct, Codec, Reader};
 use crate::config::SimConfig;
 use crate::engine::EventQueue;
+use crate::hazard::HazardStreams;
 use crate::metrics::is_published;
 use crate::movement::MovementCost;
 use crate::system::{
@@ -224,9 +225,9 @@ impl DhlSystem {
                 TraceSink::Disabled => None,
                 TraceSink::Buffered(t) => Some(t.clone()),
             },
-            reliability_rng: self.reliability_rng.as_ref().map(DeterministicRng::state),
-            fault_rng: self.fault_rng.as_ref().map(DeterministicRng::state),
-            integrity_rng: self.integrity_rng.as_ref().map(DeterministicRng::state),
+            reliability_rng: (self.streams.reliability.as_ref()).map(DeterministicRng::state),
+            fault_rng: self.streams.fault.as_ref().map(DeterministicRng::state),
+            integrity_rng: (self.streams.integrity.as_ref()).map(DeterministicRng::state),
             counters: self.counters.clone(),
             abandoned: self.abandoned,
             watch_running: self.run_watch.is_some(),
@@ -338,14 +339,18 @@ impl DhlSystem {
             cp.queue.iter().map(|&(t, s, e)| (Seconds::new(t), s, e)),
         );
         queue.set_clamped(cp.events_clamped);
+        let rng = |state: Option<[u64; 4]>| state.map(DeterministicRng::from_state);
         let state = RunState {
             carts,
             dock_used,
             queue,
             tracks,
             counters: cp.counters.clone(),
-            streams: [cp.reliability_rng, cp.fault_rng, cp.integrity_rng]
-                .map(|s| s.map(DeterministicRng::from_state)),
+            streams: HazardStreams {
+                reliability: rng(cp.reliability_rng),
+                fault: rng(cp.fault_rng),
+                integrity: rng(cp.integrity_rng),
+            },
         };
         let mut sys = Self::assemble(cfg, state, &cp.pending, metrics);
         sys.fingerprint = OnceLock::from(actual);

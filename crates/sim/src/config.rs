@@ -42,9 +42,9 @@ impl ReliabilitySpec {
 /// bounded re-shipment.
 ///
 /// Setting `SimConfig::integrity` to `Some` replaces arrival==delivery with
-/// the full delivery state machine: every rack arrival is checksummed
-/// against its staged [`dhl_storage::integrity::ShardManifest`] (consuming
-/// dock read time and energy), corrupted shards are rebuilt from `raid`
+/// the full delivery state machine: every rack arrival is scrubbed shard
+/// by shard (consuming dock read time and energy; see
+/// [`IntegritySpec::scrub`]), corrupted shards are rebuilt from `raid`
 /// parity when [`RaidConfig::tolerates`] holds, and over-tolerance
 /// corruption triggers a re-shipment through the PR-1 retry machinery
 /// (bounded by `FaultSpec::max_delivery_attempts` when faults are on, one

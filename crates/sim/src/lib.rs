@@ -42,6 +42,7 @@ pub mod checkpoint;
 mod codec;
 pub mod config;
 pub mod engine;
+pub mod hazard;
 pub(crate) mod metrics;
 pub mod movement;
 pub mod replicas;
@@ -56,6 +57,7 @@ pub use config::{
     EndpointKind, EndpointSpec, FaultSpec, IntegritySpec, ProcessingModel, ReliabilitySpec,
     RepressurisationSpec, SimConfig,
 };
+pub use hazard::{HazardStreams, Scrub, Verdict};
 pub use movement::MovementCost;
 pub use replicas::{run_replicas, CrashInjection, RecoveryOptions, ReplicaReport, ReplicaStats};
 pub use report::{BulkTransferReport, IntegrityReport, ReliabilityReport};

@@ -80,7 +80,7 @@ impl PartialEq for BulkTransferReport {
 pub struct IntegrityReport {
     /// Shards checksummed at rack docks.
     pub shards_scanned: u64,
-    /// Shards whose checksum no longer matched the staged manifest.
+    /// Shards found corrupted by the scrub.
     pub shards_corrupted: u64,
     /// Corrupted shards rebuilt in place from RAID parity.
     pub shards_reconstructed: u64,

@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use dhl_obs::{MetricsRegistry, Stopwatch};
-use dhl_rng::{DeterministicRng, Rng};
+use dhl_rng::Rng;
 use dhl_storage::connectors::{ConnectorKind, DockingConnector};
 use dhl_storage::wear::CartWear;
 use dhl_units::{Bytes, Joules, Seconds, Watts};
@@ -37,6 +37,7 @@ use crate::arena::CartArena;
 use crate::backlog::Backlog;
 use crate::config::{ConfigError, EndpointKind, EndpointSpec, ProcessingModel, SimConfig};
 use crate::engine::EventQueue;
+use crate::hazard::{HazardStreams, Verdict};
 use crate::metrics::{SimMetrics, PUBLISHED};
 use crate::movement::{MovementCost, MovementTable};
 use crate::report::{BulkTransferReport, IntegrityReport, ReliabilityReport};
@@ -352,8 +353,7 @@ pub(crate) struct RunState {
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) tracks: Vec<TrackState>,
     pub(crate) counters: Counters,
-    /// The reliability, fault and integrity streams.
-    pub(crate) streams: [Option<DeterministicRng>; 3],
+    pub(crate) streams: HazardStreams,
 }
 
 /// Whether endpoint `ep`, with `used` of its docks taken, has one free.
@@ -408,13 +408,9 @@ pub struct DhlSystem {
     pub(crate) movements: u64,
     pub(crate) max_in_flight: u32,
     pub(crate) trace: TraceSink,
-    pub(crate) reliability_rng: Option<DeterministicRng>,
-    /// Independent stream for physical fault sampling (stalls, leaks), so
-    /// enabling faults does not perturb the SSD-failure stream.
-    pub(crate) fault_rng: Option<DeterministicRng>,
-    /// Independent stream for silent-corruption sampling, so enabling the
-    /// integrity pipeline perturbs neither the reliability nor fault streams.
-    pub(crate) integrity_rng: Option<DeterministicRng>,
+    /// The reliability, fault and integrity streams, each independent of
+    /// the others.
+    pub(crate) streams: HazardStreams,
     pub(crate) counters: Counters,
     /// The shard that exhausted its delivery attempts, ending the run.
     pub(crate) abandoned: Option<Abandoned>,
@@ -455,7 +451,6 @@ impl DhlSystem {
         // The fleet starts docked at the library.
         let mut dock_used = vec![0u32; cfg.endpoints.len()];
         dock_used[0] = cfg.num_carts;
-        let reliability_seed = cfg.reliability.as_ref().map(|r| r.seed);
         let state = RunState {
             carts: CartArena::with_fleet(cfg.num_carts as usize, connector, wear),
             dock_used,
@@ -465,17 +460,7 @@ impl DhlSystem {
                 dock_downtime: vec![0.0; cfg.endpoints.len()],
                 ..Counters::default()
             },
-            streams: [
-                reliability_seed.map(DeterministicRng::seed_from_u64),
-                // The fault stream is seeded independently from (but
-                // deterministically related to) the reliability seed, so
-                // fault injection never perturbs SSD-failure sampling.
-                cfg.faults.as_ref().map(|_| {
-                    let seed = reliability_seed.unwrap_or(0);
-                    DeterministicRng::seed_from_u64(seed ^ 0xFA17_1A7E_D051_C0DE)
-                }),
-                (cfg.integrity.as_ref()).map(|i| DeterministicRng::seed_from_u64(i.seed)),
-            ],
+            streams: HazardStreams::new(&cfg),
         };
         Ok(Self::assemble(cfg, state, &[], MetricsRegistry::enabled()))
     }
@@ -495,7 +480,7 @@ impl DhlSystem {
             queue,
             tracks,
             counters,
-            streams: [reliability_rng, fault_rng, integrity_rng],
+            streams,
         } = state;
         let dock_free = (dock_used.iter().zip(&cfg.endpoints))
             .map(|(&used, ep)| has_free_dock(ep, used))
@@ -522,9 +507,7 @@ impl DhlSystem {
             total_energy: Joules::ZERO,
             movements: 0,
             max_in_flight: 0,
-            reliability_rng,
-            fault_rng,
-            integrity_rng,
+            streams,
             trace: TraceSink::Disabled,
             counters,
             abandoned: None,
@@ -640,7 +623,7 @@ impl DhlSystem {
             Some(faults) => (faults.repressurisation, faults.cart_stall),
             None => return (self.costs.cost(from, to), false),
         };
-        let rng = self.fault_rng.as_mut().expect("fault rng exists with spec");
+        let rng = (self.streams.fault.as_mut()).expect("fault rng exists with spec");
         if let Some(rep) = repressurisation {
             if rng.random_bool(rep.probability_per_movement) {
                 self.counters.repressurisations += 1;
@@ -651,7 +634,7 @@ impl DhlSystem {
         }
         let mut stalled = false;
         if let Some(stall) = cart_stall {
-            let rng = self.fault_rng.as_mut().expect("fault rng exists with spec");
+            let rng = (self.streams.fault.as_mut()).expect("fault rng exists with spec");
             stalled = rng.random_bool(stall.probability_per_movement);
         }
         // Table lookups, not trapezoid evaluations: both tiers were batch-
@@ -979,15 +962,12 @@ impl DhlSystem {
         if self.cfg.endpoints[m.to].kind != EndpointKind::Rack || m.payload.is_zero() {
             return None;
         }
-        let rng = self.fault_rng.as_mut().expect("fault rng exists with spec");
-        if !rng.random_bool(spec.crash_probability_per_docking) {
-            return None;
-        }
-        let downtime = spec.recovery_time(m.payload);
+        let rng = (self.streams.fault.as_mut()).expect("fault rng exists with spec");
+        let (downtime, energy) = spec.sample_crash(rng, m.payload)?;
         self.counters.dock_crashes += 1;
         self.counters.dock_recovery_time_s += downtime.seconds();
         self.counters.dock_downtime[m.to] += downtime.seconds();
-        self.total_energy += spec.recovery_power * downtime;
+        self.total_energy += energy;
         self.metrics
             .record(self.handles.dock_recovery_s, downtime.seconds());
         Some(downtime)
@@ -999,24 +979,17 @@ impl DhlSystem {
     /// Empty return trips carry no data, so they draw no samples and can
     /// never lose anything.
     fn sample_in_flight_failures(&mut self, payload: Bytes, exposure: Seconds) -> bool {
-        // Copy the three Copy fields out of the borrow so the reliability
-        // RNG and counters can be mutated below without cloning the spec
-        // on every movement.
-        let (failure, ssds_per_cart, raid) = match self.cfg.reliability.as_ref() {
-            Some(spec) => (spec.failure, spec.ssds_per_cart, spec.raid),
-            None => return false,
+        let Some(spec) = self.cfg.reliability.as_ref() else {
+            return false;
         };
         if payload.is_zero() {
             return false;
         }
-        let rng = self.reliability_rng.as_mut().expect("rng exists with spec");
-        let failed = failure.sample_failures(rng, ssds_per_cart, exposure);
+        let rng = (self.streams.reliability.as_mut()).expect("rng exists with spec");
+        let (failed, lost) = spec.sample_in_flight(rng, exposure);
         self.counters.ssd_failures += u64::from(failed);
-        if !raid.tolerates(failed) {
-            self.counters.data_loss_events += 1;
-            return true;
-        }
-        false
+        self.counters.data_loss_events += u64::from(lost);
+        lost
     }
 
     /// Completes a rack delivery: credit the payload, then schedule the
@@ -1110,36 +1083,17 @@ impl DhlSystem {
         (f64::from(self.carts.matings[cart]) / f64::from(rated)).min(1.0)
     }
 
-    /// Checksum granularity: a fully loaded cart splits into
-    /// `shards_per_cart` equal shards.
-    fn shard_size(&self, shards_per_cart: u32) -> Bytes {
-        Bytes::new((self.cfg.cart_capacity.as_u64() / u64::from(shards_per_cart)).max(1))
-    }
-
     /// `Arrived → (scrub)`: charge verify-on-dock time and energy, park the
     /// delivery on the cart, and schedule its verdict.
     fn begin_verification(&mut self, cart: CartId, m: &ActiveMovement) {
-        // Copy the three Copy fields out of the borrow — no per-delivery
-        // clone of the whole spec.
         let spec = self.cfg.integrity.as_ref().expect("integrity spec present");
-        let (shards_per_cart, verify_bandwidth, verify_power) = (
-            spec.shards_per_cart,
-            spec.verify_bandwidth_bytes_per_second,
-            spec.verify_power,
-        );
-        let shards = if m.payload.is_zero() {
-            0
-        } else {
-            m.payload.div_ceil(self.shard_size(shards_per_cart))
-        };
-        let verify_time = Seconds::new(m.payload.as_f64() / verify_bandwidth);
-        let energy = verify_power * verify_time;
-        self.total_energy += energy;
-        self.counters.verification_energy_j += energy.value();
-        self.counters.verification_time_s += verify_time.seconds();
+        let scrub = spec.scrub(m.payload, self.cfg.cart_capacity);
+        let (shards, time) = (scrub.shards, scrub.time);
+        self.total_energy += scrub.energy;
+        self.counters.verification_energy_j += scrub.energy.value();
+        self.counters.verification_time_s += time.seconds();
         self.counters.shards_scanned += shards;
-        self.metrics
-            .record(self.handles.verify_s, verify_time.seconds());
+        self.metrics.record(self.handles.verify_s, time.seconds());
         self.record(TraceEventKind::VerifyStarted {
             cart,
             endpoint: m.to,
@@ -1152,35 +1106,22 @@ impl DhlSystem {
             trip_time: m.cost.total_time,
             shards,
         });
-        self.queue.schedule(verify_time, Ev::VerifyDone { cart });
+        self.queue.schedule(time, Ev::VerifyDone { cart });
     }
 
     /// The scrub's verdict: `Verified`, `Corrupted → Reconstructed`, or
     /// `Corrupted → Reshipped | Abandoned` when parity cannot cover it.
     fn finish_verification(&mut self, cart: CartId) {
         let pv = self.carts.verify[cart].take().expect("verifying cart");
-        // Copy the Copy fields out of the borrow — no per-verdict clone of
-        // the whole spec (the endurance model it holds allocates).
         let spec = self.cfg.integrity.as_ref().expect("integrity spec present");
-        let (corruption, raid, shards_per_cart, reconstruct_bandwidth, connector) = (
-            spec.corruption,
-            spec.raid,
-            spec.shards_per_cart,
-            spec.reconstruct_bandwidth_bytes_per_second,
-            spec.connector,
-        );
         let wear = self.carts.wear[cart]
             .as_ref()
             .map_or(0.0, |w| w.wear_fraction());
-        let conn_wear = self.connector_wear_fraction(cart, connector);
-        let rng = self
-            .integrity_rng
-            .as_mut()
-            .expect("integrity rng exists with spec");
-        let corrupted =
-            corruption.sample_corrupted_shards(rng, pv.shards, pv.trip_time, wear, conn_wear);
-
-        if corrupted == 0 {
+        let conn_wear = self.connector_wear_fraction(cart, spec.connector);
+        let rng = (self.streams.integrity.as_mut()).expect("integrity rng exists with spec");
+        let cap = self.cfg.cart_capacity;
+        let (corrupted, verdict) = spec.verdict(rng, pv.shards, pv.trip_time, wear, conn_wear, cap);
+        if verdict == Verdict::Clean {
             self.counters.deliveries_verified += 1;
             self.record(TraceEventKind::PayloadVerified {
                 cart,
@@ -1199,16 +1140,9 @@ impl DhlSystem {
             attempt: pv.attempt,
         });
 
-        let tolerable = u32::try_from(corrupted)
-            .map(|c| raid.tolerates(c))
-            .unwrap_or(false);
-        if tolerable {
+        if let Verdict::Rebuilt(rebuild_time) = verdict {
             // Parity covers the damage: rebuild in place, charging the
             // reconstruction read time before the processing dwell.
-            let rebuild_time = Seconds::new(
-                corrupted as f64 * self.shard_size(shards_per_cart).as_f64()
-                    / reconstruct_bandwidth,
-            );
             self.counters.shards_reconstructed += corrupted;
             self.counters.reconstruction_time_s += rebuild_time.seconds();
             self.counters.deliveries_verified += 1;
@@ -1956,6 +1890,7 @@ mod metrics_tests {
 mod reliability_tests {
     use super::*;
     use crate::config::ReliabilitySpec;
+    use dhl_rng::DeterministicRng;
     use dhl_storage::failure::{FailureModel, RaidConfig};
 
     #[test]
@@ -2099,8 +2034,9 @@ mod reliability_tests {
         let start = DhlSystem::new(cfg.clone()).unwrap();
         let mut sys = DhlSystem::new(cfg).unwrap();
         let report = sys.run_bulk_transfer(Bytes::from_petabytes(8.0)).unwrap();
-        let streams =
-            |s: &DhlSystem| [&s.reliability_rng, &s.integrity_rng].map(|r| r.clone().unwrap());
+        let streams = |s: &DhlSystem| {
+            [&s.streams.reliability, &s.streams.integrity].map(|r| r.clone().unwrap())
+        };
         let [rel_start, int_start] = streams(&start);
         let [rel_now, int_now] = streams(&sys);
         let drawn = (

@@ -54,8 +54,7 @@ pub enum TraceEventKind {
         /// Which delivery attempt this was (1-based).
         attempt: u32,
     },
-    /// Verify-on-dock began scrubbing a delivered payload against its shard
-    /// manifest.
+    /// Verify-on-dock began scrubbing a delivered payload's shards.
     VerifyStarted {
         /// The docked cart being scrubbed.
         cart: CartId,

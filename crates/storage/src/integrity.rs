@@ -1,5 +1,4 @@
-//! End-to-end payload integrity: checksums, shard manifests, and silent
-//! corruption models.
+//! End-to-end payload integrity: checksums and silent corruption models.
 //!
 //! The paper's §II-A durability story covers *whole-drive* loss (RAID across
 //! a cart's SSDs, [`crate::failure`]); this module covers the other half of
@@ -19,7 +18,7 @@
 
 use dhl_rng::Rng;
 
-use dhl_units::{Bytes, Seconds};
+use dhl_units::Seconds;
 
 use crate::cart::CartStorage;
 use crate::thermal::ThermalModel;
@@ -88,113 +87,6 @@ impl core::fmt::Write for Checksum64 {
     fn write_str(&mut self, s: &str) -> core::fmt::Result {
         self.update(s.as_bytes());
         Ok(())
-    }
-}
-
-/// The recorded checksum of one shard of a cart payload.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct ShardChecksum {
-    /// Shard index within the payload.
-    pub shard_index: u64,
-    /// Bytes in the shard (the final shard may be partial).
-    pub bytes: Bytes,
-    /// 64-bit FNV-1a checksum recorded at staging time.
-    pub checksum: u64,
-}
-
-/// A per-cart manifest of shard checksums, written when the payload is
-/// staged in the library and re-verified on dock.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ShardManifest {
-    shards: Vec<ShardChecksum>,
-}
-
-impl ShardManifest {
-    /// Builds the manifest for a `payload` split into `shard_size` chunks.
-    /// Checksums are synthesised deterministically from the payload geometry
-    /// (the simulator moves no real bytes), so staging the same payload
-    /// twice yields the same manifest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_size` is zero while the payload is not.
-    #[must_use]
-    pub fn stage(payload: Bytes, shard_size: Bytes) -> Self {
-        if payload.is_zero() {
-            return Self { shards: Vec::new() };
-        }
-        assert!(!shard_size.is_zero(), "shard size must be non-zero");
-        let count = payload.as_u64().div_ceil(shard_size.as_u64());
-        let shards = (0..count)
-            .map(|i| {
-                let offset = i * shard_size.as_u64();
-                let bytes = Bytes::new(shard_size.as_u64().min(payload.as_u64() - offset));
-                ShardChecksum {
-                    shard_index: i,
-                    bytes,
-                    checksum: Self::synthesise(payload, i, bytes),
-                }
-            })
-            .collect();
-        Self { shards }
-    }
-
-    /// The deterministic stand-in checksum for a shard: FNV-1a over the
-    /// shard's identifying geometry.
-    fn synthesise(payload: Bytes, index: u64, bytes: Bytes) -> u64 {
-        let mut c = Checksum64::new();
-        c.update(&payload.as_u64().to_le_bytes());
-        c.update(&index.to_le_bytes());
-        c.update(&bytes.as_u64().to_le_bytes());
-        c.finish()
-    }
-
-    /// The shard checksums, in shard order.
-    #[must_use]
-    pub fn shards(&self) -> &[ShardChecksum] {
-        &self.shards
-    }
-
-    /// Number of shards in the manifest.
-    #[must_use]
-    pub fn shard_count(&self) -> u64 {
-        self.shards.len() as u64
-    }
-
-    /// Total bytes covered by the manifest.
-    #[must_use]
-    pub fn total_bytes(&self) -> Bytes {
-        self.shards.iter().map(|s| s.bytes).sum()
-    }
-
-    /// Verifies a delivered manifest against this staged one, returning the
-    /// indices of shards whose checksum (or size) no longer matches.
-    #[must_use]
-    pub fn verify(&self, delivered: &ShardManifest) -> Vec<u64> {
-        let mut corrupted = Vec::new();
-        for (i, staged) in self.shards.iter().enumerate() {
-            match delivered.shards.get(i) {
-                Some(d) if d == staged => {}
-                _ => corrupted.push(staged.shard_index),
-            }
-        }
-        for extra in delivered.shards.iter().skip(self.shards.len()) {
-            corrupted.push(extra.shard_index);
-        }
-        corrupted
-    }
-
-    /// Returns a copy with the given shard's checksum flipped — the test
-    /// hook for injecting a known corruption.
-    #[must_use]
-    pub fn with_corrupted_shard(&self, shard_index: u64) -> Self {
-        let mut out = self.clone();
-        for s in &mut out.shards {
-            if s.shard_index == shard_index {
-                s.checksum = !s.checksum;
-            }
-        }
-        out
     }
 }
 
@@ -381,49 +273,6 @@ mod tests {
         c.update(b"foo");
         c.update(b"bar");
         assert_eq!(c.finish(), fnv1a_64(b"foobar"));
-    }
-
-    #[test]
-    fn manifest_covers_the_payload_exactly() {
-        let payload = Bytes::from_terabytes(250.0);
-        let shard = Bytes::from_terabytes(8.0);
-        let m = ShardManifest::stage(payload, shard);
-        assert_eq!(m.shard_count(), 32); // ceil(250 / 8)
-        assert_eq!(m.total_bytes(), payload);
-        // All but the last shard are full-sized.
-        for s in &m.shards()[..31] {
-            assert_eq!(s.bytes, shard);
-        }
-        assert!(m.shards()[31].bytes < shard);
-    }
-
-    #[test]
-    fn staging_is_deterministic_and_payload_sensitive() {
-        let shard = Bytes::from_terabytes(8.0);
-        let a = ShardManifest::stage(Bytes::from_terabytes(256.0), shard);
-        let b = ShardManifest::stage(Bytes::from_terabytes(256.0), shard);
-        assert_eq!(a, b);
-        let c = ShardManifest::stage(Bytes::from_terabytes(128.0), shard);
-        assert_ne!(a.shards()[0].checksum, c.shards()[0].checksum);
-    }
-
-    #[test]
-    fn verify_finds_exactly_the_corrupted_shards() {
-        let m = ShardManifest::stage(Bytes::from_terabytes(256.0), Bytes::from_terabytes(8.0));
-        assert!(m.verify(&m).is_empty());
-        let delivered = m.with_corrupted_shard(3).with_corrupted_shard(17);
-        assert_eq!(m.verify(&delivered), vec![3, 17]);
-        // A truncated delivery flags every missing shard.
-        let mut short = m.clone();
-        short.shards.truncate(30);
-        assert_eq!(m.verify(&short), vec![30, 31]);
-    }
-
-    #[test]
-    fn empty_payload_has_an_empty_manifest() {
-        let m = ShardManifest::stage(Bytes::ZERO, Bytes::from_terabytes(8.0));
-        assert_eq!(m.shard_count(), 0);
-        assert_eq!(m.total_bytes(), Bytes::ZERO);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   PCIe docking-station bandwidth model (§III-B.5);
 //! - [`thermal`]: the §VI heat-sink model (10 W per active M.2);
 //! - [`failure`]: SSD failure injection and RAID tolerance (§III-D);
-//! - [`integrity`]: payload checksums, shard manifests, and silent
-//!   corruption models driven by wear, connector cycles, and thermals;
+//! - [`integrity`]: payload checksums and silent corruption models driven
+//!   by wear, connector cycles, and thermals;
 //! - [`connectors`]: docking-connector endurance (§VI — M.2's hundreds of
 //!   cycles vs USB-C's 10k–20k);
 //! - [`datasets`]: the Table I / Table IV dataset and model catalog,
@@ -48,6 +48,6 @@ pub use datasets::{Dataset, DatasetKind};
 pub use devices::{FormFactor, StorageDevice};
 pub use failure::{FailureModel, RaidConfig};
 pub use growth::{FleetProjection, GrowthModel};
-pub use integrity::{fnv1a_64, Checksum64, CorruptionModel, ShardChecksum, ShardManifest};
+pub use integrity::{fnv1a_64, Checksum64, CorruptionModel};
 pub use thermal::ThermalModel;
 pub use wear::{CartWear, EnduranceModel};

@@ -71,8 +71,9 @@ impl EnduranceModel {
 /// Wear accounting for a whole cart in DHL service.
 #[derive(Clone, PartialEq, Debug)]
 pub struct CartWear {
-    endurance: EnduranceModel,
     cart_capacity: Bytes,
+    /// Rated bytes for the whole cart, fixed at construction.
+    rated: Bytes,
     written: Bytes,
 }
 
@@ -83,9 +84,11 @@ impl CartWear {
     /// capacity/drive-capacity; equivalently full rewrites are constant).
     #[must_use]
     pub fn new(endurance: EnduranceModel, cart_capacity: Bytes) -> Self {
+        let device = StorageDevice::sabrent_rocket_4_plus();
+        let drives = cart_capacity.as_f64() / device.capacity.as_f64();
         Self {
-            endurance,
             cart_capacity,
+            rated: Bytes::new((endurance.rated_writes.as_f64() * drives) as u64),
             written: Bytes::ZERO,
         }
     }
@@ -93,9 +96,7 @@ impl CartWear {
     /// Rated bytes for the whole cart (TBW scaled by cart/drive ratio).
     #[must_use]
     pub fn rated_cart_writes(&self) -> Bytes {
-        let device = StorageDevice::sabrent_rocket_4_plus();
-        let drives = self.cart_capacity.as_f64() / device.capacity.as_f64();
-        Bytes::new((self.endurance.rated_writes.as_f64() * drives) as u64)
+        self.rated
     }
 
     /// Records a full-cart restage (writing `bytes` across the cart).
@@ -112,7 +113,7 @@ impl CartWear {
     /// Fraction of rated life consumed, ≥ 1 means due for replacement.
     #[must_use]
     pub fn wear_fraction(&self) -> f64 {
-        self.written.as_f64() / self.rated_cart_writes().as_f64()
+        self.written.as_f64() / self.rated.as_f64()
     }
 
     /// Whether the cart has exhausted its rated writes.
@@ -124,7 +125,7 @@ impl CartWear {
     /// Full-cart restages remaining before wear-out.
     #[must_use]
     pub fn restages_remaining(&self) -> u64 {
-        let remaining = self.rated_cart_writes().saturating_sub(self.written);
+        let remaining = self.rated.saturating_sub(self.written);
         remaining.as_u64() / self.cart_capacity.as_u64().max(1)
     }
 }

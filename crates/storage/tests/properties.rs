@@ -6,7 +6,7 @@ use dhl_storage::connectors::{ConnectorKind, DockingConnector};
 use dhl_storage::datasets::{Dataset, DatasetKind};
 use dhl_storage::devices::StorageDevice;
 use dhl_storage::failure::{FailureModel, RaidConfig};
-use dhl_storage::integrity::{CorruptionModel, ShardManifest};
+use dhl_storage::integrity::CorruptionModel;
 use dhl_storage::thermal::ThermalModel;
 use dhl_units::{Bytes, Seconds, Watts};
 
@@ -203,30 +203,6 @@ fn corruption_probability_is_monotone_in_every_hazard_input() {
             assert!(worn >= base - eps, "wear: {base} -> {worn}");
             let frayed = model.shard_corruption_probability(Seconds::new(t), wear, conn + dconn);
             assert!(frayed >= base - eps, "connector: {base} -> {frayed}");
-        },
-    );
-}
-
-#[test]
-fn manifests_cover_payloads_and_detect_every_injected_corruption() {
-    forall(
-        "manifests_cover_payloads_and_detect_every_injected_corruption",
-        128,
-        |g| {
-            let payload = Bytes::new(g.u64_in(1, 1 << 50));
-            let shard = Bytes::new(g.u64_in(1, 1 << 44));
-            let staged = ShardManifest::stage(payload, shard);
-            assert_eq!(staged.total_bytes(), payload);
-            assert_eq!(
-                staged.shard_count(),
-                payload.as_u64().div_ceil(shard.as_u64())
-            );
-            // A clean delivery verifies clean.
-            assert!(staged.verify(&staged).is_empty());
-            // Any single flipped shard is detected, and only that shard.
-            let victim = g.u64_in(0, staged.shard_count());
-            let delivered = staged.with_corrupted_shard(victim);
-            assert_eq!(staged.verify(&delivered), vec![victim]);
         },
     );
 }

@@ -16,9 +16,7 @@
 //! - `DHL_CRASH_AUDIT_JSON=<path>` writes the deterministic portion of the
 //!   audit (outcome plus counters, no wall-clock gauges) as JSON.
 
-use datacentre_hyperloop::sched::{
-    DockRecoveryAwareness, Placement, Priority, Scheduler, TransferRequest,
-};
+use datacentre_hyperloop::sched::{Placement, Priority, Scheduler, TransferRequest};
 use datacentre_hyperloop::sim::{
     run_replicas, Checkpoint, CrashInjection, DhlSystem, DockControllerFaultSpec, FaultSpec,
     RecoveryOptions, ReliabilitySpec, SimConfig,
@@ -126,23 +124,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Dock-controller recovery policies inside the simulator: the same
     // crash hazard, recovered by journal replay vs payload re-scan.
-    println!("\nDock-controller recovery policies (1 PB, 20% crash hazard per docking):");
-    for (label, spec) in [
-        ("journal-replay", DockControllerFaultSpec::journal_replay()),
-        (
-            "rebuild-from-scan",
-            DockControllerFaultSpec::rebuild_from_scan(),
-        ),
-    ] {
-        let mut policy_cfg = SimConfig::paper_default();
-        policy_cfg.faults = Some(FaultSpec {
+    // The paper's track, its rack's dock controller crashing on 20% of
+    // loaded dockings and recovering by `spec`'s policy.
+    let hazardous = |spec: DockControllerFaultSpec| {
+        let mut cfg = SimConfig::paper_default();
+        cfg.faults = Some(FaultSpec {
             dock_controller: Some(DockControllerFaultSpec {
                 crash_probability_per_docking: 0.2,
                 ..spec
             }),
             ..FaultSpec::recovery_only()
         });
-        let report = DhlSystem::new(policy_cfg)?.run_bulk_transfer(Bytes::from_petabytes(1.0))?;
+        cfg
+    };
+    let policies = [
+        ("journal-replay", DockControllerFaultSpec::journal_replay()),
+        (
+            "rebuild-from-scan",
+            DockControllerFaultSpec::rebuild_from_scan(),
+        ),
+    ];
+    println!("\nDock-controller recovery policies (1 PB, 20% crash hazard per docking):");
+    for (label, spec) in policies {
+        let report =
+            DhlSystem::new(hazardous(spec))?.run_bulk_transfer(Bytes::from_petabytes(1.0))?;
         let rel = &report.reliability;
         println!(
             "  {label:>17}: {} crashes, {:.0} s recovering, completion {:.1} s",
@@ -153,7 +158,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 5. The same comparison at the scheduling layer: per-policy
-    // availability impact on a mixed workload, one scheduler per policy.
+    // availability impact on a mixed workload, one scheduler per policy,
+    // each drawing the crashes of its configuration as the DES does.
     let mut placement = Placement::new(Bytes::from_terabytes(256.0));
     let laion = placement.store(datasets::laion_5b());
     let crawl = placement.store(datasets::common_crawl());
@@ -161,29 +167,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         TransferRequest::new(crawl, 1, Priority::Normal, Seconds::ZERO),
         TransferRequest::new(laion, 1, Priority::Urgent, Seconds::new(5.0)),
     ];
-    let awareness = |spec: DockControllerFaultSpec| {
-        let hazardous = DockControllerFaultSpec {
-            crash_probability_per_docking: 0.2,
-            ..spec
-        };
-        DockRecoveryAwareness::from_spec(&hazardous, Bytes::from_terabytes(256.0), 21)
-    };
     println!("\nScheduler-level availability impact (37 dockings, same crash draws):");
-    for (label, recovery) in [
-        ("crash-free", None),
-        (
-            "journal-replay",
-            Some(awareness(DockControllerFaultSpec::journal_replay())),
-        ),
-        (
-            "rebuild-from-scan",
-            Some(awareness(DockControllerFaultSpec::rebuild_from_scan())),
-        ),
-    ] {
-        let mut sched = Scheduler::new(SimConfig::paper_default(), placement.clone())?;
-        if let Some(recovery) = recovery {
-            sched = sched.with_dock_recovery(recovery);
-        }
+    let configs = policies.map(|(label, spec)| (label, hazardous(spec)));
+    for (label, cfg) in [("crash-free", SimConfig::paper_default())]
+        .into_iter()
+        .chain(configs)
+    {
+        let mut sched = Scheduler::new(cfg, placement.clone())?;
         for request in &requests {
             sched.submit(*request);
         }

@@ -3,16 +3,19 @@
 //! `Scheduler::try_run`, under the same `SimConfig`.
 //!
 //! The scheduler plans a serial track: it holds the whole track for each
-//! trip, and it reads neither the launch headway nor `dual_track`, nor the
-//! faults of the `SimConfig`. So today the two models agree only where the
-//! DES is serial too. Every other row is a known gap, pinned at its
+//! trip, and it reads neither the launch headway nor `dual_track`. It
+//! draws the `SimConfig`'s dock-controller crashes and verify-on-dock
+//! through the DES's own hazard functions and streams, so the two models
+//! spend the same energy on every row. Their makespans agree only where the
+//! DES is serial too. Every other makespan is a known gap, pinned at its
 //! measured ratio (scheduler / DES): the test fails if a gap moves in
 //! either direction, and a fix that closes one sets it to `AGREES`.
 
 use datacentre_hyperloop::sched::placement::Placement;
 use datacentre_hyperloop::sched::scheduler::{Priority, Scheduler, TransferRequest};
 use datacentre_hyperloop::sim::{
-    DhlSystem, DockControllerFaultSpec, EndpointKind, EndpointSpec, FaultSpec, SimConfig,
+    DhlSystem, DockControllerFaultSpec, EndpointKind, EndpointSpec, FaultSpec, IntegritySpec,
+    SimConfig,
 };
 use datacentre_hyperloop::storage::datasets::{meta_dlrm_29pb, Dataset};
 use datacentre_hyperloop::units::Seconds;
@@ -26,7 +29,7 @@ const AGREES: Option<f64> = None;
 /// Config, dataset size in carts, then the makespan and the energy ratio
 /// (scheduler / DES) of each known gap, as measured when this test was
 /// added.
-const ROWS: [(&str, u64, Option<f64>, Option<f64>); 12] = [
+const ROWS: [(&str, u64, Option<f64>, Option<f64>); 16] = [
     // The DES launches a headway apart; the scheduler waits for each
     // round trip.
     ("paper_default", 8, Some(1.954545454545), AGREES),
@@ -43,20 +46,16 @@ const ROWS: [(&str, u64, Option<f64>, Option<f64>); 12] = [
     // The preset's 0.1 % hazards fire on none of these trips.
     ("stress", 8, Some(1.954545454545), AGREES),
     ("stress", 114, Some(1.943695479778), AGREES),
-    // 3 and 21 crashes: the DES waits out and powers each recovery, which
-    // the scheduler does not see.
-    (
-        "dock_crashes",
-        8,
-        Some(1.162162162162),
-        Some(0.947366673985),
-    ),
-    (
-        "dock_crashes",
-        114,
-        Some(1.404785785929),
-        Some(0.973433629019),
-    ),
+    // 3 and 21 crashes, each waited out and powered by both models.
+    ("dock_crashes", 8, Some(1.922297297297), AGREES),
+    ("dock_crashes", 114, Some(1.856139848116), AGREES),
+    // A 4,000 s scrub per full cart: the DES overlaps the scrubs across
+    // docks, the scheduler serialises them.
+    ("verify_only", 8, Some(3.991058566390), AGREES),
+    ("verify_only", 114, Some(3.922448776828), AGREES),
+    // The same scrubs, with the nominal corruption hazard.
+    ("integrity", 8, Some(3.991058566390), AGREES),
+    ("integrity", 114, Some(3.922448776828), AGREES),
 ];
 
 fn config(name: &str) -> SimConfig {
@@ -80,6 +79,8 @@ fn config(name: &str) -> SimConfig {
                 ..FaultSpec::recovery_only()
             });
         }
+        "verify_only" => cfg.integrity = Some(IntegritySpec::verification_only()),
+        "integrity" => cfg.integrity = Some(IntegritySpec::typical()),
         other => panic!("unknown config {other}"),
     }
     cfg
@@ -119,10 +120,7 @@ fn scheduler_matches_the_des_or_sits_at_its_pinned_gap() {
     let mut moved = 0;
     for (name, carts, makespan, energy) in ROWS {
         let cfg = config(name);
-        assert!(
-            cfg.faults.is_some() || energy == AGREES,
-            "{name}: energy is not a known gap without faults"
-        );
+        assert!(energy == AGREES, "{name}: energy is not a known gap");
         let (t, e) = ratios(&cfg, carts);
         let ok = holds(t, makespan) && holds(e, energy);
         moved += usize::from(!ok);
